@@ -1,0 +1,90 @@
+"""Golden digests: the three contract files of every bundled scenario x seed.
+
+These pins are the gate for refactors that must keep the trace: a change that
+alters any of these bytes on purpose has to say so and re-pin them with the
+reason. Regenerate a pin with `vecsim run <scenario> --seed <s>` and
+`sha256sum packets.csv decisions.csv summary.json`.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from conftest import scenario_path
+from vecsim.cli import main
+
+FILES = ("packets.csv", "decisions.csv", "summary.json")
+
+GOLDEN = {
+    ("smoke", 0): (
+        "e4ae334d8f86700e3adfe36da92c460ff078b7ffbb55e31ea288eec305cdb01c",
+        "a4954f996b8234dfc7304841a2efab9859b08bd0ce0da76b9749566702f3975f",
+        "19ca508bb4aa430a4c6e86e1f6d25980f38abeca77e21b62b2f322cebcaa2890",
+    ),
+    ("smoke", 1): (
+        "e4ae334d8f86700e3adfe36da92c460ff078b7ffbb55e31ea288eec305cdb01c",
+        "e7630594c335bd638d553b30fa0662e386b07cbe57d8459f8601902b8ff12133",
+        "5dc1920c609b509f727b46d7716e510a879acd923fc43392d5971e3a7c3c0548",
+    ),
+    ("smoke", 2): (
+        "e4ae334d8f86700e3adfe36da92c460ff078b7ffbb55e31ea288eec305cdb01c",
+        "3d0c814635264be4d4090fae53a280b34a25396565b0a07246c3c504de6b51f8",
+        "1ed0ad86561622626c05ac8529a54a3ef50d14fa8c00ae2288f8da88051cc696",
+    ),
+    ("degenerate", 0): (
+        "141c82aefae87716e6bfc44417e186993e027b54b3f6b7f7630dcd5007e794bf",
+        "379c3dbe53958755d96dff714cefea49cbd504df2b3f75692ab355dcf44e4781",
+        "552d001dcb6164c130daa00ae0808a931f411bc2d5ac05a704c5a00dcbaa19b5",
+    ),
+    ("degenerate", 1): (
+        "141c82aefae87716e6bfc44417e186993e027b54b3f6b7f7630dcd5007e794bf",
+        "379c3dbe53958755d96dff714cefea49cbd504df2b3f75692ab355dcf44e4781",
+        "1c2adb86c88717464930d25cbf396d7b149ccf2822612a800e1b2e104e48c80b",
+    ),
+    ("degenerate", 2): (
+        "141c82aefae87716e6bfc44417e186993e027b54b3f6b7f7630dcd5007e794bf",
+        "379c3dbe53958755d96dff714cefea49cbd504df2b3f75692ab355dcf44e4781",
+        "fba64d1e186da39900e24582c98b87f91664cb8cfc03c02e3500e896c5042cfa",
+    ),
+    ("oracle", 0): (
+        "141c82aefae87716e6bfc44417e186993e027b54b3f6b7f7630dcd5007e794bf",
+        "379c3dbe53958755d96dff714cefea49cbd504df2b3f75692ab355dcf44e4781",
+        "528d1ee9fe22abaa4489a15c08e222e3d3ceff35491058e86381ecfe59c75fce",
+    ),
+    ("oracle", 1): (
+        "141c82aefae87716e6bfc44417e186993e027b54b3f6b7f7630dcd5007e794bf",
+        "379c3dbe53958755d96dff714cefea49cbd504df2b3f75692ab355dcf44e4781",
+        "f68af030148887cd42453be19f6da4fe876e1a53596fcee81227c3b9fc690f33",
+    ),
+    ("oracle", 2): (
+        "141c82aefae87716e6bfc44417e186993e027b54b3f6b7f7630dcd5007e794bf",
+        "379c3dbe53958755d96dff714cefea49cbd504df2b3f75692ab355dcf44e4781",
+        "6d4531092da21a6ddbf8a8262d757bcccfdf28fab34b31ffce9e0bae21867234",
+    ),
+    ("eco_toy", 0): (
+        "e4836dbaa11ec3210a0f2b5623e16e136d17370ff890471d71df49f3663d2776",
+        "379c3dbe53958755d96dff714cefea49cbd504df2b3f75692ab355dcf44e4781",
+        "f1a8a37d7b654476429e975ca1af1839676ff37ca374c1e49baa5cce642f721b",
+    ),
+    ("eco_toy", 1): (
+        "e4836dbaa11ec3210a0f2b5623e16e136d17370ff890471d71df49f3663d2776",
+        "379c3dbe53958755d96dff714cefea49cbd504df2b3f75692ab355dcf44e4781",
+        "17238ed07fa8d3a094e14de782783d9b4a30ddbb7124d879e8f84d0a0cc07a47",
+    ),
+    ("eco_toy", 2): (
+        "e4836dbaa11ec3210a0f2b5623e16e136d17370ff890471d71df49f3663d2776",
+        "379c3dbe53958755d96dff714cefea49cbd504df2b3f75692ab355dcf44e4781",
+        "fdb5bf49b9b66d692f63a1fd659d95940eb435aac2f712f51cb3e68e46a477d4",
+    ),
+}
+
+
+@pytest.mark.parametrize(("name", "seed"), sorted(GOLDEN))
+def test_bundled_scenario_outputs_match_their_pinned_digests(name, seed, tmp_path, capsys):
+    code = main(["run", str(scenario_path(name)), "--seed", str(seed), "--out", str(tmp_path)])
+    capsys.readouterr()
+    assert code == 0
+    digests = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in FILES)
+    assert digests == GOLDEN[(name, seed)]

@@ -51,7 +51,6 @@ class CipherState:
 
     key: bytes
     counter: int = 0
-    last_verified_digest: bytes | None = None
 
     def __post_init__(self):
         if len(self.key) != KEY_BYTES:
@@ -88,7 +87,7 @@ def keystream_block(state: CipherState, fp: Fingerprint, n_bits: int) -> tuple[b
         counter += 1
     stream = b"".join(blocks)[:n_bytes]
     stream = _mask_tail(stream, n_bits)
-    return stream, CipherState(key=state.key, counter=counter, last_verified_digest=state.last_verified_digest)
+    return stream, CipherState(key=state.key, counter=counter)
 
 
 def _mask_tail(data: bytes, n_bits: int) -> bytes:

@@ -1,22 +1,28 @@
 """Scenario configuration: schema, defaults, validation, JSON loading.
 
 A scenario file is one JSON object whose sections mirror the dataclasses
-below. Validation collects every problem it can find and names the offending
-field path, so a bad file is rejected before slot 0 with actionable
-diagnostics rather than a mid-run crash.
+below. The file and every `--override` value are converted by one path that
+reads the dataclass type hints, so a wrong type is reported with its dotted
+field path. Validation then collects every semantic problem it can find, so
+a bad file is rejected before slot 0 with actionable diagnostics rather than
+a mid-run crash.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
+import types
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from vecsim.channel import ChannelParams
+from vecsim.edge import Service
 from vecsim.mac import CtuPool
 from vecsim.mobility import MarkovJumpModel, ModelValidationError, RoadGraph, line_graph
-
-SCHEMA_VERSION = 1
 
 
 class ConfigError(ValueError):
@@ -32,6 +38,14 @@ class VehicleSpec:
     vehicle_id: int
     cell: int
     velocity_class: str = "default"
+
+
+class VelocityChange(NamedTuple):
+    """A scheduled switch of one vehicle's velocity class; a (slot, vehicle, class) tuple."""
+
+    slot: int
+    vehicle_id: int
+    velocity_class: str
 
 
 @dataclass
@@ -118,8 +132,8 @@ class ControlConfig:
 @dataclass
 class EdgeComputeConfig:
     enabled: bool = True
-    services: list[dict] = field(default_factory=lambda: [
-        {"service_id": 0, "size": 2.0, "cycles_per_task": 2e6, "popularity": 1.0},
+    services: list[Service] = field(default_factory=lambda: [
+        Service(service_id=0, size=2.0, cycles_per_task=2e6, popularity=1.0),
     ])
     task_arrival_prob: float = 0.1
     input_bits: float = 1e5
@@ -153,7 +167,7 @@ class ScenarioConfig:
     road: RoadGraph = field(default_factory=lambda: line_graph(5)[0])
     mobility: MarkovJumpModel = field(default_factory=lambda: line_graph(5)[1])
     vehicles: list[VehicleSpec] = field(default_factory=list)
-    velocity_schedule: list[tuple[int, int, str]] = field(default_factory=list)  # slot, vehicle, class
+    velocity_schedule: list[VelocityChange] = field(default_factory=list)
     aps: list[ApSpec] = field(default_factory=list)
     ans: list[AnSpec] = field(default_factory=list)
     channel: ChannelParams = field(default_factory=ChannelParams)
@@ -173,9 +187,6 @@ class ScenarioConfig:
 
     def ap_owner(self) -> dict[int, int]:
         return {ap.ap_id: ap.an_id for ap in self.aps}
-
-    def validate(self) -> list[str]:
-        return validate_scenario(self)
 
 
 def validate_scenario(cfg: ScenarioConfig) -> list[str]:
@@ -197,6 +208,9 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
             cfg.mobility.validate(cfg.road)
         except ModelValidationError as exc:
             errors.append(f"mobility: {exc}")
+
+    if cfg.channel.ref_distance_m <= 0:
+        errors.append(f"channel.ref_distance_m: must be > 0, got {cfg.channel.ref_distance_m}")
 
     cells = set(cfg.road.centers)
     vclasses = set(cfg.mobility.rows)
@@ -232,9 +246,6 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
             errors.append(f"velocity_schedule[{i}]: unknown class {vclass!r}")
         if slot < 0:
             errors.append(f"velocity_schedule[{i}]: negative slot {slot}")
-
-    if min(cfg.ctu_pool.slots_per_frame, cfg.ctu_pool.freq_blocks, cfg.ctu_pool.sequences) < 1:
-        errors.append("ctu_pool: all dimensions must be >= 1")
 
     mac = cfg.mac
     if mac.payload_bits not in mac.allowed_payload_bits:
@@ -288,12 +299,17 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
         errors.append(f"downlink.eta: must lie in (0, 1], got {dl.eta}")
     if not 0.0 <= dl.gamma < 1.0:
         errors.append(f"downlink.gamma: must lie in [0, 1), got {dl.gamma}")
+    if dl.snr_bucket_db <= 0:
+        errors.append(f"downlink.snr_bucket_db: must be > 0, got {dl.snr_bucket_db}")
 
     pred = cfg.predictor
     if pred.policy not in ("bayes", "persistence"):
         errors.append(f"predictor.policy: must be bayes or persistence, got {pred.policy!r}")
     if not 0.0 < pred.threshold < 1.0:
         errors.append(f"predictor.threshold: must lie in (0, 1), got {pred.threshold}")
+    for name in ("obs_floor", "obs_ceiling"):
+        if not 0.0 <= getattr(pred, name) <= 1.0:
+            errors.append(f"predictor.{name}: must lie in [0, 1], got {getattr(pred, name)}")
     if pred.observation_matrix is not None:
         n_cells, n_aps = len(cfg.road.centers), len(cfg.aps)
         mat = pred.observation_matrix
@@ -324,32 +340,35 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
             errors.append("control.edges: required when more than one AN exists")
 
     ec = cfg.edge_compute
+    # Every AN keeps an energy ledger, with edge compute on or off.
+    if ec.energy_budget_per_slot <= 0:
+        errors.append("edge_compute.energy_budget_per_slot: must be > 0")
+    if ec.tradeoff_v <= 0:
+        errors.append("edge_compute.tradeoff_v: must be > 0")
     if ec.enabled:
         seen_services = set()
         for i, svc in enumerate(ec.services):
-            sid = svc.get("service_id")
-            if sid in seen_services:
-                errors.append(f"edge_compute.services[{i}]: duplicate service id {sid}")
-            seen_services.add(sid)
-            if svc.get("size", 0) <= 0 or svc.get("cycles_per_task", 0) <= 0:
-                errors.append(f"edge_compute.services[{i}]: size and cycles_per_task must be positive")
+            if svc.service_id in seen_services:
+                errors.append(f"edge_compute.services[{i}]: duplicate service id {svc.service_id}")
+            seen_services.add(svc.service_id)
         if not ec.services:
             errors.append("edge_compute.services: at least one service required when enabled")
         if not 0.0 <= ec.task_arrival_prob <= 1.0:
             errors.append("edge_compute.task_arrival_prob: must lie in [0, 1]")
-        if ec.energy_budget_per_slot <= 0:
-            errors.append("edge_compute.energy_budget_per_slot: must be > 0")
-        if ec.tradeoff_v <= 0:
-            errors.append("edge_compute.tradeoff_v: must be > 0")
         if ec.recache_period < 1:
             errors.append("edge_compute.recache_period: must be >= 1")
+        for name in ("cpu_rate", "cloud_rate", "backhaul_rate"):
+            if getattr(ec, name) <= 0:
+                errors.append(f"edge_compute.{name}: must be > 0, got {getattr(ec, name)}")
+        if ec.input_bits < 0:
+            errors.append(f"edge_compute.input_bits: must be >= 0, got {ec.input_bits}")
         if ec.offload_policy not in ("drift", "greedy_local", "always_cloud"):
             errors.append(f"edge_compute.offload_policy: unknown policy {ec.offload_policy!r}")
 
     ci = cfg.cipher
+    if ci.window < 1:       # sizes every vehicle's fingerprint window, cipher on or off
+        errors.append(f"cipher.window: must be >= 1, got {ci.window}")
     if ci.enabled:
-        if ci.window < 1:
-            errors.append(f"cipher.window: must be >= 1, got {ci.window}")
         if ci.max_resync < 1:
             errors.append(f"cipher.max_resync: must be >= 1, got {ci.max_resync}")
         if not 0.0 <= ci.an_view_flip_prob <= 1.0:
@@ -362,6 +381,31 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
 # JSON tree -> ScenarioConfig
 # ---------------------------------------------------------------------------
 
+@dataclass
+class _LineRoad:
+    """The {"builder": "line"} road shorthand; it also brings its mobility model."""
+
+    builder: str
+    cells: int = 5
+    spacing_m: float = 100.0
+    forward_prob: float = 0.8
+
+
+@dataclass
+class _RoadCell:
+    cell_id: int
+    x: float
+    y: float
+
+
+@dataclass
+class _RoadCells:
+    """A road given as cells and directed [src, dst] edges."""
+
+    cells: list[_RoadCell]
+    edges: list[tuple[int, int]]
+
+
 def scenario_from_dict(data: dict) -> ScenarioConfig:
     """Build a ScenarioConfig from a parsed JSON object tree.
 
@@ -369,210 +413,139 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
     semantic invariants are checked by validate_scenario afterwards.
     """
     errors: list[str] = []
-    cfg = ScenarioConfig()
-    known = {
-        "schema_version", "name", "seed", "horizon", "slot_duration", "latency_deadline_s",
-        "road", "mobility", "vehicles", "velocity_schedule", "aps", "ans", "channel",
-        "snr_threshold_db", "ctu_pool", "mac", "bandit", "cluster", "downlink",
-        "predictor", "control", "edge_compute", "cipher",
-    }
-    for key in data:
-        if key not in known:
-            errors.append(f"{key}: unknown section")
-
-    cfg.name = str(data.get("name", cfg.name))
-    for key in ("seed", "horizon"):
-        if key in data:
-            try:
-                setattr(cfg, key, int(data[key]))
-            except (TypeError, ValueError):
-                errors.append(f"{key}: expected integer, got {data[key]!r}")
-    for key in ("slot_duration", "latency_deadline_s", "snr_threshold_db"):
-        if key in data:
-            try:
-                setattr(cfg, key, float(data[key]))
-            except (TypeError, ValueError):
-                errors.append(f"{key}: expected number, got {data[key]!r}")
-
-    if "road" in data or "mobility" in data:
-        _parse_road_mobility(cfg, data, errors)
-
-    if "vehicles" in data:
-        cfg.vehicles = _parse_vehicles(data["vehicles"], cfg, errors)
-    if "velocity_schedule" in data:
-        sched = []
-        for i, item in enumerate(data["velocity_schedule"]):
-            try:
-                sched.append((int(item["slot"]), int(item["vehicle_id"]), str(item["velocity_class"])))
-            except (KeyError, TypeError, ValueError):
-                errors.append(f"velocity_schedule[{i}]: expected slot, vehicle_id, velocity_class")
-        cfg.velocity_schedule = sched
-
-    if "aps" in data:
-        aps = []
-        for i, item in enumerate(data["aps"]):
-            try:
-                aps.append(ApSpec(
-                    ap_id=int(item["ap_id"]), x=float(item["x"]), y=float(item["y"]),
-                    an_id=int(item["an_id"]),
-                    fronthaul_snr_db=float(item.get("fronthaul_snr_db", 30.0)),
-                ))
-            except (KeyError, TypeError, ValueError):
-                errors.append(f"aps[{i}]: expected ap_id, x, y, an_id")
-        cfg.aps = aps
-    if "ans" in data:
-        ans = []
-        for i, item in enumerate(data["ans"]):
-            try:
-                ans.append(AnSpec(
-                    an_id=int(item["an_id"]),
-                    power_budget_w=float(item.get("power_budget_w", 2.0)),
-                    controller_capacity=float(item.get("controller_capacity", 100.0)),
-                    storage_capacity=float(item.get("storage_capacity", 10.0)),
-                ))
-            except (KeyError, TypeError, ValueError):
-                errors.append(f"ans[{i}]: expected an_id with numeric parameters")
-        cfg.ans = ans
-
-    if "channel" in data:
-        cfg.channel = _parse_into(ChannelParams, data["channel"], "channel", errors)
-    if "ctu_pool" in data:
-        cfg.ctu_pool = _parse_into(CtuPool, data["ctu_pool"], "ctu_pool", errors)
-    if "mac" in data:
-        cfg.mac = _parse_mac(data["mac"], errors)
-    if "bandit" in data:
-        cfg.bandit = _parse_into(BanditConfig, data["bandit"], "bandit", errors)
-    if "cluster" in data:
-        cfg.cluster = _parse_into(ClusterConfig, data["cluster"], "cluster", errors)
-    if "downlink" in data:
-        cfg.downlink = _parse_into(DownlinkConfig, data["downlink"], "downlink", errors,
-                                   tuple_fields={"power_levels_w"})
-    if "predictor" in data:
-        cfg.predictor = _parse_into(PredictorConfig, data["predictor"], "predictor", errors)
-    if "control" in data:
-        ctl_data = dict(data["control"])
-        edges = ctl_data.pop("edges", [])
-        cfg.control = _parse_into(ControlConfig, ctl_data, "control", errors)
-        parsed_edges = []
-        for i, e in enumerate(edges):
-            try:
-                parsed_edges.append((int(e[0]), int(e[1]), float(e[2]), float(e[3])))
-            except (TypeError, ValueError, IndexError):
-                errors.append(f"control.edges[{i}]: expected [u, v, weight_s, capacity]")
-        cfg.control.edges = parsed_edges
-    if "edge_compute" in data:
-        cfg.edge_compute = _parse_into(EdgeComputeConfig, data["edge_compute"], "edge_compute", errors)
-    if "cipher" in data:
-        cfg.cipher = _parse_into(CipherConfig, data["cipher"], "cipher", errors)
-
+    sections = {k: v for k, v in data.items() if k not in ("schema_version", "road")}
+    cfg = _convert(sections, ScenarioConfig, "", errors)
+    if "road" in data:
+        road, line_mobility = _parse_road(data["road"], errors)
+        if not errors:
+            cfg.road = road
+            if line_mobility is not None and "mobility" not in data:
+                cfg.mobility = line_mobility
     if errors:
         raise ConfigError(errors)
     return cfg
 
 
-def _parse_vehicles(data, cfg, errors) -> list[VehicleSpec]:
-    vehicles = []
-    for i, item in enumerate(data):
+def _parse_road(data, errors: list[str]) -> tuple[RoadGraph | None, MarkovJumpModel | None]:
+    if isinstance(data, dict) and "builder" in data:
+        spec = _convert(data, _LineRoad, "road", errors)
+        if spec is None:
+            return None, None
+        if spec.builder != "line":
+            errors.append(f"road.builder: unknown builder {spec.builder!r}")
+            return None, None
         try:
-            vehicles.append(VehicleSpec(
-                vehicle_id=int(item["vehicle_id"]),
-                cell=int(item["cell"]),
-                velocity_class=str(item.get("velocity_class", "default")),
-            ))
-        except (KeyError, TypeError, ValueError):
-            errors.append(f"vehicles[{i}]: expected vehicle_id, cell, optional velocity_class")
-    return vehicles
+            return line_graph(spec.cells, spacing_m=spec.spacing_m, forward_prob=spec.forward_prob)
+        except ModelValidationError as exc:
+            errors.append(f"road: {exc}")
+            return None, None
+    spec = _convert(data, _RoadCells, "road", errors)
+    if spec is None:
+        return None, None
+    centers = {c.cell_id: (c.x, c.y) for c in spec.cells}
+    adjacency: dict[int, list[int]] = {c: [] for c in centers}
+    for src, dst in spec.edges:
+        adjacency.setdefault(src, []).append(dst)
+    return RoadGraph(centers=centers, adjacency={c: tuple(n) for c, n in adjacency.items()}), None
 
 
-def _parse_into(cls, data, path, errors, tuple_fields: set[str] = frozenset()):
-    import dataclasses
+@functools.cache
+def _fields(cls) -> tuple[dict[str, object], frozenset[str]]:
+    """Type hint per field of a dataclass or NamedTuple, and the fields without a default."""
+    hints = typing.get_type_hints(cls)
+    if dataclasses.is_dataclass(cls):
+        fields = dataclasses.fields(cls)
+        missing = dataclasses.MISSING
+        required = {f.name for f in fields if f.default is missing and f.default_factory is missing}
+        return {f.name: hints[f.name] for f in fields}, frozenset(required)
+    return {name: hints[name] for name in cls._fields}, frozenset(cls._fields) - cls._field_defaults.keys()
 
-    if not isinstance(data, dict):
-        errors.append(f"{path}: expected object")
-        return cls()
-    names = {f.name for f in dataclasses.fields(cls)}
+
+def _is_record(hint) -> bool:
+    return dataclasses.is_dataclass(hint) or (isinstance(hint, type) and issubclass(hint, tuple)
+                                              and hasattr(hint, "_fields"))
+
+
+_SCALARS = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
+
+
+def _convert(value, hint, path: str, errors: list[str]):
+    """`value`, a parsed JSON tree, as an instance of the type `hint`.
+
+    Problems are appended to `errors` as "dotted.path: problem"; the result is
+    meaningless once any is added. Integers reject booleans and floats; JSON
+    lists become lists or tuples, and dict[int, ...] keys are parsed from the
+    JSON object's string keys.
+    """
+    if hint in _SCALARS:
+        if type(value) is hint or (hint is float and type(value) is int):
+            return float(value) if hint is float else value
+        errors.append(f"{path}: expected {_SCALARS[hint]}, got {value!r}")
+        return None
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        if value is None and type(None) in args:
+            return None
+        (inner,) = [a for a in args if a is not type(None)]
+        return _convert(value, inner, path, errors)
+    if origin in (list, tuple):
+        if not isinstance(value, (list, tuple)):
+            errors.append(f"{path}: expected a list, got {value!r}")
+            return None
+        if origin is list or args[-1] is Ellipsis:
+            items = [_convert(v, args[0], f"{path}[{i}]", errors) for i, v in enumerate(value)]
+            return items if origin is list else tuple(items)
+        if len(value) != len(args):
+            errors.append(f"{path}: expected {len(args)} items, got {len(value)}")
+            return None
+        return tuple(_convert(v, a, f"{path}[{i}]", errors) for i, (v, a) in enumerate(zip(value, args)))
+    if origin is dict:
+        if not isinstance(value, dict):
+            errors.append(f"{path}: expected an object, got {value!r}")
+            return None
+        key_hint, item_hint = args
+        out = {}
+        for key, item in value.items():
+            if key_hint is int:
+                try:
+                    key = int(key)
+                except (TypeError, ValueError):
+                    errors.append(f"{path}[{key}]: key is not an integer")
+                    continue
+            out[key] = _convert(item, item_hint, f"{path}[{key}]", errors)
+        return out
+    if _is_record(hint):
+        return _convert_record(value, hint, path, errors)
+    raise TypeError(f"{path}: no JSON conversion to {hint!r}")
+
+
+def _join(path: str, key) -> str:
+    return f"{path}.{key}" if path else str(key)
+
+
+def _convert_record(value, cls, path: str, errors: list[str]):
+    if not isinstance(value, dict):
+        errors.append(f"{path}: expected an object, got {value!r}")
+        return None
+    hints, required = _fields(cls)
+    before = len(errors)
     kwargs = {}
-    for key, value in data.items():
-        if key not in names:
-            errors.append(f"{path}.{key}: unknown field")
-            continue
-        if key in tuple_fields and isinstance(value, list):
-            value = tuple(value)
-        kwargs[key] = value
+    for key, item in value.items():
+        sub = _join(path, key)
+        if key in hints:
+            kwargs[key] = _convert(item, hints[key], sub, errors)
+        else:
+            errors.append(f"{sub}: unknown {'field' if path else 'section'}")
+    for name in hints:
+        if name in required and name not in value:
+            errors.append(f"{_join(path, name)}: required field missing")
+    if len(errors) > before:
+        return None
     try:
         return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:     # a __post_init__ invariant
         errors.append(f"{path}: {exc}")
-        return cls()
-
-
-def _parse_mac(data, errors) -> MacConfig:
-    data = dict(data)
-    beta = data.pop("bler_beta", None)
-    pre = data.pop("preconfigured", None)
-    allowed = data.pop("allowed_payload_bits", None)
-    mac = _parse_into(MacConfig, data, "mac", errors)
-    if beta is not None:
-        try:
-            mac.bler_beta = {int(k): float(v) for k, v in beta.items()}
-        except (TypeError, ValueError, AttributeError):
-            errors.append("mac.bler_beta: expected mapping payload_bits -> threshold_db")
-    if allowed is not None:
-        try:
-            mac.allowed_payload_bits = tuple(int(x) for x in allowed)
-        except (TypeError, ValueError):
-            errors.append("mac.allowed_payload_bits: expected list of integers")
-    if pre is not None:
-        try:
-            mac.preconfigured = {
-                int(vid): [(int(c), int(a)) for c, a in pairs] for vid, pairs in pre.items()
-            }
-        except (TypeError, ValueError, AttributeError):
-            errors.append("mac.preconfigured: expected mapping vehicle -> [[ctu, ap], ...]")
-    return mac
-
-
-def _parse_road_mobility(cfg: ScenarioConfig, data: dict, errors: list[str]) -> None:
-    road_data = data.get("road", {})
-    if isinstance(road_data, dict) and road_data.get("builder") == "line":
-        n = int(road_data.get("cells", 5))
-        spacing = float(road_data.get("spacing_m", 100.0))
-        forward = float(road_data.get("forward_prob", 0.8))
-        cfg.road, cfg.mobility = line_graph(n, spacing_m=spacing, forward_prob=forward)
-        if "mobility" in data:
-            cfg.mobility = _parse_mobility(data["mobility"], errors)
-        return
-    if "road" in data:
-        try:
-            centers = {int(c["cell_id"]): (float(c["x"]), float(c["y"])) for c in road_data["cells"]}
-            adjacency = {}
-            for item in road_data["edges"]:
-                src = int(item[0])
-                adjacency.setdefault(src, []).append(int(item[1]))
-            cfg.road = RoadGraph(
-                centers=centers,
-                adjacency={c: tuple(adjacency.get(c, ())) for c in centers},
-            )
-        except (KeyError, TypeError, ValueError):
-            errors.append("road: expected cells [{cell_id, x, y}] and edges [[src, dst]]")
-            return
-    if "mobility" in data:
-        cfg.mobility = _parse_mobility(data["mobility"], errors)
-
-
-def _parse_mobility(data, errors) -> MarkovJumpModel:
-    try:
-        rows = {
-            str(vclass): {
-                int(cell): {int(t): float(p) for t, p in row.items()}
-                for cell, row in per_cell.items()
-            }
-            for vclass, per_cell in data["rows"].items()
-        }
-        return MarkovJumpModel(rows=rows)
-    except (KeyError, TypeError, ValueError, AttributeError):
-        errors.append('mobility: expected {"rows": {velocity_class: {cell: {target: prob}}}}')
-        return line_graph(5)[1]
+        return None
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
@@ -596,25 +569,39 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
 
 
 def apply_overrides(cfg: ScenarioConfig, overrides: dict[str, object]) -> ScenarioConfig:
-    """Apply dotted-path overrides like {"bandit.enabled": True} in place."""
+    """Apply dotted-path overrides like {"bandit.enabled": True} in place.
+
+    Each value is converted by its field's type hint exactly like the scenario
+    file's, and the sections on its path are rebuilt with dataclasses.replace,
+    so frozen sections and their __post_init__ checks hold for overrides too.
+    """
     errors = []
     for dotted, value in overrides.items():
-        target = cfg
         parts = dotted.split(".")
-        for part in parts[:-1]:
-            if not hasattr(target, part):
-                errors.append(f"{dotted}: no such section {part!r}")
-                break
-            target = getattr(target, part)
-        else:
-            leaf = parts[-1]
-            if not hasattr(target, leaf):
-                errors.append(f"{dotted}: no such field {leaf!r}")
-                continue
-            current = getattr(target, leaf)
-            if isinstance(current, tuple) and isinstance(value, list):
-                value = tuple(value)
-            setattr(target, leaf, value)
+        try:
+            setattr(cfg, parts[0], _overridden(cfg, parts, value, dotted))
+        except ConfigError as exc:
+            errors.extend(exc.errors)
     if errors:
         raise ConfigError(errors)
     return cfg
+
+
+def _overridden(obj, parts: list[str], value, dotted: str):
+    """The new value of obj's field parts[0] once the field at `parts` holds `value`."""
+    name, rest = parts[0], parts[1:]
+    hint = _fields(type(obj))[0].get(name)
+    if hint is None or (rest and not dataclasses.is_dataclass(hint)):
+        raise ConfigError([f"{dotted}: no such {'section' if rest else 'field'} {name!r}"])
+    if rest:
+        section = getattr(obj, name)
+        new = _overridden(section, rest, value, dotted)
+        try:
+            return dataclasses.replace(section, **{rest[0]: new})
+        except ValueError as exc:
+            raise ConfigError([f"{dotted}: {exc}"]) from None
+    errors: list[str] = []
+    new = _convert(value, hint, dotted, errors)
+    if errors:
+        raise ConfigError(errors)
+    return new

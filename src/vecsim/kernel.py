@@ -23,7 +23,6 @@ class Phase(Enum):
     CONTROL_PLANE = 5
     EDGE_COMPUTE = 6
     CIPHER = 7
-    METRICS = 8
 
 
 PHASE_ORDER = list(Phase)

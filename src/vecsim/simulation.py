@@ -160,15 +160,7 @@ class Simulation:
                 )
             self.ans[an_id] = ar
 
-        self.catalog: dict[int, edge.Service] = {}
-        for svc in ec.services:
-            s = edge.Service(
-                service_id=int(svc["service_id"]),
-                size=float(svc["size"]),
-                cycles_per_task=float(svc["cycles_per_task"]),
-                popularity=float(svc.get("popularity", 1.0)),
-            )
-            self.catalog[s.service_id] = s
+        self.catalog: dict[int, edge.Service] = {s.service_id: s for s in ec.services}
         self.service_order = sorted(self.catalog)
         pop_total = sum(self.catalog[s].popularity for s in self.service_order)
         self.service_cum: list[float] = []

@@ -178,3 +178,50 @@ def test_compare_rejects_mismatched_seed_lists(tmp_path, capsys):
 def test_argparse_rejects_unknown_commands():
     with pytest.raises(SystemExit):
         main(["teleport"])
+
+
+@pytest.mark.parametrize(("override", "path"), [
+    ("horizon=1.5", "horizon"),
+    ("horizon=true", "horizon"),
+    ("ctu_pool.freq_blocks=0", "ctu_pool.freq_blocks"),
+    ("mac=5", "mac"),
+    ('mac.k_max="2"', "mac.k_max"),
+    ("downlink.power_levels_w=0.5", "downlink.power_levels_w"),
+    ("control.edges=[[0,1]]", "control.edges[0]"),
+])
+def test_a_wrong_typed_override_exits_two_naming_its_path(override, path, tmp_path, capsys):
+    code, stdout = _run(
+        capsys, "run", str(scenario_path("smoke")), "--out", str(tmp_path), "--override", override,
+    )
+    assert code == 2
+    assert any(e.startswith(f"{path}:") for e in json.loads(stdout)["errors"])
+
+
+@pytest.mark.parametrize("override", ["downlink.power_levels_w=[0.2,0.4]", 'mac.bler_beta={"128":4}'])
+def test_list_and_int_keyed_overrides_still_run(override, tmp_path, capsys):
+    code, _ = _run(
+        capsys, "run", str(scenario_path("smoke")), "--out", str(tmp_path),
+        "--override", "horizon=20", "--override", override,
+    )
+    assert code == 0
+
+
+def _set_services_size(data):
+    data["edge_compute"]["services"][0]["size"] = "big"
+
+
+@pytest.mark.parametrize(("mutate", "path"), [
+    (lambda d: d.update(mac={"k_max": "2"}), "mac.k_max"),
+    (lambda d: d.update(road={"builder": "line", "cells": "abc"}), "road.cells"),
+    (lambda d: d.update(vehicles=5), "vehicles"),
+    (lambda d: d.update(horizon=1.5), "horizon"),
+    (_set_services_size, "edge_compute.services[0].size"),
+])
+def test_a_wrong_typed_file_field_fails_validation_naming_its_path(mutate, path, tmp_path, capsys):
+    data = json.loads(scenario_path("smoke").read_text())
+    mutate(data)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code, stdout = _run(capsys, "validate", str(bad))
+    assert code == 2
+    assert any(e.startswith(f"{path}:") for e in json.loads(stdout)["errors"])

@@ -14,6 +14,7 @@ from vecsim.config import (
     scenario_from_dict,
     validate_scenario,
 )
+from vecsim.edge import Service
 
 
 def _minimal() -> dict:
@@ -173,3 +174,69 @@ def test_overridden_config_revalidates_to_catch_new_problems():
     apply_overrides(cfg, {"horizon": -5})
     problems = validate_scenario(cfg)
     assert any(p.startswith("horizon:") for p in problems)
+
+
+@pytest.mark.parametrize(("overrides", "path"), [
+    ({"downlink.snr_bucket_db": 0.0}, "downlink.snr_bucket_db"),
+    ({"edge_compute.cpu_rate": 0.0}, "edge_compute.cpu_rate"),
+    ({"edge_compute.cloud_rate": 0.0}, "edge_compute.cloud_rate"),
+    ({"edge_compute.backhaul_rate": 0.0}, "edge_compute.backhaul_rate"),
+    ({"edge_compute.input_bits": -5.0}, "edge_compute.input_bits"),
+    ({"channel.ref_distance_m": 0.0}, "channel.ref_distance_m"),
+    ({"predictor.obs_floor": 2.0}, "predictor.obs_floor"),
+    ({"predictor.obs_ceiling": -0.5}, "predictor.obs_ceiling"),
+    # used at set-up even with their subsystem switched off
+    ({"edge_compute.enabled": False, "edge_compute.tradeoff_v": 0.0}, "edge_compute.tradeoff_v"),
+    ({"cipher.enabled": False, "cipher.window": -1}, "cipher.window"),
+])
+def test_runtime_divisors_and_sizes_are_range_checked(overrides, path):
+    cfg = load_bundled("smoke")
+    apply_overrides(cfg, overrides)
+    assert any(p.startswith(f"{path}:") for p in validate_scenario(cfg))
+
+
+@pytest.mark.parametrize(("section", "value", "message"), [
+    ("horizon", 1.5, "horizon: expected an integer"),
+    ("seed", True, "seed: expected an integer"),
+    ("slot_duration", "fast", "slot_duration: expected a number"),
+    ("vehicles", [{"cell": 0}], "vehicles[0].vehicle_id: required field missing"),
+    ("aps", [{"ap_id": 0, "x": 0.0, "y": "up", "an_id": 0}], "aps[0].y: expected a number"),
+    ("mac", {"bler_beta": {"big": 4.0}}, "mac.bler_beta[big]: key is not an integer"),
+    ("control", {"edges": [[0, 1, 0.001]]}, "control.edges[0]: expected 4 items"),
+    ("ctu_pool", {"freq_blocks": 0}, "ctu_pool: all CTU pool dimensions must be >= 1"),
+    ("velocity_schedule", [{"slot": 1, "vehicle_id": 0}], "velocity_schedule[0].velocity_class: required"),
+    ("road", {"builder": "ring"}, "road.builder: unknown builder 'ring'"),
+    ("road", {"builder": "line", "forward_prob": 1.5}, "road: velocity class"),
+    ("road", {"cells": [{"cell_id": 0, "x": 0, "y": 0}], "edges": [[0]]}, "road.edges[0]: expected 2 items"),
+])
+def test_file_type_errors_name_their_dotted_path(section, value, message):
+    data = _minimal()
+    data[section] = value
+    with pytest.raises(ConfigError) as err:
+        scenario_from_dict(data)
+    assert any(e.startswith(message) for e in err.value.errors), err.value.errors
+
+
+def test_sections_are_built_as_their_typed_dataclasses():
+    data = _minimal()
+    data["mac"] = {"bler_beta": {"128": 4}, "allowed_payload_bits": [128]}
+    data["velocity_schedule"] = [{"slot": 2, "vehicle_id": 0, "velocity_class": "default"}]
+    data["edge_compute"] = {"services": [{"service_id": 3, "size": 1, "cycles_per_task": 10}]}
+    cfg = scenario_from_dict(data)
+    assert cfg.mac.bler_beta == {128: 4.0}
+    assert cfg.mac.allowed_payload_bits == (128,)
+    assert cfg.velocity_schedule == [(2, 0, "default")]
+    assert cfg.edge_compute.services == [Service(service_id=3, size=1.0, cycles_per_task=10.0)]
+    assert validate_scenario(cfg) == []
+
+
+def test_overrides_are_typed_and_rebuild_frozen_sections():
+    cfg = load_bundled("smoke")
+    pool = cfg.ctu_pool
+    apply_overrides(cfg, {"ctu_pool.freq_blocks": 4, "mac.bler_beta": {"128": 4}})
+    assert cfg.ctu_pool.freq_blocks == 4 and pool.freq_blocks == 8
+    assert cfg.mac.bler_beta == {128: 4.0}
+    with pytest.raises(ConfigError) as err:
+        apply_overrides(cfg, {"mac.k_max": 2.5, "ctu_pool.sequences": 0, "bandit": 5})
+    assert len(err.value.errors) == 3
+    assert cfg.mac.k_max == 2 and cfg.ctu_pool.sequences == 2

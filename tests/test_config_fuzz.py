@@ -1,0 +1,102 @@
+"""Fuzz gate: a wrong-typed leaf anywhere in a bundled scenario is a config error.
+
+One leaf of a bundled scenario's JSON tree is replaced by a value of another
+JSON type (string, bool, null, non-integral float, list or object). Whether
+the mutation arrives in the file or through `--override`, the CLI must exit
+0 (the value is acceptable) or 2 (rejected with a message), never 3.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import scenario_path
+from vecsim.cli import main
+
+BUNDLED = ("smoke", "degenerate", "oracle", "eco_toy")
+TREES = {name: json.loads(scenario_path(name).read_text(encoding="utf-8")) for name in BUNDLED}
+
+WRONG = {
+    "string": st.text(max_size=4),
+    "bool": st.booleans(),
+    "null": st.none(),
+    "float": st.floats(-1e3, 1e3, allow_nan=False).filter(lambda x: x != int(x)),
+    "list": st.lists(st.integers(-2, 2), max_size=3),
+    "object": st.dictionaries(st.text(max_size=3), st.integers(-2, 2), max_size=2),
+}
+
+
+def _leaves(node, path=()):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _leaves(value, path + (key,))
+    elif isinstance(node, list) and node:
+        for i, value in enumerate(node):
+            yield from _leaves(value, path + (i,))
+    else:
+        yield path, node
+
+
+LEAVES = [(name, path, value) for name in BUNDLED for path, value in _leaves(TREES[name])]
+
+
+def _json_kind(value) -> str:
+    if value is None:
+        return "null"
+    return {bool: "bool", str: "string", float: "float", int: "int", list: "list", dict: "object"}[type(value)]
+
+
+@st.composite
+def mutations(draw):
+    name, path, old = draw(st.sampled_from(LEAVES))
+    kind = draw(st.sampled_from([k for k in WRONG if k != _json_kind(old)]))
+    tree = json.loads(json.dumps(TREES[name]))
+    parent = tree
+    for part in path[:-1]:
+        parent = parent[part]
+    parent[path[-1]] = draw(WRONG[kind])
+    return name, path, tree
+
+
+def _main(*argv) -> tuple[int, str]:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(list(argv))
+    return code, buf.getvalue()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(mutations())
+def test_validate_rejects_a_wrong_typed_leaf_without_crashing(mutation):
+    _, _, tree = mutation
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.json"
+        path.write_text(json.dumps(tree), encoding="utf-8")
+        code, out = _main("validate", str(path))
+    assert code in (0, 2), out
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(mutations())
+def test_run_rejects_a_wrong_typed_override_without_crashing(mutation):
+    name, path, tree = mutation
+    # A dotted path names at most section.field and cannot index a list, so
+    # the override carries the mutated subtree under that prefix.
+    depth = min(2, next((i for i, part in enumerate(path) if not isinstance(part, str)), len(path)))
+    value = tree
+    for part in path[:depth]:
+        value = value[part]
+    override = ".".join(path[:depth]) + "=" + json.dumps(value)
+    with tempfile.TemporaryDirectory() as tmp:
+        code, out = _main(
+            "run", str(scenario_path(name)), "--out", tmp,
+            "--override", "horizon=5", "--override", override,
+        )
+    assert code in (0, 2), (override, out)

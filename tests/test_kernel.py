@@ -16,7 +16,6 @@ def test_phase_order_is_fixed_and_complete():
         "CONTROL_PLANE",
         "EDGE_COMPUTE",
         "CIPHER",
-        "METRICS",
     ]
 
 

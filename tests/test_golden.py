@@ -1,4 +1,5 @@
-"""Golden digests: the three contract files of every bundled scenario x seed.
+"""Golden digests: the three contract files of every bundled scenario x seed,
+and of a 400-cell line road built from smoke.json.
 
 These pins are the gate for refactors that must keep the trace: a change that
 alters any of these bytes on purpose has to say so and re-pin them with the
@@ -9,6 +10,7 @@ reason. Regenerate a pin with `vecsim run <scenario> --seed <s>` and
 from __future__ import annotations
 
 import hashlib
+import json
 
 import pytest
 
@@ -88,3 +90,36 @@ def test_bundled_scenario_outputs_match_their_pinned_digests(name, seed, tmp_pat
     assert code == 0
     digests = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in FILES)
     assert digests == GOLDEN[(name, seed)]
+
+
+# A 400-cell line road built from smoke.json: large enough that the belief
+# filter's propagation over road cells is exercised, unlike the bundled
+# scenarios' few dozen cells. A 1 m cell spacing keeps the road inside the
+# coverage of smoke's three APs.
+LONG_ROAD = {
+    0: (
+        "1a7ec2234e41d97aacc38ff89b5b1ee74e10ec999619e84a4cace3f33b8e99b1",
+        "3b1fdbc76d5efb7454ddcd6701e22ba7acd1a6ba09568f258fe9a53e7f955cc9",
+        "48f72c4a6499c97eddfddb647c30139d68bb46056d4d5070c908ac53dea56fcf",
+    ),
+    1: (
+        "1a7ec2234e41d97aacc38ff89b5b1ee74e10ec999619e84a4cace3f33b8e99b1",
+        "82416aff715f38dd2f61082fe59045e5dc0750abb40d35d122db6e703a41b098",
+        "25c4905efba3f35a5a54c43046dbd223460724ee225c92e2aef45ef0f5a8555a",
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(LONG_ROAD))
+def test_long_road_outputs_match_their_pinned_digests(seed, tmp_path, capsys):
+    data = json.loads(scenario_path("smoke").read_text())
+    data["road"] = {"builder": "line", "cells": 400, "spacing_m": 1.0, "forward_prob": 0.8}
+    data["horizon"] = 300
+    scenario = tmp_path / "long_road.json"
+    scenario.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    code = main(["run", str(scenario), "--seed", str(seed), "--out", str(out)])
+    capsys.readouterr()
+    assert code == 0
+    digests = tuple(hashlib.sha256((out / f).read_bytes()).hexdigest() for f in FILES)
+    assert digests == LONG_ROAD[seed]

@@ -30,9 +30,6 @@ class CacheState:
     capacity: float
     cached: set[int] = field(default_factory=set)
 
-    def used(self, catalog: dict[int, Service]) -> float:
-        return sum(catalog[s].size for s in self.cached)
-
 
 @dataclass(frozen=True)
 class Task:

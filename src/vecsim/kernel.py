@@ -33,10 +33,6 @@ class SlotTime:
     index: int
     slot_duration: float
 
-    @property
-    def seconds(self) -> float:
-        return self.index * self.slot_duration
-
 
 class PhaseError(RuntimeError):
     def __init__(self, phase: Phase, slot: int, cause: BaseException):

@@ -69,7 +69,9 @@ class MetricsReport:
     bandit: dict[str, object] = field(default_factory=dict)
 
     def record_energy(self, an_id: int, slot: int, joules: float) -> None:
-        series = self.energy_per_an.setdefault(an_id, [0.0] * self.horizon)
+        series = self.energy_per_an.get(an_id)
+        if series is None:      # allocate once per AN, not on every call
+            series = self.energy_per_an[an_id] = [0.0] * self.horizon
         series[slot] += joules
 
     # -- aggregates ---------------------------------------------------------

@@ -83,14 +83,45 @@ class MarkovJumpModel:
     def row(self, vclass: str, cell: int) -> dict[int, float]:
         return self.rows[vclass][cell]
 
-    def transition_matrix(self, vclass: str, cells: list[int]) -> np.ndarray:
-        """Dense row-stochastic matrix P[i, j] = P(cells[j] | cells[i])."""
+    def transition_matrix(self, vclass: str, cells: list[int]) -> SparseTransition:
+        """Row-stochastic transition over `cells`, built straight from the rows.
+
+        (b @ op)[j] = sum_i b[i] * P(cells[j] | cells[i]); see SparseTransition.
+        """
         index = {c: i for i, c in enumerate(cells)}
-        mat = np.zeros((len(cells), len(cells)))
-        for cell in cells:
+        incoming: list[list[tuple[int, float]]] = [[] for _ in cells]
+        for i, cell in enumerate(cells):
             for target, p in self.rows[vclass][cell].items():
-                mat[index[cell], index[target]] = p
-        return mat
+                if p:
+                    incoming[index[target]].append((i, p))
+        depth = max(map(len, incoming))
+        src, w = np.array([edges + [(0, 0.0)] * (depth - len(edges)) for edges in incoming]).T
+        return SparseTransition(np.ascontiguousarray(src, dtype=np.intp), np.ascontiguousarray(w))
+
+
+class SparseTransition:
+    """Row-stochastic transition stored per target cell as its incoming edges.
+
+    src[k, j] and w[k, j] are the k-th source index and probability into
+    target j, in ascending source order, padded with zero weight up to the
+    largest in-degree. `b @ op` costs O(cells x in-degree) instead of the
+    O(cells^2) of a dense matrix.
+    """
+
+    __array_ufunc__ = None      # make `ndarray @ op` defer to __rmatmul__
+
+    def __init__(self, src: np.ndarray, w: np.ndarray):
+        self.src = src
+        self.w = w
+        self._terms = tuple(zip(src, w))
+
+    def __rmatmul__(self, b: np.ndarray) -> np.ndarray:
+        terms = iter(self._terms)
+        i, w = next(terms)
+        acc = b[i] * w
+        for i, w in terms:
+            acc += b[i] * w
+        return acc
 
 
 @dataclass

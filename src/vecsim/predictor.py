@@ -8,7 +8,7 @@ into a predicted association vector that seeds proactive downlink.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,6 +32,22 @@ class AssociationVector:
 class PosteriorBelief:
     vehicle_id: int
     probs: np.ndarray           # over road cells, ascending cell order
+    # (transition, probs @ transition) of the last propagate() call
+    _propagated: tuple | None = field(default=None, init=False, compare=False, repr=False)
+
+    def propagate(self, transition: np.ndarray) -> np.ndarray:
+        """probs @ transition (a matrix or the road model's sparse operator), once per transition.
+
+        The filter propagates each posterior twice: to predict the next slot's
+        association and, a slot later, as the prior of its update. The result
+        is read-only because later calls return the same array.
+        """
+        cached = self._propagated
+        if cached is None or cached[0] is not transition:
+            prior = self.probs @ transition
+            prior.flags.writeable = False
+            cached = self._propagated = (transition, prior)
+        return cached[1]
 
     def normalized(self) -> bool:
         return bool(abs(float(self.probs.sum()) - 1.0) <= NORM_TOL and (self.probs >= 0).all())
@@ -42,20 +58,24 @@ class ObservationModel:
     """P(AP bit = 1 | cell) per (cell, AP); conditionally independent bits."""
 
     likelihood: np.ndarray      # shape (n_cells, n_aps), entries in [0, 1]
+    # per AP, contiguous over cells: P(bit = 1 | cell) and P(bit = 0 | cell)
+    _hit: np.ndarray = field(init=False, compare=False, repr=False)
+    _miss: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         lk = self.likelihood
         if lk.ndim != 2 or ((lk < 0) | (lk > 1)).any():
             raise ValueError("likelihood must be a (cells x aps) matrix with entries in [0, 1]")
+        object.__setattr__(self, "_hit", np.ascontiguousarray(lk.T))
+        object.__setattr__(self, "_miss", 1.0 - self._hit)
 
     def obs_likelihood(self, bits: tuple[int, ...]) -> np.ndarray:
         """Per-cell likelihood of one association vector."""
-        lk = self.likelihood
-        if len(bits) != lk.shape[1]:
+        if len(bits) != len(self._hit):
             raise ValueError("association vector length must equal AP count")
-        out = np.ones(lk.shape[0])
+        out = np.ones(self.likelihood.shape[0])
         for j, bit in enumerate(bits):
-            out *= lk[:, j] if bit else (1.0 - lk[:, j])
+            out *= self._hit[j] if bit else self._miss[j]
         return out
 
 
@@ -74,7 +94,7 @@ def update_belief(
     """
     if not belief.normalized():
         raise ValueError("belief must be normalized before an update")
-    prior = belief.probs @ transition
+    prior = belief.propagate(transition)
     weighted = prior * obs_model.obs_likelihood(obs.bits)
     total = float(weighted.sum())
     if total <= 0.0:
@@ -97,7 +117,7 @@ def predict_association(
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must lie in (0, 1)")
-    b_plus = belief.probs @ transition
+    b_plus = belief.propagate(transition)
     marginals = b_plus @ obs_model.likelihood
     bits = tuple(1 if m >= threshold else 0 for m in marginals)
     vid = belief.vehicle_id if vehicle_id is None else vehicle_id

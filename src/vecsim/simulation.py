@@ -180,7 +180,6 @@ class Simulation:
                 },
                 kappa=cfg.control.kappa,
             )
-            self.topology.validate()
 
         self.master_keys = {
             vid: cipher.master_key_for(vid, self.root.substream("cipher-master"))

@@ -225,3 +225,25 @@ def test_a_wrong_typed_file_field_fails_validation_naming_its_path(mutate, path,
     code, stdout = _run(capsys, "validate", str(bad))
     assert code == 2
     assert any(e.startswith(f"{path}:") for e in json.loads(stdout)["errors"])
+
+
+_ANS_ZERO_CAPACITY = json.dumps([
+    {"an_id": 0, "power_budget_w": 2.0, "controller_capacity": 0.0, "storage_capacity": 10.0},
+    {"an_id": 1, "power_budget_w": 2.0, "controller_capacity": 100.0, "storage_capacity": 10.0},
+])
+
+
+@pytest.mark.parametrize(("override", "path"), [
+    ("control.edges=[[0,0,0.001,100.0]]", "control.edges"),
+    (f"ans={_ANS_ZERO_CAPACITY}", "ans[0].controller_capacity"),
+    ("control.edges=[[0,7,0.001,100.0]]", "control.edges[0]"),
+    ("control.edges=[[0,1,0.0,100.0]]", "control.edges[0]"),
+    ("control.edges=[[0,1,0.001,-1.0]]", "control.edges[0]"),
+])
+def test_a_bad_control_topology_exits_two_naming_its_path(override, path, tmp_path, capsys):
+    code, stdout = _run(
+        capsys, "run", str(scenario_path("smoke")), "--out", str(tmp_path),
+        "--override", "horizon=5", "--override", override,
+    )
+    assert code == 2
+    assert any(e.startswith(f"{path}:") for e in json.loads(stdout)["errors"])

@@ -60,10 +60,6 @@ def test_handler_exception_becomes_phase_error_with_slot_and_cause():
     assert ticks == [0, 1, 2]
 
 
-def test_slot_time_seconds():
-    assert SlotTime(index=250, slot_duration=0.004).seconds == 1.0
-
-
 def test_constructor_rejects_bad_horizon_and_duration():
     with pytest.raises(ValueError):
         SlotEngine(horizon=0, slot_duration=1.0)

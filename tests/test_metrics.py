@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import tracemalloc
 
 import pytest
 
@@ -91,6 +92,19 @@ def test_record_energy_accumulates_within_a_slot():
     report.record_energy(2, 4, 0.25)
     assert report.energy_per_an[2][4] == pytest.approx(0.75)
     assert len(report.energy_per_an[2]) == report.horizon
+
+
+def test_record_energy_allocates_a_series_only_for_a_new_an():
+    report = _report(horizon=10**6)     # one series is 8 MB of list slots
+    report.record_energy(0, 0, 1.0)
+    tracemalloc.start()
+    try:
+        report.record_energy(0, 999_999, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert report.energy_per_an[0][999_999] == 1.0
 
 
 def test_write_emits_the_golden_csv_shapes(tmp_path):

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vecsim.mobility import (
     MarkovJumpModel,
@@ -14,6 +17,7 @@ from vecsim.mobility import (
     line_graph,
     row_arrays,
 )
+from vecsim.predictor import PosteriorBelief
 from vecsim.rng import RngStream
 
 
@@ -73,7 +77,8 @@ def test_model_rejects_bad_rows_with_cell_and_class_named():
 
 def test_transition_matrix_matches_rows():
     _, model = line_graph(3, forward_prob=0.7)
-    mat = model.transition_matrix("default", [0, 1, 2])
+    op = model.transition_matrix("default", [0, 1, 2])
+    mat = np.array([unit @ op for unit in np.eye(3)])   # row i = e_i @ op
     assert mat[0, 0] == pytest.approx(0.3)
     assert mat[0, 1] == pytest.approx(0.7)
     assert mat[2, 0] == pytest.approx(0.7)   # wrap-around
@@ -147,3 +152,55 @@ def test_line_graph_shapes():
     single, single_model = line_graph(1)
     assert single.adjacency[0] == (0, 0)
     assert single_model.row("default", 0) == {0: 1.0}
+
+
+@st.composite
+def _road(draw):
+    """A road in the cells/edges form, with a random row per cell for two velocity classes."""
+    ids = draw(st.lists(st.integers(0, 500), min_size=1, max_size=30, unique=True))
+    cells = [{"cell_id": c, "x": float(i), "y": 0.0} for i, c in enumerate(ids)]
+    edges, rows = [], {"slow": {}, "fast": {}}
+    for c in ids:
+        targets = draw(st.lists(st.sampled_from(ids), min_size=1, max_size=4, unique=True))
+        if c not in targets and draw(st.booleans()):
+            targets[0] = c                       # a self-loop
+        edges += [[c, t] for t in targets]
+        for per_cell in rows.values():
+            weights = [draw(st.floats(0.01, 1.0))]
+            weights += [draw(st.sampled_from([0.0]) | st.floats(0.01, 1.0)) for _ in targets[1:]]
+            per_cell[c] = {t: w / sum(weights) for t, w in zip(targets, weights)}
+    belief = draw(st.lists(st.floats(0.0, 1.0), min_size=len(ids), max_size=len(ids)))
+    return cells, edges, rows, belief
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_road())
+def test_sparse_transition_matches_a_dense_matrix_built_from_rows(road):
+    cells, edges, rows, belief = road
+    centers = {c["cell_id"]: (c["x"], c["y"]) for c in cells}
+    adjacency = {c: tuple(t for s, t in edges if s == c) for c in centers}
+    graph = RoadGraph(centers=centers, adjacency=adjacency)
+    model = MarkovJumpModel(rows=rows)
+    graph.validate()
+    model.validate(graph)
+    order = graph.cells
+    index = {c: i for i, c in enumerate(order)}
+    b = np.array(belief) + 1e-3
+    b /= b.sum()
+    ops = {}
+    for vclass, per_cell in rows.items():
+        dense = np.zeros((len(order), len(order)))
+        for c, row in per_cell.items():
+            for t, p in row.items():
+                dense[index[c], index[t]] = p
+        ops[vclass] = model.transition_matrix(vclass, order)
+        assert np.max(np.abs(b @ ops[vclass] - b @ dense)) <= 1e-12
+
+    # A velocity-class switch hands the belief a different transition object:
+    # the cached propagation must be recomputed, not reused.
+    post = PosteriorBelief(0, b)
+    slow = post.propagate(ops["slow"])
+    assert post.propagate(ops["slow"]) is slow
+    fast = post.propagate(ops["fast"])
+    assert fast is not slow
+    assert np.array_equal(fast, b @ ops["fast"])

@@ -1,5 +1,6 @@
 """Golden digests: the three contract files of every bundled scenario x seed,
-and of a 400-cell line road built from smoke.json.
+of a 400-cell line road built from smoke.json, and of smoke.json under four
+--override sets.
 
 These pins are the gate for refactors that must keep the trace: a change that
 alters any of these bytes on purpose has to say so and re-pin them with the
@@ -123,3 +124,74 @@ def test_long_road_outputs_match_their_pinned_digests(seed, tmp_path, capsys):
     assert code == 0
     digests = tuple(hashlib.sha256((out / f).read_bytes()).hexdigest() for f in FILES)
     assert digests == LONG_ROAD[seed]
+
+
+# smoke.json through --override, for branches no bundled scenario takes:
+# (a) bandit replica choice, unresolved collisions, cipher resyncs and
+#     compromised sessions, and feedback re-placement of controllers;
+# (b) no downlink attempt at all, so the delivery and power ratios are null;
+# (c) and (d) the two fixed offloading policies, (d) with decode-and-forward.
+OVERRIDE_SETS = {
+    "a": (
+        "horizon=400", "bandit.enabled=true", "mac.k_max=1", "cipher.an_view_flip_prob=0.3",
+        "cipher.max_resync=2", "control.target_mean_latency_s=0.0005",
+    ),
+    "b": ("horizon=200", "snr_threshold_db=200", "downlink.policy=random", "predictor.policy=persistence"),
+    "c": ("horizon=300", "edge_compute.offload_policy=greedy_local"),
+    "d": ("horizon=300", "edge_compute.offload_policy=always_cloud", "mac.relay_mode=DF"),
+}
+
+OVERRIDDEN = {
+    ("a", 0): (
+        "ed49ee13c1223e507e9126f8165b0f68b872776c900a0c90cb38a3f32fb90d20",
+        "582eb3c9f7e203f0c160575de8f943d47dbaa6c73b34aca4e27da114242d7041",
+        "eacbb54544271618852c4b6745a2794ce9bba09572db4f9200985359873f6780",
+    ),
+    ("a", 1): (
+        "a3fd4c56d0bccb9e677c20d7e96616d12755e27e05b5eb7b2af412aad91a0791",
+        "4ff1aa483f085bd64ffdc42eec952ed12dce9026069a1b6759b678356d30db7d",
+        "a17fac5939744f43629b6e2b1cb1e1b414599db78cbe5d7e3acb4c26f2d6bb3d",
+    ),
+    ("b", 0): (
+        "3d1e1572b98450283020ed35ed10b712fa0181dc35fdc4808547f010d1d3033d",
+        "6b0998c0b80870eb7d829fac161e6e08d5ce60d71aed99ef62c02c93fb23303a",
+        "88123462206d91e3d3c2f1c11e2bdd7904dd70494f2e7523e58d3f5cf18811b7",
+    ),
+    ("b", 1): (
+        "3d1e1572b98450283020ed35ed10b712fa0181dc35fdc4808547f010d1d3033d",
+        "8831cd1811440f37713c9379a9ba2856db1f2f1de8e012ef006544c4c4a0d5bd",
+        "fb07f52be3c8f7bc15647198966199da0235190002bc22c6fa25220783418233",
+    ),
+    ("c", 0): (
+        "1a7ec2234e41d97aacc38ff89b5b1ee74e10ec999619e84a4cace3f33b8e99b1",
+        "c2bf4dc197a57325c1d87f4de01f5bb9215848b3e33f4b5474900a0becaa55b4",
+        "f4b621c392a4e164289d29cb33c981e4faff9f017caac070f86204fc075d4fbe",
+    ),
+    ("c", 1): (
+        "1a7ec2234e41d97aacc38ff89b5b1ee74e10ec999619e84a4cace3f33b8e99b1",
+        "0766284c9e859ee7274b4b00cbf9713ca7634230b1f3a660cb4f48516885c391",
+        "f3c6b7672549f6da4315d3fb0123fbd4f168c045c1d387d32c67587c7d79ad51",
+    ),
+    ("d", 0): (
+        "1a7ec2234e41d97aacc38ff89b5b1ee74e10ec999619e84a4cace3f33b8e99b1",
+        "8e7e1221a8fe6e9ac132e297347f5e27bcc7bb3329ef96a1fdf45122d27288b1",
+        "098b5befe7bff79d98fcd85becab77ceb0887ec9bdf754181297bee88e104cd5",
+    ),
+    ("d", 1): (
+        "1a7ec2234e41d97aacc38ff89b5b1ee74e10ec999619e84a4cace3f33b8e99b1",
+        "409c191dc2ac39507b5fd8d579ed9f3f06d3a98b0855b9a6667e7981e0e418eb",
+        "0597dd8d8766ee8d93a15c9330fc668d8a11d3717d6827223e17c37899172cdd",
+    ),
+}
+
+
+@pytest.mark.parametrize(("overrides", "seed"), sorted(OVERRIDDEN))
+def test_overridden_smoke_outputs_match_their_pinned_digests(overrides, seed, tmp_path, capsys):
+    argv = ["run", str(scenario_path("smoke")), "--seed", str(seed), "--out", str(tmp_path)]
+    for override in OVERRIDE_SETS[overrides]:
+        argv += ["--override", override]
+    code = main(argv)
+    capsys.readouterr()
+    assert code == 0
+    digests = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in FILES)
+    assert digests == OVERRIDDEN[(overrides, seed)]

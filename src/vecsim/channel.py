@@ -43,21 +43,13 @@ def signal_quality(
     return SignalQuality(snr_db=params.tx_power_dbm - path_loss - params.noise_dbm)
 
 
-def candidate_aps(
-    vehicle_xy: tuple[float, float],
-    ap_positions: dict[int, tuple[float, float]],
-    params: ChannelParams,
-    threshold_db: float,
-) -> list[tuple[int, float]]:
+def candidate_aps(snr_db: dict[int, float], threshold_db: float) -> list[tuple[int, float]]:
     """APs whose SNR clears the threshold, ordered by descending SNR then AP id.
 
-    Returns (ap_id, snr_db) pairs; an empty list is a legal result and means
-    the vehicle is out of coverage this slot.
+    `snr_db` maps each AP id to its SNR at one position. Returns
+    (ap_id, snr_db) pairs; an empty list is a legal result and means the
+    vehicle is out of coverage this slot.
     """
-    reachable = []
-    for ap_id in sorted(ap_positions):
-        snr = signal_quality(vehicle_xy, ap_positions[ap_id], params).snr_db
-        if snr >= threshold_db:
-            reachable.append((ap_id, snr))
+    reachable = [(ap_id, snr) for ap_id, snr in snr_db.items() if snr >= threshold_db]
     reachable.sort(key=lambda pair: (-pair[1], pair[0]))
     return reachable

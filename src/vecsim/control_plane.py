@@ -47,18 +47,6 @@ class ControlTopology:
     edges: dict[tuple[int, int], tuple[float, float]]   # (u, v) -> (weight_s, capacity)
     kappa: float = 1e-4
 
-    def validate(self) -> None:
-        for (u, v), (w, cap) in self.edges.items():
-            if u not in self.capacity or v not in self.capacity:
-                raise ValueError(f"edge ({u}, {v}) references unknown AN")
-            if w <= 0 or cap <= 0:
-                raise ValueError(f"edge ({u}, {v}) needs positive weight and capacity")
-        for an, cap in self.capacity.items():
-            if cap <= 0:
-                raise ValueError(f"AN {an} needs positive controller capacity")
-        if self.node_count > 1 and not nx.is_connected(self.graph()):
-            raise ValueError("control topology must be connected")
-
     @property
     def node_count(self) -> int:
         return len(self.capacity)

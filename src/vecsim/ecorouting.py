@@ -62,16 +62,3 @@ class QLearner:
 
 def delivery_reward(delivered: bool, power_w: float, w_delivery: float, w_power: float) -> float:
     return w_delivery * (1.0 if delivered else 0.0) - w_power * power_w
-
-
-def eco_route_step(
-    learner: QLearner,
-    state: State,
-    rng: RngStream,
-) -> Action:
-    """Pick the downlink action for the current state (epsilon-greedy).
-
-    The caller executes the action, observes delivery and the next state, and
-    feeds both back through `learner.update`.
-    """
-    return learner.select(state, rng)

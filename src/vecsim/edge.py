@@ -122,23 +122,27 @@ def decide_offload(
     ledger: EnergyLedger,
     queued_cycles: float,
     params: ComputeParams,
+    policy: str = "drift",
 ) -> OffloadDecision:
-    """Drift-plus-penalty choice between the AN and the cloud.
+    """Choice between the AN and the cloud; an uncached service forces the cloud.
 
-    Score = V * latency + deficit * energy, evaluated for both branches; the
-    cheaper wins with local on ties. An uncached service forces the cloud.
-    The ledger itself is settled once per slot via `settle_slot`, after all of
-    the slot's energy causes are known.
+    The "drift" policy is drift-plus-penalty: Score = V * latency +
+    deficit * energy, evaluated for both branches; the cheaper wins with local
+    on ties. "greedy_local" runs every cached service locally and
+    "always_cloud" ships every task. The ledger itself is settled once per
+    slot via `settle_slot`, after all of the slot's energy causes are known.
     """
     d_cloud, e_tx = cloud_cost(task, service, params)
-    if task.service_id not in cache.cached:
-        return OffloadDecision(where="cloud", latency_s=d_cloud, energy_j=e_tx)
+    cloud = OffloadDecision(where="cloud", latency_s=d_cloud, energy_j=e_tx)
+    if policy == "always_cloud" or task.service_id not in cache.cached:
+        return cloud
     d_local, e_local = local_cost(task, service, queued_cycles, params)
+    local = OffloadDecision(where="local", latency_s=d_local, energy_j=e_local)
+    if policy == "greedy_local":
+        return local
     score_local = ledger.tradeoff_v * d_local + ledger.deficit * e_local
     score_cloud = ledger.tradeoff_v * d_cloud + ledger.deficit * e_tx
-    if score_local <= score_cloud:
-        return OffloadDecision(where="local", latency_s=d_local, energy_j=e_local)
-    return OffloadDecision(where="cloud", latency_s=d_cloud, energy_j=e_tx)
+    return local if score_local <= score_cloud else cloud
 
 
 def settle_slot(ledger: EnergyLedger, energy_spent: float) -> EnergyLedger:

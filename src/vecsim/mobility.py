@@ -149,16 +149,6 @@ def draw_from_row(targets: list[int], cum: list[float], rng: RngStream) -> int:
     return targets[min(idx, len(targets) - 1)]
 
 
-def advance(state: MobilityState, model: MarkovJumpModel, rng: RngStream) -> MobilityState:
-    """Draw the next cell from the transition row of (cell, velocity_class).
-
-    The velocity class persists; scenario-scheduled changes are applied by the
-    caller, never here.
-    """
-    targets, cum = row_arrays(model, state.velocity_class, state.cell)
-    return MobilityState(cell=draw_from_row(targets, cum, rng), velocity_class=state.velocity_class)
-
-
 def line_graph(n_cells: int, spacing_m: float = 100.0, forward_prob: float = 0.8) -> tuple[RoadGraph, MarkovJumpModel]:
     """Convenience builder: a one-way road of n cells with stay/advance dynamics.
 

@@ -87,11 +87,10 @@ class Simulation:
         self.cell_candidates: dict[int, list[tuple[int, float]]] = {}
         for cell in cfg.road.cells:
             center = cfg.road.centers[cell]
-            self.cell_sq[cell] = {
-                ap: channel.signal_quality(center, positions[ap], cfg.channel) for ap in self.ap_ids
-            }
+            row = {ap: channel.signal_quality(center, positions[ap], cfg.channel) for ap in self.ap_ids}
+            self.cell_sq[cell] = row
             self.cell_candidates[cell] = channel.candidate_aps(
-                center, positions, cfg.channel, cfg.snr_threshold_db
+                {ap: sq.snr_db for ap, sq in row.items()}, cfg.snr_threshold_db
             )
 
         self.pool = cfg.ctu_pool
@@ -183,7 +182,7 @@ class Simulation:
 
         self.master_keys = {
             vid: cipher.master_key_for(vid, self.root.substream("cipher-master"))
-            for vid in sorted(self.vehicles)
+            for vid in self.vehicles
         }
 
         self.report = MetricsReport(
@@ -194,28 +193,21 @@ class Simulation:
             latency_deadline_s=cfg.latency_deadline_s,
         )
 
-        self.stat = {
-            "slices_allocated": 0,
-            "slices_unsatisfied": 0,
-            "downlink_attempts": 0,
-            "downlink_delivered": 0,
-            "downlink_power_sum": 0.0,
-            "downlink_energy_j": 0.0,
-            "pred_bits": 0,
-            "pred_correct": 0,
-            "persist_bits": 0,
-            "persist_correct": 0,
-            "pred_fallbacks": 0,
-            "cipher_messages": 0,
-            "cipher_roundtrip_ok": 0,
-            "cipher_resyncs": 0,
-            "cipher_sessions": 0,
-            "cipher_compromised": 0,
-            "collision_ctus": 0,
-            "mud_resolved_ctus": 0,
-        }
-        self.replica_hist: dict[int, int] = {}
-        self.control_hist: list[dict] = []
+        # The report's sections are the run's counters: phases count straight
+        # into them, and finalize only derives the ratios.
+        r = self.report
+        r.downlink = {"attempts": 0, "delivered": 0, "energy_j": 0.0}
+        r.prediction = {"bits_scored": 0, "fallbacks": 0}
+        r.control = {"checkpoints": []}
+        r.cipher = {"messages": 0, "roundtrip_ok": 0, "resyncs": 0, "sessions": 0, "compromised": 0}
+        # allocate_slices validates disjointness every slot, so overlaps stay 0
+        r.slices = {"allocated_ctus": 0, "unsatisfied": 0, "overlaps": 0}
+        r.bandit = {"replica_histogram": {}, "collision_ctus": 0, "mud_resolved_ctus": 0}
+        # Sums behind the ratios, which have no summary key of their own.
+        self.downlink_power_sum = 0.0
+        self.pred_correct = 0
+        self.persist_bits = 0
+        self.persist_correct = 0
 
         self._register()
 
@@ -268,15 +260,11 @@ class Simulation:
             self._streams[label] = self.root.substream(label)
         return self._streams[label]
 
-    def _best_snr_db(self, cell: int, ap: int) -> float:
-        return self.cell_sq[cell][ap].snr_db
-
     # -- phases ---------------------------------------------------------------
 
     def _phase_mobility(self, t: SlotTime) -> None:
         sched = self.sched_by_slot.get(t.index, {})
-        for vid in sorted(self.vehicles):
-            vr = self.vehicles[vid]
+        for vid, vr in self.vehicles.items():
             vclass = sched.get(vid, vr.mobility.velocity_class)
             targets, cum = self.rows[(vclass, vr.mobility.cell)]
             nxt = mobility.draw_from_row(targets, cum, self.stream(f"mobility/{vid}"))
@@ -284,8 +272,8 @@ class Simulation:
 
     def _phase_uplink(self, t: SlotTime) -> None:
         cfg = self.cfg
-        for vid in sorted(self.vehicles):
-            vr = self.vehicles[vid]
+        histogram = self.report.bandit["replica_histogram"]
+        for vid, vr in self.vehicles.items():
             cands = self.cell_candidates[vr.mobility.cell]
             vr.cluster = clustering.form_cluster(vid, cands, cfg.cluster.k_cluster, t.index)
             if vr.bandit is not None:
@@ -295,7 +283,8 @@ class Simulation:
                 replicas = min(replicas, self.pool.size)
             else:
                 replicas = cfg.mac.replicas
-            self.replica_hist[replicas] = self.replica_hist.get(replicas, 0) + 1
+            key = str(replicas)
+            histogram[key] = histogram.get(key, 0) + 1
             vr.packet = mac.UplinkPacket(vid, t.index, cfg.mac.payload_bits)
             vr.last_replicas = replicas
             if vr.cluster.empty:
@@ -314,24 +303,20 @@ class Simulation:
 
     def _phase_relay_decode(self, t: SlotTime) -> None:
         cfg = self.cfg
-        selections = [
-            self.vehicles[vid].selection
-            for vid in sorted(self.vehicles)
-            if self.vehicles[vid].selection is not None
-        ]
+        selections = [vr.selection for vr in self.vehicles.values() if vr.selection is not None]
         occupancy = mac.detect_collisions(selections)
         usable: dict[int, set[int]] = {}
+        bandit = self.report.bandit
         for ctu in sorted(occupancy):
             occupants = occupancy[ctu]
             if len(occupants) > 1:
-                self.stat["collision_ctus"] += 1
+                bandit["collision_ctus"] += 1
             resolved = mac.mud_resolve(occupants, cfg.mac.k_max)
             if len(occupants) > 1 and all(resolved.values()):
-                self.stat["mud_resolved_ctus"] += 1
+                bandit["mud_resolved_ctus"] += 1
             usable[ctu] = {v for v, ok in resolved.items() if ok}
 
-        for vid in sorted(self.vehicles):
-            vr = self.vehicles[vid]
+        for vid, vr in self.vehicles.items():
             heard_aps: set[int] = set()
             if vr.selection is None:
                 outcome = mac.combine([], resolved_by_mud=False)
@@ -381,27 +366,25 @@ class Simulation:
 
     def _phase_prediction(self, t: SlotTime) -> None:
         cfg = self.cfg
-        for vid in sorted(self.vehicles):
-            vr = self.vehicles[vid]
+        prediction = self.report.prediction
+        for vid, vr in self.vehicles.items():
             obs = vr.assoc_an
             # Score the predictions aimed at this slot before replacing them:
             # the filter's one-step-ahead bits and the persistence baseline
             # (yesterday's vector repeats), both against today's actual.
             want = vr.predicted.get(t.index)
             if want is not None:
-                self.stat["pred_bits"] += self.n_aps
-                self.stat["pred_correct"] += sum(1 for a, b in zip(want, obs.bits) if a == b)
+                prediction["bits_scored"] += self.n_aps
+                self.pred_correct += sum(1 for a, b in zip(want, obs.bits) if a == b)
             prev = vr.window_an[-1] if vr.window_an else None
             if prev is not None:
-                self.stat["persist_bits"] += self.n_aps
-                self.stat["persist_correct"] += sum(
-                    1 for a, b in zip(prev.bits, obs.bits) if a == b
-                )
+                self.persist_bits += self.n_aps
+                self.persist_correct += sum(1 for a, b in zip(prev.bits, obs.bits) if a == b)
             if cfg.predictor.policy == "bayes":
                 trans = self.transitions[vr.mobility.velocity_class]
                 vr.belief, fellback = predictor.update_belief(vr.belief, obs, trans, self.obs_model)
                 if fellback:
-                    self.stat["pred_fallbacks"] += 1
+                    prediction["fallbacks"] += 1
                 vr.predicted[t.index + 1] = predictor.predict_association(
                     vr.belief, trans, self.obs_model, cfg.predictor.threshold, vid, t.index + 1
                 ).bits
@@ -412,9 +395,7 @@ class Simulation:
     def _phase_downlink(self, t: SlotTime) -> None:
         cfg = self.cfg
         clusters = [
-            self.vehicles[vid].cluster
-            for vid in sorted(self.vehicles)
-            if self.vehicles[vid].cluster is not None and not self.vehicles[vid].cluster.empty
+            vr.cluster for vr in self.vehicles.values() if vr.cluster is not None and not vr.cluster.empty
         ]
         demands = {c.center_vehicle: cfg.cluster.downlink_ctu_demand for c in clusters}
         slices = clustering.allocate_slices(
@@ -424,8 +405,9 @@ class Simulation:
             {a: self.an_specs[a].power_budget_w for a in self.an_ids},
             self.ap_owner,
         )
-        self.stat["slices_allocated"] += sum(len(v) for v in slices.ctus.values())
-        self.stat["slices_unsatisfied"] += sum(slices.unsatisfied.values())
+        self.report.slices["allocated_ctus"] += sum(len(v) for v in slices.ctus.values())
+        self.report.slices["unsatisfied"] += sum(slices.unsatisfied.values())
+        downlink = self.report.downlink
 
         an_load: dict[int, int] = {}
         for c in clusters:
@@ -446,12 +428,12 @@ class Simulation:
                 )
             cand_aps = [ap for ap, bit in zip(self.ap_ids, pred_bits) if bit]
             load_b = min(cfg.downlink.load_buckets - 1, an_load.get(an_id, 1) - 1)
-            best_snr = self._best_snr_db(vr.mobility.cell, vr.cluster.members[0])
-            snr_b = int(best_snr // cfg.downlink.snr_bucket_db)
+            snrs = self.cell_sq[vr.mobility.cell]
+            snr_b = int(snrs[vr.cluster.members[0]].snr_db // cfg.downlink.snr_bucket_db)
             state = (load_b, snr_b)
 
             if ar.learner is not None:
-                action = ecorouting.eco_route_step(ar.learner, state, self.stream(f"eco/{an_id}"))
+                action = ar.learner.select(state, self.stream(f"eco/{an_id}"))
             else:
                 action = self.actions[self.stream(f"eco/{an_id}").integers(len(self.actions))]
             rank, p_idx = action
@@ -460,7 +442,7 @@ class Simulation:
             delivered = False
             if rank < len(cand_aps) and power_w > 0.0:
                 ap = cand_aps[rank]
-                up_snr = self._best_snr_db(vr.mobility.cell, ap)
+                up_snr = snrs[ap].snr_db
                 if up_snr >= cfg.snr_threshold_db:
                     delta_db = 10.0 * np.log10(power_w * 1000.0) - cfg.channel.tx_power_dbm
                     dl_snr = up_snr + delta_db
@@ -468,10 +450,10 @@ class Simulation:
                     delivered = self.stream(f"dldecode/{an_id}").random() < p_ok
             energy = power_w * cfg.slot_duration
             self.report.record_energy(an_id, t.index, energy)
-            self.stat["downlink_attempts"] += 1
-            self.stat["downlink_delivered"] += 1 if delivered else 0
-            self.stat["downlink_power_sum"] += power_w
-            self.stat["downlink_energy_j"] += energy
+            downlink["attempts"] += 1
+            downlink["delivered"] += 1 if delivered else 0
+            downlink["energy_j"] += energy
+            self.downlink_power_sum += power_w
             reward = ecorouting.delivery_reward(
                 delivered, power_w, cfg.downlink.w_delivery, cfg.downlink.w_power
             )
@@ -488,8 +470,7 @@ class Simulation:
         if t.index % cfg.control.period_slots != 0:
             return
         demands = []
-        for vid in sorted(self.vehicles):
-            vr = self.vehicles[vid]
+        for vid, vr in self.vehicles.items():
             snrs = self.cell_sq[vr.mobility.cell]
             best_ap = max(self.ap_ids, key=lambda a: (snrs[a].snr_db, -a))
             demands.append(
@@ -533,7 +514,7 @@ class Simulation:
             entry["infeasible"] = exc.binding
         except control_plane.CongestionInfeasible:
             entry["infeasible"] = "congestion"
-        self.control_hist.append(entry)
+        self.report.control["checkpoints"].append(entry)
 
     def _phase_edge(self, t: SlotTime) -> None:
         cfg = self.cfg
@@ -550,8 +531,7 @@ class Simulation:
                     ar.cache.cached = edge.decide_cache(self.catalog, pop, ar.cache.capacity)
                     ar.request_counts = {}
             rng = self.stream("edge/tasks")
-            for vid in sorted(self.vehicles):
-                vr = self.vehicles[vid]
+            for vid, vr in self.vehicles.items():
                 if rng.random() >= ec.task_arrival_prob:
                     continue
                 u = rng.random()
@@ -565,20 +545,10 @@ class Simulation:
                     ar.request_counts.get(service.service_id, 0) + 1
                 )
                 task = edge.Task(service.service_id, vid, ec.input_bits, t.index)
-                if ec.offload_policy == "always_cloud":
-                    lat, en = edge.cloud_cost(task, service, self.cparams)
-                    decision = edge.OffloadDecision("cloud", lat, en)
-                elif ec.offload_policy == "greedy_local":
-                    if service.service_id in ar.cache.cached:
-                        lat, en = edge.local_cost(task, service, ar.queued_cycles, self.cparams)
-                        decision = edge.OffloadDecision("local", lat, en)
-                    else:
-                        lat, en = edge.cloud_cost(task, service, self.cparams)
-                        decision = edge.OffloadDecision("cloud", lat, en)
-                else:
-                    decision = edge.decide_offload(
-                        task, service, ar.cache, ar.ledger, ar.queued_cycles, self.cparams
-                    )
+                decision = edge.decide_offload(
+                    task, service, ar.cache, ar.ledger, ar.queued_cycles, self.cparams,
+                    policy=ec.offload_policy,
+                )
                 if decision.where == "local":
                     ar.queued_cycles += service.cycles_per_task
                 ar.slot_energy += decision.energy_j
@@ -603,8 +573,8 @@ class Simulation:
 
     def _phase_cipher(self, t: SlotTime) -> None:
         cfg = self.cfg
-        for vid in sorted(self.vehicles):
-            vr = self.vehicles[vid]
+        counts = self.report.cipher
+        for vid, vr in self.vehicles.items():
             vr.window_self.append(vr.assoc_true)
             vr.window_an.append(vr.assoc_an)
             if not cfg.cipher.enabled:
@@ -619,7 +589,7 @@ class Simulation:
                 vr.session_generation = 0
                 vr.session_resyncs = 0
                 vr.session_compromised = False
-                self.stat["cipher_sessions"] += 1
+                counts["sessions"] += 1
             if vr.session_compromised:
                 continue
             fp_v = cipher.Fingerprint(vid, tuple(vr.window_self))
@@ -628,17 +598,17 @@ class Simulation:
             n_bits = cfg.mac.payload_bits
             msg = cipher.deterministic_message(vid, t.index, n_bits)
             ct, vr.session_self = cipher.crypt(vr.session_self, fp_v, msg, n_bits)
-            self.stat["cipher_messages"] += 1
+            counts["messages"] += 1
             if cipher.verify_key(fp_a, tag, vr.session_an):
                 pt, vr.session_an = cipher.crypt(vr.session_an, fp_a, ct, n_bits)
                 if pt == msg:
-                    self.stat["cipher_roundtrip_ok"] += 1
+                    counts["roundtrip_ok"] += 1
             else:
                 vr.session_resyncs += 1
-                self.stat["cipher_resyncs"] += 1
+                counts["resyncs"] += 1
                 if vr.session_resyncs > cfg.cipher.max_resync:
                     vr.session_compromised = True
-                    self.stat["cipher_compromised"] += 1
+                    counts["compromised"] += 1
                     continue
                 vr.session_generation += 1
                 pair = cipher.resync_session(self.master_keys[vid], fp_a, vr.session_generation)
@@ -650,42 +620,14 @@ class Simulation:
 
     def finalize(self) -> MetricsReport:
         r = self.report
-        s = self.stat
-        attempts = s["downlink_attempts"]
-        r.downlink = {
-            "attempts": attempts,
-            "delivered": s["downlink_delivered"],
-            "delivery_rate": (s["downlink_delivered"] / attempts) if attempts else None,
-            "mean_power_w": (s["downlink_power_sum"] / attempts) if attempts else None,
-            "energy_j": s["downlink_energy_j"],
-        }
-        r.prediction = {
-            "accuracy": (s["pred_correct"] / s["pred_bits"]) if s["pred_bits"] else None,
-            "persistence_accuracy": (
-                (s["persist_correct"] / s["persist_bits"]) if s["persist_bits"] else None
-            ),
-            "fallbacks": s["pred_fallbacks"],
-            "bits_scored": s["pred_bits"],
-        }
-        r.control = {"checkpoints": self.control_hist}
+        attempts, bits = r.downlink["attempts"], r.prediction["bits_scored"]
+        r.downlink["delivery_rate"] = (r.downlink["delivered"] / attempts) if attempts else None
+        r.downlink["mean_power_w"] = (self.downlink_power_sum / attempts) if attempts else None
+        r.prediction["accuracy"] = (self.pred_correct / bits) if bits else None
+        r.prediction["persistence_accuracy"] = (
+            (self.persist_correct / self.persist_bits) if self.persist_bits else None
+        )
         r.edge = self._edge_summary()
-        r.cipher = {
-            "messages": s["cipher_messages"],
-            "roundtrip_ok": s["cipher_roundtrip_ok"],
-            "resyncs": s["cipher_resyncs"],
-            "sessions": s["cipher_sessions"],
-            "compromised": s["cipher_compromised"],
-        }
-        r.slices = {
-            "allocated_ctus": s["slices_allocated"],
-            "unsatisfied": s["slices_unsatisfied"],
-            "overlaps": 0,     # allocate_slices validates disjointness every slot
-        }
-        r.bandit = {
-            "replica_histogram": {str(k): v for k, v in sorted(self.replica_hist.items())},
-            "collision_ctus": s["collision_ctus"],
-            "mud_resolved_ctus": s["mud_resolved_ctus"],
-        }
         return r
 
     def _edge_summary(self) -> dict:

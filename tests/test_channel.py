@@ -35,9 +35,13 @@ def test_pathloss_exponent_scales_the_slope():
     assert near - far == pytest.approx(35.0)
 
 
+def _snr_row(positions):
+    return {ap: signal_quality((0.0, 0.0), xy, PARAMS).snr_db for ap, xy in positions.items()}
+
+
 def test_candidates_are_thresholded_and_sorted_by_snr():
     positions = {0: (1.0, 0.0), 1: (100.0, 0.0), 2: (10.0, 0.0)}
-    got = candidate_aps((0.0, 0.0), positions, PARAMS, threshold_db=40.0)
+    got = candidate_aps(_snr_row(positions), threshold_db=40.0)
     assert [ap for ap, _ in got] == [0, 2]
     snrs = [snr for _, snr in got]
     assert snrs == sorted(snrs, reverse=True)
@@ -47,10 +51,10 @@ def test_candidates_are_thresholded_and_sorted_by_snr():
 
 def test_candidate_tie_breaks_on_ap_id():
     positions = {5: (10.0, 0.0), 2: (-10.0, 0.0)}
-    got = candidate_aps((0.0, 0.0), positions, PARAMS, threshold_db=0.0)
+    got = candidate_aps(_snr_row(positions), threshold_db=0.0)
     assert [ap for ap, _ in got] == [2, 5]
 
 
 def test_out_of_coverage_gives_an_empty_list():
     positions = {0: (1e6, 0.0)}
-    assert candidate_aps((0.0, 0.0), positions, PARAMS, threshold_db=20.0) == []
+    assert candidate_aps(_snr_row(positions), threshold_db=20.0) == []

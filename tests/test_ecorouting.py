@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from vecsim.ecorouting import QLearner, delivery_reward, eco_route_step
+from vecsim.ecorouting import QLearner, delivery_reward
 from vecsim.rng import RngStream
 
 ACTIONS = [(0, 0), (0, 1), (1, 0), (1, 1)]
@@ -72,12 +72,6 @@ def test_delivery_reward_trades_delivery_against_power():
     assert delivery_reward(False, 0.5, w_delivery=1.0, w_power=0.2) == pytest.approx(-0.1)
 
 
-def test_eco_route_step_delegates_to_the_learner_policy():
-    learner = QLearner(owner_an=0, actions=ACTIONS, epsilon=0.0)
-    learner.q[((2,), (1, 1))] = 2.0
-    assert eco_route_step(learner, (2,), RngStream(0, "eco")) == (1, 1)
-
-
 def test_learned_policy_backs_off_to_the_cheapest_delivering_power():
     # rank 0 delivers at either power level; power 0 costs less, so the greedy
     # fixed point is (rank 0, power index 0)
@@ -86,7 +80,7 @@ def test_learned_policy_backs_off_to_the_cheapest_delivering_power():
     powers = [0.1, 1.0]
     for _ in range(400):
         s = (0,)
-        a = eco_route_step(learner, s, rng)
+        a = learner.select(s, rng)
         delivered = a[0] == 0
         r = delivery_reward(delivered, powers[a[1]], w_delivery=1.0, w_power=0.5)
         learner.update(s, a, r, s)

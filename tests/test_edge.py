@@ -123,6 +123,34 @@ def test_uncached_service_always_goes_to_the_cloud():
     assert out.where == "cloud"
 
 
+@pytest.mark.parametrize(
+    ("policy", "cached", "where"),
+    [
+        ("drift", True, "local"),
+        ("drift", False, "cloud"),
+        ("greedy_local", True, "local"),
+        ("greedy_local", False, "cloud"),
+        ("always_cloud", True, "cloud"),
+        ("always_cloud", False, "cloud"),
+    ],
+)
+def test_each_offload_policy_on_a_cached_and_an_uncached_service(policy, cached, where):
+    # zero deficit and an idle CPU: drift runs the cached task locally (0.02 s
+    # vs 0.053 s); behind a 1e9-cycle backlog local takes 1.02 s, so only
+    # greedy_local still keeps it
+    svc = _svc(1, 1.0, cycles=2e7)
+    task = Task(service_id=1, vehicle_id=0, input_bits=1e5, arrival_slot=0)
+    cache = CacheState(an_id=0, capacity=10.0, cached={1} if cached else set())
+    ledger = EnergyLedger(an_id=0, budget_per_slot=1.0, tradeoff_v=1.0)
+    out = decide_offload(task, svc, cache, ledger, 0.0, PARAMS, policy=policy)
+    assert out.where == where
+    expected = local_cost(task, svc, 0.0, PARAMS) if where == "local" else cloud_cost(task, svc, PARAMS)
+    assert (out.latency_s, out.energy_j) == expected
+    slow = decide_offload(task, svc, cache, ledger, 1e9, PARAMS, policy=policy)
+    greedy_and_cached = policy == "greedy_local" and cached
+    assert slow.where == ("local" if greedy_and_cached else "cloud")
+
+
 def test_zero_deficit_reduces_to_a_latency_comparison():
     svc = _svc(1, 1.0, cycles=2e7)
     task = Task(service_id=1, vehicle_id=0, input_bits=1e5, arrival_slot=0)

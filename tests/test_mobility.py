@@ -9,10 +9,8 @@ from hypothesis import strategies as st
 
 from vecsim.mobility import (
     MarkovJumpModel,
-    MobilityState,
     ModelValidationError,
     RoadGraph,
-    advance,
     draw_from_row,
     line_graph,
     row_arrays,
@@ -102,18 +100,6 @@ def test_draw_from_row_boundaries():
     assert draw_from_row(targets, cum, _FixedRng([0.99999])) == 1
 
 
-def test_advance_equals_draw_from_the_same_stream():
-    _, model = line_graph(6, forward_prob=0.6)
-    a = RngStream(11, "walk")
-    b = RngStream(11, "walk")
-    state = MobilityState(cell=2)
-    for _ in range(200):
-        state2 = advance(state, model, a)
-        targets, cum = row_arrays(model, "default", state.cell)
-        assert state2.cell == draw_from_row(targets, cum, b)
-        state = state2
-
-
 def test_advance_preserves_velocity_class_and_uses_its_row():
     graph = _two_cell_graph()
     model = MarkovJumpModel(
@@ -124,10 +110,8 @@ def test_advance_preserves_velocity_class_and_uses_its_row():
     )
     model.validate(graph)
     rng = RngStream(0, "v")
-    stay = advance(MobilityState(cell=0, velocity_class="default"), model, rng)
-    assert stay.cell == 0 and stay.velocity_class == "default"
-    go = advance(MobilityState(cell=0, velocity_class="fast"), model, rng)
-    assert go.cell == 1 and go.velocity_class == "fast"
+    assert draw_from_row(*row_arrays(model, "default", 0), rng) == 0
+    assert draw_from_row(*row_arrays(model, "fast", 0), rng) == 1
 
 
 def test_long_run_transition_frequency_matches_the_row():
@@ -136,7 +120,7 @@ def test_long_run_transition_frequency_matches_the_row():
     n = 20000
     moved = 0
     for _ in range(n):
-        if advance(MobilityState(cell=2), model, rng).cell == 3:
+        if draw_from_row(*row_arrays(model, "default", 2), rng) == 3:
             moved += 1
     assert abs(moved / n - 0.8) < 0.01
 

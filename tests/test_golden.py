@@ -1,5 +1,5 @@
 """Golden digests: the three contract files of every bundled scenario x seed,
-of a 400-cell line road built from smoke.json, and of smoke.json under four
+of a 400-cell line road built from smoke.json, and of smoke.json under five
 --override sets.
 
 These pins are the gate for refactors that must keep the trace: a change that
@@ -130,7 +130,9 @@ def test_long_road_outputs_match_their_pinned_digests(seed, tmp_path, capsys):
 # (a) bandit replica choice, unresolved collisions, cipher resyncs and
 #     compromised sessions, and feedback re-placement of controllers;
 # (b) no downlink attempt at all, so the delivery and power ratios are null;
-# (c) and (d) the two fixed offloading policies, (d) with decode-and-forward.
+# (c) and (d) the two fixed offloading policies, (d) with decode-and-forward;
+# (e) two ANs of unit controller capacity, so every checkpoint opens two
+#     controllers and the placement chooses each vehicle's domain.
 OVERRIDE_SETS = {
     "a": (
         "horizon=400", "bandit.enabled=true", "mac.k_max=1", "cipher.an_view_flip_prob=0.3",
@@ -139,6 +141,7 @@ OVERRIDE_SETS = {
     "b": ("horizon=200", "snr_threshold_db=200", "downlink.policy=random", "predictor.policy=persistence"),
     "c": ("horizon=300", "edge_compute.offload_policy=greedy_local"),
     "d": ("horizon=300", "edge_compute.offload_policy=always_cloud", "mac.relay_mode=DF"),
+    "e": ("horizon=300", 'ans=[{"an_id":0,"controller_capacity":1.0},{"an_id":1,"controller_capacity":1.0}]'),
 }
 
 OVERRIDDEN = {
@@ -181,6 +184,16 @@ OVERRIDDEN = {
         "1a7ec2234e41d97aacc38ff89b5b1ee74e10ec999619e84a4cace3f33b8e99b1",
         "409c191dc2ac39507b5fd8d579ed9f3f06d3a98b0855b9a6667e7981e0e418eb",
         "0597dd8d8766ee8d93a15c9330fc668d8a11d3717d6827223e17c37899172cdd",
+    ),
+    ("e", 0): (
+        "1a7ec2234e41d97aacc38ff89b5b1ee74e10ec999619e84a4cace3f33b8e99b1",
+        "da059b0c481734cb9bddb6bceb62312548431060ca145f80357a6aed40dc0597",
+        "b97e79181e3987ea2ffd77d35b052ad4a566e3ab249857e583043cf56573c5df",
+    ),
+    ("e", 1): (
+        "1a7ec2234e41d97aacc38ff89b5b1ee74e10ec999619e84a4cace3f33b8e99b1",
+        "18a7f1025a175bae58170b0abd3dd25a6d081df100ba063dfd9e2efe905ef30d",
+        "fee019174e5a985c44a6278390505a549a5b7791cc9e167aa03d0789fd3139b2",
     ),
 }
 

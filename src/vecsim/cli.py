@@ -11,15 +11,58 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import dataclass, field
 from pathlib import Path
 
-from vecsim.config import ConfigError, ScenarioConfig, apply_overrides, load_scenario, validate_scenario
+from vecsim.config import (
+    ConfigError,
+    ScenarioConfig,
+    apply_overrides,
+    load_record,
+    load_scenario,
+    validate_scenario,
+)
 from vecsim.metrics import SCHEMA_VERSION, write_summary
 from vecsim.simulation import run_scenario
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
+
+
+@dataclass
+class SweepAxis:
+    name: str
+    values: list[object]
+
+    def __post_init__(self):
+        if not self.values:
+            raise ValueError("values must hold at least one value")
+
+
+@dataclass
+class SweepSpec:
+    scenario: str
+    seeds: list[int]
+    parameter: SweepAxis
+    overrides: dict[str, object] = field(default_factory=dict)
+
+    def __post_init__(self):
+        if not self.seeds:
+            raise ValueError("seeds: must hold at least one seed")
+
+
+@dataclass
+class RunRequest:
+    """One side of a compare: a scenario file, its seeds and its overrides."""
+
+    scenario: str
+    seeds: list[int] = field(default_factory=lambda: [0])
+    overrides: dict[str, object] = field(default_factory=dict)
+
+    def __post_init__(self):
+        if not self.seeds:
+            raise ValueError("seeds: must hold at least one seed")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -91,7 +134,7 @@ def _parse_override(text: str) -> tuple[str, object]:
 def _load_with_overrides(path: str, seed: int | None, overrides: dict[str, object]) -> ScenarioConfig:
     cfg = load_scenario(path)
     if seed is not None:
-        cfg.seed = int(seed)
+        cfg.seed = seed
     if overrides:
         apply_overrides(cfg, overrides)
         problems = validate_scenario(cfg)
@@ -132,44 +175,17 @@ def _cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _read_json(path: str) -> dict:
-    p = Path(path)
-    try:
-        data = json.loads(p.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError([f"{p}: unreadable ({exc})"])
-    except json.JSONDecodeError as exc:
-        raise ConfigError([f"{p}: not valid JSON ({exc})"])
-    if not isinstance(data, dict):
-        raise ConfigError([f"{p}: top level must be an object"])
-    return data
-
-
 def _cmd_sweep(args) -> int:
-    spec = _read_json(args.spec)
-    scenario = spec.get("scenario")
-    seeds = spec.get("seeds", [])
-    param = spec.get("parameter", {})
-    name, values = param.get("name"), param.get("values", [])
-    problems = []
-    if not scenario:
-        problems.append("scenario: required")
-    if not seeds:
-        problems.append("seeds: nonempty list required")
-    if not name or not values:
-        problems.append("parameter: name and nonempty values required")
-    if problems:
-        raise ConfigError(problems)
-    base_overrides = dict(spec.get("overrides", {}))
+    spec = load_record(args.spec, SweepSpec)
+    name, values = spec.parameter.name, spec.parameter.values
 
     out = _out_dir(args.out)
     by_seed: dict[str, list[dict]] = {}
-    for seed in seeds:
+    for seed in spec.seeds:
         rows = []
         for value in values:
-            overrides = dict(base_overrides)
-            overrides[name] = value
-            cfg = _load_with_overrides(scenario, int(seed), overrides)
+            overrides = {**spec.overrides, name: value}
+            cfg = _load_with_overrides(spec.scenario, seed, overrides)
             report = run_scenario(cfg)
             run_dir = out / f"seed-{seed}" / _slug(name, value)
             report.write(run_dir)
@@ -178,10 +194,10 @@ def _cmd_sweep(args) -> int:
     merged = {
         "schema_version": SCHEMA_VERSION,
         "status": "ok",
-        "scenario": str(scenario),
+        "scenario": spec.scenario,
         "parameter": name,
-        "values": list(values),
-        "seeds": [int(s) for s in seeds],
+        "values": values,
+        "seeds": spec.seeds,
         "by_seed": by_seed,
     }
     out.mkdir(parents=True, exist_ok=True)
@@ -199,19 +215,6 @@ def _slug(name: str, value) -> str:
     return "".join(ch if ch.isalnum() or ch in "._-" else "_" for ch in text)
 
 
-def _run_request(request: dict) -> tuple[str, list[int], dict[str, object]]:
-    scenario = request.get("scenario")
-    seeds = request.get("seeds")
-    if seeds is None:
-        seeds = [request.get("seed", 0)]
-    overrides = dict(request.get("overrides", {}))
-    if not scenario:
-        raise ConfigError(["scenario: required in run request"])
-    if not seeds:
-        raise ConfigError(["seeds: nonempty list required in run request"])
-    return str(scenario), [int(s) for s in seeds], overrides
-
-
 def _headline(summary: dict) -> dict:
     packets = summary["packets"]
     horizon = summary["horizon"]
@@ -223,20 +226,18 @@ def _headline(summary: dict) -> dict:
 
 
 def _cmd_compare(args) -> int:
-    base_req = _read_json(args.baseline)
-    treat_req = _read_json(args.treatment)
-    base_scn, base_seeds, base_over = _run_request(base_req)
-    treat_scn, treat_seeds, treat_over = _run_request(treat_req)
-    if Path(base_scn).resolve() != Path(treat_scn).resolve() or base_seeds != treat_seeds:
+    base = load_record(args.baseline, RunRequest)
+    treat = load_record(args.treatment, RunRequest)
+    if Path(base.scenario).resolve() != Path(treat.scenario).resolve() or base.seeds != treat.seeds:
         raise ConfigError(
             ["compare: baseline and treatment must share the scenario file and seed list"]
         )
 
     metrics = ["success_rate", "latency_p99_s", "mean_energy_per_slot_j"]
     per_seed = []
-    for seed in base_seeds:
-        base_cfg = _load_with_overrides(base_scn, seed, base_over)
-        treat_cfg = _load_with_overrides(treat_scn, seed, treat_over)
+    for seed in base.seeds:
+        base_cfg = _load_with_overrides(base.scenario, seed, base.overrides)
+        treat_cfg = _load_with_overrides(treat.scenario, seed, treat.overrides)
         base_sum = _headline(run_scenario(base_cfg).aggregates())
         treat_sum = _headline(run_scenario(treat_cfg).aggregates())
         deltas = {}
@@ -255,8 +256,8 @@ def _cmd_compare(args) -> int:
     table = {
         "schema_version": SCHEMA_VERSION,
         "status": "ok",
-        "scenario": base_scn,
-        "seeds": base_seeds,
+        "scenario": base.scenario,
+        "seeds": base.seeds,
         "per_seed": per_seed,
         "sign_summary": signs,
     }

@@ -70,7 +70,6 @@ class AnSpec:
 @dataclass
 class MacConfig:
     payload_bits: int = 128
-    allowed_payload_bits: tuple[int, ...] = (128, 256)
     bler_alpha: float = 1.0
     bler_beta: dict[int, float] = field(default_factory=lambda: {128: 5.0, 256: 8.0})
     k_max: int = 2
@@ -114,8 +113,6 @@ class PredictorConfig:
     threshold: float = 0.5
     obs_floor: float = 0.01
     obs_ceiling: float = 0.99
-    downlink_uses_current_slot: bool = False
-    observation_matrix: list[list[float]] | None = None
 
 
 @dataclass
@@ -194,6 +191,8 @@ class ScenarioConfig:
 def validate_scenario(cfg: ScenarioConfig) -> list[str]:
     """All invariant checks; returns a list of 'path: problem' strings."""
     errors: list[str] = []
+    if cfg.seed < 0:
+        errors.append(f"seed: must be >= 0, got {cfg.seed}")
     if cfg.horizon < 1:
         errors.append(f"horizon: must be >= 1, got {cfg.horizon}")
     if cfg.slot_duration <= 0:
@@ -250,11 +249,9 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
             errors.append(f"velocity_schedule[{i}]: negative slot {slot}")
 
     mac = cfg.mac
-    if mac.payload_bits not in mac.allowed_payload_bits:
-        errors.append(
-            f"mac.payload_bits: {mac.payload_bits} not in allowed set {sorted(mac.allowed_payload_bits)}"
-        )
-    if mac.payload_bits not in mac.bler_beta:
+    if mac.payload_bits < 1:
+        errors.append(f"mac.payload_bits: must be >= 1, got {mac.payload_bits}")
+    elif mac.payload_bits not in mac.bler_beta:
         errors.append(f"mac.bler_beta: no threshold for payload_bits {mac.payload_bits}")
     if mac.k_max < 1:
         errors.append(f"mac.k_max: must be >= 1, got {mac.k_max}")
@@ -312,16 +309,6 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
     for name in ("obs_floor", "obs_ceiling"):
         if not 0.0 <= getattr(pred, name) <= 1.0:
             errors.append(f"predictor.{name}: must lie in [0, 1], got {getattr(pred, name)}")
-    if pred.observation_matrix is not None:
-        n_cells, n_aps = len(cfg.road.centers), len(cfg.aps)
-        mat = pred.observation_matrix
-        if len(mat) != n_cells or any(len(row) != n_aps for row in mat):
-            errors.append(
-                f"predictor.observation_matrix: expected {n_cells}x{n_aps}, "
-                f"got {len(mat)}x{len(mat[0]) if mat else 0}"
-            )
-        elif any(not 0.0 <= v <= 1.0 for row in mat for v in row):
-            errors.append("predictor.observation_matrix: entries must lie in [0, 1]")
 
     ctl = cfg.control
     if ctl.enabled:
@@ -372,8 +359,9 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
         for name in ("cpu_rate", "cloud_rate", "backhaul_rate"):
             if getattr(ec, name) <= 0:
                 errors.append(f"edge_compute.{name}: must be > 0, got {getattr(ec, name)}")
-        if ec.input_bits < 0:
-            errors.append(f"edge_compute.input_bits: must be >= 0, got {ec.input_bits}")
+        for name in ("input_bits", "joules_per_cycle", "joules_per_bit"):
+            if getattr(ec, name) < 0:
+                errors.append(f"edge_compute.{name}: must be >= 0, got {getattr(ec, name)}")
         if ec.offload_policy not in ("drift", "greedy_local", "always_cloud"):
             errors.append(f"edge_compute.offload_policy: unknown policy {ec.offload_policy!r}")
 
@@ -486,9 +474,11 @@ def _convert(value, hint, path: str, errors: list[str]):
 
     Problems are appended to `errors` as "dotted.path: problem"; the result is
     meaningless once any is added. Integers reject booleans and floats; JSON
-    lists become lists or tuples, and dict[int, ...] keys are parsed from the
-    JSON object's string keys.
+    lists become lists or tuples, dict[int, ...] keys are parsed from the
+    JSON object's string keys, and `object` takes any JSON value as it is.
     """
+    if hint is object:
+        return value
     if hint in _SCALARS:
         if type(value) is hint or (hint is float and type(value) is int):
             return float(value) if hint is float else value
@@ -556,24 +546,37 @@ def _convert_record(value, cls, path: str, errors: list[str]):
     try:
         return cls(**kwargs)
     except ValueError as exc:     # a __post_init__ invariant
-        errors.append(f"{path}: {exc}")
+        errors.append(f"{path}: {exc}" if path else str(exc))
         return None
 
 
-def load_scenario(path: str | Path) -> ScenarioConfig:
-    """Read, parse, and fully validate a scenario file."""
+def read_json_object(path: str | Path) -> dict:
+    """The JSON object in the file at `path`; anything else is a ConfigError."""
     p = Path(path)
     try:
-        raw = p.read_text(encoding="utf-8")
+        data = json.loads(p.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError([f"{p}: unreadable ({exc})"])
-    try:
-        data = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ConfigError([f"{p}: not valid JSON ({exc})"])
     if not isinstance(data, dict):
         raise ConfigError([f"{p}: top level must be an object"])
-    cfg = scenario_from_dict(data)
+    return data
+
+
+def load_record(path: str | Path, cls):
+    """The JSON object in the file at `path`, converted to the dataclass `cls`
+    by the scenario file's typed converter."""
+    errors: list[str] = []
+    record = _convert(read_json_object(path), cls, "", errors)
+    if errors:
+        raise ConfigError(errors)
+    return record
+
+
+def load_scenario(path: str | Path) -> ScenarioConfig:
+    """Read, parse, and fully validate a scenario file."""
+    cfg = scenario_from_dict(read_json_object(path))
     problems = validate_scenario(cfg)
     if problems:
         raise ConfigError(problems)

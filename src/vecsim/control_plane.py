@@ -320,27 +320,27 @@ def balance_control_traffic(
 
 def replace_on_feedback(
     placement: Placement,
+    routing: ControlFlowRouting,
     topology: ControlTopology,
     demands: list[Demand],
-    achieved_latency: float,
     target: float,
     tighten_factor: float = 0.8,
     max_iters: int = 5,
-) -> Placement:
+) -> tuple[Placement, ControlFlowRouting]:
     """Adaptive re-placement: tighten the latency bound until the target holds.
 
-    Returns the original placement untouched when the achieved latency already
-    meets the target. A bound collapsing below the smallest edge weight means
-    the target cannot be met by re-placement and is reported as such.
+    `routing` is `placement`'s balanced routing. Returns the last placement
+    tried with its routing, or both untouched when the routing already meets
+    the target. A bound collapsing below the smallest edge weight means the
+    target cannot be met by re-placement and is reported as such.
     """
     if not 0.0 < tighten_factor < 1.0:
         raise ValueError("tighten_factor must lie in (0, 1)")
-    if achieved_latency <= target:
-        return placement
     min_weight = min(w for w, _ in topology.edges.values()) if topology.edges else 0.0
     bound = placement.latency_bound
-    current = placement
     for _ in range(max_iters):
+        if routing.mean_latency <= target:
+            break
         bound *= tighten_factor
         if bound < min_weight:
             raise InfeasiblePlacement(
@@ -348,11 +348,9 @@ def replace_on_feedback(
                 "target unattainable",
                 binding="latency",
             )
-        current = place_controllers(topology, demands, bound)
-        routing = balance_control_traffic(current, topology, demands)
-        if routing.mean_latency <= target:
-            return current
-    return current
+        placement = place_controllers(topology, demands, bound)
+        routing = balance_control_traffic(placement, topology, demands)
+    return placement, routing
 
 
 def sync_controllers(
@@ -369,7 +367,7 @@ def sync_controllers(
     nodes = sorted(neighbors)
     if set(views) != set(nodes):
         raise ValueError("views must cover exactly the controller set")
-    components = _components(neighbors)
+    components = sorted(sorted(c) for c in nx.connected_components(nx.Graph(neighbors)))
     if len(components) > 1:
         raise DisconnectedControllers(components)
 
@@ -395,25 +393,6 @@ def sync_controllers(
         if rounds > len(nodes):
             raise AssertionError("flooding exceeded the node-count bound; graph bookkeeping is broken")
     return rounds, state[nodes[0]]
-
-
-def _components(neighbors: dict[int, list[int]]) -> list[list[int]]:
-    seen: set[int] = set()
-    comps: list[list[int]] = []
-    for start in sorted(neighbors):
-        if start in seen:
-            continue
-        stack, comp = [start], []
-        seen.add(start)
-        while stack:
-            n = stack.pop()
-            comp.append(n)
-            for nb in neighbors[n]:
-                if nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        comps.append(sorted(comp))
-    return comps
 
 
 def relay_free_controller_graph(

@@ -22,18 +22,14 @@ DECISIONS_HEADER = ["kind", "slot", "an_id", "vehicle_id", "service_id", "decisi
 
 @dataclass(frozen=True)
 class PacketRecord:
+    """One uplink packet. Access is open-loop and grant-free: a packet is
+    delivered in its emit slot (a latency of one slot) or lost."""
+
     vehicle_id: int
     emit_slot: int
     delivered: bool
-    delivery_slot: int | None
     replicas: int
     paths: int
-
-    @property
-    def latency_slots(self) -> int | None:
-        if not self.delivered or self.delivery_slot is None:
-            return None
-        return self.delivery_slot - self.emit_slot + 1
 
 
 @dataclass(frozen=True)
@@ -80,12 +76,9 @@ class MetricsReport:
         emitted = len(self.packets)
         delivered = sum(1 for p in self.packets if p.delivered)
         lost = emitted - delivered
-        latencies = [p.latency_slots for p in self.packets if p.delivered]
-        deadline_hits = sum(
-            1
-            for p in self.packets
-            if p.delivered and p.latency_slots * self.slot_duration <= self.latency_deadline_s * (1 + 1e-9)
-        )
+        latency_slots = 1.0 if delivered else None
+        latency_s = self.slot_duration if delivered else None
+        meets_deadline = self.slot_duration <= self.latency_deadline_s * (1 + 1e-9)
         mean_energy = {
             str(an): float(np.mean(series)) if series else 0.0
             for an, series in sorted(self.energy_per_an.items())
@@ -102,11 +95,11 @@ class MetricsReport:
                 "delivered": delivered,
                 "lost": lost,
                 "success_rate": delivered / emitted if emitted else 0.0,
-                "latency_p50_slots": _percentile(latencies, 50),
-                "latency_p99_slots": _percentile(latencies, 99),
-                "latency_p50_s": _scale(_percentile(latencies, 50), self.slot_duration),
-                "latency_p99_s": _scale(_percentile(latencies, 99), self.slot_duration),
-                "deadline_hit_fraction": deadline_hits / emitted if emitted else 0.0,
+                "latency_p50_slots": latency_slots,
+                "latency_p99_slots": latency_slots,
+                "latency_p50_s": latency_s,
+                "latency_p99_s": latency_s,
+                "deadline_hit_fraction": delivered / emitted if emitted and meets_deadline else 0.0,
             },
             "energy": {
                 "mean_per_slot_per_an_j": mean_energy,
@@ -140,7 +133,7 @@ class MetricsReport:
                     p.vehicle_id,
                     p.emit_slot,
                     int(p.delivered),
-                    p.latency_slots if p.latency_slots is not None else "",
+                    1 if p.delivered else "",
                     p.replicas,
                     p.paths,
                 ])
@@ -164,16 +157,6 @@ class MetricsReport:
 
 def write_summary(summary: dict, path: Path) -> None:
     path.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-
-
-def _percentile(values: list[int], q: float) -> float | None:
-    if not values:
-        return None
-    return float(np.percentile(np.array(values, dtype=float), q, method="nearest"))
-
-
-def _scale(value: float | None, factor: float) -> float | None:
-    return None if value is None else value * factor
 
 
 def _blank(value):

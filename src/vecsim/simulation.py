@@ -215,10 +215,6 @@ class Simulation:
 
     def _build_observation_model(self) -> predictor.ObservationModel:
         cfg = self.cfg
-        if cfg.predictor.observation_matrix is not None:
-            return predictor.ObservationModel(
-                np.array(cfg.predictor.observation_matrix, dtype=float)
-            )
         # P(AP hears vehicle | cell): in the top-k cluster and the one-replica
         # path decodes. AP ids map to likelihood columns in ascending order.
         cell_cols: dict[int, list[tuple[int, float]]] = {}
@@ -348,7 +344,6 @@ class Simulation:
                     vehicle_id=vid,
                     emit_slot=t.index,
                     delivered=outcome.combined,
-                    delivery_slot=t.index if outcome.combined else None,
                     replicas=vr.last_replicas or 0,
                     paths=paths,
                 )
@@ -420,8 +415,7 @@ class Simulation:
                 continue                       # no downlink resources this slot
             an_id = self.ap_owner[vr.cluster.members[0]]
             ar = self.ans[an_id]
-            key = t.index + 1 if cfg.predictor.downlink_uses_current_slot else t.index
-            pred_bits = vr.predicted.get(key)
+            pred_bits = vr.predicted.get(t.index)
             if pred_bits is None:
                 pred_bits = tuple(
                     1 if ap in vr.cluster.members else 0 for ap in self.ap_ids
@@ -483,17 +477,16 @@ class Simulation:
             )
             routing = control_plane.balance_control_traffic(placement, self.topology, demands)
             target = cfg.control.target_mean_latency_s
-            if target is not None and routing.mean_latency > target:
-                placement = control_plane.replace_on_feedback(
+            if target is not None:
+                placement, routing = control_plane.replace_on_feedback(
                     placement,
+                    routing,
                     self.topology,
                     demands,
-                    routing.mean_latency,
                     target,
                     tighten_factor=cfg.control.tighten_factor,
                     max_iters=cfg.control.max_feedback_iters,
                 )
-                routing = control_plane.balance_control_traffic(placement, self.topology, demands)
             entry["controllers"] = sorted(placement.controllers)
             entry["exact"] = placement.exact
             entry["mean_latency_s"] = routing.mean_latency

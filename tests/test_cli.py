@@ -247,3 +247,49 @@ def test_a_bad_control_topology_exits_two_naming_its_path(override, path, tmp_pa
     )
     assert code == 2
     assert any(e.startswith(f"{path}:") for e in json.loads(stdout)["errors"])
+
+
+def _sweep_spec(**changes) -> dict:
+    spec = {
+        "scenario": str(scenario_path("degenerate")),
+        "seeds": [1],
+        "parameter": {"name": "mac.replicas", "values": [1]},
+        "overrides": {"horizon": 5},
+    }
+    spec.update(changes)
+    return spec
+
+
+@pytest.mark.parametrize(("spec", "path"), [
+    pytest.param(_sweep_spec(seeds=["x"]), "seeds[0]", id="string-seed"),
+    pytest.param(_sweep_spec(seeds=5), "seeds", id="scalar-seeds"),
+    pytest.param(_sweep_spec(seeds=[1.7]), "seeds[0]", id="fractional-seed"),
+    pytest.param(_sweep_spec(seeds=[]), "seeds", id="no-seeds"),
+    pytest.param(_sweep_spec(parameter="horizon"), "parameter", id="string-parameter"),
+    pytest.param(_sweep_spec(parameter={"name": "horizon", "values": []}), "parameter", id="no-values"),
+    pytest.param(_sweep_spec(overrides=[1]), "overrides", id="list-overrides"),
+    pytest.param(_sweep_spec(repeat=3), "repeat", id="unknown-key"),
+])
+def test_a_malformed_sweep_spec_exits_two_naming_its_path(spec, path, tmp_path, capsys):
+    spec_path = tmp_path / "sweep.json"
+    spec_path.write_text(json.dumps(spec))
+    out = tmp_path / "out"
+    code, stdout = _run(capsys, "sweep", str(spec_path), "--out", str(out))
+    assert code == 2
+    assert any(e.startswith(f"{path}:") for e in json.loads(stdout)["errors"])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(("request_", "path"), [
+    pytest.param({"scenario": str(scenario_path("degenerate")), "seeds": "ab"}, "seeds", id="string-seeds"),
+    pytest.param({"scenario": str(scenario_path("degenerate")), "seed": 3}, "seed", id="singular-seed"),
+    pytest.param({"seeds": [1]}, "scenario", id="no-scenario"),
+])
+def test_a_malformed_run_request_exits_two_naming_its_path(request_, path, tmp_path, capsys):
+    good = {"scenario": str(scenario_path("degenerate")), "seeds": [1]}
+    bp, tp = tmp_path / "b.json", tmp_path / "t.json"
+    bp.write_text(json.dumps(request_))
+    tp.write_text(json.dumps(good))
+    code, stdout = _run(capsys, "compare", str(bp), str(tp), "--out", str(tmp_path / "c"))
+    assert code == 2
+    assert any(e.startswith(f"{path}:") for e in json.loads(stdout)["errors"])

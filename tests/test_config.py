@@ -185,6 +185,7 @@ def test_overridden_config_revalidates_to_catch_new_problems():
     ({"channel.ref_distance_m": 0.0}, "channel.ref_distance_m"),
     ({"predictor.obs_floor": 2.0}, "predictor.obs_floor"),
     ({"predictor.obs_ceiling": -0.5}, "predictor.obs_ceiling"),
+    ({"mac.payload_bits": 0, "mac.bler_beta": {"0": 5.0}}, "mac.payload_bits"),
     # used at set-up even with their subsystem switched off
     ({"edge_compute.enabled": False, "edge_compute.tradeoff_v": 0.0}, "edge_compute.tradeoff_v"),
     ({"cipher.enabled": False, "cipher.window": -1}, "cipher.window"),
@@ -219,12 +220,13 @@ def test_file_type_errors_name_their_dotted_path(section, value, message):
 
 def test_sections_are_built_as_their_typed_dataclasses():
     data = _minimal()
-    data["mac"] = {"bler_beta": {"128": 4}, "allowed_payload_bits": [128]}
+    data["mac"] = {"bler_beta": {"128": 4}}
+    data["downlink"] = {"power_levels_w": [0.5, 1]}
     data["velocity_schedule"] = [{"slot": 2, "vehicle_id": 0, "velocity_class": "default"}]
     data["edge_compute"] = {"services": [{"service_id": 3, "size": 1, "cycles_per_task": 10}]}
     cfg = scenario_from_dict(data)
     assert cfg.mac.bler_beta == {128: 4.0}
-    assert cfg.mac.allowed_payload_bits == (128,)
+    assert cfg.downlink.power_levels_w == (0.5, 1.0)
     assert cfg.velocity_schedule == [(2, 0, "default")]
     assert cfg.edge_compute.services == [Service(service_id=3, size=1.0, cycles_per_task=10.0)]
     assert validate_scenario(cfg) == []

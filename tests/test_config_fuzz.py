@@ -1,24 +1,31 @@
-"""Fuzz gate: a wrong-typed leaf anywhere in a bundled scenario is a config error.
+"""Fuzz gate: a wrong-typed leaf anywhere in a bundled scenario is a config error,
+and so is an out-of-range number in any numeric field.
 
 One leaf of a bundled scenario's JSON tree is replaced by a value of another
 JSON type (string, bool, null, non-integral float, list or object). Whether
 the mutation arrives in the file or through `--override`, the CLI must exit
-0 (the value is acceptable) or 2 (rejected with a message), never 3.
+0 (the value is acceptable) or 2 (rejected with a message), never 3. The
+value gate sets each int and float field to 0, -1 and 1000 (and floats to
+0.5) through `--override` and asks the same of `run`.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import io
 import json
 import tempfile
+import typing
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import scenario_path
 from vecsim.cli import main
+from vecsim.config import ScenarioConfig
 
 BUNDLED = ("smoke", "degenerate", "oracle", "eco_toy")
 TREES = {name: json.loads(scenario_path(name).read_text(encoding="utf-8")) for name in BUNDLED}
@@ -99,4 +106,35 @@ def test_run_rejects_a_wrong_typed_override_without_crashing(mutation):
             "run", str(scenario_path(name)), "--out", tmp,
             "--override", "horizon=5", "--override", override,
         )
+    assert code in (0, 2), (override, out)
+
+
+def _numeric_fields():
+    """(dotted path, type) of the top-level numbers and of every int or float
+    field of every section; horizon stays fixed so each run is short."""
+    top = typing.get_type_hints(ScenarioConfig)
+    fields = [(name, top[name]) for name in ("seed", "slot_duration", "latency_deadline_s", "snr_threshold_db")]
+    for section, hint in top.items():
+        if dataclasses.is_dataclass(hint):
+            fields += [
+                (f"{section}.{name}", float if sub is not int else int)
+                for name, sub in typing.get_type_hints(hint).items()
+                if sub in (int, float) or sub == float | None
+            ]
+    return fields
+
+
+VALUE_PROBES = [
+    f"{path}={v}"
+    for path, kind in _numeric_fields()
+    for v in ((0, -1, 1000, 0.5) if kind is float else (0, -1, 1000))
+]
+
+
+@pytest.mark.parametrize("override", VALUE_PROBES)
+def test_run_rejects_an_out_of_range_number_without_crashing(override, tmp_path):
+    code, out = _main(
+        "run", str(scenario_path("smoke")), "--out", str(tmp_path),
+        "--override", "horizon=20", "--override", override,
+    )
     assert code in (0, 2), (override, out)

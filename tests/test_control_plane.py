@@ -236,29 +236,32 @@ def test_feedback_replacement_tightens_until_the_target_holds():
     placement = place_controllers(topo, demands, latency_bound=0.1)
     assert placement.controllers == frozenset({0})
     routing = balance_control_traffic(placement, topo, demands)
-    improved = replace_on_feedback(
-        placement, topo, demands, achieved_latency=routing.mean_latency, target=0.05
-    )
+    improved, rerouted = replace_on_feedback(placement, routing, topo, demands, target=0.05)
     assert improved.controllers == frozenset({1})
+    assert rerouted == balance_control_traffic(improved, topo, demands)
+    assert rerouted.mean_latency <= 0.05
 
 
 def test_feedback_replacement_is_a_no_op_when_already_met():
     topo = _line(2)
     demands = [Demand(0, 0, 1.0)]
     placement = place_controllers(topo, demands, latency_bound=1.0)
-    same = replace_on_feedback(placement, topo, demands, achieved_latency=0.001, target=0.01)
-    assert same is placement
+    routing = balance_control_traffic(placement, topo, demands)
+    assert routing.mean_latency <= 0.01
+    same, same_routing = replace_on_feedback(placement, routing, topo, demands, target=0.01)
+    assert same is placement and same_routing is routing
 
 
 def test_feedback_replacement_reports_an_unattainable_target():
     topo = _line(3, weight=0.04, cap=100.0)
     demands = [Demand(0, 2, 1.0)]
     placement = place_controllers(topo, demands, latency_bound=0.1)
+    routing = balance_control_traffic(placement, topo, demands)
     with pytest.raises(InfeasiblePlacement) as err:
-        replace_on_feedback(placement, topo, demands, achieved_latency=0.09, target=1e-7)
+        replace_on_feedback(placement, routing, topo, demands, target=1e-7)
     assert err.value.binding == "latency"
     with pytest.raises(ValueError):
-        replace_on_feedback(placement, topo, demands, 0.09, 0.01, tighten_factor=1.0)
+        replace_on_feedback(placement, routing, topo, demands, 0.01, tighten_factor=1.0)
 
 
 def test_sync_zero_rounds_when_views_already_agree():

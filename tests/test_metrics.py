@@ -15,7 +15,6 @@ from vecsim.metrics import (
     DecisionRecord,
     MetricsReport,
     PacketRecord,
-    _percentile,
 )
 
 
@@ -25,17 +24,8 @@ def _report(**kw) -> MetricsReport:
     return MetricsReport(**base)
 
 
-def _packet(vid, emit, delivered, delivery_slot, replicas=1, paths=1) -> PacketRecord:
-    return PacketRecord(
-        vehicle_id=vid, emit_slot=emit, delivered=delivered,
-        delivery_slot=delivery_slot, replicas=replicas, paths=paths,
-    )
-
-
-def test_latency_counts_the_delivery_slot_inclusively():
-    assert _packet(0, 3, True, 3).latency_slots == 1
-    assert _packet(0, 3, True, 7).latency_slots == 5
-    assert _packet(0, 3, False, None).latency_slots is None
+def _packet(vid, emit, delivered, replicas=1, paths=1) -> PacketRecord:
+    return PacketRecord(vehicle_id=vid, emit_slot=emit, delivered=delivered, replicas=replicas, paths=paths)
 
 
 def test_headers_are_frozen():
@@ -46,20 +36,13 @@ def test_headers_are_frozen():
     assert SCHEMA_VERSION == 1
 
 
-def test_nearest_rank_percentiles():
-    assert _percentile([1, 2, 10], 50) == 2.0
-    assert _percentile([5], 99) == 5.0
-    assert _percentile(list(range(1, 101)), 99) == 99.0
-    assert _percentile([], 50) is None
-
-
 def test_aggregates_on_a_hand_built_report():
     report = _report()
     report.packets = [
-        _packet(0, 0, True, 0),       # 1 slot  -> 1 ms, hits the 2 ms deadline
-        _packet(0, 1, True, 2),       # 2 slots -> 2 ms, boundary hit
-        _packet(1, 0, True, 9),       # 10 slots -> miss
-        _packet(1, 1, False, None),
+        _packet(0, 0, True),          # delivered in its 1 ms slot, within the 2 ms deadline
+        _packet(0, 1, True),
+        _packet(1, 0, True),
+        _packet(1, 1, False),
     ]
     report.record_energy(0, 0, 0.25)
     report.record_energy(0, 3, 0.25)
@@ -69,13 +52,23 @@ def test_aggregates_on_a_hand_built_report():
     assert agg["packets"]["delivered"] == 3
     assert agg["packets"]["lost"] == 1
     assert agg["packets"]["success_rate"] == pytest.approx(0.75)
-    assert agg["packets"]["latency_p50_slots"] == 2.0
-    assert agg["packets"]["latency_p99_slots"] == 10.0
-    assert agg["packets"]["latency_p99_s"] == pytest.approx(0.01)
-    assert agg["packets"]["deadline_hit_fraction"] == pytest.approx(0.5)
+    assert agg["packets"]["latency_p50_slots"] == 1.0
+    assert agg["packets"]["latency_p99_slots"] == 1.0
+    assert agg["packets"]["latency_p50_s"] == 0.001
+    assert agg["packets"]["latency_p99_s"] == 0.001
+    assert agg["packets"]["deadline_hit_fraction"] == pytest.approx(0.75)
     assert agg["energy"]["mean_per_slot_per_an_j"] == {"0": pytest.approx(0.05), "1": pytest.approx(0.1)}
     assert agg["energy"]["total_j"] == pytest.approx(1.5)
     assert agg["schema_version"] == SCHEMA_VERSION
+
+
+def test_a_slot_longer_than_the_deadline_hits_it_never():
+    report = _report(slot_duration=0.003)
+    report.packets = [_packet(0, 0, True), _packet(0, 1, False)]
+    agg = report.aggregates()
+    assert agg["packets"]["delivered"] == 1
+    assert agg["packets"]["latency_p99_s"] == 0.003
+    assert agg["packets"]["deadline_hit_fraction"] == 0.0
 
 
 def test_aggregates_with_no_packets():
@@ -84,6 +77,14 @@ def test_aggregates_with_no_packets():
     assert agg["packets"]["latency_p50_slots"] is None
     assert agg["packets"]["deadline_hit_fraction"] == 0.0
     assert agg["energy"]["total_j"] == 0.0
+
+
+def test_latencies_are_null_when_every_packet_is_lost():
+    report = _report()
+    report.packets = [_packet(0, 0, False)]
+    packets = report.aggregates()["packets"]
+    assert packets["latency_p50_slots"] is None and packets["latency_p99_s"] is None
+    assert packets["deadline_hit_fraction"] == 0.0
 
 
 def test_record_energy_accumulates_within_a_slot():
@@ -109,7 +110,7 @@ def test_record_energy_allocates_a_series_only_for_a_new_an():
 
 def test_write_emits_the_golden_csv_shapes(tmp_path):
     report = _report()
-    report.packets = [_packet(0, 0, True, 0, replicas=2, paths=2), _packet(1, 0, False, None)]
+    report.packets = [_packet(0, 0, True, replicas=2, paths=2), _packet(1, 0, False)]
     report.decisions = [
         DecisionRecord(kind="offload", slot=3, an_id=0, vehicle_id=1, service_id=2,
                        decision="local", latency_s=0.004, energy_j=0.05),
@@ -134,7 +135,7 @@ def test_write_emits_the_golden_csv_shapes(tmp_path):
 
 def test_summary_is_byte_stable_across_writes(tmp_path):
     report = _report()
-    report.packets = [_packet(0, 0, True, 0)]
+    report.packets = [_packet(0, 0, True)]
     a = report.write(tmp_path / "a")["summary"].read_bytes()
     b = report.write(tmp_path / "b")["summary"].read_bytes()
     assert a == b

@@ -68,7 +68,6 @@ def test_degenerate_scenario_delivers_everything_in_one_slot():
     agg = report.aggregates()
     assert agg["packets"]["success_rate"] == 1.0
     assert agg["packets"]["latency_p99_slots"] == 1.0
-    assert all(p.latency_slots == 1 for p in report.packets)
 
 
 def test_velocity_schedule_switches_the_class_at_its_slot():

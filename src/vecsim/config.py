@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import sys
 import types
 import typing
 from dataclasses import dataclass, field
@@ -188,6 +189,9 @@ class ScenarioConfig:
         return {ap.ap_id: ap.an_id for ap in self.aps}
 
 
+MAX_SNR_DB = 1000.0     # keeps 10 ** (snr_db / 10) in mac.effective_snr_db, and its AF product, finite
+
+
 def validate_scenario(cfg: ScenarioConfig) -> list[str]:
     """All invariant checks; returns a list of 'path: problem' strings."""
     errors: list[str] = []
@@ -210,8 +214,15 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
         except ModelValidationError as exc:
             errors.append(f"mobility: {exc}")
 
-    if cfg.channel.ref_distance_m <= 0:
-        errors.append(f"channel.ref_distance_m: must be > 0, got {cfg.channel.ref_distance_m}")
+    ch = cfg.channel
+    if ch.ref_distance_m <= 0:
+        errors.append(f"channel.ref_distance_m: must be > 0, got {ch.ref_distance_m}")
+    if ch.pathloss_exp < 0:     # then no SNR exceeds the peak, at the reference distance
+        errors.append(f"channel.pathloss_exp: must be >= 0, got {ch.pathloss_exp}")
+    if (peak := ch.tx_power_dbm - ch.pl0_db - ch.noise_dbm) > MAX_SNR_DB:
+        errors.append(
+            f"channel: peak SNR tx_power_dbm - pl0_db - noise_dbm must be <= {MAX_SNR_DB:g}, got {peak:g}"
+        )
 
     cells = set(cfg.road.centers)
     vclasses = set(cfg.mobility.rows)
@@ -237,6 +248,8 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
         seen_aps.add(ap.ap_id)
         if ap.an_id not in an_ids:
             errors.append(f"aps[{i}].an_id: unknown AN {ap.an_id}")
+        if ap.fronthaul_snr_db > MAX_SNR_DB:
+            errors.append(f"aps[{i}].fronthaul_snr_db: must be <= {MAX_SNR_DB:g}, got {ap.fronthaul_snr_db:g}")
     if not cfg.aps:
         errors.append("aps: at least one AP required")
 
@@ -473,13 +486,17 @@ def _convert(value, hint, path: str, errors: list[str]):
     """`value`, a parsed JSON tree, as an instance of the type `hint`.
 
     Problems are appended to `errors` as "dotted.path: problem"; the result is
-    meaningless once any is added. Integers reject booleans and floats; JSON
+    meaningless once any is added. Integers reject booleans and floats, floats
+    reject NaN and the infinities (Python's JSON reader accepts both); JSON
     lists become lists or tuples, dict[int, ...] keys are parsed from the
     JSON object's string keys, and `object` takes any JSON value as it is.
     """
     if hint is object:
         return value
     if hint in _SCALARS:
+        if hint is float and type(value) in (int, float) and not abs(value) <= sys.float_info.max:
+            errors.append(f"{path}: expected a finite number, got {value!r}")   # or an int no float holds
+            return None
         if type(value) is hint or (hint is float and type(value) is int):
             return float(value) if hint is float else value
         errors.append(f"{path}: expected {_SCALARS[hint]}, got {value!r}")

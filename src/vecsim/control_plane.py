@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 
 import networkx as nx
 
+MAX_BALANCE_PASSES = 50     # full rerouting passes balance_control_traffic makes at most
+
 
 class InfeasiblePlacement(Exception):
     """No controller set can serve the demand; .binding names the constraint."""
@@ -46,10 +48,6 @@ class ControlTopology:
     capacity: dict[int, float]
     edges: dict[tuple[int, int], tuple[float, float]]   # (u, v) -> (weight_s, capacity)
     kappa: float = 1e-4
-
-    @property
-    def node_count(self) -> int:
-        return len(self.capacity)
 
     def graph(self) -> nx.Graph:
         g = nx.Graph()
@@ -157,7 +155,7 @@ def place_controllers(
             binding="latency",
         )
 
-    if topology.node_count <= exact_limit:
+    if len(topology.capacity) <= exact_limit:
         return _place_exact(topology, demands, options, latency_bound)
     return _place_greedy(topology, demands, options, dist, latency_bound)
 
@@ -230,14 +228,13 @@ def balance_control_traffic(
     placement: Placement,
     topology: ControlTopology,
     demands: list[Demand],
-    max_passes: int = 50,
 ) -> ControlFlowRouting:
     """Route each vehicle's control flow to its controller, then locally improve.
 
     Edge latency is w_e + kappa * load / (cap - load). One vehicle at a time
     is rerouted onto the path minimizing the marginal total latency; the loop
-    stops when a full pass accepts no move. Total latency strictly decreases
-    per accepted move, so termination is guaranteed.
+    stops when a full pass accepts no move, after at most MAX_BALANCE_PASSES.
+    Total latency strictly decreases per accepted move, so it terminates.
     """
     g = topology.graph()
     by_vehicle = {d.vehicle_id: d for d in demands}
@@ -285,7 +282,7 @@ def balance_control_traffic(
 
     total_rate = sum(by_vehicle[v].rate for v in placement.domain)
     current = total_latency()
-    for _ in range(max_passes):
+    for _ in range(MAX_BALANCE_PASSES):
         improved = False
         for vid in sorted(placement.domain):
             d = by_vehicle[vid]

@@ -1,15 +1,21 @@
-"""Per-packet records, per-slot energy, aggregates, and file emission.
+"""Run counters, per-slot energy, and the three output files.
 
-Aggregates are pure functions of the recorded events, so two identical runs
-produce identical reports. Output schema is versioned and frozen: packets.csv
-and decisions.csv headers and summary.json keys are part of the public
-contract (golden-tested).
+Phases count into the report's summary sections and aggregates() derives the
+ratios. A packet or decision row is final when it is recorded (uplink access
+is grant-free: a packet is decoded in its emit slot or lost), so it goes
+straight to a temporary file that write() copies out after the header. The
+output schema is versioned and frozen: the CSV headers and summary.json keys
+are part of the public contract (golden-tested).
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
+import shutil
+import tempfile
+import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -20,41 +26,21 @@ PACKETS_HEADER = ["vehicle_id", "emit_slot", "delivered", "latency_slots", "repl
 DECISIONS_HEADER = ["kind", "slot", "an_id", "vehicle_id", "service_id", "decision", "latency_s", "energy_j"]
 
 
-@dataclass(frozen=True)
-class PacketRecord:
-    """One uplink packet. Access is open-loop and grant-free: a packet is
-    delivered in its emit slot (a latency of one slot) or lost."""
-
-    vehicle_id: int
-    emit_slot: int
-    delivered: bool
-    replicas: int
-    paths: int
-
-
-@dataclass(frozen=True)
-class DecisionRecord:
-    kind: str                      # offload | controller | domain
-    slot: int
-    an_id: int | None = None
-    vehicle_id: int | None = None
-    service_id: int | None = None
-    decision: str = ""
-    latency_s: float | None = None
-    energy_j: float | None = None
-
-
 @dataclass
 class MetricsReport:
-    """Everything a run measured; aggregates derive from the raw records."""
+    """Everything a run measured: summary counters plus two row sinks.
+
+    record_packet and record_decision write their row at once, so a run keeps
+    no per-row state; the other sections are dicts the phases count into.
+    """
 
     scenario_name: str
     seed: int
     horizon: int
     slot_duration: float
     latency_deadline_s: float
-    packets: list[PacketRecord] = field(default_factory=list)
-    decisions: list[DecisionRecord] = field(default_factory=list)
+    packets_emitted: int = 0
+    packets_delivered: int = 0
     energy_per_an: dict[int, list[float]] = field(default_factory=dict)
     downlink: dict[str, float] = field(default_factory=dict)
     prediction: dict[str, float] = field(default_factory=dict)
@@ -63,6 +49,27 @@ class MetricsReport:
     cipher: dict[str, float] = field(default_factory=dict)
     slices: dict[str, float] = field(default_factory=dict)
     bandit: dict[str, object] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        self._sinks = {name: tempfile.TemporaryFile("w+", newline="", encoding="utf-8")
+                       for name in ("packets", "decisions")}
+        for sink in self._sinks.values():
+            weakref.finalize(self, sink.close)      # closed with the report, not leaked
+        self._packet_row = csv.writer(self._sinks["packets"]).writerow
+        self._decision_row = csv.writer(self._sinks["decisions"]).writerow
+
+    def record_packet(self, vehicle_id: int, emit_slot: int, delivered: bool, replicas: int, paths: int):
+        """One uplink packet, delivered in its emit slot (a latency of one slot) or lost."""
+        self.packets_emitted += 1
+        self.packets_delivered += delivered
+        self._packet_row([vehicle_id, emit_slot, int(delivered), 1 if delivered else "", replicas, paths])
+
+    def record_decision(self, kind: str, slot: int, an_id: int | None = None, vehicle_id: int | None = None,
+                        service_id: int | None = None, decision: str = "", latency_s: float | None = None,
+                        energy_j: float | None = None):
+        """One offload or controller decision; a None field is left blank."""
+        row = (kind, slot, an_id, vehicle_id, service_id, decision, latency_s, energy_j)
+        self._decision_row(["" if v is None else v for v in row])
 
     def record_energy(self, an_id: int, slot: int, joules: float) -> None:
         series = self.energy_per_an.get(an_id)
@@ -73,9 +80,7 @@ class MetricsReport:
     # -- aggregates ---------------------------------------------------------
 
     def aggregates(self) -> dict:
-        emitted = len(self.packets)
-        delivered = sum(1 for p in self.packets if p.delivered)
-        lost = emitted - delivered
+        emitted, delivered = self.packets_emitted, self.packets_delivered
         latency_slots = 1.0 if delivered else None
         latency_s = self.slot_duration if delivered else None
         meets_deadline = self.slot_duration <= self.latency_deadline_s * (1 + 1e-9)
@@ -83,7 +88,7 @@ class MetricsReport:
             str(an): float(np.mean(series)) if series else 0.0
             for an, series in sorted(self.energy_per_an.items())
         }
-        out = {
+        return {
             "schema_version": SCHEMA_VERSION,
             "scenario": self.scenario_name,
             "seed": self.seed,
@@ -93,7 +98,7 @@ class MetricsReport:
             "packets": {
                 "emitted": emitted,
                 "delivered": delivered,
-                "lost": lost,
+                "lost": emitted - delivered,
                 "success_rate": delivered / emitted if emitted else 0.0,
                 "latency_p50_slots": latency_slots,
                 "latency_p99_slots": latency_slots,
@@ -113,7 +118,6 @@ class MetricsReport:
             "slices": dict(sorted(self.slices.items())),
             "bandit": {k: self.bandit[k] for k in sorted(self.bandit)},
         }
-        return out
 
     # -- emission -----------------------------------------------------------
 
@@ -125,39 +129,16 @@ class MetricsReport:
             "summary": out / "summary.json",
             "decisions": out / "decisions.csv",
         }
-        with paths["packets"].open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(PACKETS_HEADER)
-            for p in self.packets:
-                writer.writerow([
-                    p.vehicle_id,
-                    p.emit_slot,
-                    int(p.delivered),
-                    1 if p.delivered else "",
-                    p.replicas,
-                    p.paths,
-                ])
-        with paths["decisions"].open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(DECISIONS_HEADER)
-            for d in self.decisions:
-                writer.writerow([
-                    d.kind,
-                    d.slot,
-                    _blank(d.an_id),
-                    _blank(d.vehicle_id),
-                    _blank(d.service_id),
-                    d.decision,
-                    _blank(d.latency_s),
-                    _blank(d.energy_j),
-                ])
+        for name, header in (("packets", PACKETS_HEADER), ("decisions", DECISIONS_HEADER)):
+            sink = self._sinks[name]
+            with paths[name].open("w", newline="", encoding="utf-8") as fh:
+                csv.writer(fh).writerow(header)
+                sink.seek(0)
+                shutil.copyfileobj(sink, fh)
+            sink.seek(0, io.SEEK_END)       # later rows append after the copied ones
         write_summary(self.aggregates(), paths["summary"])
         return paths
 
 
 def write_summary(summary: dict, path: Path) -> None:
     path.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-
-
-def _blank(value):
-    return "" if value is None else value

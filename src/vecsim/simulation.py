@@ -17,7 +17,7 @@ import numpy as np
 from vecsim import channel, cipher, clustering, control_plane, ecorouting, edge, mac, mobility, predictor
 from vecsim.config import ConfigError, ScenarioConfig, validate_scenario
 from vecsim.kernel import Phase, SlotEngine, SlotTime
-from vecsim.metrics import DecisionRecord, MetricsReport, PacketRecord
+from vecsim.metrics import MetricsReport
 from vecsim.rng import RngStream
 
 
@@ -203,11 +203,13 @@ class Simulation:
         # allocate_slices validates disjointness every slot, so overlaps stay 0
         r.slices = {"allocated_ctus": 0, "unsatisfied": 0, "overlaps": 0}
         r.bandit = {"replica_histogram": {}, "collision_ctus": 0, "mud_resolved_ctus": 0}
+        r.edge = {"tasks": 0, "local": 0}
         # Sums behind the ratios, which have no summary key of their own.
         self.downlink_power_sum = 0.0
         self.pred_correct = 0
         self.persist_bits = 0
         self.persist_correct = 0
+        self.edge_latency_sum = 0.0
 
         self._register()
 
@@ -339,15 +341,7 @@ class Simulation:
                         heard_aps.add(ap)
                 outcome = mac.combine(flags, resolved_by_mud=any_mud)
                 paths = len(set(vr.selection.target_aps))
-            self.report.packets.append(
-                PacketRecord(
-                    vehicle_id=vid,
-                    emit_slot=t.index,
-                    delivered=outcome.combined,
-                    replicas=vr.last_replicas or 0,
-                    paths=paths,
-                )
-            )
+            self.report.record_packet(vid, t.index, outcome.combined, vr.last_replicas or 0, paths)
             vr.last_outcome = outcome
             bits = tuple(1 if ap in heard_aps else 0 for ap in self.ap_ids)
             vr.assoc_true = predictor.AssociationVector(vid, t.index, bits)
@@ -500,9 +494,7 @@ class Simulation:
             rounds, _ = control_plane.sync_controllers(sync_graph, views)
             entry["sync_rounds"] = rounds
             for c in sorted(placement.controllers):
-                self.report.decisions.append(
-                    DecisionRecord(kind="controller", slot=t.index, an_id=c, decision="open")
-                )
+                self.report.record_decision("controller", t.index, an_id=c, decision="open")
         except control_plane.InfeasiblePlacement as exc:
             entry["infeasible"] = exc.binding
         except control_plane.CongestionInfeasible:
@@ -542,20 +534,15 @@ class Simulation:
                     task, service, ar.cache, ar.ledger, ar.queued_cycles, self.cparams,
                     policy=ec.offload_policy,
                 )
+                self.report.edge["tasks"] += 1
                 if decision.where == "local":
+                    self.report.edge["local"] += 1
                     ar.queued_cycles += service.cycles_per_task
                 ar.slot_energy += decision.energy_j
-                self.report.decisions.append(
-                    DecisionRecord(
-                        kind="offload",
-                        slot=t.index,
-                        an_id=an_id,
-                        vehicle_id=vid,
-                        service_id=service.service_id,
-                        decision=decision.where,
-                        latency_s=decision.latency_s,
-                        energy_j=decision.energy_j,
-                    )
+                self.edge_latency_sum += decision.latency_s
+                self.report.record_decision(
+                    "offload", t.index, an_id, vid, service.service_id,
+                    decision.where, decision.latency_s, decision.energy_j,
                 )
         for an_id in self.an_ids:
             ar = self.ans[an_id]
@@ -620,22 +607,12 @@ class Simulation:
         r.prediction["persistence_accuracy"] = (
             (self.persist_correct / self.persist_bits) if self.persist_bits else None
         )
-        r.edge = self._edge_summary()
+        tasks, local = r.edge["tasks"], r.edge["local"]
+        r.edge["cloud"] = tasks - local
+        r.edge["local_fraction"] = (local / tasks) if tasks else None
+        r.edge["mean_latency_s"] = (self.edge_latency_sum / tasks) if tasks else None
+        r.edge["final_deficit_by_an"] = {str(a): self.ans[a].ledger.deficit for a in self.an_ids}
         return r
-
-    def _edge_summary(self) -> dict:
-        offloads = [d for d in self.report.decisions if d.kind == "offload"]
-        local = sum(1 for d in offloads if d.decision == "local")
-        n = len(offloads)
-        deficits = {a: self.ans[a].ledger.deficit for a in self.an_ids}
-        return {
-            "tasks": n,
-            "local": local,
-            "cloud": n - local,
-            "local_fraction": (local / n) if n else None,
-            "mean_latency_s": (sum(d.latency_s for d in offloads) / n) if n else None,
-            "final_deficit_by_an": {str(a): deficits[a] for a in sorted(deficits)},
-        }
 
 
 def run_scenario(cfg: ScenarioConfig) -> MetricsReport:

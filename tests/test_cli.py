@@ -249,6 +249,49 @@ def test_a_bad_control_topology_exits_two_naming_its_path(override, path, tmp_pa
     assert any(e.startswith(f"{path}:") for e in json.loads(stdout)["errors"])
 
 
+def _smoke_aps_with(**changes) -> str:
+    aps = json.loads(scenario_path("smoke").read_text())["aps"]
+    aps[1].update(changes)
+    return json.dumps(aps)
+
+
+@pytest.mark.parametrize(("override", "path"), [
+    ("slot_duration=NaN", "slot_duration"),
+    ("latency_deadline_s=NaN", "latency_deadline_s"),
+    ("channel.tx_power_dbm=Infinity", "channel.tx_power_dbm"),
+    ("downlink.w_power=-Infinity", "downlink.w_power"),
+    ("downlink.power_levels_w=[0.1,NaN]", "downlink.power_levels_w[1]"),
+    ('mac.bler_beta={"128":Infinity}', "mac.bler_beta[128]"),
+    ("channel.tx_power_dbm=1e9", "channel"),
+    ("channel.noise_dbm=-2000", "channel"),
+    ("channel.pathloss_exp=-1e9", "channel.pathloss_exp"),
+    (f"aps={_smoke_aps_with(fronthaul_snr_db=1e9)}", "aps[1].fronthaul_snr_db"),
+])
+def test_a_non_finite_or_overflowing_number_exits_two_naming_its_path(override, path, tmp_path, capsys):
+    code, stdout = _run(
+        capsys, "run", str(scenario_path("smoke")), "--out", str(tmp_path),
+        "--override", "horizon=5", "--override", override,
+    )
+    assert code == 2
+    assert any(e.startswith(f"{path}:") for e in json.loads(stdout)["errors"])
+
+
+@pytest.mark.parametrize(("section", "key", "value"), [
+    (None, "slot_duration", float("nan")),
+    ("channel", "pl0_db", float("-inf")),
+    ("channel", "tx_power_dbm", 10**400),      # an integer no float can hold
+], ids=["nan", "minus_infinity", "huge_integer"])
+def test_a_non_finite_number_in_a_file_fails_validation_naming_its_path(section, key, value, tmp_path, capsys):
+    data = json.loads(scenario_path("smoke").read_text())
+    (data.setdefault(section, {}) if section else data)[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code, stdout = _run(capsys, "validate", str(bad))
+    assert code == 2
+    path = f"{section}.{key}" if section else key
+    assert any(e.startswith(f"{path}: expected a finite number") for e in json.loads(stdout)["errors"])
+
+
 def _sweep_spec(**changes) -> dict:
     spec = {
         "scenario": str(scenario_path("degenerate")),

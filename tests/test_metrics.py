@@ -3,19 +3,15 @@
 from __future__ import annotations
 
 import csv
+import gc
 import json
 import tracemalloc
 
 import pytest
 
-from vecsim.metrics import (
-    DECISIONS_HEADER,
-    PACKETS_HEADER,
-    SCHEMA_VERSION,
-    DecisionRecord,
-    MetricsReport,
-    PacketRecord,
-)
+from conftest import load_bundled
+from vecsim.metrics import DECISIONS_HEADER, PACKETS_HEADER, SCHEMA_VERSION, MetricsReport
+from vecsim.simulation import run_scenario
 
 
 def _report(**kw) -> MetricsReport:
@@ -24,8 +20,10 @@ def _report(**kw) -> MetricsReport:
     return MetricsReport(**base)
 
 
-def _packet(vid, emit, delivered, replicas=1, paths=1) -> PacketRecord:
-    return PacketRecord(vehicle_id=vid, emit_slot=emit, delivered=delivered, replicas=replicas, paths=paths)
+def _record_packets(report, *packets) -> None:
+    """Each packet as (vehicle_id, emit_slot, delivered[, replicas, paths])."""
+    for vid, emit, delivered, *rest in packets:
+        report.record_packet(vid, emit, delivered, *(rest or (1, 1)))
 
 
 def test_headers_are_frozen():
@@ -38,12 +36,13 @@ def test_headers_are_frozen():
 
 def test_aggregates_on_a_hand_built_report():
     report = _report()
-    report.packets = [
-        _packet(0, 0, True),          # delivered in its 1 ms slot, within the 2 ms deadline
-        _packet(0, 1, True),
-        _packet(1, 0, True),
-        _packet(1, 1, False),
-    ]
+    _record_packets(
+        report,
+        (0, 0, True),          # delivered in its 1 ms slot, within the 2 ms deadline
+        (0, 1, True),
+        (1, 0, True),
+        (1, 1, False),
+    )
     report.record_energy(0, 0, 0.25)
     report.record_energy(0, 3, 0.25)
     report.record_energy(1, 0, 1.0)
@@ -64,7 +63,7 @@ def test_aggregates_on_a_hand_built_report():
 
 def test_a_slot_longer_than_the_deadline_hits_it_never():
     report = _report(slot_duration=0.003)
-    report.packets = [_packet(0, 0, True), _packet(0, 1, False)]
+    _record_packets(report, (0, 0, True), (0, 1, False))
     agg = report.aggregates()
     assert agg["packets"]["delivered"] == 1
     assert agg["packets"]["latency_p99_s"] == 0.003
@@ -81,7 +80,7 @@ def test_aggregates_with_no_packets():
 
 def test_latencies_are_null_when_every_packet_is_lost():
     report = _report()
-    report.packets = [_packet(0, 0, False)]
+    _record_packets(report, (0, 0, False))
     packets = report.aggregates()["packets"]
     assert packets["latency_p50_slots"] is None and packets["latency_p99_s"] is None
     assert packets["deadline_hit_fraction"] == 0.0
@@ -108,14 +107,35 @@ def test_record_energy_allocates_a_series_only_for_a_new_an():
     assert report.energy_per_an[0][999_999] == 1.0
 
 
+def _retained_bytes(horizon: int) -> tuple[int, int]:
+    """Traced bytes a finished smoke run still holds, and its vehicle count."""
+    cfg = load_bundled("smoke", horizon=horizon)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        report = run_scenario(cfg)
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del report
+    return retained, len(cfg.vehicles)
+
+
+def test_a_run_retains_no_per_packet_state():
+    run_scenario(load_bundled("smoke", horizon=20))      # warm module-level caches first
+    short, vehicles = _retained_bytes(500)
+    long, _ = _retained_bytes(2000)
+    # What remains per slot is the per-AN energy series, 2 ANs x 32 B over 2 vehicles.
+    assert (long - short) / (vehicles * 1500) < 64
+
+
 def test_write_emits_the_golden_csv_shapes(tmp_path):
     report = _report()
-    report.packets = [_packet(0, 0, True, replicas=2, paths=2), _packet(1, 0, False)]
-    report.decisions = [
-        DecisionRecord(kind="offload", slot=3, an_id=0, vehicle_id=1, service_id=2,
-                       decision="local", latency_s=0.004, energy_j=0.05),
-        DecisionRecord(kind="controller", slot=5, decision="place:0"),
-    ]
+    _record_packets(report, (0, 0, True, 2, 2), (1, 0, False))
+    report.record_decision("offload", 3, an_id=0, vehicle_id=1, service_id=2,
+                           decision="local", latency_s=0.004, energy_j=0.05)
+    report.record_decision("controller", 5, decision="place:0")
     paths = report.write(tmp_path)
     with paths["packets"].open(newline="") as fh:
         rows = list(csv.reader(fh))
@@ -135,7 +155,13 @@ def test_write_emits_the_golden_csv_shapes(tmp_path):
 
 def test_summary_is_byte_stable_across_writes(tmp_path):
     report = _report()
-    report.packets = [_packet(0, 0, True)]
-    a = report.write(tmp_path / "a")["summary"].read_bytes()
-    b = report.write(tmp_path / "b")["summary"].read_bytes()
-    assert a == b
+    _record_packets(report, (0, 0, True))
+    report.record_decision("controller", 0, an_id=0, decision="open")
+    a = report.write(tmp_path / "a")
+    b = report.write(tmp_path / "b")
+    for name in ("packets", "decisions", "summary"):
+        assert a[name].read_bytes() == b[name].read_bytes()
+    # rows recorded after a write still follow the earlier ones
+    _record_packets(report, (1, 1, False))
+    with report.write(tmp_path / "c")["packets"].open(newline="") as fh:
+        assert list(csv.reader(fh))[1:] == [["0", "0", "1", "1", "1", "1"], ["1", "1", "0", "", "1", "1"]]

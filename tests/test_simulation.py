@@ -2,26 +2,34 @@
 
 from __future__ import annotations
 
+import csv
+
 import pytest
 
 from conftest import load_bundled
 from vecsim.simulation import Simulation, run_scenario
 
 
-def test_one_packet_record_per_vehicle_per_slot():
+def _written(report, out) -> dict[str, bytes]:
+    return {name: path.read_bytes() for name, path in report.write(out).items()}
+
+
+def test_one_packet_record_per_vehicle_per_slot(tmp_path):
     cfg = load_bundled("smoke", horizon=60)
     report = run_scenario(cfg)
     n_vehicles = len(cfg.vehicles)
-    assert len(report.packets) == 60 * n_vehicles
-    seen = {(p.vehicle_id, p.emit_slot) for p in report.packets}
+    assert report.packets_emitted == 60 * n_vehicles
+    with report.write(tmp_path)["packets"].open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 60 * n_vehicles
+    seen = {(row["vehicle_id"], row["emit_slot"]) for row in rows}
     assert len(seen) == 60 * n_vehicles
 
 
-def test_identical_configs_produce_identical_reports():
+def test_identical_configs_produce_identical_reports(tmp_path):
     a = run_scenario(load_bundled("smoke", horizon=50))
     b = run_scenario(load_bundled("smoke", horizon=50))
-    assert a.packets == b.packets
-    assert a.decisions == b.decisions
+    assert _written(a, tmp_path / "a") == _written(b, tmp_path / "b")
     assert a.aggregates() == b.aggregates()
 
 
@@ -33,22 +41,22 @@ def test_different_seeds_diverge():
     assert (a.downlink, a.edge, a.prediction) != (b.downlink, b.edge, b.prediction)
 
 
-def test_cipher_toggle_never_shifts_the_data_plane():
+def test_cipher_toggle_never_shifts_the_data_plane(tmp_path):
     # entity-scoped rng streams: switching one subsystem off must not
     # perturb draws anywhere else
     on = run_scenario(load_bundled("smoke", horizon=60))
     off = run_scenario(load_bundled("smoke", horizon=60, cipher__enabled=False))
-    assert on.packets == off.packets
+    assert _written(on, tmp_path / "on")["packets"] == _written(off, tmp_path / "off")["packets"]
     agg_on, agg_off = on.aggregates(), off.aggregates()
     for section in ("packets", "prediction", "downlink", "bandit", "slices", "energy"):
         assert agg_on[section] == agg_off[section]
     assert agg_on["cipher"] != agg_off["cipher"]
 
 
-def test_edge_toggle_never_shifts_the_data_plane():
+def test_edge_toggle_never_shifts_the_data_plane(tmp_path):
     on = run_scenario(load_bundled("smoke", horizon=60))
     off = run_scenario(load_bundled("smoke", horizon=60, edge_compute__enabled=False))
-    assert on.packets == off.packets
+    assert _written(on, tmp_path / "on")["packets"] == _written(off, tmp_path / "off")["packets"]
     assert on.aggregates()["prediction"] == off.aggregates()["prediction"]
 
 

@@ -190,6 +190,8 @@ class ScenarioConfig:
 
 
 MAX_SNR_DB = 1000.0     # keeps 10 ** (snr_db / 10) in mac.effective_snr_db, and its AF product, finite
+MAX_CTU_POOL = 1 << 16  # the downlink lists every free CTU of the pool in each slot
+MAX_AP_RANKS = 1024     # each downlink decision scans all ap_ranks x power level actions
 
 
 def validate_scenario(cfg: ScenarioConfig) -> list[str]:
@@ -261,6 +263,10 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
         if slot < 0:
             errors.append(f"velocity_schedule[{i}]: negative slot {slot}")
 
+    if cfg.ctu_pool.size > MAX_CTU_POOL:
+        errors.append(
+            f"ctu_pool: slots_per_frame * freq_blocks * sequences must be <= {MAX_CTU_POOL}, got {cfg.ctu_pool.size}"
+        )
     mac = cfg.mac
     if mac.payload_bits < 1:
         errors.append(f"mac.payload_bits: must be >= 1, got {mac.payload_bits}")
@@ -307,6 +313,8 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
         errors.append("downlink.power_levels_w: need at least one positive level")
     if dl.ap_ranks < 1:
         errors.append("downlink.ap_ranks: must be >= 1")
+    elif dl.ap_ranks > MAX_AP_RANKS:
+        errors.append(f"downlink.ap_ranks: must be <= {MAX_AP_RANKS}, got {dl.ap_ranks}")
     if not 0.0 < dl.eta <= 1.0:
         errors.append(f"downlink.eta: must lie in (0, 1], got {dl.eta}")
     if not 0.0 <= dl.gamma < 1.0:

@@ -2,17 +2,19 @@
 
 Three coupled pieces: minimum-count controller placement with vehicle domain
 assignment, control-traffic path balancing under a convex congestion latency,
-and versioned-view flooding between controllers. Placement is greedy
-set-cover at scale with an exact subset search for small topologies; the
-balancing loop reroutes one vehicle at a time until no move lowers the mean
-latency.
+and versioned-view flooding between controllers. Exact placement tries
+controller subsets in minimum-cardinality order and decides each with one
+integral max-flow over vehicle classes; topologies beyond `exact_limit` ANs
+get a greedy set-cover. The balancing loop reroutes one vehicle at a time,
+pricing its old and new paths by their marginal cost, until no move lowers
+the total latency.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import networkx as nx
 
@@ -89,36 +91,16 @@ def _norm_edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-def _assignment_backtrack(
-    demands: list[Demand],
-    options: dict[int, list[int]],
-    capacity: dict[int, float],
-) -> dict[int, int] | None:
-    """Exact capacity-respecting assignment, or None.
-
-    Vehicles are tried most-constrained first; candidate controllers by
-    remaining capacity (id tiebreak). Desk-scale instances only.
-    """
-    order = sorted(demands, key=lambda d: (len(options[d.vehicle_id]), -d.rate, d.vehicle_id))
-    remaining = dict(capacity)
-    assigned: dict[int, int] = {}
-
-    def recurse(i: int) -> bool:
-        if i == len(order):
-            return True
-        d = order[i]
-        cands = sorted(options[d.vehicle_id], key=lambda c: (-remaining[c], c))
-        for c in cands:
-            if remaining[c] + 1e-12 >= d.rate:
-                remaining[c] -= d.rate
-                assigned[d.vehicle_id] = c
-                if recurse(i + 1):
-                    return True
-                remaining[c] += d.rate
-                del assigned[d.vehicle_id]
-        return False
-
-    return assigned if recurse(0) else None
+def _slots(capacity: float, rate: float, most: int) -> int:
+    """Largest n <= most with n * rate <= capacity + 1e-12, in closed form."""
+    q = (capacity + 1e-12) / rate if rate > 0 else math.inf
+    n = most if q >= most else math.floor(q)
+    # the quotient may round across an integer; one step either way corrects it
+    if n < most and (n + 1) * rate <= capacity + 1e-12:
+        n += 1
+    elif n > 0 and n * rate > capacity + 1e-12:
+        n -= 1
+    return n
 
 
 def place_controllers(
@@ -131,9 +113,12 @@ def place_controllers(
 
     Every vehicle must be assigned to a controller whose shortest-path latency
     from the vehicle's ingress AN is within `latency_bound`, without
-    overflowing controller capacity. Topologies up to `exact_limit` ANs get an
-    exhaustive subset search; larger ones a greedy set-cover.
+    overflowing controller capacity. All demands must share one rate.
+    Topologies up to `exact_limit` ANs get an exhaustive subset search;
+    larger ones a greedy set-cover.
     """
+    if len({d.rate for d in demands}) > 1:
+        raise ValueError(f"demands must share one rate, got {sorted({d.rate for d in demands})}")
     total_demand = sum(d.rate for d in demands)
     total_capacity = sum(topology.capacity.values())
     if total_demand > total_capacity + 1e-12:
@@ -142,13 +127,11 @@ def place_controllers(
             binding="capacity",
         )
     dist = topology.all_pairs_latency()
-    options = {
-        d.vehicle_id: sorted(
-            an for an in topology.capacity if dist[d.ingress_an].get(an, math.inf) <= latency_bound
-        )
-        for d in demands
+    reach = {     # ingress AN -> controllers within the bound, ascending
+        src: [an for an in sorted(topology.capacity) if dist[src].get(an, math.inf) <= latency_bound]
+        for src in sorted({d.ingress_an for d in demands})
     }
-    orphans = sorted(v for v, opts in options.items() if not opts)
+    orphans = sorted(d.vehicle_id for d in demands if not reach[d.ingress_an])
     if orphans:
         raise InfeasiblePlacement(
             f"vehicles {orphans} have no AN within latency bound {latency_bound}",
@@ -156,30 +139,51 @@ def place_controllers(
         )
 
     if len(topology.capacity) <= exact_limit:
-        return _place_exact(topology, demands, options, latency_bound)
-    return _place_greedy(topology, demands, options, dist, latency_bound)
+        return _place_exact(topology, demands, reach, latency_bound)
+    return _place_greedy(topology, demands, reach, dist, latency_bound)
 
 
-def _place_exact(topology, demands, options, latency_bound) -> Placement:
+def _place_exact(topology, demands, reach, latency_bound) -> Placement:
+    """First subset, in minimum-cardinality order, that hosts every vehicle.
+
+    With one rate a controller hosts at most `_slots` vehicles, so a subset is
+    feasible iff the integral max-flow source -> class -> controller -> sink
+    carries every vehicle. A class is the vehicles that reach the same
+    controllers of the subset; it hands its vehicles out in ascending id to
+    its controllers in ascending id, as many to each as the flow sends.
+    """
     ans = sorted(topology.capacity)
+    rate = demands[0].rate if demands else 0.0
+    slots = {an: _slots(topology.capacity[an], rate, len(demands)) for an in ans}
+    by_ingress: dict[int, list[int]] = {src: [] for src in reach}
+    for d in demands:
+        by_ingress[d.ingress_an].append(d.vehicle_id)
     for k in range(1, len(ans) + 1):
         for subset in itertools.combinations(ans, k):
-            sub = set(subset)
-            trimmed = {v: [c for c in opts if c in sub] for v, opts in options.items()}
-            if any(not opts for opts in trimmed.values()):
+            if sum(slots[c] for c in subset) < len(demands):
                 continue
-            assigned = _assignment_backtrack(demands, trimmed, topology.capacity)
-            if assigned is not None:
-                return Placement(
-                    controllers=frozenset(subset),
-                    domain=assigned,
-                    latency_bound=latency_bound,
-                    exact=True,
-                )
+            classes: dict[tuple[int, ...], list[int]] = {}     # reachable controllers -> vehicles
+            for src, vids in by_ingress.items():
+                classes.setdefault(tuple(c for c in reach[src] if c in subset), []).extend(vids)
+            g = nx.DiGraph()
+            g.add_node("s")
+            for ctrls, vids in sorted(classes.items()):
+                g.add_edge("s", ctrls, capacity=len(vids))
+                g.add_edges_from((ctrls, c) for c in ctrls)
+            g.add_edges_from((c, "t", {"capacity": slots[c]}) for c in subset)
+            value, flow = nx.maximum_flow(g, "s", "t")
+            if value < len(demands):
+                continue
+            domain: dict[int, int] = {}
+            for ctrls, vids in classes.items():
+                queue = iter(sorted(vids))
+                for c in ctrls:
+                    domain.update((next(queue), c) for _ in range(flow[ctrls][c]))
+            return Placement(frozenset(subset), domain, latency_bound, exact=True)
     raise InfeasiblePlacement("no controller subset can host all demand", binding="capacity")
 
 
-def _place_greedy(topology, demands, options, dist, latency_bound) -> Placement:
+def _place_greedy(topology, demands, reach, dist, latency_bound) -> Placement:
     unassigned = {d.vehicle_id: d for d in demands}
     open_controllers: list[int] = []
     remaining_cap = dict(topology.capacity)
@@ -190,7 +194,7 @@ def _place_greedy(topology, demands, options, dist, latency_bound) -> Placement:
             if an in open_controllers:
                 continue
             eligible = sorted(
-                (d for d in unassigned.values() if an in options[d.vehicle_id]),
+                (d for d in unassigned.values() if an in reach[d.ingress_an]),
                 key=lambda d: (dist[d.ingress_an][an], d.vehicle_id),
             )
             covered, weight, cap = [], 0.0, remaining_cap[an]
@@ -210,12 +214,7 @@ def _place_greedy(topology, demands, options, dist, latency_bound) -> Placement:
             domain[d.vehicle_id] = best_an
             remaining_cap[best_an] -= d.rate
             del unassigned[d.vehicle_id]
-    return Placement(
-        controllers=frozenset(open_controllers),
-        domain=domain,
-        latency_bound=latency_bound,
-        exact=False,
-    )
+    return Placement(frozenset(open_controllers), domain, latency_bound, exact=False)
 
 
 def _edge_latency(weight: float, cap: float, load: float, kappa: float) -> float:
@@ -231,10 +230,12 @@ def balance_control_traffic(
 ) -> ControlFlowRouting:
     """Route each vehicle's control flow to its controller, then locally improve.
 
-    Edge latency is w_e + kappa * load / (cap - load). One vehicle at a time
-    is rerouted onto the path minimizing the marginal total latency; the loop
-    stops when a full pass accepts no move, after at most MAX_BALANCE_PASSES.
-    Total latency strictly decreases per accepted move, so it terminates.
+    Edge latency is l_e(f) = w_e + kappa * f / (cap - f), and the total
+    latency is sum_e f_e * l_e(f_e). A Dijkstra weight is the exact change
+    in that total when a vehicle's rate joins the edge, so one vehicle at a
+    time leaves its path and moves onto the cheapest one if that costs more
+    than 1e-15 less than its old path, priced the same way. The loop stops
+    when a full pass moves no vehicle, after at most MAX_BALANCE_PASSES.
     """
     g = topology.graph()
     by_vehicle = {d.vehicle_id: d for d in demands}
@@ -257,15 +258,9 @@ def balance_control_traffic(
         for u, v in zip(path, path[1:]):
             load[_norm_edge(u, v)] += sign * rate
 
-    def total_latency() -> float:
-        total = 0.0
-        for vid, path in paths.items():
-            rate = by_vehicle[vid].rate
-            for u, v in zip(path, path[1:]):
-                e = _norm_edge(u, v)
-                w, cap = topology.edges[e]
-                total += rate * _edge_latency(w, cap, load[e], topology.kappa)
-        return total
+    def path_cost(path: list[int], weight_fn) -> float:
+        costs = [weight_fn(u, v, None) for u, v in zip(path, path[1:])]
+        return math.inf if None in costs else sum(costs)
 
     # initial greedy routing, ascending vehicle id
     for vid in sorted(placement.domain):
@@ -280,38 +275,29 @@ def balance_control_traffic(
         paths[vid] = path
         add_load(path, d.rate, +1.0)
 
-    total_rate = sum(by_vehicle[v].rate for v in placement.domain)
-    current = total_latency()
     for _ in range(MAX_BALANCE_PASSES):
         improved = False
         for vid in sorted(placement.domain):
             d = by_vehicle[vid]
             add_load(paths[vid], d.rate, -1.0)
+            weight_fn = marginal_weight(d.rate)
             try:
-                candidate = nx.dijkstra_path(
-                    g, d.ingress_an, placement.domain[vid], weight=marginal_weight(d.rate)
-                )
+                candidate = nx.dijkstra_path(g, d.ingress_an, placement.domain[vid], weight=weight_fn)
             except nx.NetworkXNoPath:
-                add_load(paths[vid], d.rate, +1.0)
-                continue
-            old_path = paths[vid]
-            paths[vid] = candidate
-            add_load(candidate, d.rate, +1.0)
-            new_total = total_latency()
-            if new_total < current - 1e-15:
-                current = new_total
+                candidate = paths[vid]
+            if path_cost(candidate, weight_fn) < path_cost(paths[vid], weight_fn) - 1e-15:
+                paths[vid] = candidate
                 improved = True
-            else:
-                add_load(candidate, d.rate, -1.0)
-                paths[vid] = old_path
-                add_load(old_path, d.rate, +1.0)
+            add_load(paths[vid], d.rate, +1.0)
         if not improved:
             break
 
     for e, f in load.items():
         if f >= topology.edges[e][1]:
             raise CongestionInfeasible(f"edge {e} carries {f} against capacity {topology.edges[e][1]}")
-    mean = current / total_rate if total_rate > 0 else 0.0
+    total = sum(f * _edge_latency(*topology.edges[e], f, topology.kappa) for e, f in load.items())
+    total_rate = sum(by_vehicle[v].rate for v in placement.domain)
+    mean = total / total_rate if total_rate > 0 else 0.0
     return ControlFlowRouting(paths=paths, edge_load=load, mean_latency=mean)
 
 

@@ -189,6 +189,10 @@ def test_overridden_config_revalidates_to_catch_new_problems():
     # used at set-up even with their subsystem switched off
     ({"edge_compute.enabled": False, "edge_compute.tradeoff_v": 0.0}, "edge_compute.tradeoff_v"),
     ({"cipher.enabled": False, "cipher.window": -1}, "cipher.window"),
+    # sizes that would be allocated: the free CTU list, the downlink actions
+    ({"ctu_pool.freq_blocks": 10**9}, "ctu_pool"),
+    ({"ctu_pool.sequences": 8193}, "ctu_pool"),
+    ({"downlink.ap_ranks": 1025}, "downlink.ap_ranks"),
 ])
 def test_runtime_divisors_and_sizes_are_range_checked(overrides, path):
     cfg = load_bundled("smoke")

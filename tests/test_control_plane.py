@@ -7,6 +7,8 @@ import itertools
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vecsim.control_plane import (
     CongestionInfeasible,
@@ -175,6 +177,98 @@ def test_greedy_placement_is_feasible_and_never_beats_exact():
         assert not greedy.exact
         _check_placement(topo, demands, greedy, bound)
         assert len(greedy.controllers) >= len(exact.controllers)
+
+
+@pytest.mark.parametrize("n_ans,vehicles,capacity,weight,bound,ingress", [
+    # 2000 vehicles: one search step per vehicle overflowed the recursion limit
+    (4, 2000, 700.0, 0.01, 0.01, lambda v: v % 4),
+    # no 2-AN subset has room for 60 vehicles, which took a full enumeration to prove
+    (6, 60, 20.5, 0.001, 1.0, lambda v: v % 6),
+    # half the fleet enters at AN 0 and the bound reaches only neighbours
+    (6, 60, 20.5, 0.01, 0.015, lambda v: 0 if v % 2 else 1 + v % 5),
+])
+def test_exact_placement_scales_past_the_old_walls(n_ans, vehicles, capacity, weight, bound, ingress):
+    topo = _topology({i: capacity for i in range(n_ans)}, [(i, i + 1, weight, 1e9) for i in range(n_ans - 1)])
+    demands = [Demand(v, ingress(v), 1.0) for v in range(vehicles)]
+    placement = place_controllers(topo, demands, bound)
+    assert placement.exact
+    assert len(placement.controllers) == _brute_force_optimum(topo, demands, bound)
+    _check_placement(topo, demands, placement, bound)
+
+
+@pytest.mark.parametrize("rate,capacity,vehicles,opened", [
+    (0.1, 0.3, 3, 1),       # 3 * 0.1 rounds above 0.3 but within the 1e-12 slack
+    (0.1, 0.3, 4, 2),
+    (1.0, 1e9, 5, 1),
+    (1e-300, 1e9, 5, 1),    # capacity / rate overflows to infinity
+])
+def test_controller_capacity_counts_whole_vehicles(rate, capacity, vehicles, opened):
+    topo = _topology({0: capacity, 1: capacity}, [(0, 1, 0.01, 1e9)])
+    demands = [Demand(v, 0, rate) for v in range(vehicles)]
+    placement = place_controllers(topo, demands, latency_bound=1.0)
+    assert len(placement.controllers) == opened
+    _check_placement(topo, demands, placement, 1.0)
+
+
+def test_placement_rejects_mixed_rates():
+    with pytest.raises(ValueError, match="one rate"):
+        place_controllers(_line(2), [Demand(0, 0, 1.0), Demand(1, 1, 2.0)], latency_bound=1.0)
+
+
+def _total_latency(topo, load):
+    return sum(f * _edge_latency(*topo.edges[e], f, topo.kappa) for e, f in load.items())
+
+
+@st.composite
+def equal_rate_instances(draw):
+    n = draw(st.integers(1, 7))
+    vehicles = draw(st.integers(1, 40))
+    edges = []
+    for v in range(1, n):
+        edges.append((draw(st.integers(0, v - 1)), v))
+    for _ in range(draw(st.integers(0, n))):
+        u, v = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if u != v and not any({a, b} == {u, v} for a, b in edges):
+            edges.append((u, v))
+    # edge capacity just above the fleet size: no path is ever blocked, so
+    # routing always succeeds, and the congestion latency is steep enough
+    # that the balancing passes move vehicles
+    weight = st.sampled_from([0.001, 0.002, 0.0025, 0.004])
+    topo = _topology(
+        {i: float(draw(st.integers(1, vehicles))) for i in range(n)},
+        [(u, v, draw(weight), float(vehicles + draw(st.integers(1, 8)))) for u, v in edges],
+        kappa=draw(st.sampled_from([1e-3, 1e-2])),
+    )
+    demands = [Demand(v, draw(st.integers(0, n - 1)), 1.0) for v in range(vehicles)]
+    bound = draw(st.sampled_from(sorted({d for row in topo.all_pairs_latency().values() for d in row.values()})))
+    return topo, demands, bound
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(equal_rate_instances())
+def test_flow_placement_and_path_cost_balancing_hold_their_invariants(instance):
+    topo, demands, bound = instance
+    optimum = _brute_force_optimum(topo, demands, bound)
+    if optimum is None:
+        with pytest.raises(InfeasiblePlacement):
+            place_controllers(topo, demands, bound)
+        return
+    placement = place_controllers(topo, demands, bound)
+    assert len(placement.controllers) == optimum
+    _check_placement(topo, demands, placement, bound)
+
+    routing = balance_control_traffic(placement, topo, demands)
+    total = _total_latency(topo, routing.edge_load)
+    assert routing.mean_latency * len(demands) == pytest.approx(total, rel=1e-12)
+    g = topo.graph()
+    for d in demands:
+        old = routing.paths[d.vehicle_id]
+        for path in nx.all_simple_paths(g, d.ingress_an, placement.domain[d.vehicle_id]):
+            load = dict(routing.edge_load)
+            for hops, sign in ((old, -1.0), (path, 1.0)):
+                for u, v in zip(hops, hops[1:]):
+                    load[(u, v) if u < v else (v, u)] += sign * d.rate
+            assert _total_latency(topo, load) >= total - 1e-12
 
 
 def test_routing_on_a_single_path_matches_the_congestion_formula():

@@ -1,5 +1,5 @@
 """Golden digests: the three contract files of every bundled scenario x seed,
-of a 400-cell line road built from smoke.json, and of smoke.json under five
+of a 400-cell line road built from smoke.json, and of smoke.json under six
 --override sets.
 
 These pins are the gate for refactors that must keep the trace: a change that
@@ -12,6 +12,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -132,7 +136,10 @@ def test_long_road_outputs_match_their_pinned_digests(seed, tmp_path, capsys):
 # (b) no downlink attempt at all, so the delivery and power ratios are null;
 # (c) and (d) the two fixed offloading policies, (d) with decode-and-forward;
 # (e) two ANs of unit controller capacity, so every checkpoint opens two
-#     controllers and the placement chooses each vehicle's domain.
+#     controllers and the placement chooses each vehicle's domain;
+# (f) twelve vehicles on three ANs of capacity 6 joined in a triangle, so
+#     each checkpoint splits the fleet between two controllers and the
+#     balancing chooses between the direct edge and the two-hop path.
 OVERRIDE_SETS = {
     "a": (
         "horizon=400", "bandit.enabled=true", "mac.k_max=1", "cipher.an_view_flip_prob=0.3",
@@ -142,6 +149,15 @@ OVERRIDE_SETS = {
     "c": ("horizon=300", "edge_compute.offload_policy=greedy_local"),
     "d": ("horizon=300", "edge_compute.offload_policy=always_cloud", "mac.relay_mode=DF"),
     "e": ("horizon=300", 'ans=[{"an_id":0,"controller_capacity":1.0},{"an_id":1,"controller_capacity":1.0}]'),
+    "f": (
+        "horizon=200",
+        "aps=" + json.dumps([{"ap_id": a, "x": 50.0 + 150.0 * a, "y": 10.0, "an_id": a} for a in range(3)]),
+        "ans=" + json.dumps([{"an_id": a, "controller_capacity": 6.0} for a in range(3)]),
+        "vehicles=" + json.dumps([{"vehicle_id": v, "cell": v % 5} for v in range(12)]),
+        "control.edges=[[0,1,0.001,20],[1,2,0.001,20],[0,2,0.0025,20]]",
+        "control.kappa=0.001",
+        "control.period_slots=10",
+    ),
 }
 
 OVERRIDDEN = {
@@ -195,6 +211,16 @@ OVERRIDDEN = {
         "18a7f1025a175bae58170b0abd3dd25a6d081df100ba063dfd9e2efe905ef30d",
         "fee019174e5a985c44a6278390505a549a5b7791cc9e167aa03d0789fd3139b2",
     ),
+    ("f", 0): (
+        "43877d122773c9879bc830b0847ac41d43fc9e0d112ad26a72c535b2c0cd543f",
+        "ef76ba51500a3d864e87bcaf2574b921e28959e0fbcd5ef5afbdffcb979b1368",
+        "c41bddc1153fb0cdc3e7d9864a38843d02d2624f3bf38ec613b83add8a2a954e",
+    ),
+    ("f", 1): (
+        "5e01198810a2af57e21b088ceda1873c0f761e78078cfd23bde433d131fa5090",
+        "d6900a4418ebf2c2cb85b3f4cc6ded5d1fd854c99b64cd30a331855aeec4fbb2",
+        "f5f755455513d962136eb7178571e2b1630b377c75c70ac590653709245bec04",
+    ),
 }
 
 
@@ -208,3 +234,19 @@ def test_overridden_smoke_outputs_match_their_pinned_digests(overrides, seed, tm
     assert code == 0
     digests = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in FILES)
     assert digests == OVERRIDDEN[(overrides, seed)]
+
+
+def test_override_set_f_is_independent_of_string_hashing(tmp_path):
+    # the placement's max-flow labels nodes with tuples and "s"/"t"; its
+    # output must not follow the per-process string hash seed
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = []
+    for hash_seed in ("1", "2"):
+        out = tmp_path / hash_seed
+        argv = ["run", str(scenario_path("smoke")), "--seed", "0", "--out", str(out)]
+        for override in OVERRIDE_SETS["f"]:
+            argv += ["--override", override]
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+        subprocess.run([sys.executable, "-m", "vecsim.cli", *argv], env=env, check=True, capture_output=True)
+        outputs.append([(out / f).read_bytes() for f in FILES])
+    assert outputs[0] == outputs[1]

@@ -1,6 +1,6 @@
 """Golden digests: the three contract files of every bundled scenario x seed,
-of a 400-cell line road built from smoke.json, and of smoke.json under six
---override sets.
+of a 400-cell line road built from smoke.json, of smoke.json under six
+--override sets, and of a 40-cell road whose vehicles switch velocity class.
 
 These pins are the gate for refactors that must keep the trace: a change that
 alters any of these bytes on purpose has to say so and re-pin them with the
@@ -250,3 +250,54 @@ def test_override_set_f_is_independent_of_string_hashing(tmp_path):
         subprocess.run([sys.executable, "-m", "vecsim.cli", *argv], env=env, check=True, capture_output=True)
         outputs.append([(out / f).read_bytes() for f in FILES])
     assert outputs[0] == outputs[1]
+
+
+# (g) sixty vehicles on a 40-cell line road with two velocity classes: every
+# 3rd vehicle switches to "crawl" at slot 5 and every 6th back to "default" at
+# slot 12, so the belief filter's update must re-propagate the posterior of a
+# vehicle whose prior was propagated under the class it just left. At 50 m
+# spacing most of the road lies beyond smoke's three APs, where the prior
+# alone moves the belief, so reusing a stale prior changes the predictions.
+def _velocity_switch_scenario(tmp_path: Path) -> Path:
+    data = json.loads(scenario_path("smoke").read_text())
+    cells = 40
+    data["horizon"] = 30
+    data["road"] = {"builder": "line", "cells": cells, "spacing_m": 50.0, "forward_prob": 0.8}
+    data["mobility"] = {
+        "rows": {
+            vclass: {str(c): {str(c): 1.0 - forward, str((c + 1) % cells): forward} for c in range(cells)}
+            for vclass, forward in (("default", 0.8), ("crawl", 0.1))
+        }
+    }
+    data["vehicles"] = [{"vehicle_id": v, "cell": 7 * v % cells} for v in range(60)]
+    data["velocity_schedule"] = [
+        {"slot": 5, "vehicle_id": v, "velocity_class": "crawl"} for v in range(0, 60, 3)
+    ] + [{"slot": 12, "vehicle_id": v, "velocity_class": "default"} for v in range(0, 60, 6)]
+    data["ctu_pool"] = {"slots_per_frame": 1, "freq_blocks": 64, "sequences": 2}
+    path = tmp_path / "velocity_switch.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+VELOCITY_SWITCH = {
+    0: (
+        "bdcdd81afd40fa8efaa55f90766b974b1ea51a8d502f1f06f40eed232b3deff3",
+        "7b2fd86b7eb57346b9d6293f45e705a6d3a5ccada2d42a8bebedd124b8e34cfd",
+        "d8a1218f39fb4900447f4adea6176821c2fd5469a886b0c06a2f732010e981a7",
+    ),
+    1: (
+        "f9781aa6a722fc06d24d75e83ef33f79ece71690c419789d43fee63504d7561e",
+        "3ae50bb79119cd7411357dcb709a8f77e19848348ffd4270694c1f6bc830e4d3",
+        "eb3fa9e380b766c20efcdc3220d4d81b333ceb975f91b5c19ebe36c66e35d815",
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(VELOCITY_SWITCH))
+def test_velocity_switch_outputs_match_their_pinned_digests(seed, tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(["run", str(_velocity_switch_scenario(tmp_path)), "--seed", str(seed), "--out", str(out)])
+    capsys.readouterr()
+    assert code == 0
+    digests = tuple(hashlib.sha256((out / f).read_bytes()).hexdigest() for f in FILES)
+    assert digests == VELOCITY_SWITCH[seed]

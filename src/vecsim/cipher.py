@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from vecsim.predictor import AssociationVector
 from vecsim.rng import RngStream
@@ -28,21 +28,31 @@ BLOCK_BYTES = 32     # HMAC-SHA256 output
 
 @dataclass(frozen=True)
 class Fingerprint:
-    """Sliding window of the last W association vectors, canonically ordered."""
+    """Sliding window of the last W association vectors, canonically ordered.
+
+    The canonical bytes and their digest are computed once, at construction.
+    """
 
     vehicle_id: int
     window: tuple[AssociationVector, ...]
+    _canonical: bytes = field(init=False, compare=False, repr=False)
+    _digest: bytes = field(init=False, compare=False, repr=False)
 
-    def canonical_bytes(self) -> bytes:
+    def __post_init__(self):
         # slot-ascending, bits in AP-id order; length prefixes keep it injective
         parts = [struct.pack(">I", len(self.window))]
         for vec in sorted(self.window, key=lambda v: v.slot):
             parts.append(struct.pack(">qI", vec.slot, len(vec.bits)))
             parts.append(bytes(vec.bits))
-        return b"".join(parts)
+        canonical = b"".join(parts)
+        object.__setattr__(self, "_canonical", canonical)
+        object.__setattr__(self, "_digest", hashlib.sha256(canonical).digest())
+
+    def canonical_bytes(self) -> bytes:
+        return self._canonical
 
     def digest(self) -> bytes:
-        return hashlib.sha256(self.canonical_bytes()).digest()
+        return self._digest
 
 
 @dataclass
@@ -78,16 +88,14 @@ def keystream_block(state: CipherState, fp: Fingerprint, n_bits: int) -> tuple[b
     if n_bits < 1:
         raise ValueError("keystream length must be >= 1 bit")
     n_bytes = (n_bits + 7) // 8
+    n_blocks = -(-n_bytes // BLOCK_BYTES)
     fp_digest = fp.digest()
-    blocks = []
-    counter = state.counter
-    while sum(len(b) for b in blocks) < n_bytes:
-        msg = struct.pack(">Q", counter) + fp_digest
-        blocks.append(hmac.new(state.key, msg, hashlib.sha256).digest())
-        counter += 1
-    stream = b"".join(blocks)[:n_bytes]
-    stream = _mask_tail(stream, n_bits)
-    return stream, CipherState(key=state.key, counter=counter)
+    blocks = [
+        hmac.digest(state.key, struct.pack(">Q", counter) + fp_digest, "sha256")
+        for counter in range(state.counter, state.counter + n_blocks)
+    ]
+    stream = _mask_tail(b"".join(blocks)[:n_bytes], n_bits)
+    return stream, CipherState(key=state.key, counter=state.counter + n_blocks)
 
 
 def _mask_tail(data: bytes, n_bits: int) -> bytes:
@@ -105,8 +113,8 @@ def crypt(state: CipherState, fp: Fingerprint, message: bytes, n_bits: int) -> t
     if len(message) != (n_bits + 7) // 8:
         raise ValueError("message byte length must match the stated bit length")
     stream, new_state = keystream_block(state, fp, n_bits)
-    body = bytes(m ^ s for m, s in zip(_mask_tail(message, n_bits), stream))
-    return body, new_state
+    body = int.from_bytes(_mask_tail(message, n_bits), "big") ^ int.from_bytes(stream, "big")
+    return body.to_bytes(len(stream), "big"), new_state
 
 
 def integrity_tag(fp: Fingerprint, counter: int) -> bytes:

@@ -235,9 +235,11 @@ def balance_control_traffic(
     in that total when a vehicle's rate joins the edge, so one vehicle at a
     time leaves its path and moves onto the cheapest one if that costs more
     than 1e-15 less than its old path, priced the same way. The loop stops
-    when a full pass moves no vehicle, after at most MAX_BALANCE_PASSES.
+    when a full pass moves no vehicle, after at most MAX_BALANCE_PASSES. On
+    a tree every vehicle's path is its only one, so the pass searches nothing.
     """
     g = topology.graph()
+    tree = len(g) > 0 and nx.is_tree(g)
     by_vehicle = {d.vehicle_id: d for d in demands}
     load: dict[tuple[int, int], float] = {e: 0.0 for e in topology.edges}
     paths: dict[int, list[int]] = {}
@@ -279,15 +281,18 @@ def balance_control_traffic(
         improved = False
         for vid in sorted(placement.domain):
             d = by_vehicle[vid]
+            # off and back on even on a tree: the round trip rounds the float
+            # loads, and the outputs keep that rounding
             add_load(paths[vid], d.rate, -1.0)
-            weight_fn = marginal_weight(d.rate)
-            try:
-                candidate = nx.dijkstra_path(g, d.ingress_an, placement.domain[vid], weight=weight_fn)
-            except nx.NetworkXNoPath:
-                candidate = paths[vid]
-            if path_cost(candidate, weight_fn) < path_cost(paths[vid], weight_fn) - 1e-15:
-                paths[vid] = candidate
-                improved = True
+            if not tree:
+                weight_fn = marginal_weight(d.rate)
+                try:
+                    candidate = nx.dijkstra_path(g, d.ingress_an, placement.domain[vid], weight=weight_fn)
+                except nx.NetworkXNoPath:
+                    candidate = paths[vid]
+                if path_cost(candidate, weight_fn) < path_cost(paths[vid], weight_fn) - 1e-15:
+                    paths[vid] = candidate
+                    improved = True
             add_load(paths[vid], d.rate, +1.0)
         if not improved:
             break

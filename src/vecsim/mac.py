@@ -167,9 +167,14 @@ def decode_path(
     rng: RngStream,
 ) -> bool:
     """One relay path: vehicle -> AP -> AN. Success w.p. 1 - BLER(eff SNR)."""
-    eff_db = effective_snr_db(snr, relay_snr, mode)
-    p_fail = curve.bler(eff_db, payload.payload_bits)
-    return rng.random() >= p_fail
+    return rng.random() >= path_failure_prob(snr, mode, relay_snr, curve, payload.payload_bits)
+
+
+def path_failure_prob(
+    snr: SignalQuality, mode: str, relay_snr: SignalQuality, curve: BlerCurve, payload_bits: int
+) -> float:
+    """P(a relay path fails to decode): BLER at the path's two-hop effective SNR."""
+    return curve.bler(effective_snr_db(snr, relay_snr, mode), payload_bits)
 
 
 def combine(path_success: list[bool], resolved_by_mud: bool = False) -> DecodeOutcome:

@@ -105,7 +105,8 @@ class SparseTransition:
     src[k, j] and w[k, j] are the k-th source index and probability into
     target j, in ascending source order, padded with zero weight up to the
     largest in-degree. `b @ op` costs O(cells x in-degree) instead of the
-    O(cells^2) of a dense matrix.
+    O(cells^2) of a dense matrix. `b` may also stack one belief per row;
+    every row is computed as it would be alone.
     """
 
     __array_ufunc__ = None      # make `ndarray @ op` defer to __rmatmul__
@@ -113,15 +114,23 @@ class SparseTransition:
     def __init__(self, src: np.ndarray, w: np.ndarray):
         self.src = src
         self.w = w
-        self._terms = tuple(zip(src, w))
+        self._flat = src[:, None, :]    # src into each of the rows seen so far, as flat indices
 
     def __rmatmul__(self, b: np.ndarray) -> np.ndarray:
-        terms = iter(self._terms)
-        i, w = next(terms)
-        acc = b[i] * w
-        for i, w in terms:
-            acc += b[i] * w
-        return acc
+        rows = b.reshape(-1, self.src.shape[1])
+        flat = self._flat_index(len(rows))
+        x = rows.ravel()
+        acc = x[flat[0]] * self.w[0]
+        for k in range(1, len(flat)):
+            acc += x[flat[k]] * self.w[k]
+        return acc.reshape(b.shape)
+
+    def _flat_index(self, n_rows: int) -> np.ndarray:
+        """(K, n_rows, cells) indices of src into n_rows stacked rows of cells."""
+        if self._flat.shape[1] < n_rows:
+            offsets = self.src.shape[1] * np.arange(n_rows)
+            self._flat = self.src[:, None, :] + offsets[:, None]
+        return self._flat[:, :n_rows]
 
 
 @dataclass

@@ -4,10 +4,18 @@ A recursive Bayesian filter keeps a belief over road cells per vehicle,
 driven ONLY by which APs the vehicle reached each slot (never positions, and
 deliberately no GPS anywhere in this module). The one-step-ahead belief turns
 into a predicted association vector that seeds proactive downlink.
+
+The filter steps a whole fleet at once: `FleetBelief` stacks one posterior
+row per vehicle, `update_fleet` and `predict_fleet` advance every row, and
+each distinct association vector's likelihood is computed once per step.
+Every row is computed exactly as a lone vehicle's would be, so
+`update_belief` and `predict_association`, the one-vehicle API, are the
+one-row case.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +32,7 @@ class AssociationVector:
     bits: tuple[int, ...]       # one per AP id, in ascending AP-id order
 
     def __post_init__(self):
-        if any(b not in (0, 1) for b in self.bits):
+        if not set(self.bits) <= {0, 1}:
             raise ValueError("association bits must be 0/1")
 
 
@@ -32,25 +40,52 @@ class AssociationVector:
 class PosteriorBelief:
     vehicle_id: int
     probs: np.ndarray           # over road cells, ascending cell order
-    # (transition, probs @ transition) of the last propagate() call
-    _propagated: tuple | None = field(default=None, init=False, compare=False, repr=False)
-
-    def propagate(self, transition: np.ndarray) -> np.ndarray:
-        """probs @ transition (a matrix or the road model's sparse operator), once per transition.
-
-        The filter propagates each posterior twice: to predict the next slot's
-        association and, a slot later, as the prior of its update. The result
-        is read-only because later calls return the same array.
-        """
-        cached = self._propagated
-        if cached is None or cached[0] is not transition:
-            prior = self.probs @ transition
-            prior.flags.writeable = False
-            cached = self._propagated = (transition, prior)
-        return cached[1]
 
     def normalized(self) -> bool:
-        return bool(abs(float(self.probs.sum()) - 1.0) <= NORM_TOL and (self.probs >= 0).all())
+        return _normalized(self.probs)
+
+
+def _normalized(probs: np.ndarray) -> bool:
+    """Each belief (the last axis) sums to 1 within NORM_TOL and has no negative entry."""
+    return bool((np.abs(probs.sum(axis=-1) - 1.0) <= NORM_TOL).all() and (probs >= 0).all())
+
+
+class FleetBelief:
+    """Posteriors over road cells, one row per vehicle, with each row's propagated prior.
+
+    A row's prior is its posterior pushed through a transition (a matrix or
+    the road model's sparse operator). The filter needs it twice: to predict
+    the next slot's association and, a slot later, as the prior of the
+    update. So each prior row remembers the transition it was propagated
+    under and is reused while the vehicle keeps that transition; a
+    velocity-class switch, or a new posterior, makes it stale.
+    """
+
+    def __init__(self, probs: np.ndarray):
+        probs = np.array(probs, dtype=float, ndmin=2)       # (vehicles, cells), copied
+        if not _normalized(probs):
+            raise ValueError("belief must be normalized: each row sums to 1, with no negative entry")
+        self._set_posteriors(probs)
+
+    def _set_posteriors(self, probs: np.ndarray) -> None:
+        self.probs = probs
+        self._prior = np.empty_like(probs)
+        self._prior_op: list = [None] * len(probs)
+
+    def prior(self, transitions: Sequence) -> np.ndarray:
+        """Row i is probs[i] @ transitions[i]; only stale rows are propagated."""
+        stale: dict[int, tuple[object, list[int]]] = {}
+        for i, (op, had) in enumerate(zip(transitions, self._prior_op, strict=True)):
+            if op is not had:
+                stale.setdefault(id(op), (op, []))[1].append(i)
+        for op, rows in stale.values():
+            if len(rows) == len(self.probs):
+                self._prior = self.probs @ op
+            else:
+                self._prior[rows] = self.probs[rows] @ op
+            for i in rows:
+                self._prior_op[i] = op
+        return self._prior
 
 
 @dataclass(frozen=True)
@@ -79,27 +114,62 @@ class ObservationModel:
         return out
 
 
+def update_fleet(
+    fleet: FleetBelief,
+    observations: Sequence[tuple[int, ...]],
+    transitions: Sequence,
+    obs_model: ObservationModel,
+) -> np.ndarray:
+    """Predict-then-update step of every row, with row i's association bits and transition.
+
+    b'(c) is proportional to L(obs | c) * sum_c0 P(c | c0) b(c0), renormalized.
+    If an observation has zero total likelihood under the predicted prior
+    (MAI can produce impossible vectors), that row's update is skipped: its
+    predicted prior, renormalized, becomes the posterior. Returns the boolean
+    mask of the rows that fell back.
+    """
+    prior = fleet.prior(transitions)
+    distinct: dict[tuple[int, ...], int] = {}
+    which = [distinct.setdefault(bits, len(distinct)) for bits in observations]
+    likelihoods = np.array([obs_model.obs_likelihood(bits) for bits in distinct])
+    weighted = prior * likelihoods[which]
+    total = weighted.sum(axis=1)
+    fallback = total <= 0.0
+    if fallback.any():
+        weighted[fallback] = prior[fallback]
+        total[fallback] = prior[fallback].sum(axis=1)
+    fleet._set_posteriors(weighted / total[:, None])
+    return fallback
+
+
+def predict_fleet(
+    fleet: FleetBelief,
+    transitions: Sequence,
+    obs_model: ObservationModel,
+    threshold: float,
+) -> list[tuple[int, ...]]:
+    """One-step-ahead association bits per row: bit set iff the predicted marginal clears threshold.
+
+    marginal(ap) = sum_c b_plus(c) * P(ap observed | c) with b_plus the
+    transition-propagated belief, one vector-matrix product per row.
+    """
+    if not 0.0 < threshold < 1.0:
+        raise ValueError("threshold must lie in (0, 1)")
+    lk = obs_model.likelihood
+    marginals = np.array([b_plus @ lk for b_plus in fleet.prior(transitions)])
+    return [tuple(row) for row in (marginals >= threshold).astype(int).tolist()]
+
+
 def update_belief(
     belief: PosteriorBelief,
     obs: AssociationVector,
     transition: np.ndarray,
     obs_model: ObservationModel,
 ) -> tuple[PosteriorBelief, bool]:
-    """Predict-then-update step.
-
-    b'(c) is proportional to L(obs | c) * sum_c0 P(c | c0) b(c0), renormalized.
-    If the observation has zero total likelihood under the predicted prior
-    (MAI can produce impossible vectors), the update is skipped: the predicted
-    prior is returned and the second element flags the fallback.
-    """
-    if not belief.normalized():
-        raise ValueError("belief must be normalized before an update")
-    prior = belief.propagate(transition)
-    weighted = prior * obs_model.obs_likelihood(obs.bits)
-    total = float(weighted.sum())
-    if total <= 0.0:
-        return PosteriorBelief(belief.vehicle_id, prior / prior.sum()), True
-    return PosteriorBelief(belief.vehicle_id, weighted / total), False
+    """update_fleet on one belief; the second element flags the fallback."""
+    fleet = FleetBelief(belief.probs)
+    fallback = update_fleet(fleet, [obs.bits], [transition], obs_model)
+    return PosteriorBelief(belief.vehicle_id, fleet.probs[0]), bool(fallback[0])
 
 
 def predict_association(
@@ -110,16 +180,8 @@ def predict_association(
     vehicle_id: int | None = None,
     slot: int = -1,
 ) -> AssociationVector:
-    """One-step-ahead association: bit set iff the predicted marginal clears threshold.
-
-    marginal(ap) = sum_c b_plus(c) * P(ap observed | c) with b_plus the
-    transition-propagated belief.
-    """
-    if not 0.0 < threshold < 1.0:
-        raise ValueError("threshold must lie in (0, 1)")
-    b_plus = belief.propagate(transition)
-    marginals = b_plus @ obs_model.likelihood
-    bits = tuple(1 if m >= threshold else 0 for m in marginals)
+    """predict_fleet on one belief, as the association vector of `slot`."""
+    (bits,) = predict_fleet(FleetBelief(belief.probs), [transition], obs_model, threshold)
     vid = belief.vehicle_id if vehicle_id is None else vehicle_id
     return AssociationVector(vehicle_id=vid, slot=slot, bits=bits)
 

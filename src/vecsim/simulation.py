@@ -8,6 +8,7 @@ comes from an entity-scoped stream, so a fixed seed fixes the whole trace.
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
@@ -31,10 +32,8 @@ class VehicleRuntime:
     last_replicas: Optional[int] = None
     cluster: Optional[clustering.VirtualCluster] = None
     selection: Optional[mac.CtuSelection] = None
-    packet: Optional[mac.UplinkPacket] = None
     assoc_true: Optional[predictor.AssociationVector] = None
     assoc_an: Optional[predictor.AssociationVector] = None
-    belief: Optional[predictor.PosteriorBelief] = None
     predicted: dict[int, tuple[int, ...]] = field(default_factory=dict)
     serving_an: Optional[int] = None
     window_self: deque = field(default_factory=deque)
@@ -107,6 +106,8 @@ class Simulation:
             for vclass in sorted(cfg.mobility.rows)
         }
         self.obs_model = self._build_observation_model()
+        # P(path fails) per (cell, AP), filled in as RELAY_DECODE meets each pair
+        self.path_failure: dict[tuple[int, int], float] = {}
 
         self.sched_by_slot: dict[int, dict[int, str]] = {}
         for slot, vid, vclass in cfg.velocity_schedule:
@@ -123,10 +124,12 @@ class Simulation:
                     epsilon=cfg.bandit.epsilon,
                     cost_per_replica=cfg.bandit.cost_per_replica,
                 )
-            vr.belief = predictor.uniform_belief(spec.vehicle_id, len(self.cells))
             vr.window_self = deque(maxlen=cfg.cipher.window)
             vr.window_an = deque(maxlen=cfg.cipher.window)
             self.vehicles[spec.vehicle_id] = vr
+        # the Bayes filter's beliefs, one uniform row per vehicle in self.vehicles order
+        n_cells = len(self.cells)
+        self.beliefs = predictor.FleetBelief(np.full((len(self.vehicles), n_cells), 1.0 / n_cells))
 
         self.actions = [
             (rank, p)
@@ -225,11 +228,11 @@ class Simulation:
             pairs = []
             for ap_id, snr in self.cell_candidates[cell][: cfg.cluster.k_cluster]:
                 col = self.ap_col[ap_id]
-                eff = mac.effective_snr_db(
-                    self.cell_sq[cell][ap_id], self.fronthaul[ap_id], cfg.mac.relay_mode
-                )
                 pairs.append((col, snr))
-                success[(cell, col)] = 1.0 - self.curve.bler(eff, cfg.mac.payload_bits)
+                success[(cell, col)] = 1.0 - mac.path_failure_prob(
+                    self.cell_sq[cell][ap_id], cfg.mac.relay_mode, self.fronthaul[ap_id],
+                    self.curve, cfg.mac.payload_bits,
+                )
             cell_cols[cell] = pairs
         return predictor.derive_observation_model(
             self.cells,
@@ -283,7 +286,6 @@ class Simulation:
                 replicas = cfg.mac.replicas
             key = str(replicas)
             histogram[key] = histogram.get(key, 0) + 1
-            vr.packet = mac.UplinkPacket(vid, t.index, cfg.mac.payload_bits)
             vr.last_replicas = replicas
             if vr.cluster.empty:
                 vr.selection = None
@@ -328,14 +330,13 @@ class Simulation:
                         continue
                     if len(occupancy[ctu]) > 1:
                         any_mud = True
-                    ok = mac.decode_path(
-                        self.cell_sq[vr.mobility.cell][ap],
-                        vr.packet,
-                        cfg.mac.relay_mode,
-                        self.fronthaul[ap],
-                        self.curve,
-                        self.stream(f"decode/{vid}"),
-                    )
+                    p_fail = self.path_failure.get((vr.mobility.cell, ap))
+                    if p_fail is None:
+                        p_fail = self.path_failure[(vr.mobility.cell, ap)] = mac.path_failure_prob(
+                            self.cell_sq[vr.mobility.cell][ap], cfg.mac.relay_mode, self.fronthaul[ap],
+                            self.curve, cfg.mac.payload_bits,
+                        )
+                    ok = self.stream(f"decode/{vid}").random() >= p_fail
                     flags.append(ok)
                     if ok:
                         heard_aps.add(ap)
@@ -349,36 +350,37 @@ class Simulation:
             if flip > 0.0:
                 noise = self.stream(f"anview/{vid}")
                 bits_an = tuple(b ^ (1 if noise.random() < flip else 0) for b in bits)
+                vr.assoc_an = predictor.AssociationVector(vid, t.index, bits_an)
             else:
-                bits_an = bits
-            vr.assoc_an = predictor.AssociationVector(vid, t.index, bits_an)
+                vr.assoc_an = vr.assoc_true
 
     def _phase_prediction(self, t: SlotTime) -> None:
         cfg = self.cfg
         prediction = self.report.prediction
-        for vid, vr in self.vehicles.items():
-            obs = vr.assoc_an
+        observed = []
+        for vr in self.vehicles.values():
+            obs = vr.assoc_an.bits
+            observed.append(obs)
             # Score the predictions aimed at this slot before replacing them:
             # the filter's one-step-ahead bits and the persistence baseline
             # (yesterday's vector repeats), both against today's actual.
             want = vr.predicted.get(t.index)
             if want is not None:
                 prediction["bits_scored"] += self.n_aps
-                self.pred_correct += sum(1 for a, b in zip(want, obs.bits) if a == b)
+                self.pred_correct += sum(map(operator.eq, want, obs))
             prev = vr.window_an[-1] if vr.window_an else None
             if prev is not None:
                 self.persist_bits += self.n_aps
-                self.persist_correct += sum(1 for a, b in zip(prev.bits, obs.bits) if a == b)
-            if cfg.predictor.policy == "bayes":
-                trans = self.transitions[vr.mobility.velocity_class]
-                vr.belief, fellback = predictor.update_belief(vr.belief, obs, trans, self.obs_model)
-                if fellback:
-                    prediction["fallbacks"] += 1
-                vr.predicted[t.index + 1] = predictor.predict_association(
-                    vr.belief, trans, self.obs_model, cfg.predictor.threshold, vid, t.index + 1
-                ).bits
-            else:
-                vr.predicted[t.index + 1] = obs.bits
+                self.persist_correct += sum(map(operator.eq, prev.bits, obs))
+        if cfg.predictor.policy == "bayes":
+            trans = [self.transitions[vr.mobility.velocity_class] for vr in self.vehicles.values()]
+            fellback = predictor.update_fleet(self.beliefs, observed, trans, self.obs_model)
+            prediction["fallbacks"] += int(fellback.sum())
+            predicted = predictor.predict_fleet(self.beliefs, trans, self.obs_model, cfg.predictor.threshold)
+        else:
+            predicted = observed
+        for vr, bits in zip(self.vehicles.values(), predicted):
+            vr.predicted[t.index + 1] = bits
             vr.predicted.pop(t.index - 1, None)
 
     def _phase_downlink(self, t: SlotTime) -> None:
@@ -573,7 +575,10 @@ class Simulation:
             if vr.session_compromised:
                 continue
             fp_v = cipher.Fingerprint(vid, tuple(vr.window_self))
-            fp_a = cipher.Fingerprint(vid, tuple(vr.window_an))
+            if vr.window_an == vr.window_self:
+                fp_a = fp_v
+            else:
+                fp_a = cipher.Fingerprint(vid, tuple(vr.window_an))
             tag = cipher.integrity_tag(fp_v, vr.session_self.counter)
             n_bits = cfg.mac.payload_bits
             msg = cipher.deterministic_message(vid, t.index, n_bits)

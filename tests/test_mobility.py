@@ -15,7 +15,7 @@ from vecsim.mobility import (
     line_graph,
     row_arrays,
 )
-from vecsim.predictor import PosteriorBelief
+from vecsim.predictor import FleetBelief
 from vecsim.rng import RngStream
 
 
@@ -180,11 +180,15 @@ def test_sparse_transition_matches_a_dense_matrix_built_from_rows(road):
         ops[vclass] = model.transition_matrix(vclass, order)
         assert np.max(np.abs(b @ ops[vclass] - b @ dense)) <= 1e-12
 
+        # stacked beliefs: each row is computed exactly as it is alone
+        stacked = np.stack([b, b[::-1], b])
+        assert all(np.array_equal(row, one @ ops[vclass]) for row, one in zip(stacked @ ops[vclass], stacked))
+
     # A velocity-class switch hands the belief a different transition object:
     # the cached propagation must be recomputed, not reused.
-    post = PosteriorBelief(0, b)
-    slow = post.propagate(ops["slow"])
-    assert post.propagate(ops["slow"]) is slow
-    fast = post.propagate(ops["fast"])
+    fleet = FleetBelief(b)
+    slow = fleet.prior([ops["slow"]])
+    assert fleet.prior([ops["slow"]]) is slow
+    fast = fleet.prior([ops["fast"]])
     assert fast is not slow
-    assert np.array_equal(fast, b @ ops["fast"])
+    assert np.array_equal(fast[0], b @ ops["fast"])

@@ -6,7 +6,9 @@ recent AP association vectors, which both endpoints can derive on their own.
 Keystream blocks come from HMAC-SHA256 in counter mode keyed on the session
 key and bound to the fingerprint digest, so the stream drifts with mobility.
 An in-band digest check detects window divergence (MAI can corrupt one
-side's view) and triggers re-keying from the AN's master key.
+side's view) and triggers re-keying from the AN's master key. A fingerprint
+computes its canonical bytes and digest once, so endpoints that hold equal
+windows can share one.
 
 Security claims here are functional (roundtrip, sensitivity, recovery), not
 cryptanalytic.

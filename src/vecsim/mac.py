@@ -167,7 +167,8 @@ def decode_path(
     rng: RngStream,
 ) -> bool:
     """One relay path: vehicle -> AP -> AN. Success w.p. 1 - BLER(eff SNR)."""
-    return rng.random() >= path_failure_prob(snr, mode, relay_snr, curve, payload.payload_bits)
+    p_fail = path_failure_prob(snr, mode, relay_snr, curve, payload.payload_bits)
+    return rng.random() >= p_fail
 
 
 def path_failure_prob(

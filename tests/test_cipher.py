@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
+import hmac
+import struct
+
 import pytest
 
 from vecsim.cipher import (
@@ -34,6 +38,14 @@ def test_canonical_bytes_are_slot_ordered_and_window_insensitive():
     shuffled = Fingerprint(vehicle_id=0, window=tuple(reversed(a.window)))
     assert a.canonical_bytes() == shuffled.canonical_bytes()
     assert a.digest() == shuffled.digest()
+
+
+def test_fingerprint_bytes_are_computed_once_and_equal_a_fresh_fingerprint():
+    fp = _fp((3, (1, 0, 1)), (1, (0, 0, 1)), (2, (1, 1, 0)))
+    fresh = Fingerprint(vehicle_id=0, window=fp.window)
+    assert fp.canonical_bytes() == fp.canonical_bytes() == fresh.canonical_bytes()
+    assert fp.digest() == fp.digest() == fresh.digest() == hashlib.sha256(fresh.canonical_bytes()).digest()
+    assert fp == fresh
 
 
 def test_fingerprint_digest_is_sensitive_to_any_bit():
@@ -99,6 +111,31 @@ def test_crypt_roundtrip_across_bit_lengths():
         back, an = crypt(an, fp, body, n_bits)
         assert back == message
         assert vehicle.counter == an.counter
+
+
+def _bytewise_crypt(state, fp, message, n_bits):
+    """crypt as the byte-by-byte XOR of the masked message with an HMAC
+    counter-mode keystream grown one block at a time: the reference."""
+    n_bytes = (n_bits + 7) // 8
+    blocks, counter = b"", state.counter
+    while len(blocks) < n_bytes:
+        blocks += hmac.new(state.key, struct.pack(">Q", counter) + fp.digest(), hashlib.sha256).digest()
+        counter += 1
+    tail = 0xFF & (0xFF << (8 * n_bytes - n_bits))
+    stream = blocks[: n_bytes - 1] + bytes([blocks[n_bytes - 1] & tail])
+    masked = message[:-1] + bytes([message[-1] & tail])
+    return bytes(m ^ s for m, s in zip(masked, stream)), counter
+
+
+def test_crypt_equals_the_bytewise_reference_for_every_length():
+    state = CipherState(key=bytes(range(7, 39)), counter=5)
+    fp = _fp((0, (1, 0)), (1, (1, 1)))
+    for n_bits in [*range(1, 301), 4096]:
+        n_bytes = (n_bits + 7) // 8
+        # every tail bit set, so the masking of a part-byte tail shows
+        message = hashlib.shake_256(str(n_bits).encode()).digest(n_bytes)[:-1] + b"\xff"
+        body, after = crypt(state, fp, message, n_bits)
+        assert (body, after.counter) == _bytewise_crypt(state, fp, message, n_bits), n_bits
 
 
 def test_crypt_validates_lengths():

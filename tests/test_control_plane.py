@@ -281,6 +281,27 @@ def test_routing_on_a_single_path_matches_the_congestion_formula():
     assert routing.edge_load[(0, 1)] == pytest.approx(1.0)
 
 
+def test_tree_balancing_searches_once_per_vehicle_and_routes_as_the_full_pass(monkeypatch):
+    # a tree offers one path per pair, so only the initial routing searches;
+    # with these mixed rates the pass's load round trip rounds the floats
+    topo = _topology(
+        {i: 100.0 for i in range(5)},
+        [(0, 1, 0.001, 50.0), (1, 2, 0.002, 50.0), (1, 3, 0.001, 50.0), (3, 4, 0.003, 50.0)],
+        kappa=1e-3,
+    )
+    demands = [Demand(v, v % 5, 0.1 * (v % 7 + 1)) for v in range(30)]
+    placement = Placement(frozenset({2, 4}), {v: 2 + 2 * (v % 2) for v in range(30)}, latency_bound=1.0, exact=True)
+    calls = []
+    search = nx.dijkstra_path
+    monkeypatch.setattr(nx, "dijkstra_path", lambda *args, **kw: calls.append(args) or search(*args, **kw))
+    routing = balance_control_traffic(placement, topo, demands)
+    assert len(calls) == len(demands)
+    monkeypatch.setattr(nx, "is_tree", lambda g: False)     # search every vehicle again, as on any graph
+    full = balance_control_traffic(placement, topo, demands)
+    assert len(calls) == 3 * len(demands)
+    assert (routing.paths, routing.edge_load, routing.mean_latency) == (full.paths, full.edge_load, full.mean_latency)
+
+
 def _edge_latency(w, cap, f, kappa):
     return w + kappa * f / (cap - f)
 

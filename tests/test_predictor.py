@@ -1,4 +1,5 @@
-"""Bayesian association filter against a hand-rolled forward-algorithm oracle."""
+"""Bayesian association filter against a hand-rolled forward-algorithm oracle,
+and the fleet step against the one-vehicle filter, bit for bit."""
 
 from __future__ import annotations
 
@@ -7,15 +8,21 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from vecsim.mobility import MarkovJumpModel, RoadGraph, line_graph
 from vecsim.predictor import (
     AssociationVector,
+    FleetBelief,
     ObservationModel,
     PosteriorBelief,
     derive_observation_model,
     predict_association,
+    predict_fleet,
     uniform_belief,
     update_belief,
+    update_fleet,
 )
 
 
@@ -167,3 +174,92 @@ def test_module_never_touches_positions_or_geometry():
             imported.add(node.module)
     forbidden = {"vecsim.channel", "vecsim.mobility", "vecsim.simulation", "vecsim.config"}
     assert not (imported & forbidden)
+
+
+@st.composite
+def _road_model(draw):
+    """Two velocity classes on a line road or on a random cells/edges road."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 30))
+        _, slow = line_graph(n, forward_prob=draw(st.floats(0.0, 1.0)))
+        _, fast = line_graph(n, forward_prob=draw(st.floats(0.0, 1.0)))
+        model = MarkovJumpModel(rows={"slow": slow.rows["default"], "fast": fast.rows["default"]})
+        return list(range(n)), model
+    ids = draw(st.lists(st.integers(0, 500), min_size=1, max_size=30, unique=True))
+    adjacency, rows = {}, {"slow": {}, "fast": {}}
+    for c in ids:
+        targets = draw(st.lists(st.sampled_from(ids), min_size=1, max_size=4, unique=True))
+        adjacency[c] = tuple(targets)
+        for per_cell in rows.values():
+            weights = [draw(st.floats(0.01, 1.0))]
+            weights += [draw(st.sampled_from([0.0]) | st.floats(0.01, 1.0)) for _ in targets[1:]]
+            per_cell[c] = {t: w / sum(weights) for t, w in zip(targets, weights)}
+    graph = RoadGraph(centers={c: (float(c), 0.0) for c in ids}, adjacency=adjacency)
+    model = MarkovJumpModel(rows=rows)
+    graph.validate()
+    model.validate(graph)
+    return graph.cells, model
+
+
+def _reference_step(b, op, model, bits, threshold):
+    """One vehicle's update and prediction as the per-vehicle filter computed
+    them, on 1-D arrays: the sparse product as in-degree terms in order, the
+    plain sum, and one vector-matrix product for the marginals."""
+
+    def propagate(v):
+        acc = v[op.src[0]] * op.w[0]
+        for k in range(1, len(op.src)):
+            acc += v[op.src[k]] * op.w[k]
+        return acc
+
+    prior = propagate(b)
+    weighted = prior * model.obs_likelihood(bits)
+    total = float(weighted.sum())
+    post, fallback = (prior / prior.sum(), True) if total <= 0.0 else (weighted / total, False)
+    marginals = propagate(post) @ model.likelihood
+    return post, fallback, tuple(1 if m >= threshold else 0 for m in marginals)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    _road_model(),
+    st.integers(1, 50),
+    st.integers(1, 4),
+    st.integers(1, 6),
+    st.floats(0.0, 1.0),
+    st.booleans(),
+    st.floats(0.05, 0.95),
+    st.integers(0, 2**32 - 1),
+)
+def test_fleet_step_equals_the_one_vehicle_filter_bit_for_bit(
+    road, n_vehicles, n_aps, steps, switch_prob, deaf_ap, threshold, seed
+):
+    cells, mobility = road
+    rng = np.random.default_rng(seed)
+    ops = {vclass: mobility.transition_matrix(vclass, cells) for vclass in ("slow", "fast")}
+    likelihood = rng.choice([0.0, 1.0, *rng.random(4)], size=(len(cells), n_aps))
+    if deaf_ap:
+        likelihood[:, 0] = 0.0      # hearing AP 0 has zero likelihood: those rows fall back
+    model = ObservationModel(likelihood=likelihood)
+
+    fleet = FleetBelief(np.full((n_vehicles, len(cells)), 1.0 / len(cells)))
+    singles = [uniform_belief(v, len(cells)) for v in range(n_vehicles)]
+    reference = [belief.probs for belief in singles]
+    classes = list(rng.choice(["slow", "fast"], size=n_vehicles))
+    for step in range(steps):
+        # a random subset of the fleet switches class before each step
+        classes = [("fast" if c == "slow" else "slow") if rng.random() < switch_prob else c for c in classes]
+        trans = [ops[c] for c in classes]
+        observed = [tuple(int(x) for x in rng.integers(0, 2, size=n_aps)) for _ in range(n_vehicles)]
+        fellback = update_fleet(fleet, observed, trans, model)
+        predicted = predict_fleet(fleet, trans, model, threshold)
+        fallbacks = 0
+        for v in range(n_vehicles):
+            singles[v], fb = update_belief(singles[v], AssociationVector(v, step, observed[v]), trans[v], model)
+            fallbacks += fb
+            assert np.array_equal(fleet.probs[v], singles[v].probs)
+            assert predicted[v] == predict_association(singles[v], trans[v], model, threshold).bits
+            reference[v], ref_fb, ref_bits = _reference_step(reference[v], trans[v], model, observed[v], threshold)
+            assert np.array_equal(fleet.probs[v], reference[v])
+            assert (bool(fellback[v]), predicted[v]) == (ref_fb, ref_bits)
+        assert int(fellback.sum()) == fallbacks

@@ -1,6 +1,7 @@
 """Golden digests: the three contract files of every bundled scenario x seed,
 of a 400-cell line road built from smoke.json, of smoke.json under six
---override sets, and of a 40-cell road whose vehicles switch velocity class.
+--override sets, of a 40-cell road whose vehicles switch velocity class, and
+of a 40-cell road whose ANs see noisy association vectors.
 
 These pins are the gate for refactors that must keep the trace: a change that
 alters any of these bytes on purpose has to say so and re-pin them with the
@@ -301,3 +302,54 @@ def test_velocity_switch_outputs_match_their_pinned_digests(seed, tmp_path, caps
     assert code == 0
     digests = tuple(hashlib.sha256((out / f).read_bytes()).hexdigest() for f in FILES)
     assert digests == VELOCITY_SWITCH[seed]
+
+
+# (h) forty vehicles on a 40-cell line road at 100 m spacing, under sixteen
+# APs over four ANs in a chain, with noisy AN views (flip probability 0.05 per
+# bit) and at most three resyncs per session. Vehicles cross an AN boundary
+# every dozen slots or so, so in-sync cipher exchanges, resyncs, compromised
+# sessions and fresh sessions after an AN handover interleave across the fleet.
+def _noisy_view_scenario(tmp_path: Path) -> Path:
+    data = json.loads(scenario_path("smoke").read_text())
+    cells, n_aps, n_ans = 40, 16, 4
+    data["horizon"] = 60
+    data["road"] = {"builder": "line", "cells": cells, "spacing_m": 100.0, "forward_prob": 0.8}
+    data["vehicles"] = [{"vehicle_id": v, "cell": 7 * v % cells} for v in range(40)]
+    data["aps"] = [
+        {"ap_id": a, "x": 250.0 * a + 125.0, "y": 10.0, "an_id": a * n_ans // n_aps, "fronthaul_snr_db": 30.0}
+        for a in range(n_aps)
+    ]
+    data["ans"] = [
+        {"an_id": a, "power_budget_w": 2.0, "controller_capacity": 100.0, "storage_capacity": 10.0}
+        for a in range(n_ans)
+    ]
+    data["control"]["edges"] = [[a, a + 1, 0.001, 100.0] for a in range(n_ans - 1)]
+    data["ctu_pool"] = {"slots_per_frame": 1, "freq_blocks": 64, "sequences": 2}
+    data["cipher"].update(an_view_flip_prob=0.05, max_resync=3)
+    path = tmp_path / "noisy_view.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+NOISY_VIEW = {
+    0: (
+        "60a3410bc68caa06940e722e82b838b732811016d393b12c830cb4921f0e662d",
+        "7cdce2e219f26c316950c2da53e35c2fb50fe3124790a504a2e8505a8e95149a",
+        "06465320f58cb89358bd4c6f1c057957c681b70ad7e064b5dd8a9dba8119dd4c",
+    ),
+    1: (
+        "f81420df35114de093e7f6ed07dba2da4a0f597e1e209bc02e558aefdf93db8f",
+        "940b60d3dc16071c114bd306b30ecdcb2e24c0798cded21852cab7cbd508b038",
+        "1f853365ad07e1e00d39037ef2829b4a19679db4c22163f42c1fbf194ff49000",
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(NOISY_VIEW))
+def test_noisy_view_outputs_match_their_pinned_digests(seed, tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(["run", str(_noisy_view_scenario(tmp_path)), "--seed", str(seed), "--out", str(out)])
+    capsys.readouterr()
+    assert code == 0
+    digests = tuple(hashlib.sha256((out / f).read_bytes()).hexdigest() for f in FILES)
+    assert digests == NOISY_VIEW[seed]

@@ -8,7 +8,10 @@ key and bound to the fingerprint digest, so the stream drifts with mobility.
 An in-band digest check detects window divergence (MAI can corrupt one
 side's view) and triggers re-keying from the AN's master key. A fingerprint
 computes its canonical bytes and digest once, so endpoints that hold equal
-windows can share one.
+windows can share one. `exchange` runs a whole vehicle-to-AN loopback; when
+the endpoints share a fingerprint and hold equal states it skips the
+integrity tags and computes the keystream once, since both sides would
+compute the same values.
 
 Security claims here are functional (roundtrip, sensitivity, recovery), not
 cryptanalytic.
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import hmac
+import operator
 import struct
 from dataclasses import dataclass, field
 
@@ -26,6 +30,8 @@ from vecsim.rng import RngStream
 
 KEY_BYTES = 32
 BLOCK_BYTES = 32     # HMAC-SHA256 output
+
+_slot = operator.attrgetter("slot")
 
 
 @dataclass(frozen=True)
@@ -41,12 +47,9 @@ class Fingerprint:
     _digest: bytes = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        # slot-ascending, bits in AP-id order; length prefixes keep it injective
-        parts = [struct.pack(">I", len(self.window))]
-        for vec in sorted(self.window, key=lambda v: v.slot):
-            parts.append(struct.pack(">qI", vec.slot, len(vec.bits)))
-            parts.append(bytes(vec.bits))
-        canonical = b"".join(parts)
+        # slot-ascending, each vector's own encoding; length prefixes keep it injective
+        chunks = [vec.encoded for vec in sorted(self.window, key=_slot)]
+        canonical = struct.pack(">I", len(self.window)) + b"".join(chunks)
         object.__setattr__(self, "_canonical", canonical)
         object.__setattr__(self, "_digest", hashlib.sha256(canonical).digest())
 
@@ -110,13 +113,21 @@ def _mask_tail(data: bytes, n_bits: int) -> bytes:
 
 def crypt(state: CipherState, fp: Fingerprint, message: bytes, n_bits: int) -> tuple[bytes, CipherState]:
     """Encrypt or decrypt (same XOR) an n_bits message packed MSB-first in bytes."""
+    _check_message(message, n_bits)
+    stream, new_state = keystream_block(state, fp, n_bits)
+    return _xor(message, stream, n_bits), new_state
+
+
+def _check_message(message: bytes, n_bits: int) -> None:
     if n_bits < 1:
         raise ValueError("message length must be >= 1 bit")
     if len(message) != (n_bits + 7) // 8:
         raise ValueError("message byte length must match the stated bit length")
-    stream, new_state = keystream_block(state, fp, n_bits)
+
+
+def _xor(message: bytes, stream: bytes, n_bits: int) -> bytes:
     body = int.from_bytes(_mask_tail(message, n_bits), "big") ^ int.from_bytes(stream, "big")
-    return body.to_bytes(len(stream), "big"), new_state
+    return body.to_bytes(len(stream), "big")
 
 
 def integrity_tag(fp: Fingerprint, counter: int) -> bytes:
@@ -127,6 +138,36 @@ def integrity_tag(fp: Fingerprint, counter: int) -> bytes:
 def verify_key(an_fp: Fingerprint, vehicle_check: bytes, state: CipherState) -> bool:
     """True when the AN-side fingerprint reproduces the vehicle's check value."""
     return hmac.compare_digest(integrity_tag(an_fp, state.counter), vehicle_check)
+
+
+def exchange(
+    vehicle: CipherState,
+    vehicle_fp: Fingerprint,
+    an: CipherState,
+    an_fp: Fingerprint,
+    message: bytes,
+    n_bits: int,
+) -> tuple[bool, bool, CipherState, CipherState]:
+    """One vehicle-to-AN loopback: tag, encrypt, verify, decrypt.
+
+    Returns (verified, roundtrip, vehicle state, AN state), exactly as the
+    vehicle's `integrity_tag` and `crypt` followed by the AN's `verify_key`
+    and, if it verifies, `crypt` would. A message the AN rejects leaves the
+    AN state as it was. When both ends hold the same fingerprint object and
+    equal states, the AN's tag and keystream are the vehicle's by
+    construction, so no tag is hashed and the keystream is computed once.
+    """
+    _check_message(message, n_bits)
+    if an_fp is vehicle_fp and an == vehicle:
+        stream, new_vehicle = keystream_block(vehicle, vehicle_fp, n_bits)
+        plain = _xor(_xor(message, stream, n_bits), stream, n_bits)
+        return True, plain == message, new_vehicle, CipherState(key=an.key, counter=new_vehicle.counter)
+    tag = integrity_tag(vehicle_fp, vehicle.counter)
+    body, new_vehicle = crypt(vehicle, vehicle_fp, message, n_bits)
+    if not verify_key(an_fp, tag, an):
+        return False, False, new_vehicle, an
+    plain, new_an = crypt(an, an_fp, body, n_bits)
+    return True, plain == message, new_vehicle, new_an
 
 
 def deterministic_message(vehicle_id: int, slot: int, n_bits: int) -> bytes:

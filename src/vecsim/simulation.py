@@ -92,6 +92,12 @@ class Simulation:
                 {ap: sq.snr_db for ap, sq in row.items()}, cfg.snr_threshold_db
             )
 
+        # Each cell's uplink cluster members: the top-k candidates, fixed like the SNRs.
+        self.cell_members = {
+            cell: clustering.form_cluster(0, cands, cfg.cluster.k_cluster, 0).members
+            for cell, cands in self.cell_candidates.items()
+        }
+
         self.pool = cfg.ctu_pool
         self.curve = mac.BlerCurve(cfg.mac.bler_alpha, dict(cfg.mac.bler_beta))
 
@@ -108,6 +114,8 @@ class Simulation:
         self.obs_model = self._build_observation_model()
         # P(path fails) per (cell, AP), filled in as RELAY_DECODE meets each pair
         self.path_failure: dict[tuple[int, int], float] = {}
+        # downlink power in W -> dB offset from the uplink transmit power, filled in as met
+        self.power_delta_db: dict[float, float] = {}
 
         self.sched_by_slot: dict[int, dict[int, str]] = {}
         for slot, vid, vclass in cfg.velocity_schedule:
@@ -275,8 +283,7 @@ class Simulation:
         cfg = self.cfg
         histogram = self.report.bandit["replica_histogram"]
         for vid, vr in self.vehicles.items():
-            cands = self.cell_candidates[vr.mobility.cell]
-            vr.cluster = clustering.form_cluster(vid, cands, cfg.cluster.k_cluster, t.index)
+            vr.cluster = clustering.VirtualCluster(vid, self.cell_members[vr.mobility.cell], t.index)
             if vr.bandit is not None:
                 replicas = mac.bandit_select_and_update(
                     vr.bandit, vr.last_outcome, vr.last_replicas, self.stream(f"bandit/{vid}")
@@ -317,13 +324,14 @@ class Simulation:
             usable[ctu] = {v for v, ok in resolved.items() if ok}
 
         for vid, vr in self.vehicles.items():
-            heard_aps: set[int] = set()
+            heard = [0] * self.n_aps        # association bits, by AP column
             if vr.selection is None:
                 outcome = mac.combine([], resolved_by_mud=False)
                 paths = 0
             else:
                 flags = []
                 any_mud = False
+                decode = None
                 for ctu, ap in zip(vr.selection.ctus, vr.selection.target_aps):
                     if vid not in usable[ctu]:
                         flags.append(False)
@@ -336,15 +344,17 @@ class Simulation:
                             self.cell_sq[vr.mobility.cell][ap], cfg.mac.relay_mode, self.fronthaul[ap],
                             self.curve, cfg.mac.payload_bits,
                         )
-                    ok = self.stream(f"decode/{vid}").random() >= p_fail
+                    if decode is None:
+                        decode = self.stream(f"decode/{vid}")
+                    ok = decode.random() >= p_fail
                     flags.append(ok)
                     if ok:
-                        heard_aps.add(ap)
+                        heard[self.ap_col[ap]] = 1
                 outcome = mac.combine(flags, resolved_by_mud=any_mud)
                 paths = len(set(vr.selection.target_aps))
             self.report.record_packet(vid, t.index, outcome.combined, vr.last_replicas or 0, paths)
             vr.last_outcome = outcome
-            bits = tuple(1 if ap in heard_aps else 0 for ap in self.ap_ids)
+            bits = tuple(heard)
             vr.assoc_true = predictor.AssociationVector(vid, t.index, bits)
             flip = cfg.cipher.an_view_flip_prob
             if flip > 0.0:
@@ -434,7 +444,11 @@ class Simulation:
                 ap = cand_aps[rank]
                 up_snr = snrs[ap].snr_db
                 if up_snr >= cfg.snr_threshold_db:
-                    delta_db = 10.0 * np.log10(power_w * 1000.0) - cfg.channel.tx_power_dbm
+                    delta_db = self.power_delta_db.get(power_w)
+                    if delta_db is None:
+                        delta_db = self.power_delta_db[power_w] = (
+                            10.0 * np.log10(power_w * 1000.0) - cfg.channel.tx_power_dbm
+                        )
                     dl_snr = up_snr + delta_db
                     p_ok = 1.0 - self.curve.bler(dl_snr, cfg.mac.payload_bits)
                     delivered = self.stream(f"dldecode/{an_id}").random() < p_ok
@@ -579,15 +593,14 @@ class Simulation:
                 fp_a = fp_v
             else:
                 fp_a = cipher.Fingerprint(vid, tuple(vr.window_an))
-            tag = cipher.integrity_tag(fp_v, vr.session_self.counter)
             n_bits = cfg.mac.payload_bits
             msg = cipher.deterministic_message(vid, t.index, n_bits)
-            ct, vr.session_self = cipher.crypt(vr.session_self, fp_v, msg, n_bits)
+            verified, roundtrip, vr.session_self, vr.session_an = cipher.exchange(
+                vr.session_self, fp_v, vr.session_an, fp_a, msg, n_bits
+            )
             counts["messages"] += 1
-            if cipher.verify_key(fp_a, tag, vr.session_an):
-                pt, vr.session_an = cipher.crypt(vr.session_an, fp_a, ct, n_bits)
-                if pt == msg:
-                    counts["roundtrip_ok"] += 1
+            if verified:
+                counts["roundtrip_ok"] += roundtrip
             else:
                 vr.session_resyncs += 1
                 counts["resyncs"] += 1

@@ -7,6 +7,8 @@ import hmac
 import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vecsim.cipher import (
     KEY_BYTES,
@@ -14,6 +16,7 @@ from vecsim.cipher import (
     Fingerprint,
     crypt,
     deterministic_message,
+    exchange,
     integrity_tag,
     keystream_block,
     master_key_for,
@@ -46,6 +49,43 @@ def test_fingerprint_bytes_are_computed_once_and_equal_a_fresh_fingerprint():
     assert fp.canonical_bytes() == fp.canonical_bytes() == fresh.canonical_bytes()
     assert fp.digest() == fp.digest() == fresh.digest() == hashlib.sha256(fresh.canonical_bytes()).digest()
     assert fp == fresh
+
+
+def _reference_canonical_bytes(window) -> bytes:
+    """The canonical encoding packed field by field: the reference."""
+    parts = [struct.pack(">I", len(window))]
+    for vec in sorted(window, key=lambda v: v.slot):
+        parts.append(struct.pack(">qI", vec.slot, len(vec.bits)))
+        parts.append(bytes(vec.bits))
+    return b"".join(parts)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.lists(
+        st.tuples(st.integers(-(2**63), 2**63 - 1), st.lists(st.integers(0, 1), max_size=20)),
+        max_size=8,
+        unique_by=lambda pair: pair[0],
+    ),
+    st.randoms(use_true_random=False),
+)
+def test_canonical_bytes_equal_the_field_by_field_encoding(slot_bits, rnd):
+    rnd.shuffle(slot_bits)          # windows need not arrive in slot order
+    window = tuple(AssociationVector(3, slot, tuple(bits)) for slot, bits in slot_bits)
+    fp = Fingerprint(vehicle_id=3, window=window)
+    assert fp.canonical_bytes() == _reference_canonical_bytes(window)
+    assert fp.digest() == hashlib.sha256(_reference_canonical_bytes(window)).digest()
+
+
+def test_a_vectors_encoding_leaves_equality_hash_and_repr_alone():
+    vec = _vec(4, (1, 0, 1))
+    twin = _vec(4, (1, 0, 1))
+    assert vec.encoded == struct.pack(">qI", 4, 3) + bytes([1, 0, 1])
+    object.__setattr__(twin, "encoded", b"other")
+    assert vec == twin
+    assert hash(vec) == hash(twin) == hash((0, 4, (1, 0, 1)))
+    assert repr(vec) == "AssociationVector(vehicle_id=0, slot=4, bits=(1, 0, 1))"
+    assert vec != _vec(4, (1, 0, 0))
 
 
 def test_fingerprint_digest_is_sensitive_to_any_bit():
@@ -164,6 +204,69 @@ def test_verify_key_accepts_matching_views_and_rejects_divergence():
     assert verify_key(fp, check, state)
     assert not verify_key(_fp((3, (1, 1)), (4, (0, 0))), check, state)
     assert not verify_key(fp, integrity_tag(fp, 6), state)
+
+
+def _reference_exchange(vehicle, vehicle_fp, an, an_fp, message, n_bits):
+    """The loopback as its four public steps: tag, encrypt, verify, decrypt."""
+    tag = integrity_tag(vehicle_fp, vehicle.counter)
+    body, vehicle = crypt(vehicle, vehicle_fp, message, n_bits)
+    if not verify_key(an_fp, tag, an):
+        return False, False, vehicle, an
+    plain, an = crypt(an, an_fp, body, n_bits)
+    return True, plain == message, vehicle, an
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.lists(st.lists(st.integers(0, 1), min_size=3, max_size=3), min_size=1, max_size=4),
+    st.sampled_from(["same object", "equal copy", "one bit", "shorter"]),
+    st.booleans(),
+    st.booleans(),
+    st.integers(0, 2**20),
+    st.integers(1, 3),
+    st.one_of(st.integers(1, 300), st.just(4096)),
+    st.booleans(),
+    st.integers(0, 2**16),
+)
+def test_exchange_equals_the_tag_encrypt_verify_decrypt_sequence(
+    window_bits, an_view, key_differs, counter_differs, counter, counter_step, n_bits, tail_set, salt
+):
+    vehicle_fp = Fingerprint(0, tuple(_vec(s, tuple(b)) for s, b in enumerate(window_bits)))
+    if an_view == "same object":
+        an_fp = vehicle_fp
+    elif an_view == "equal copy":
+        an_fp = Fingerprint(0, vehicle_fp.window)
+    elif an_view == "one bit":
+        flip = salt % (len(window_bits) * 3)
+        bits = [list(b) for b in window_bits]
+        bits[flip // 3][flip % 3] ^= 1
+        an_fp = Fingerprint(0, tuple(_vec(s, tuple(b)) for s, b in enumerate(bits)))
+    else:
+        an_fp = Fingerprint(0, vehicle_fp.window[1:])
+    key = hashlib.sha256(struct.pack(">I", salt)).digest()
+    vehicle = CipherState(key=key, counter=counter)
+    an = CipherState(
+        key=bytes(b ^ 1 for b in key) if key_differs else key,
+        counter=counter + counter_step if counter_differs else counter,
+    )
+    # a message whose part-byte tail is either zero or all ones
+    n_bytes = (n_bits + 7) // 8
+    tail = 0xFF >> (8 - (8 * n_bytes - n_bits)) if tail_set else 0
+    body = hashlib.shake_256(struct.pack(">II", salt, n_bits)).digest(n_bytes)
+    message = body[:-1] + bytes([body[-1] & (0xFF << (8 * n_bytes - n_bits)) & 0xFF | tail])
+    got = exchange(vehicle, vehicle_fp, an, an_fp, message, n_bits)
+    want = _reference_exchange(vehicle, vehicle_fp, an, an_fp, message, n_bits)
+    assert got == want
+    assert got[3] is not got[2]
+
+
+def test_exchange_validates_lengths():
+    state = CipherState(key=bytes(32))
+    fp = _fp((0, (1,)))
+    with pytest.raises(ValueError):
+        exchange(state, fp, CipherState(key=bytes(32)), fp, b"", 0)
+    with pytest.raises(ValueError, match="byte length"):
+        exchange(state, fp, CipherState(key=bytes(32)), fp, b"\x00\x00", 3)
 
 
 def test_deterministic_message_is_stable_and_masked():

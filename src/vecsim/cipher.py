@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-import operator
 import struct
 from dataclasses import dataclass, field
 
@@ -30,8 +29,6 @@ from vecsim.rng import RngStream
 
 KEY_BYTES = 32
 BLOCK_BYTES = 32     # HMAC-SHA256 output
-
-_slot = operator.attrgetter("slot")
 
 
 @dataclass(frozen=True)
@@ -48,7 +45,7 @@ class Fingerprint:
 
     def __post_init__(self):
         # slot-ascending, each vector's own encoding; length prefixes keep it injective
-        chunks = [vec.encoded for vec in sorted(self.window, key=_slot)]
+        chunks = [vec.encoded for vec in sorted(self.window, key=lambda v: v.slot)]
         canonical = struct.pack(">I", len(self.window)) + b"".join(chunks)
         object.__setattr__(self, "_canonical", canonical)
         object.__setattr__(self, "_digest", hashlib.sha256(canonical).digest())

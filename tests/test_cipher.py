@@ -1,4 +1,4 @@
-"""Fingerprint canonicalization, keystream roundtrips, verification, resync."""
+"""Fingerprint canonicalization, keystream roundtrips, verification, the one-call exchange, resync."""
 
 from __future__ import annotations
 

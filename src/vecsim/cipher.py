@@ -7,11 +7,11 @@ Keystream blocks come from HMAC-SHA256 in counter mode keyed on the session
 key and bound to the fingerprint digest, so the stream drifts with mobility.
 An in-band digest check detects window divergence (MAI can corrupt one
 side's view) and triggers re-keying from the AN's master key. A fingerprint
-computes its canonical bytes and digest once, so endpoints that hold equal
-windows can share one. `exchange` runs a whole vehicle-to-AN loopback; when
-the endpoints share a fingerprint and hold equal states it skips the
-integrity tags and computes the keystream once, since both sides would
-compute the same values.
+computes its canonical bytes and digest once, from chunks each association
+vector packs once, so endpoints that hold equal windows can share one.
+`exchange` runs a whole vehicle-to-AN loopback; when the endpoints share a
+fingerprint and hold equal states it skips the integrity tags and computes
+the keystream once, since both sides would compute the same values.
 
 Security claims here are functional (roundtrip, sensitivity, recovery), not
 cryptanalytic.
@@ -44,8 +44,8 @@ class Fingerprint:
     _digest: bytes = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        # slot-ascending, each vector's own encoding; length prefixes keep it injective
-        chunks = [vec.encoded for vec in sorted(self.window, key=lambda v: v.slot)]
+        # slot-ascending, bits in AP-id order; length prefixes keep it injective
+        chunks = [_chunk(vec) for vec in sorted(self.window, key=lambda v: v.slot)]
         canonical = struct.pack(">I", len(self.window)) + b"".join(chunks)
         object.__setattr__(self, "_canonical", canonical)
         object.__setattr__(self, "_digest", hashlib.sha256(canonical).digest())
@@ -55,6 +55,21 @@ class Fingerprint:
 
     def digest(self) -> bytes:
         return self._digest
+
+
+def _chunk(vec: AssociationVector) -> bytes:
+    """One vector's part of the canonical bytes: slot and bit count (>qI), then one byte per bit.
+
+    A vector stays in W windows on each side, so its chunk is packed once and
+    kept on the vector. It is no dataclass field, so the vector's ==, hash and
+    repr are unchanged.
+    """
+    try:
+        return vec._fingerprint_chunk
+    except AttributeError:
+        chunk = struct.pack(">qI", vec.slot, len(vec.bits)) + bytes(vec.bits)
+        object.__setattr__(vec, "_fingerprint_chunk", chunk)
+        return chunk
 
 
 @dataclass

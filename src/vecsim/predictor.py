@@ -15,7 +15,6 @@ one-row case.
 
 from __future__ import annotations
 
-import struct
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -31,13 +30,10 @@ class AssociationVector:
     vehicle_id: int
     slot: int
     bits: tuple[int, ...]       # one per AP id, in ascending AP-id order
-    # slot and bit count (>qI) then one byte per bit: the fingerprint's chunk
-    encoded: bytes = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not set(self.bits) <= {0, 1}:
             raise ValueError("association bits must be 0/1")
-        object.__setattr__(self, "encoded", struct.pack(">qI", self.slot, len(self.bits)) + bytes(self.bits))
 
 
 @dataclass

@@ -94,7 +94,7 @@ class Simulation:
 
         # Each cell's uplink cluster members: the top-k candidates, fixed like the SNRs.
         self.cell_members = {
-            cell: clustering.form_cluster(0, cands, cfg.cluster.k_cluster, 0).members
+            cell: tuple(ap for ap, _ in cands[: cfg.cluster.k_cluster])
             for cell, cands in self.cell_candidates.items()
         }
 
@@ -114,8 +114,6 @@ class Simulation:
         self.obs_model = self._build_observation_model()
         # P(path fails) per (cell, AP), filled in as RELAY_DECODE meets each pair
         self.path_failure: dict[tuple[int, int], float] = {}
-        # downlink power in W -> dB offset from the uplink transmit power, filled in as met
-        self.power_delta_db: dict[float, float] = {}
 
         self.sched_by_slot: dict[int, dict[int, str]] = {}
         for slot, vid, vclass in cfg.velocity_schedule:
@@ -234,9 +232,9 @@ class Simulation:
         success: dict[tuple[int, int], float] = {}
         for cell in self.cells:
             pairs = []
-            for ap_id, snr in self.cell_candidates[cell][: cfg.cluster.k_cluster]:
+            for ap_id in self.cell_members[cell]:
                 col = self.ap_col[ap_id]
-                pairs.append((col, snr))
+                pairs.append((col, self.cell_sq[cell][ap_id].snr_db))
                 success[(cell, col)] = 1.0 - mac.path_failure_prob(
                     self.cell_sq[cell][ap_id], cfg.mac.relay_mode, self.fronthaul[ap_id],
                     self.curve, cfg.mac.payload_bits,
@@ -444,11 +442,7 @@ class Simulation:
                 ap = cand_aps[rank]
                 up_snr = snrs[ap].snr_db
                 if up_snr >= cfg.snr_threshold_db:
-                    delta_db = self.power_delta_db.get(power_w)
-                    if delta_db is None:
-                        delta_db = self.power_delta_db[power_w] = (
-                            10.0 * np.log10(power_w * 1000.0) - cfg.channel.tx_power_dbm
-                        )
+                    delta_db = 10.0 * np.log10(power_w * 1000.0) - cfg.channel.tx_power_dbm
                     dl_snr = up_snr + delta_db
                     p_ok = 1.0 - self.curve.bler(dl_snr, cfg.mac.payload_bits)
                     delivered = self.stream(f"dldecode/{an_id}").random() < p_ok

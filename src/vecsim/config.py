@@ -20,9 +20,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
-import networkx as nx
-
 from vecsim.channel import ChannelParams
+from vecsim.control_plane import connected_components
 from vecsim.edge import Service
 from vecsim.mac import CtuPool
 from vecsim.mobility import MarkovJumpModel, ModelValidationError, RoadGraph, line_graph
@@ -344,19 +343,18 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
         for i, an in enumerate(cfg.ans):
             if an.controller_capacity <= 0:
                 errors.append(f"ans[{i}].controller_capacity: must be > 0, got {an.controller_capacity}")
-        graph = nx.Graph()
-        graph.add_nodes_from(an_ids)
+        graph: dict[int, list[int]] = {an: [] for an in an_ids}
         for i, (u, v, w, cap) in enumerate(ctl.edges):
             if u not in an_ids or v not in an_ids:
                 errors.append(f"control.edges[{i}]: endpoint not an AN id")
             else:
-                graph.add_edge(u, v)
+                graph[u].append(v)
             if w <= 0 or cap <= 0:
                 errors.append(f"control.edges[{i}]: weight and capacity must be positive")
+        parts = connected_components(graph)
         if len(cfg.ans) > 1 and not ctl.edges:
             errors.append("control.edges: required when more than one AN exists")
-        elif len(graph) > 1 and not nx.is_connected(graph):
-            parts = sorted(sorted(c) for c in nx.connected_components(graph))
+        elif len(parts) > 1:
             errors.append(f"control.edges: the ANs must form one connected graph, got components {parts}")
 
     ec = cfg.edge_compute

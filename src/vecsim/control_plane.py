@@ -7,16 +7,17 @@ controller subsets in minimum-cardinality order and decides each with one
 integral max-flow over vehicle classes; topologies beyond `exact_limit` ANs
 get a greedy set-cover. The balancing loop reroutes one vehicle at a time,
 pricing its old and new paths by their marginal cost, until no move lowers
-the total latency.
+the total latency. Graphs are plain adjacency dicts searched by one Dijkstra;
+networkx is imported only for a max-flow whose answer is not forced.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
-
-import networkx as nx
+from typing import Callable, Iterable, Optional
 
 MAX_BALANCE_PASSES = 50     # full rerouting passes balance_control_traffic makes at most
 
@@ -51,18 +52,17 @@ class ControlTopology:
     edges: dict[tuple[int, int], tuple[float, float]]   # (u, v) -> (weight_s, capacity)
     kappa: float = 1e-4
 
-    def graph(self) -> nx.Graph:
-        g = nx.Graph()
-        g.add_nodes_from(sorted(self.capacity))
-        for (u, v), (w, cap) in self.edges.items():
-            g.add_edge(u, v, weight=w, capacity=cap)
-        return g
+    def graph(self) -> dict[int, dict[int, float]]:
+        """{an: {neighbour: weight_s}}: ANs ascending, then neighbours in edge order."""
+        adj: dict[int, dict[int, float]] = {an: {} for an in sorted(self.capacity)}
+        for (u, v), (w, _) in self.edges.items():
+            adj.setdefault(u, {})[v] = w
+            adj.setdefault(v, {})[u] = w
+        return adj
 
     def all_pairs_latency(self) -> dict[int, dict[int, float]]:
-        return {
-            src: dict(lengths)
-            for src, lengths in nx.all_pairs_dijkstra_path_length(self.graph(), weight="weight")
-        }
+        g = self.graph()
+        return {src: _dijkstra(g, src)[0] for src in g}
 
 
 @dataclass(frozen=True)
@@ -89,6 +89,94 @@ class ControlFlowRouting:
 
 def _norm_edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
+
+
+Weight = Callable[[int, int], Optional[float]]
+
+
+def _dijkstra(
+    graph: dict[int, dict[int, float]],
+    source: int,
+    weight: Optional[Weight] = None,
+    target: Optional[int] = None,
+) -> tuple[dict[int, float], dict[int, list[int]]]:
+    """Shortest distances from `source` and each node's shortest-path predecessors.
+
+    `weight(u, v)` prices an edge, None hiding it; by default the graph's own
+    weight. Weights must not be negative. The search stops once `target` is
+    settled. This is networkx's `_dijkstra_multisource` for one source: a heap
+    of (dist, counter, node), a strictly lower distance replaces a node's
+    predecessors and an equal one appends to them, so `pred[v][0]` is the last
+    strictly improving one, the predecessor networkx's path search follows.
+    """
+    dist: dict[int, float] = {}
+    pred: dict[int, list[int]] = {source: []}
+    seen: dict[int, float] = {source: 0}
+    counter = itertools.count()
+    fringe = [(0, next(counter), source)]
+    while fringe:
+        d, _, v = heapq.heappop(fringe)
+        if v in dist:
+            continue
+        dist[v] = d
+        if v == target:
+            break
+        for u, w in graph[v].items():
+            cost = w if weight is None else weight(v, u)
+            if cost is None:
+                continue
+            vu = d + cost
+            if u in dist:
+                if vu == dist[u]:
+                    pred[u].append(v)
+            elif u not in seen or vu < seen[u]:
+                seen[u] = vu
+                heapq.heappush(fringe, (vu, next(counter), u))
+                pred[u] = [v]
+            elif vu == seen[u]:
+                pred[u].append(v)
+    return dist, pred
+
+
+def shortest_path(
+    graph: dict[int, dict[int, float]], source: int, target: int, weight: Weight
+) -> Optional[list[int]]:
+    """The path networkx's `dijkstra_path` returns, or None where it finds none."""
+    if source == target:
+        return [source]
+    dist, pred = _dijkstra(graph, source, weight, target)
+    if target not in dist:
+        return None
+    path = [target]
+    while path[-1] != source:
+        path.append(pred[path[-1]][0])
+    return path[::-1]
+
+
+def connected_components(neighbors: dict[int, Iterable[int]]) -> list[list[int]]:
+    """Components of the undirected graph node -> neighbours, each sorted, in ascending order."""
+    adj: dict[int, set[int]] = {}
+    for u, nbs in neighbors.items():
+        for v in (u, *nbs):
+            adj.setdefault(u, set()).add(v)
+            adj.setdefault(v, set()).add(u)
+    parts, seen = [], set()
+    for start in adj:
+        if start not in seen:
+            part, stack = {start}, [start]
+            while stack:
+                new = adj[stack.pop()] - part
+                part |= new
+                stack.extend(new)
+            seen |= part
+            parts.append(sorted(part))
+    return sorted(parts)
+
+
+def _is_tree(graph: dict[int, dict[int, float]]) -> bool:
+    """Connected with |E| = |V| - 1; a self-loop counts as an edge."""
+    edges = sum(len(nbs) + (v in nbs) for v, nbs in graph.items()) // 2
+    return len(graph) > 0 and edges == len(graph) - 1 and len(connected_components(graph)) == 1
 
 
 def _slots(capacity: float, rate: float, most: int) -> int:
@@ -150,7 +238,10 @@ def _place_exact(topology, demands, reach, latency_bound) -> Placement:
     feasible iff the integral max-flow source -> class -> controller -> sink
     carries every vehicle. A class is the vehicles that reach the same
     controllers of the subset; it hands its vehicles out in ascending id to
-    its controllers in ascending id, as many to each as the flow sends.
+    its controllers in ascending id, as many to each as the flow sends. A
+    class that reaches no controller of the subset rules the subset out, and
+    when every class reaches exactly one the flow is forced, so only the
+    remaining subsets build a flow graph.
     """
     ans = sorted(topology.capacity)
     rate = demands[0].rate if demands else 0.0
@@ -165,15 +256,25 @@ def _place_exact(topology, demands, reach, latency_bound) -> Placement:
             classes: dict[tuple[int, ...], list[int]] = {}     # reachable controllers -> vehicles
             for src, vids in by_ingress.items():
                 classes.setdefault(tuple(c for c in reach[src] if c in subset), []).extend(vids)
-            g = nx.DiGraph()
-            g.add_node("s")
-            for ctrls, vids in sorted(classes.items()):
-                g.add_edge("s", ctrls, capacity=len(vids))
-                g.add_edges_from((ctrls, c) for c in ctrls)
-            g.add_edges_from((c, "t", {"capacity": slots[c]}) for c in subset)
-            value, flow = nx.maximum_flow(g, "s", "t")
-            if value < len(demands):
+            if () in classes:
                 continue
+            if all(len(ctrls) == 1 for ctrls in classes):
+                # the only flow: each controller takes the one class that reaches it alone
+                if any(len(vids) > slots[c] for (c,), vids in classes.items()):
+                    continue
+                flow = {(c,): {c: len(vids)} for (c,), vids in classes.items()}
+            else:
+                import networkx as nx
+
+                g = nx.DiGraph()
+                g.add_node("s")
+                for ctrls, vids in sorted(classes.items()):
+                    g.add_edge("s", ctrls, capacity=len(vids))
+                    g.add_edges_from((ctrls, c) for c in ctrls)
+                g.add_edges_from((c, "t", {"capacity": slots[c]}) for c in subset)
+                value, flow = nx.maximum_flow(g, "s", "t")
+                if value < len(demands):
+                    continue
             domain: dict[int, int] = {}
             for ctrls, vids in classes.items():
                 queue = iter(sorted(vids))
@@ -239,18 +340,18 @@ def balance_control_traffic(
     a tree every vehicle's path is its only one, so the pass searches nothing.
     """
     g = topology.graph()
-    tree = len(g) > 0 and nx.is_tree(g)
+    tree = _is_tree(g)
     by_vehicle = {d.vehicle_id: d for d in demands}
     load: dict[tuple[int, int], float] = {e: 0.0 for e in topology.edges}
     paths: dict[int, list[int]] = {}
 
     def marginal_weight(rate: float):
-        def weight_fn(u, v, attrs):
+        def weight_fn(u, v):
             e = _norm_edge(u, v)
             f = load[e]
             w, cap = topology.edges[e]
             if f + rate >= cap:
-                return None     # networkx treats None as an absent edge
+                return None     # the search treats None as an absent edge
             before = f * _edge_latency(w, cap, f, topology.kappa) if f > 0 else 0.0
             after = (f + rate) * _edge_latency(w, cap, f + rate, topology.kappa)
             return after - before
@@ -261,16 +362,15 @@ def balance_control_traffic(
             load[_norm_edge(u, v)] += sign * rate
 
     def path_cost(path: list[int], weight_fn) -> float:
-        costs = [weight_fn(u, v, None) for u, v in zip(path, path[1:])]
+        costs = [weight_fn(u, v) for u, v in zip(path, path[1:])]
         return math.inf if None in costs else sum(costs)
 
     # initial greedy routing, ascending vehicle id
     for vid in sorted(placement.domain):
         d = by_vehicle[vid]
         target = placement.domain[vid]
-        try:
-            path = nx.dijkstra_path(g, d.ingress_an, target, weight=marginal_weight(d.rate))
-        except nx.NetworkXNoPath:
+        path = shortest_path(g, d.ingress_an, target, marginal_weight(d.rate))
+        if path is None:
             raise CongestionInfeasible(
                 f"no uncongested path from AN {d.ingress_an} to controller {target} for vehicle {vid}"
             )
@@ -286,10 +386,7 @@ def balance_control_traffic(
             add_load(paths[vid], d.rate, -1.0)
             if not tree:
                 weight_fn = marginal_weight(d.rate)
-                try:
-                    candidate = nx.dijkstra_path(g, d.ingress_an, placement.domain[vid], weight=weight_fn)
-                except nx.NetworkXNoPath:
-                    candidate = paths[vid]
+                candidate = shortest_path(g, d.ingress_an, placement.domain[vid], weight_fn) or paths[vid]
                 if path_cost(candidate, weight_fn) < path_cost(paths[vid], weight_fn) - 1e-15:
                     paths[vid] = candidate
                     improved = True
@@ -355,7 +452,7 @@ def sync_controllers(
     nodes = sorted(neighbors)
     if set(views) != set(nodes):
         raise ValueError("views must cover exactly the controller set")
-    components = sorted(sorted(c) for c in nx.connected_components(nx.Graph(neighbors)))
+    components = connected_components(neighbors)
     if len(components) > 1:
         raise DisconnectedControllers(components)
 
@@ -392,12 +489,18 @@ def relay_free_controller_graph(
     ctrls = sorted(controllers)
     neighbors: dict[int, list[int]] = {c: [] for c in ctrls}
     for i, a in enumerate(ctrls):
+        _, pred = _dijkstra(g, a)
         for b in ctrls[i + 1 :]:
-            for path in nx.all_shortest_paths(g, a, b, weight="weight"):
-                if not any(n in controllers for n in path[1:-1]):
-                    neighbors[a].append(b)
-                    neighbors[b].append(a)
-                    break
+            # walk the shortest-path predecessors back from b, never through another controller
+            stack, seen = [b], {b}
+            while stack and a not in seen:
+                for p in pred.get(stack.pop(), ()):
+                    if p not in seen and (p == a or p not in controllers):
+                        seen.add(p)
+                        stack.append(p)
+            if a in seen:
+                neighbors[a].append(b)
+                neighbors[b].append(a)
     for c in ctrls:
         neighbors[c].sort()
     return neighbors

@@ -189,10 +189,8 @@ class Simulation:
                 kappa=cfg.control.kappa,
             )
 
-        self.master_keys = {
-            vid: cipher.master_key_for(vid, self.root.substream("cipher-master"))
-            for vid in self.vehicles
-        }
+        # each vehicle's master key, derived at its first resync
+        self.master_keys: dict[int, bytes] = {}
 
         self.report = MetricsReport(
             scenario_name=cfg.name,
@@ -603,6 +601,8 @@ class Simulation:
                     counts["compromised"] += 1
                     continue
                 vr.session_generation += 1
+                if vid not in self.master_keys:
+                    self.master_keys[vid] = cipher.master_key_for(vid, self.stream("cipher-master"))
                 pair = cipher.resync_session(self.master_keys[vid], fp_a, vr.session_generation)
                 vr.session_self, vr.session_an = pair
                 # The vehicle adopts the AN-side window out of band.

@@ -200,6 +200,14 @@ def test_runtime_divisors_and_sizes_are_range_checked(overrides, path):
     assert any(p.startswith(f"{path}:") for p in validate_scenario(cfg))
 
 
+def test_a_disconnected_control_graph_names_its_components():
+    cfg = load_bundled("smoke")
+    apply_overrides(cfg, {"control.edges": [[0, 0, 0.001, 100.0]]})
+    assert validate_scenario(cfg) == [
+        "control.edges: the ANs must form one connected graph, got components [[0], [1]]"
+    ]
+
+
 @pytest.mark.parametrize(("section", "value", "message"), [
     ("horizon", 1.5, "horizon: expected an integer"),
     ("seed", True, "seed: expected an integer"),

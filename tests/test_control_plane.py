@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import networkx as nx
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vecsim import control_plane
 from vecsim.control_plane import (
     CongestionInfeasible,
     ControlTopology,
@@ -18,6 +20,7 @@ from vecsim.control_plane import (
     InfeasiblePlacement,
     Placement,
     balance_control_traffic,
+    connected_components,
     place_controllers,
     relay_free_controller_graph,
     replace_on_feedback,
@@ -260,7 +263,8 @@ def test_flow_placement_and_path_cost_balancing_hold_their_invariants(instance):
     routing = balance_control_traffic(placement, topo, demands)
     total = _total_latency(topo, routing.edge_load)
     assert routing.mean_latency * len(demands) == pytest.approx(total, rel=1e-12)
-    g = topo.graph()
+    g = nx.Graph(list(topo.edges))
+    g.add_nodes_from(topo.capacity)
     for d in demands:
         old = routing.paths[d.vehicle_id]
         for path in nx.all_simple_paths(g, d.ingress_an, placement.domain[d.vehicle_id]):
@@ -292,11 +296,11 @@ def test_tree_balancing_searches_once_per_vehicle_and_routes_as_the_full_pass(mo
     demands = [Demand(v, v % 5, 0.1 * (v % 7 + 1)) for v in range(30)]
     placement = Placement(frozenset({2, 4}), {v: 2 + 2 * (v % 2) for v in range(30)}, latency_bound=1.0, exact=True)
     calls = []
-    search = nx.dijkstra_path
-    monkeypatch.setattr(nx, "dijkstra_path", lambda *args, **kw: calls.append(args) or search(*args, **kw))
+    search = control_plane.shortest_path
+    monkeypatch.setattr(control_plane, "shortest_path", lambda *args, **kw: calls.append(args) or search(*args, **kw))
     routing = balance_control_traffic(placement, topo, demands)
     assert len(calls) == len(demands)
-    monkeypatch.setattr(nx, "is_tree", lambda g: False)     # search every vehicle again, as on any graph
+    monkeypatch.setattr(control_plane, "_is_tree", lambda g: False)     # search every vehicle again, as on any graph
     full = balance_control_traffic(placement, topo, demands)
     assert len(calls) == 3 * len(demands)
     assert (routing.paths, routing.edge_load, routing.mean_latency) == (full.paths, full.edge_load, full.mean_latency)
@@ -449,3 +453,142 @@ def test_relay_free_graph_skips_pairs_bridged_by_another_controller():
     topo = _line(3, weight=1.0)
     assert relay_free_controller_graph(topo, frozenset({0, 2})) == {0: [2], 2: [0]}
     assert relay_free_controller_graph(topo, frozenset({0, 1, 2})) == {0: [1], 1: [0, 2], 2: [1]}
+
+
+# networkx is the reference for every graph question the control plane answers
+
+def _nx_graph(topo):
+    """The networkx graph `ControlTopology.graph()` stands for, built in the same order."""
+    g = nx.Graph()
+    g.add_nodes_from(sorted(topo.capacity))
+    for (u, v), (w, cap) in topo.edges.items():
+        g.add_edge(u, v, weight=w, capacity=cap)
+    return g
+
+
+@st.composite
+def weighted_graphs(draw, connected=True):
+    # few distinct weights, so equal-length paths are common, and decimal ones
+    # whose sums round, so the summation order shows
+    n = draw(st.integers(1, 8))
+    pairs = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)] if connected else []
+    pairs += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n))
+    edges = {}
+    for u, v in draw(st.permutations(pairs)):
+        edges.setdefault((min(u, v), max(u, v)), (draw(st.sampled_from([1.0, 2.0, 0.1, 0.2, 0.3])), 10.0))
+    return ControlTopology(capacity={i: 1.0 for i in range(n)}, edges=edges)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(weighted_graphs(connected=False), st.data())
+def test_shortest_path_is_networkx_dijkstra_path_with_ties_and_hidden_edges(topo, data):
+    g, ref = topo.graph(), _nx_graph(topo)
+    assert {u: list(nbs.items()) for u, nbs in g.items()} == {
+        u: [(v, attrs["weight"]) for v, attrs in ref.adj[u].items()] for u in ref
+    }
+    hidden = data.draw(st.sets(st.sampled_from(sorted(topo.edges)))) if topo.edges else set()
+
+    def weight(u, v):
+        e = (min(u, v), max(u, v))
+        return None if e in hidden else topo.edges[e][0]
+
+    for s in ref:
+        for t in ref:
+            try:
+                expected = nx.dijkstra_path(ref, s, t, weight=lambda u, v, _: weight(u, v))
+            except nx.NetworkXNoPath:
+                expected = None
+            assert control_plane.shortest_path(g, s, t, weight) == expected
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(weighted_graphs(connected=False))
+def test_all_pairs_latency_equals_networkx_exactly(topo):
+    expected = {s: list(lengths.items()) for s, lengths in nx.all_pairs_dijkstra_path_length(_nx_graph(topo))}
+    assert {s: list(lengths.items()) for s, lengths in topo.all_pairs_latency().items()} == expected
+
+
+def _relay_free_by_path_scan(topo, controllers):
+    g, ctrls = _nx_graph(topo), sorted(controllers)
+    neighbors = {c: [] for c in ctrls}
+    for i, a in enumerate(ctrls):
+        for b in ctrls[i + 1 :]:
+            if any(not set(p[1:-1]) & controllers for p in nx.all_shortest_paths(g, a, b, weight="weight")):
+                neighbors[a].append(b)
+                neighbors[b].append(a)
+    return {c: sorted(nbs) for c, nbs in neighbors.items()}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(weighted_graphs(), st.data())
+def test_relay_free_graph_equals_an_all_shortest_paths_scan(topo, data):
+    controllers = frozenset(data.draw(st.sets(st.sampled_from(sorted(topo.capacity)), min_size=1)))
+    assert relay_free_controller_graph(topo, controllers) == _relay_free_by_path_scan(topo, controllers)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(weighted_graphs(connected=False), st.data())
+def test_tree_test_and_components_equal_networkx(topo, data):
+    ref = _nx_graph(topo)
+    assert control_plane._is_tree(topo.graph()) == nx.is_tree(ref)
+    assert connected_components(topo.graph()) == sorted(sorted(c) for c in nx.connected_components(ref))
+    # one-sided neighbour lists, as sync_controllers may be handed
+    n = len(topo.capacity)
+    one_sided = {u: data.draw(st.lists(st.integers(0, n - 1), max_size=3)) for u in range(n)}
+    assert connected_components(one_sided) == sorted(sorted(c) for c in nx.connected_components(nx.Graph(one_sided)))
+
+
+def _place_by_max_flow(topo, demands, bound):
+    """Exact placement with a networkx max-flow for every subset, forced or not."""
+    dist = dict(nx.all_pairs_dijkstra_path_length(_nx_graph(topo)))
+    ans = sorted(topo.capacity)
+    reach = {d.ingress_an: [an for an in ans if dist[d.ingress_an].get(an, math.inf) <= bound] for d in demands}
+    slots = {an: min(int(topo.capacity[an]), len(demands)) for an in ans}     # unit rates, whole capacities
+    for k in range(1, len(ans) + 1):
+        for subset in itertools.combinations(ans, k):
+            classes = {}
+            for d in sorted(demands, key=lambda d: d.ingress_an):
+                classes.setdefault(tuple(c for c in reach[d.ingress_an] if c in subset), []).append(d.vehicle_id)
+            g = nx.DiGraph()
+            g.add_node("s")
+            for ctrls, vids in sorted(classes.items()):
+                g.add_edge("s", ctrls, capacity=len(vids))
+                g.add_edges_from((ctrls, c) for c in ctrls)
+            g.add_edges_from((c, "t", {"capacity": slots[c]}) for c in subset)
+            value, flow = nx.maximum_flow(g, "s", "t")
+            if value == len(demands):
+                domain = {}
+                for ctrls, vids in classes.items():
+                    queue = iter(sorted(vids))
+                    for c in ctrls:
+                        domain.update((next(queue), c) for _ in range(flow[ctrls][c]))
+                return frozenset(subset), domain
+    return None
+
+
+@st.composite
+def forced_flow_instances(draw):
+    topo = draw(weighted_graphs())
+    n = len(topo.capacity)
+    vehicles = draw(st.integers(1, 12))
+    topo = ControlTopology(
+        capacity={i: float(draw(st.integers(1, vehicles))) for i in range(n)}, edges=topo.edges
+    )
+    demands = [Demand(v, draw(st.integers(0, n - 1)), 1.0) for v in range(vehicles)]
+    bound = draw(st.sampled_from(sorted({d for row in topo.all_pairs_latency().values() for d in row.values()})))
+    return topo, demands, bound
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(forced_flow_instances())
+def test_exact_placement_equals_a_max_flow_for_every_subset(instance):
+    # most subsets have one controller per class, which the placement decides
+    # without a flow; the domains must still be the max-flow's
+    topo, demands, bound = instance
+    expected = _place_by_max_flow(topo, demands, bound)
+    if expected is None:
+        with pytest.raises(InfeasiblePlacement):
+            place_controllers(topo, demands, bound)
+        return
+    placement = place_controllers(topo, demands, bound)
+    assert (placement.controllers, placement.domain) == expected

@@ -3,10 +3,16 @@
 from __future__ import annotations
 
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from conftest import load_bundled
+from conftest import load_bundled, scenario_path
+from vecsim.config import VehicleSpec
+from vecsim.rng import RngStream
 from vecsim.simulation import Simulation, run_scenario
 
 
@@ -107,3 +113,27 @@ def test_downlink_energy_matches_power_times_slot():
     mean_power = agg["downlink"]["mean_power_w"]
     expected = mean_power * cfg.slot_duration * attempts
     assert agg["downlink"]["energy_j"] == pytest.approx(expected)
+
+
+@pytest.mark.parametrize("vehicles", [2, 50])
+def test_set_up_builds_a_fixed_number_of_streams_whatever_the_fleet(monkeypatch, vehicles):
+    # per-vehicle streams (and master keys) come into being when first used
+    cfg = load_bundled("smoke")
+    cfg.vehicles = [VehicleSpec(v, v % len(cfg.road.cells)) for v in range(vehicles)]
+    built = []
+    init = RngStream.__init__
+    monkeypatch.setattr(RngStream, "__init__", lambda self, *args: built.append(args[1]) or init(self, *args))
+    Simulation(cfg)
+    assert built == ["root"]
+
+
+def test_a_run_with_forced_placements_never_imports_networkx(tmp_path):
+    code = (
+        "import sys\n"
+        "from vecsim import cli\n"
+        f"assert cli.main(['run', {str(scenario_path('smoke'))!r}, '--out', {str(tmp_path)!r}]) == 0\n"
+        "print('networkx' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True)
+    assert done.stdout.splitlines()[-1] == "False"

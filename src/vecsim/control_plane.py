@@ -7,8 +7,8 @@ controller subsets in minimum-cardinality order and decides each with one
 integral max-flow over vehicle classes; topologies beyond `exact_limit` ANs
 get a greedy set-cover. The balancing loop reroutes one vehicle at a time,
 pricing its old and new paths by their marginal cost, until no move lowers
-the total latency. Graphs are plain adjacency dicts searched by one Dijkstra;
-networkx is imported only for a max-flow whose answer is not forced.
+the total latency. Graphs are plain adjacency dicts searched by one Dijkstra,
+and the flows are one shortest-augmenting-path search in a fixed order.
 """
 
 from __future__ import annotations
@@ -235,13 +235,10 @@ def _place_exact(topology, demands, reach, latency_bound) -> Placement:
     """First subset, in minimum-cardinality order, that hosts every vehicle.
 
     With one rate a controller hosts at most `_slots` vehicles, so a subset is
-    feasible iff the integral max-flow source -> class -> controller -> sink
-    carries every vehicle. A class is the vehicles that reach the same
+    feasible iff an integral flow class -> controller carries every vehicle;
+    `_class_flow` decides that. A class is the vehicles that reach the same
     controllers of the subset; it hands its vehicles out in ascending id to
-    its controllers in ascending id, as many to each as the flow sends. A
-    class that reaches no controller of the subset rules the subset out, and
-    when every class reaches exactly one the flow is forced, so only the
-    remaining subsets build a flow graph.
+    its controllers in ascending id, as many to each as the flow sends.
     """
     ans = sorted(topology.capacity)
     rate = demands[0].rate if demands else 0.0
@@ -256,25 +253,9 @@ def _place_exact(topology, demands, reach, latency_bound) -> Placement:
             classes: dict[tuple[int, ...], list[int]] = {}     # reachable controllers -> vehicles
             for src, vids in by_ingress.items():
                 classes.setdefault(tuple(c for c in reach[src] if c in subset), []).extend(vids)
-            if () in classes:
+            flow = _class_flow(classes, slots)
+            if flow is None:
                 continue
-            if all(len(ctrls) == 1 for ctrls in classes):
-                # the only flow: each controller takes the one class that reaches it alone
-                if any(len(vids) > slots[c] for (c,), vids in classes.items()):
-                    continue
-                flow = {(c,): {c: len(vids)} for (c,), vids in classes.items()}
-            else:
-                import networkx as nx
-
-                g = nx.DiGraph()
-                g.add_node("s")
-                for ctrls, vids in sorted(classes.items()):
-                    g.add_edge("s", ctrls, capacity=len(vids))
-                    g.add_edges_from((ctrls, c) for c in ctrls)
-                g.add_edges_from((c, "t", {"capacity": slots[c]}) for c in subset)
-                value, flow = nx.maximum_flow(g, "s", "t")
-                if value < len(demands):
-                    continue
             domain: dict[int, int] = {}
             for ctrls, vids in classes.items():
                 queue = iter(sorted(vids))
@@ -282,6 +263,49 @@ def _place_exact(topology, demands, reach, latency_bound) -> Placement:
                     domain.update((next(queue), c) for _ in range(flow[ctrls][c]))
             return Placement(frozenset(subset), domain, latency_bound, exact=True)
     raise InfeasiblePlacement("no controller subset can host all demand", binding="capacity")
+
+
+def _class_flow(classes, slots) -> Optional[dict[tuple[int, ...], dict[int, int]]]:
+    """Vehicles each class sends each of its controllers, or None once some vehicle fits nowhere.
+
+    Shortest augmenting paths over the class -> controller graph in one fixed
+    order: classes are taken in sorted order; a breadth-first search from a
+    class tries its controllers in ascending id, and a full controller passes
+    the search on, in sorted order, to the classes already sending it
+    vehicles. Each path carries its bottleneck.
+    """
+    order = sorted(classes)
+    flow = {ctrls: dict.fromkeys(ctrls, 0) for ctrls in order}
+    spare = dict(slots)
+    for start in order:
+        left = len(classes[start])
+        while left:
+            # controller -> the class that reached it; class -> the controller it gives up
+            parent: dict = {start: None, **dict.fromkeys(start, start)}
+            queue = list(start)
+            for c in queue:
+                if spare[c]:
+                    break
+                for other in order:
+                    if other not in parent and flow[other].get(c):
+                        parent[other] = c
+                        fresh = [d for d in other if d not in parent]
+                        parent.update(dict.fromkeys(fresh, other))
+                        queue += fresh
+            else:
+                return None
+            chain = [c]     # end, class, controller, ..., class, start
+            while chain[-1] != start:
+                chain.append(parent[chain[-1]])
+            gives = list(zip(chain[1::2], chain[2::2]))
+            push = min(left, spare[c], *(flow[k][d] for k, d in gives))
+            for k, d in zip(chain[1::2], chain[::2]):
+                flow[k][d] += push
+            for k, d in gives:
+                flow[k][d] -= push
+            spare[c] -= push
+            left -= push
+    return flow
 
 
 def _place_greedy(topology, demands, reach, dist, latency_bound) -> Placement:

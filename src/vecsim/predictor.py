@@ -151,12 +151,12 @@ def predict_fleet(
     """One-step-ahead association bits per row: bit set iff the predicted marginal clears threshold.
 
     marginal(ap) = sum_c b_plus(c) * P(ap observed | c) with b_plus the
-    transition-propagated belief, one vector-matrix product per row.
+    transition-propagated belief, summed in ascending cell order by einsum's
+    own loop, not BLAS, whose kernel choice at run time would change the bits.
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must lie in (0, 1)")
-    lk = obs_model.likelihood
-    marginals = np.array([b_plus @ lk for b_plus in fleet.prior(transitions)])
+    marginals = np.einsum("rc,ca->ra", fleet.prior(transitions), obs_model.likelihood)
     return [tuple(row) for row in (marginals >= threshold).astype(int).tolist()]
 
 

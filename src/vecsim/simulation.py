@@ -111,9 +111,19 @@ class Simulation:
             vclass: cfg.mobility.transition_matrix(vclass, self.cells)
             for vclass in sorted(cfg.mobility.rows)
         }
+        # P(path fails) per (cell, AP), for every AP a selection can aim at from
+        # the cell: its cluster members and, under that policy, the preconfigured APs
+        preset = set()
+        if cfg.mac.ctu_policy == "preconfigured":
+            preset = {ap for pairs in cfg.mac.preconfigured.values() for _, ap in pairs}
+        self.path_failure = {
+            (cell, ap): mac.path_failure_prob(
+                self.cell_sq[cell][ap], cfg.mac.relay_mode, self.fronthaul[ap], self.curve, cfg.mac.payload_bits
+            )
+            for cell in self.cells
+            for ap in {*self.cell_members[cell], *preset}
+        }
         self.obs_model = self._build_observation_model()
-        # P(path fails) per (cell, AP), filled in as RELAY_DECODE meets each pair
-        self.path_failure: dict[tuple[int, int], float] = {}
 
         self.sched_by_slot: dict[int, dict[int, str]] = {}
         for slot, vid, vclass in cfg.velocity_schedule:
@@ -233,10 +243,7 @@ class Simulation:
             for ap_id in self.cell_members[cell]:
                 col = self.ap_col[ap_id]
                 pairs.append((col, self.cell_sq[cell][ap_id].snr_db))
-                success[(cell, col)] = 1.0 - mac.path_failure_prob(
-                    self.cell_sq[cell][ap_id], cfg.mac.relay_mode, self.fronthaul[ap_id],
-                    self.curve, cfg.mac.payload_bits,
-                )
+                success[(cell, col)] = 1.0 - self.path_failure[(cell, ap_id)]
             cell_cols[cell] = pairs
         return predictor.derive_observation_model(
             self.cells,
@@ -334,12 +341,7 @@ class Simulation:
                         continue
                     if len(occupancy[ctu]) > 1:
                         any_mud = True
-                    p_fail = self.path_failure.get((vr.mobility.cell, ap))
-                    if p_fail is None:
-                        p_fail = self.path_failure[(vr.mobility.cell, ap)] = mac.path_failure_prob(
-                            self.cell_sq[vr.mobility.cell][ap], cfg.mac.relay_mode, self.fronthaul[ap],
-                            self.curve, cfg.mac.payload_bits,
-                        )
+                    p_fail = self.path_failure[(vr.mobility.cell, ap)]
                     if decode is None:
                         decode = self.stream(f"decode/{vid}")
                     ok = decode.random() >= p_fail

@@ -592,3 +592,64 @@ def test_exact_placement_equals_a_max_flow_for_every_subset(instance):
         return
     placement = place_controllers(topo, demands, bound)
     assert (placement.controllers, placement.domain) == expected
+
+
+@st.composite
+def contested_instances(draw):
+    # capacities of at most half the fleet make controllers fill up, and a
+    # bound from the upper half of the distances lets a class reach several
+    topo = draw(weighted_graphs())
+    n = len(topo.capacity)
+    vehicles = draw(st.integers(2, 14))
+    topo = ControlTopology(
+        capacity={i: float(draw(st.integers(1, vehicles // 2))) for i in range(n)}, edges=topo.edges
+    )
+    demands = [Demand(v, draw(st.integers(0, n - 1)), 1.0) for v in range(vehicles)]
+    dists = sorted({d for row in topo.all_pairs_latency().values() for d in row.values()})
+    bound = draw(st.sampled_from(dists[len(dists) // 2 :]))
+    return topo, demands, bound
+
+
+def _contested(classes, slots):
+    """Some class reaches two or more controllers, and they cannot all take it whole."""
+    return any(len(ctrls) > 1 and all(slots[c] < len(vids) for c in ctrls) for ctrls, vids in classes.items())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(contested_instances())
+def test_class_flow_decides_contested_subsets_as_a_max_flow_does(instance):
+    topo, demands, bound = instance
+    dist = topo.all_pairs_latency()
+    ans = sorted(topo.capacity)
+    reach = {d.vehicle_id: [an for an in ans if dist[d.ingress_an].get(an, math.inf) <= bound] for d in demands}
+    slots = {an: control_plane._slots(topo.capacity[an], 1.0, len(demands)) for an in ans}
+    chosen, contested = None, False
+    for subset in (s for k in range(1, len(ans) + 1) for s in itertools.combinations(ans, k)):
+        classes = {}
+        for d in demands:
+            classes.setdefault(tuple(c for c in reach[d.vehicle_id] if c in subset), []).append(d.vehicle_id)
+        g = nx.DiGraph()
+        for ctrls, vids in classes.items():
+            g.add_edge("s", ctrls, capacity=len(vids))
+            g.add_edges_from((ctrls, c) for c in ctrls)
+        g.add_edges_from((c, "t", {"capacity": slots[c]}) for c in subset)
+        feasible = nx.maximum_flow_value(g, "s", "t") == len(demands)
+        assert (control_plane._class_flow(classes, slots) is not None) == feasible
+        contested |= _contested(classes, slots)
+        if feasible:
+            chosen = subset, classes
+            break
+    if chosen is None:
+        with pytest.raises(InfeasiblePlacement):
+            place_controllers(topo, demands, bound)
+        return
+    subset, classes = chosen
+    placement = place_controllers(topo, demands, bound)
+    assert placement.controllers == frozenset(subset)
+    for d in demands:
+        assert placement.domain[d.vehicle_id] in reach[d.vehicle_id]
+    for c in subset:
+        assert sum(1 for ctrl in placement.domain.values() if ctrl == c) <= slots[c]
+    for vids in classes.values():
+        handed = [placement.domain[v] for v in sorted(vids)]
+        assert handed == sorted(handed)

@@ -238,7 +238,7 @@ def test_overridden_smoke_outputs_match_their_pinned_digests(overrides, seed, tm
 
 
 def test_override_set_f_is_independent_of_string_hashing(tmp_path):
-    # the placement's max-flow labels nodes with tuples and "s"/"t"; its
+    # two-controller placements and balancing on every checkpoint; their
     # output must not follow the per-process string hash seed
     src = str(Path(__file__).resolve().parent.parent / "src")
     outputs = []

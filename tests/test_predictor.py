@@ -201,10 +201,18 @@ def _road_model(draw):
     return graph.cells, model
 
 
+def _marginals_in_cell_order(prior, likelihood):
+    """sum_c prior[..., c] * likelihood[c], one cell after another, without BLAS."""
+    acc = prior[..., 0, None] * likelihood[0]
+    for c in range(1, len(likelihood)):
+        acc += prior[..., c, None] * likelihood[c]
+    return acc
+
+
 def _reference_step(b, op, model, bits, threshold):
     """One vehicle's update and prediction as the per-vehicle filter computed
     them, on 1-D arrays: the sparse product as in-degree terms in order, the
-    plain sum, and one vector-matrix product for the marginals."""
+    plain sum, and the marginals summed in cell order."""
 
     def propagate(v):
         acc = v[op.src[0]] * op.w[0]
@@ -216,7 +224,7 @@ def _reference_step(b, op, model, bits, threshold):
     weighted = prior * model.obs_likelihood(bits)
     total = float(weighted.sum())
     post, fallback = (prior / prior.sum(), True) if total <= 0.0 else (weighted / total, False)
-    marginals = propagate(post) @ model.likelihood
+    marginals = _marginals_in_cell_order(propagate(post), model.likelihood)
     return post, fallback, tuple(1 if m >= threshold else 0 for m in marginals)
 
 
@@ -263,3 +271,21 @@ def test_fleet_step_equals_the_one_vehicle_filter_bit_for_bit(
             assert np.array_equal(fleet.probs[v], reference[v])
             assert (bool(fellback[v]), predicted[v]) == (ref_fb, ref_bits)
         assert int(fellback.sum()) == fallbacks
+
+
+def test_predicted_marginals_are_the_cell_order_sum_bit_for_bit():
+    # a BLAS product's bits depend on the kernel picked at run time; the
+    # marginals must be the plain sequential sum, probed at each entry's own
+    # value (the bit is set) and the next float up (it is not)
+    rng = np.random.default_rng(11)
+    graph, road = line_graph(200, forward_prob=0.7)
+    cells = graph.cells
+    op = road.transition_matrix("default", cells)        # sparse: the prior needs no BLAS
+    probs = rng.random((40, len(cells)))
+    fleet = FleetBelief(probs / probs.sum(axis=1, keepdims=True))
+    model = ObservationModel(likelihood=rng.uniform(0.01, 0.99, size=(len(cells), 20)))
+    trans = [op] * 40
+    expected = _marginals_in_cell_order(fleet.prior(trans), model.likelihood)
+    for (r, a), m in np.ndenumerate(expected):
+        assert predict_fleet(fleet, trans, model, m)[r][a] == 1
+        assert predict_fleet(fleet, trans, model, np.nextafter(m, 1.0))[r][a] == 0

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import json
 import os
 import subprocess
 import sys
@@ -10,7 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from conftest import load_bundled, scenario_path
+from conftest import SCENARIO_DIR, load_bundled, scenario_path
+from vecsim import mac
+from vecsim.cli import main
 from vecsim.config import VehicleSpec
 from vecsim.rng import RngStream
 from vecsim.simulation import Simulation, run_scenario
@@ -127,6 +130,23 @@ def test_set_up_builds_a_fixed_number_of_streams_whatever_the_fleet(monkeypatch,
     assert built == ["root"]
 
 
+def test_the_path_failure_table_holds_every_ap_a_selection_can_aim_at():
+    # relay decoding looks up (cell, AP) for each AP a selection aims at, and
+    # preconfigured pairs may aim outside the cell's cluster
+    cfg = load_bundled("smoke", horizon=40)
+    cfg.mac.ctu_policy = "preconfigured"
+    cfg.mac.preconfigured = {0: [(0, 0), (1, 2)], 1: [(2, 2)]}
+    sim = Simulation(cfg)
+    assert set(sim.path_failure) == {(cell, ap) for cell in sim.cells for ap in {*sim.cell_members[cell], 0, 2}}
+    assert any(2 not in members for members in sim.cell_members.values())
+    for (cell, ap), p_fail in sim.path_failure.items():
+        assert p_fail == mac.path_failure_prob(
+            sim.cell_sq[cell][ap], cfg.mac.relay_mode, sim.fronthaul[ap], sim.curve, cfg.mac.payload_bits
+        )
+    sim.engine.run()
+    assert sim.finalize().packets_emitted == 40 * 2
+
+
 def test_a_run_with_forced_placements_never_imports_networkx(tmp_path):
     code = (
         "import sys\n"
@@ -137,3 +157,29 @@ def test_a_run_with_forced_placements_never_imports_networkx(tmp_path):
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
     done = subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True)
     assert done.stdout.splitlines()[-1] == "False"
+
+
+def test_every_run_leaves_the_same_bytes_where_networkx_cannot_be_imported(tmp_path, capsys):
+    # bundled scenarios, and smoke.json where placements split vehicles
+    # between controllers (override sets (e) and (f)): a run needs no networkx
+    from test_golden import FILES, OVERRIDE_SETS
+
+    runs = [[str(path)] for path in sorted(SCENARIO_DIR.glob("*.json"))]
+    runs += [[str(scenario_path("smoke")), *(a for o in OVERRIDE_SETS[k] for a in ("--override", o))] for k in "ef"]
+    argvs = {side: [["run", *run, "--out", str(tmp_path / side / str(i))] for i, run in enumerate(runs)]
+             for side in ("blocked", "here")}
+    code = (
+        "import json, sys\n"
+        "sys.modules['networkx'] = None\n"
+        "from vecsim import cli\n"
+        f"codes = [cli.main(argv) for argv in {argvs['blocked']!r}]\n"
+        "print(json.dumps(codes))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True)
+    assert json.loads(done.stdout.splitlines()[-1]) == [0] * len(runs)
+    assert [main(argv) for argv in argvs["here"]] == [0] * len(runs)
+    capsys.readouterr()
+    for i in range(len(runs)):
+        for name in FILES:
+            assert (tmp_path / "blocked" / str(i) / name).read_bytes() == (tmp_path / "here" / str(i) / name).read_bytes()

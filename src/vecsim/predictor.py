@@ -96,6 +96,7 @@ class ObservationModel:
     # per AP, contiguous over cells: P(bit = 1 | cell) and P(bit = 0 | cell)
     _hit: np.ndarray = field(init=False, compare=False, repr=False)
     _miss: np.ndarray = field(init=False, compare=False, repr=False)
+    _memo: dict = field(init=False, compare=False, repr=False)     # bits -> obs_likelihood
 
     def __post_init__(self):
         lk = self.likelihood
@@ -103,14 +104,19 @@ class ObservationModel:
             raise ValueError("likelihood must be a (cells x aps) matrix with entries in [0, 1]")
         object.__setattr__(self, "_hit", np.ascontiguousarray(lk.T))
         object.__setattr__(self, "_miss", 1.0 - self._hit)
+        object.__setattr__(self, "_memo", {})
 
     def obs_likelihood(self, bits: tuple[int, ...]) -> np.ndarray:
-        """Per-cell likelihood of one association vector."""
-        if len(bits) != len(self._hit):
-            raise ValueError("association vector length must equal AP count")
-        out = np.ones(self.likelihood.shape[0])
-        for j, bit in enumerate(bits):
-            out *= self._hit[j] if bit else self._miss[j]
+        """Per-cell likelihood of one association vector, computed once per vector and read-only."""
+        out = self._memo.get(bits)
+        if out is None:
+            if len(bits) != len(self._hit):
+                raise ValueError("association vector length must equal AP count")
+            out = np.ones(self.likelihood.shape[0])
+            for j, bit in enumerate(bits):
+                out *= self._hit[j] if bit else self._miss[j]
+            out.flags.writeable = False
+            self._memo[bits] = out
         return out
 
 

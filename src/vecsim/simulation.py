@@ -112,10 +112,8 @@ class Simulation:
             for vclass in sorted(cfg.mobility.rows)
         }
         # P(path fails) per (cell, AP), for every AP a selection can aim at from
-        # the cell: its cluster members and, under that policy, the preconfigured APs
-        preset = set()
-        if cfg.mac.ctu_policy == "preconfigured":
-            preset = {ap for pairs in cfg.mac.preconfigured.values() for _, ap in pairs}
+        # the cell: its cluster members and the (known) preconfigured APs
+        preset = {ap for pairs in cfg.mac.preconfigured.values() for _, ap in pairs} & set(self.ap_col)
         self.path_failure = {
             (cell, ap): mac.path_failure_prob(
                 self.cell_sq[cell][ap], cfg.mac.relay_mode, self.fronthaul[ap], self.curve, cfg.mac.payload_bits

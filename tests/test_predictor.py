@@ -64,6 +64,15 @@ def test_obs_likelihood_is_a_product_over_bits():
         model.obs_likelihood((1,))
 
 
+def test_obs_likelihood_is_computed_once_per_vector_and_read_only():
+    model = ObservationModel(likelihood=np.array([[0.9, 0.2], [0.5, 0.5]]))
+    first = model.obs_likelihood((1, 0))
+    assert model.obs_likelihood((1, 0)) is first
+    assert model.obs_likelihood((0, 1)) == pytest.approx([0.1 * 0.2, 0.5 * 0.5])
+    with pytest.raises(ValueError, match="read-only"):
+        first[0] = 0.0
+
+
 def test_observation_model_rejects_bad_likelihoods():
     with pytest.raises(ValueError):
         ObservationModel(likelihood=np.array([[1.2]]))

@@ -7,7 +7,7 @@ into a predicted association vector that seeds proactive downlink.
 
 The filter steps a whole fleet at once: `FleetBelief` stacks one posterior
 row per vehicle, `update_fleet` and `predict_fleet` advance every row, and
-each distinct association vector's likelihood is computed once per step.
+each association vector's likelihood is computed once per observation model.
 Every row is computed exactly as a lone vehicle's would be, so
 `update_belief` and `predict_association`, the one-vehicle API, are the
 one-row case.

@@ -8,7 +8,7 @@ import math
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from vecsim import control_plane
@@ -639,6 +639,7 @@ def test_class_flow_decides_contested_subsets_as_a_max_flow_does(instance):
         if feasible:
             chosen = subset, classes
             break
+    assume(contested)
     if chosen is None:
         with pytest.raises(InfeasiblePlacement):
             place_controllers(topo, demands, bound)

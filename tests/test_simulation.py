@@ -180,6 +180,6 @@ def test_every_run_leaves_the_same_bytes_where_networkx_cannot_be_imported(tmp_p
     assert json.loads(done.stdout.splitlines()[-1]) == [0] * len(runs)
     assert [main(argv) for argv in argvs["here"]] == [0] * len(runs)
     capsys.readouterr()
-    for i in range(len(runs)):
+    for blocked, here in zip(argvs["blocked"], argvs["here"]):
         for name in FILES:
-            assert (tmp_path / "blocked" / str(i) / name).read_bytes() == (tmp_path / "here" / str(i) / name).read_bytes()
+            assert Path(blocked[-1], name).read_bytes() == Path(here[-1], name).read_bytes()

@@ -1,7 +1,8 @@
 """Golden digests: the three contract files of every bundled scenario x seed,
 of a 400-cell line road built from smoke.json, of smoke.json under six
---override sets, of a 40-cell road whose vehicles switch velocity class, and
-of a 40-cell road whose ANs see noisy association vectors.
+--override sets, of a 40-cell road whose vehicles switch velocity class, of a
+40-cell road whose ANs see noisy association vectors, and of a 500-vehicle
+crowd on a 40-cell road.
 
 These pins are the gate for refactors that must keep the trace: a change that
 alters any of these bytes on purpose has to say so and re-pin them with the
@@ -353,3 +354,56 @@ def test_noisy_view_outputs_match_their_pinned_digests(seed, tmp_path, capsys):
     assert code == 0
     digests = tuple(hashlib.sha256((out / f).read_bytes()).hexdigest() for f in FILES)
     assert digests == NOISY_VIEW[seed]
+
+
+# (i) the benchmark's crowd shape: five hundred vehicles on a 40-cell line
+# road at 100 m spacing, under sixteen APs over four ANs in a chain, on a
+# 256-CTU pool with a control checkpoint every 10 slots. Every cell holds a
+# dozen vehicles, so each AN serves many clusters at once and most CTUs carry
+# several contending packets: the uplink/relay/downlink hand-off at the scale
+# no smaller pin reaches.
+def _crowd_scenario(tmp_path: Path) -> Path:
+    data = json.loads(scenario_path("smoke").read_text())
+    vehicles, cells, n_aps, n_ans = 500, 40, 16, 4
+    rate = data["control"]["rate_per_vehicle"]
+    data["horizon"] = 20
+    data["road"] = {"builder": "line", "cells": cells, "spacing_m": 100.0, "forward_prob": 0.8}
+    data["vehicles"] = [{"vehicle_id": v, "cell": 7 * v % cells} for v in range(vehicles)]
+    data["aps"] = [
+        {"ap_id": a, "x": 250.0 * a + 125.0, "y": 10.0, "an_id": a * n_ans // n_aps, "fronthaul_snr_db": 30.0}
+        for a in range(n_aps)
+    ]
+    data["ans"] = [
+        {"an_id": a, "power_budget_w": 2.0, "controller_capacity": vehicles * rate, "storage_capacity": 10.0}
+        for a in range(n_ans)
+    ]
+    data["ctu_pool"] = {"slots_per_frame": 1, "freq_blocks": 64, "sequences": 4}
+    data["control"]["period_slots"] = 10
+    data["control"]["edges"] = [[a, a + 1, 0.001, 4.0 * vehicles * rate] for a in range(n_ans - 1)]
+    path = tmp_path / "crowd.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+CROWD = {
+    0: (
+        "538dde8f2f24329818426845cdb57b206b763a185d1d37389e5096747003e49b",
+        "3724ac4c865f460e554d4f6a16cf2843d3545efe47a31aa31930c05244190067",
+        "d6709fcc103c65a6eb31a750ad95db4af838d071e9b1d437077882be1c688d94",
+    ),
+    1: (
+        "a0db7e017c5c8a3bd611c8365d2a9f6b00aaf7455d05f7a6f8c164dd8e4aff2f",
+        "18ed2a7eb1ebe5fa7311589304400879e7ec38c8f79d5a4fe02e607b905a1fa3",
+        "ca5690a9bad19e8087b2993ab36085c5a3a68b82f40475a16238d66d380a1b86",
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(CROWD))
+def test_crowd_outputs_match_their_pinned_digests(seed, tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(["run", str(_crowd_scenario(tmp_path)), "--seed", str(seed), "--out", str(out)])
+    capsys.readouterr()
+    assert code == 0
+    digests = tuple(hashlib.sha256((out / f).read_bytes()).hexdigest() for f in FILES)
+    assert digests == CROWD[seed]

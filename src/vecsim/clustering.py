@@ -2,13 +2,15 @@
 
 Each vehicle is served by the top-k APs it can reach (clusters may overlap
 across vehicles); downlink CTUs and AN power are then partitioned into
-pairwise-disjoint slices, one per cluster, by greedy water-filling.
+pairwise-disjoint slices, one per cluster, by greedy water-filling. Cells and
+APs never move, so a cluster's members depend only on the vehicle's cell.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from vecsim.channel import candidate_aps
 from vecsim.mac import CtuPool
 
 
@@ -16,7 +18,6 @@ from vecsim.mac import CtuPool
 class VirtualCluster:
     center_vehicle: int
     members: tuple[int, ...]          # AP ids, descending SNR order
-    formation_slot: int
 
     @property
     def empty(self) -> bool:
@@ -45,22 +46,17 @@ class SliceAssignment:
             seen |= self.ctus[cid]
 
 
-def form_cluster(
-    vehicle_id: int,
-    candidates: list[tuple[int, float]],
-    k_cluster: int,
-    slot: int,
-) -> VirtualCluster:
-    """Top-min(k, |candidates|) APs by SNR with AP-id tiebreak.
+def form_cluster(snr_db: dict[int, float], threshold_db: float, k_cluster: int) -> tuple[int, ...]:
+    """Cluster members at one position: the first min(k, |candidates|) of
+    `channel.candidate_aps`, so descending SNR with AP-id tiebreak.
 
-    An empty candidate list yields an empty cluster: the vehicle is unserved
-    this slot and the caller records the loss (open-loop, no retry queue).
+    `snr_db` maps each AP id to its SNR there. No AP at or above the
+    threshold yields no members: a vehicle there is unserved and the caller
+    records the loss (open-loop, no retry queue).
     """
     if k_cluster < 1:
         raise ValueError("k_cluster must be >= 1")
-    ranked = sorted(candidates, key=lambda pair: (-pair[1], pair[0]))
-    members = tuple(ap for ap, _ in ranked[:k_cluster])
-    return VirtualCluster(center_vehicle=vehicle_id, members=members, formation_slot=slot)
+    return tuple(ap for ap, _ in candidate_aps(snr_db, threshold_db)[:k_cluster])
 
 
 def allocate_slices(

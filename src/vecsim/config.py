@@ -239,7 +239,11 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
     if not cfg.vehicles:
         errors.append("vehicles: at least one vehicle required")
 
-    an_ids = {an.an_id for an in cfg.ans}
+    an_ids = set()
+    for i, an in enumerate(cfg.ans):
+        if an.an_id in an_ids:
+            errors.append(f"ans[{i}].an_id: duplicate AN id {an.an_id}")
+        an_ids.add(an.an_id)
     if not cfg.ans:
         errors.append("ans: at least one AN required")
     seen_aps = set()
@@ -285,10 +289,17 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
             "(mac.replicas vs ctu_pool)"
         )
     if mac.ctu_policy == "preconfigured":
+        for i, veh in enumerate(cfg.vehicles):
+            if veh.vehicle_id not in mac.preconfigured:
+                errors.append(f"mac.preconfigured[{veh.vehicle_id}]: required for vehicles[{i}]")
         for vid, pairs in mac.preconfigured.items():
+            taken = set()
             for j, (ctu, ap) in enumerate(pairs):
                 if not 0 <= ctu < cfg.ctu_pool.size:
                     errors.append(f"mac.preconfigured[{vid}][{j}]: CTU {ctu} outside pool")
+                if ctu in taken:
+                    errors.append(f"mac.preconfigured[{vid}][{j}]: duplicate CTU {ctu}")
+                taken.add(ctu)
                 if ap not in seen_aps:
                     errors.append(f"mac.preconfigured[{vid}][{j}]: unknown AP {ap}")
 
@@ -461,7 +472,11 @@ def _parse_road(data, errors: list[str]) -> tuple[RoadGraph | None, MarkovJumpMo
     spec = _convert(data, _RoadCells, "road", errors)
     if spec is None:
         return None, None
-    centers = {c.cell_id: (c.x, c.y) for c in spec.cells}
+    centers: dict[int, tuple[float, float]] = {}
+    for i, c in enumerate(spec.cells):
+        if c.cell_id in centers:     # the road graph keys cells by id, so repeats end here
+            errors.append(f"road.cells[{i}].cell_id: duplicate cell id {c.cell_id}")
+        centers[c.cell_id] = (c.x, c.y)
     adjacency: dict[int, list[int]] = {c: [] for c in centers}
     for src, dst in spec.edges:
         adjacency.setdefault(src, []).append(dst)

@@ -198,21 +198,19 @@ def uniform_belief(vehicle_id: int, n_cells: int) -> PosteriorBelief:
 
 def derive_observation_model(
     cells: list[int],
-    cell_snrs: dict[int, list[tuple[int, float]]],
+    cell_cols: dict[int, dict[int, float]],
     n_aps: int,
-    success_prob: dict[tuple[int, int], float],
     floor: float = 0.01,
     ceiling: float = 0.99,
 ) -> ObservationModel:
-    """Build the likelihood matrix from channel geometry and decode statistics.
+    """Build the likelihood matrix from decode statistics.
 
-    cell_snrs maps cell -> candidate (ap_id, snr) pairs as the MAC would see
-    them; success_prob maps (cell, ap) to per-slot decode probability. The
-    floor keeps impossible-looking observations from zeroing the filter.
+    cell_cols maps cell -> {AP column: per-slot decode probability} for the
+    APs a vehicle there aims at; every other entry sits at the floor, which
+    keeps impossible-looking observations from zeroing the filter.
     """
     lk = np.full((len(cells), n_aps), floor)
     for i, cell in enumerate(cells):
-        for ap_id, _snr in cell_snrs.get(cell, []):
-            p = success_prob.get((cell, ap_id), 0.0)
-            lk[i, ap_id] = min(max(p, floor), ceiling)
+        for col, p in cell_cols.get(cell, {}).items():
+            lk[i, col] = min(max(p, floor), ceiling)
     return ObservationModel(likelihood=lk)

@@ -8,8 +8,9 @@ comes from an entity-scoped stream, so a fixed seed fixes the whole trace.
 
 from __future__ import annotations
 
+import itertools
 import operator
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -30,7 +31,6 @@ class VehicleRuntime:
     bandit: Optional[mac.BanditState] = None
     last_outcome: Optional[mac.DecodeOutcome] = None
     last_replicas: Optional[int] = None
-    cluster: Optional[clustering.VirtualCluster] = None
     selection: Optional[mac.CtuSelection] = None
     assoc_true: Optional[predictor.AssociationVector] = None
     assoc_an: Optional[predictor.AssociationVector] = None
@@ -72,31 +72,23 @@ class Simulation:
         self.ap_ids = sorted(a.ap_id for a in cfg.aps)
         self.an_ids = sorted(a.an_id for a in cfg.ans)
         self.ap_owner = cfg.ap_owner()
-        self.ap_specs = {a.ap_id: a for a in cfg.aps}
         self.an_specs = {a.an_id: a for a in cfg.ans}
         self.ap_col = {ap: i for i, ap in enumerate(self.ap_ids)}
         self.n_aps = len(self.ap_ids)
-        self.fronthaul = {
-            ap: channel.SignalQuality(self.ap_specs[ap].fronthaul_snr_db) for ap in self.ap_ids
-        }
+        self.fronthaul = {a.ap_id: channel.SignalQuality(a.fronthaul_snr_db) for a in cfg.aps}
 
-        # Static geometry: cells and APs never move, so SNRs are a table.
+        # Static geometry: cells and APs never move, so the SNRs and each
+        # cell's cluster members (its vehicles' uplink targets) are tables.
         positions = cfg.ap_positions()
         self.cell_sq: dict[int, dict[int, channel.SignalQuality]] = {}
-        self.cell_candidates: dict[int, list[tuple[int, float]]] = {}
+        self.cell_members: dict[int, tuple[int, ...]] = {}
         for cell in cfg.road.cells:
             center = cfg.road.centers[cell]
-            row = {ap: channel.signal_quality(center, positions[ap], cfg.channel) for ap in self.ap_ids}
+            row = {ap: channel.signal_quality(center, xy, cfg.channel) for ap, xy in positions.items()}
             self.cell_sq[cell] = row
-            self.cell_candidates[cell] = channel.candidate_aps(
-                {ap: sq.snr_db for ap, sq in row.items()}, cfg.snr_threshold_db
+            self.cell_members[cell] = clustering.form_cluster(
+                {ap: sq.snr_db for ap, sq in row.items()}, cfg.snr_threshold_db, cfg.cluster.k_cluster
             )
-
-        # Each cell's uplink cluster members: the top-k candidates, fixed like the SNRs.
-        self.cell_members = {
-            cell: tuple(ap for ap, _ in cands[: cfg.cluster.k_cluster])
-            for cell, cands in self.cell_candidates.items()
-        }
 
         self.pool = cfg.ctu_pool
         self.curve = mac.BlerCurve(cfg.mac.bler_alpha, dict(cfg.mac.bler_beta))
@@ -121,7 +113,15 @@ class Simulation:
             for cell in self.cells
             for ap in {*self.cell_members[cell], *preset}
         }
-        self.obs_model = self._build_observation_model()
+        # P(AP hears vehicle | cell): in the cell's cluster and the one-replica
+        # path decodes. AP ids map to likelihood columns in ascending order.
+        heard_prob = {
+            cell: {self.ap_col[ap]: 1.0 - self.path_failure[(cell, ap)] for ap in aps}
+            for cell, aps in self.cell_members.items()
+        }
+        self.obs_model = predictor.derive_observation_model(
+            self.cells, heard_prob, self.n_aps, cfg.predictor.obs_floor, cfg.predictor.obs_ceiling
+        )
 
         self.sched_by_slot: dict[int, dict[int, str]] = {}
         for slot, vid, vclass in cfg.velocity_schedule:
@@ -129,9 +129,7 @@ class Simulation:
 
         self.vehicles: dict[int, VehicleRuntime] = {}
         for spec in sorted(cfg.vehicles, key=lambda v: v.vehicle_id):
-            vr = VehicleRuntime(
-                mobility=mobility.MobilityState(spec.cell, spec.velocity_class),
-            )
+            vr = VehicleRuntime(mobility.MobilityState(spec.cell, spec.velocity_class))
             if cfg.bandit.enabled:
                 vr.bandit = mac.BanditState(
                     r_max=cfg.bandit.r_max,
@@ -145,11 +143,8 @@ class Simulation:
         n_cells = len(self.cells)
         self.beliefs = predictor.FleetBelief(np.full((len(self.vehicles), n_cells), 1.0 / n_cells))
 
-        self.actions = [
-            (rank, p)
-            for rank in range(cfg.downlink.ap_ranks)
-            for p in range(len(cfg.downlink.power_levels_w))
-        ]
+        # (AP rank, power level index) pairs, rank-major
+        self.actions = list(itertools.product(range(cfg.downlink.ap_ranks), range(len(cfg.downlink.power_levels_w))))
         ec = cfg.edge_compute
         self.cparams = edge.ComputeParams(
             cpu_rate=ec.cpu_rate,
@@ -179,11 +174,8 @@ class Simulation:
         self.catalog: dict[int, edge.Service] = {s.service_id: s for s in ec.services}
         self.service_order = sorted(self.catalog)
         pop_total = sum(self.catalog[s].popularity for s in self.service_order)
-        self.service_cum: list[float] = []
-        acc = 0.0
-        for sid in self.service_order:
-            acc += self.catalog[sid].popularity / pop_total if pop_total else 0.0
-            self.service_cum.append(acc)
+        shares = (self.catalog[s].popularity / pop_total if pop_total else 0.0 for s in self.service_order)
+        self.service_cum = list(itertools.accumulate(shares))
         if self.service_cum:
             self.service_cum[-1] = 1.0
 
@@ -230,28 +222,6 @@ class Simulation:
 
     # -- construction helpers -------------------------------------------------
 
-    def _build_observation_model(self) -> predictor.ObservationModel:
-        cfg = self.cfg
-        # P(AP hears vehicle | cell): in the top-k cluster and the one-replica
-        # path decodes. AP ids map to likelihood columns in ascending order.
-        cell_cols: dict[int, list[tuple[int, float]]] = {}
-        success: dict[tuple[int, int], float] = {}
-        for cell in self.cells:
-            pairs = []
-            for ap_id in self.cell_members[cell]:
-                col = self.ap_col[ap_id]
-                pairs.append((col, self.cell_sq[cell][ap_id].snr_db))
-                success[(cell, col)] = 1.0 - self.path_failure[(cell, ap_id)]
-            cell_cols[cell] = pairs
-        return predictor.derive_observation_model(
-            self.cells,
-            cell_cols,
-            self.n_aps,
-            success,
-            floor=cfg.predictor.obs_floor,
-            ceiling=cfg.predictor.obs_ceiling,
-        )
-
     def _register(self) -> None:
         e = self.engine
         e.register(Phase.MOBILITY, self._phase_mobility)
@@ -284,7 +254,7 @@ class Simulation:
         cfg = self.cfg
         histogram = self.report.bandit["replica_histogram"]
         for vid, vr in self.vehicles.items():
-            vr.cluster = clustering.VirtualCluster(vid, self.cell_members[vr.mobility.cell], t.index)
+            members = self.cell_members[vr.mobility.cell]
             if vr.bandit is not None:
                 replicas = mac.bandit_select_and_update(
                     vr.bandit, vr.last_outcome, vr.last_replicas, self.stream(f"bandit/{vid}")
@@ -295,58 +265,49 @@ class Simulation:
             key = str(replicas)
             histogram[key] = histogram.get(key, 0) + 1
             vr.last_replicas = replicas
-            if vr.cluster.empty:
+            if not members:
                 vr.selection = None
                 continue
             vr.selection = mac.select_ctus(
                 vid,
-                list(vr.cluster.members),
+                list(members),
                 replicas,
                 self.pool,
                 self.stream(f"mac/{vid}"),
                 policy=cfg.mac.ctu_policy,
                 preconfigured=cfg.mac.preconfigured or None,
             )
-            vr.serving_an = self.ap_owner[vr.cluster.members[0]]
+            vr.serving_an = self.ap_owner[members[0]]
 
     def _phase_relay_decode(self, t: SlotTime) -> None:
         cfg = self.cfg
         selections = [vr.selection for vr in self.vehicles.values() if vr.selection is not None]
         occupancy = mac.detect_collisions(selections)
-        usable: dict[int, set[int]] = {}
+        # MUD separates every occupant of a CTU or none of them
+        separable: dict[int, bool] = {}
         bandit = self.report.bandit
         for ctu in sorted(occupancy):
             occupants = occupancy[ctu]
+            separable[ctu] = ok = all(mac.mud_resolve(occupants, cfg.mac.k_max).values())
             if len(occupants) > 1:
                 bandit["collision_ctus"] += 1
-            resolved = mac.mud_resolve(occupants, cfg.mac.k_max)
-            if len(occupants) > 1 and all(resolved.values()):
-                bandit["mud_resolved_ctus"] += 1
-            usable[ctu] = {v for v, ok in resolved.items() if ok}
+                bandit["mud_resolved_ctus"] += ok
 
         for vid, vr in self.vehicles.items():
             heard = [0] * self.n_aps        # association bits, by AP column
             if vr.selection is None:
-                outcome = mac.combine([], resolved_by_mud=False)
+                outcome = mac.combine([])
                 paths = 0
             else:
                 flags = []
-                any_mud = False
-                decode = None
+                decode = self.stream(f"decode/{vid}")
                 for ctu, ap in zip(vr.selection.ctus, vr.selection.target_aps):
-                    if vid not in usable[ctu]:
-                        flags.append(False)
-                        continue
-                    if len(occupancy[ctu]) > 1:
-                        any_mud = True
-                    p_fail = self.path_failure[(vr.mobility.cell, ap)]
-                    if decode is None:
-                        decode = self.stream(f"decode/{vid}")
-                    ok = decode.random() >= p_fail
+                    # a path over a lost CTU draws nothing
+                    ok = separable[ctu] and decode.random() >= self.path_failure[(vr.mobility.cell, ap)]
                     flags.append(ok)
                     if ok:
                         heard[self.ap_col[ap]] = 1
-                outcome = mac.combine(flags, resolved_by_mud=any_mud)
+                outcome = mac.combine(flags)
                 paths = len(set(vr.selection.target_aps))
             self.report.record_packet(vid, t.index, outcome.combined, vr.last_replicas or 0, paths)
             vr.last_outcome = outcome
@@ -391,41 +352,34 @@ class Simulation:
 
     def _phase_downlink(self, t: SlotTime) -> None:
         cfg = self.cfg
+        # each covered vehicle's cluster, in vehicle order, and how many each AN serves
         clusters = [
-            vr.cluster for vr in self.vehicles.values() if vr.cluster is not None and not vr.cluster.empty
+            clustering.VirtualCluster(vid, members)
+            for vid, vr in self.vehicles.items()
+            if (members := self.cell_members[vr.mobility.cell])
         ]
+        an_load = Counter(self.vehicles[c.center_vehicle].serving_an for c in clusters)
         demands = {c.center_vehicle: cfg.cluster.downlink_ctu_demand for c in clusters}
-        slices = clustering.allocate_slices(
-            clusters,
-            self.pool,
-            demands,
-            {a: self.an_specs[a].power_budget_w for a in self.an_ids},
-            self.ap_owner,
-        )
+        budgets = {a: self.an_specs[a].power_budget_w for a in self.an_ids}
+        slices = clustering.allocate_slices(clusters, self.pool, demands, budgets, self.ap_owner)
         self.report.slices["allocated_ctus"] += sum(len(v) for v in slices.ctus.values())
         self.report.slices["unsatisfied"] += sum(slices.unsatisfied.values())
         downlink = self.report.downlink
 
-        an_load: dict[int, int] = {}
         for c in clusters:
-            an = self.ap_owner[c.members[0]]
-            an_load[an] = an_load.get(an, 0) + 1
-
-        for vid in sorted(demands):
-            vr = self.vehicles[vid]
+            vid, members = c.center_vehicle, c.members
             if not slices.ctus.get(vid):
                 continue                       # no downlink resources this slot
-            an_id = self.ap_owner[vr.cluster.members[0]]
+            vr = self.vehicles[vid]
+            an_id = vr.serving_an
             ar = self.ans[an_id]
             pred_bits = vr.predicted.get(t.index)
             if pred_bits is None:
-                pred_bits = tuple(
-                    1 if ap in vr.cluster.members else 0 for ap in self.ap_ids
-                )
+                pred_bits = tuple(1 if ap in members else 0 for ap in self.ap_ids)
             cand_aps = [ap for ap, bit in zip(self.ap_ids, pred_bits) if bit]
-            load_b = min(cfg.downlink.load_buckets - 1, an_load.get(an_id, 1) - 1)
+            load_b = min(cfg.downlink.load_buckets - 1, an_load[an_id] - 1)
             snrs = self.cell_sq[vr.mobility.cell]
-            snr_b = int(snrs[vr.cluster.members[0]].snr_db // cfg.downlink.snr_bucket_db)
+            snr_b = int(snrs[members[0]].snr_db // cfg.downlink.snr_bucket_db)
             state = (load_b, snr_b)
 
             if ar.learner is not None:
@@ -461,7 +415,7 @@ class Simulation:
 
     def _phase_control(self, t: SlotTime) -> None:
         cfg = self.cfg
-        if not cfg.control.enabled or self.topology is None:
+        if self.topology is None:
             return
         if t.index % cfg.control.period_slots != 0:
             return

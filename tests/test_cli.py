@@ -210,12 +210,31 @@ def _set_services_size(data):
     data["edge_compute"]["services"][0]["size"] = "big"
 
 
+def _repeat_first_an(data):
+    data["ans"].append(dict(data["ans"][0], power_budget_w=5.0))
+
+
+def _repeat_a_road_cell(data):
+    # a valid three-cell ring, but for a fourth entry that reuses cell id 2
+    cells = [{"cell_id": c, "x": 100.0 * i, "y": 0.0} for i, c in enumerate((0, 1, 2, 2))]
+    data["road"] = {"cells": cells, "edges": [[c, n] for c in range(3) for n in (c, (c + 1) % 3)]}
+    data["mobility"] = {"rows": {"default": {str(c): {str(c): 0.2, str((c + 1) % 3): 0.8} for c in range(3)}}}
+
+
+def _preconfigure(data, table):
+    data["mac"].update(ctu_policy="preconfigured", preconfigured=table)
+
+
 @pytest.mark.parametrize(("mutate", "path"), [
     (lambda d: d.update(mac={"k_max": "2"}), "mac.k_max"),
     (lambda d: d.update(road={"builder": "line", "cells": "abc"}), "road.cells"),
     (lambda d: d.update(vehicles=5), "vehicles"),
     (lambda d: d.update(horizon=1.5), "horizon"),
     (_set_services_size, "edge_compute.services[0].size"),
+    (_repeat_first_an, "ans[2].an_id"),
+    (_repeat_a_road_cell, "road.cells[3].cell_id"),
+    (lambda d: _preconfigure(d, {"0": [[0, 0]]}), "mac.preconfigured[1]"),
+    (lambda d: _preconfigure(d, {"0": [[3, 0], [3, 1]], "1": [[4, 2]]}), "mac.preconfigured[0][1]"),
 ])
 def test_a_wrong_typed_file_field_fails_validation_naming_its_path(mutate, path, tmp_path, capsys):
     data = json.loads(scenario_path("smoke").read_text())

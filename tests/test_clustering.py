@@ -14,31 +14,26 @@ OWNER = {0: 0, 1: 0, 2: 1, 3: 1}
 
 
 def test_form_cluster_takes_top_k_by_snr_with_id_tiebreak():
-    candidates = [(2, 50.0), (0, 60.0), (1, 50.0), (3, 40.0)]
-    cluster = form_cluster(7, candidates, k_cluster=3, slot=12)
-    assert cluster.members == (0, 1, 2)
-    assert cluster.center_vehicle == 7
-    assert cluster.formation_slot == 12
+    snr_db = {2: 50.0, 0: 60.0, 1: 50.0, 3: 40.0, 4: 5.0}
+    assert form_cluster(snr_db, threshold_db=10.0, k_cluster=3) == (0, 1, 2)
 
 
 def test_form_cluster_with_fewer_candidates_than_k():
-    cluster = form_cluster(1, [(4, 30.0)], k_cluster=3, slot=0)
-    assert cluster.members == (4,)
+    assert form_cluster({4: 30.0, 5: 9.0}, threshold_db=10.0, k_cluster=3) == (4,)
 
 
 def test_form_cluster_empty_candidates_yield_an_empty_cluster():
-    cluster = form_cluster(1, [], k_cluster=2, slot=5)
-    assert cluster.empty
-    assert cluster.members == ()
+    assert form_cluster({0: 9.0, 1: 2.0}, threshold_db=10.0, k_cluster=2) == ()
+    assert form_cluster({}, threshold_db=10.0, k_cluster=2) == ()
 
 
 def test_form_cluster_rejects_bad_k():
     with pytest.raises(ValueError):
-        form_cluster(1, [(0, 10.0)], k_cluster=0, slot=0)
+        form_cluster({0: 10.0}, threshold_db=0.0, k_cluster=0)
 
 
 def _cluster(vid: int, members: tuple[int, ...]) -> VirtualCluster:
-    return VirtualCluster(center_vehicle=vid, members=members, formation_slot=0)
+    return VirtualCluster(center_vehicle=vid, members=members)
 
 
 def test_allocation_order_and_prefix_assignment():

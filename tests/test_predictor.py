@@ -155,9 +155,8 @@ def test_uniform_belief_is_normalized():
 def test_derived_observation_model_floors_ceilings_and_defaults():
     model = derive_observation_model(
         cells=[10, 20],
-        cell_snrs={10: [(0, 50.0), (1, 30.0)], 20: [(1, 40.0)]},
+        cell_cols={10: {0: 0.999, 1: 0.5}, 20: {1: 0.0001}},
         n_aps=2,
-        success_prob={(10, 0): 0.999, (10, 1): 0.5, (20, 1): 0.0001},
         floor=0.01,
         ceiling=0.99,
     )

@@ -10,11 +10,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import SCENARIO_DIR, load_bundled, scenario_path
 from vecsim import mac
 from vecsim.cli import main
-from vecsim.config import VehicleSpec
+from vecsim.channel import SignalQuality, signal_quality
+from vecsim.config import ApSpec, VehicleSpec
 from vecsim.rng import RngStream
 from vecsim.simulation import Simulation, run_scenario
 
@@ -145,6 +148,49 @@ def test_the_path_failure_table_holds_every_ap_a_selection_can_aim_at():
         )
     sim.engine.run()
     assert sim.finalize().packets_emitted == 40 * 2
+
+
+# AP positions on a coarse grid, mirrored about the road (y = +-20), so many
+# APs share a cell's SNR exactly and only the AP-id tiebreak orders them.
+_AP_SPOT = st.tuples(st.integers(0, 16).map(lambda i: 25.0 * i), st.sampled_from([-20.0, 20.0]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    spots=st.lists(_AP_SPOT, min_size=1, max_size=8),
+    listing=st.randoms(use_true_random=False),
+    threshold=st.floats(0.0, 80.0),
+    k=st.integers(1, 6),
+    floor=st.floats(0.0, 0.3),
+    ceiling=st.floats(0.7, 1.0),
+)
+def test_cell_members_and_likelihoods_match_a_brute_force_top_k(spots, listing, threshold, k, floor, ceiling):
+    # AP ids are multiples of 3, listed in a shuffled order, so an AP id never
+    # doubles as its likelihood column and the input order never ranks APs
+    ids = [3 * i for i in range(len(spots))]
+    listing.shuffle(ids)
+    cfg = load_bundled("smoke")
+    cfg.aps = [ApSpec(ap, x, y, an_id=ap % 2) for ap, (x, y) in zip(ids, spots)]
+    cfg.snr_threshold_db = threshold
+    cfg.cluster.k_cluster = k
+    cfg.predictor.obs_floor, cfg.predictor.obs_ceiling = floor, ceiling
+    sim = Simulation(cfg)
+    column = {ap: i for i, ap in enumerate(sorted(ids))}
+    lk = sim.obs_model.likelihood
+    assert lk.shape == (len(cfg.road.cells), len(ids))
+    for i, cell in enumerate(sorted(cfg.road.cells)):
+        snr = {a.ap_id: signal_quality(cfg.road.centers[cell], (a.x, a.y), cfg.channel).snr_db for a in cfg.aps}
+        ranked = sorted(snr, key=lambda ap: (-snr[ap], ap))
+        members = tuple(ap for ap in ranked if snr[ap] >= threshold)[:k]
+        assert sim.cell_members[cell] == members
+        for ap in ids:
+            want = floor
+            if ap in members:
+                p_fail = mac.path_failure_prob(
+                    SignalQuality(snr[ap]), cfg.mac.relay_mode, SignalQuality(30.0), sim.curve, cfg.mac.payload_bits
+                )
+                want = min(max(1.0 - p_fail, floor), ceiling)
+            assert lk[i, column[ap]] == want
 
 
 def test_a_run_with_forced_placements_never_imports_networkx(tmp_path):

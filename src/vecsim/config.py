@@ -290,8 +290,8 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
         )
     if mac.ctu_policy == "preconfigured":
         for i, veh in enumerate(cfg.vehicles):
-            if veh.vehicle_id not in mac.preconfigured:
-                errors.append(f"mac.preconfigured[{veh.vehicle_id}]: required for vehicles[{i}]")
+            if not mac.preconfigured.get(veh.vehicle_id):
+                errors.append(f"mac.preconfigured[{veh.vehicle_id}]: vehicles[{i}] needs at least one (CTU, AP) pair")
         for vid, pairs in mac.preconfigured.items():
             taken = set()
             for j, (ctu, ap) in enumerate(pairs):

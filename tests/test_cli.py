@@ -234,6 +234,7 @@ def _preconfigure(data, table):
     (_repeat_first_an, "ans[2].an_id"),
     (_repeat_a_road_cell, "road.cells[3].cell_id"),
     (lambda d: _preconfigure(d, {"0": [[0, 0]]}), "mac.preconfigured[1]"),
+    (lambda d: _preconfigure(d, {"0": [[0, 0]], "1": []}), "mac.preconfigured[1]"),
     (lambda d: _preconfigure(d, {"0": [[3, 0], [3, 1]], "1": [[4, 2]]}), "mac.preconfigured[0][1]"),
 ])
 def test_a_wrong_typed_file_field_fails_validation_naming_its_path(mutate, path, tmp_path, capsys):

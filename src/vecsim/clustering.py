@@ -89,14 +89,14 @@ def allocate_slices(
 
     # Power: each cluster draws from the AN owning its best AP.
     an_members: dict[int, int] = {}
-    serving_an: dict[int, int] = {}
+    cluster_an: dict[int, int] = {}
     for cluster in order:
         an = ap_owner[cluster.members[0]]
-        serving_an[cluster.center_vehicle] = an
+        cluster_an[cluster.center_vehicle] = an
         an_members[an] = an_members.get(an, 0) + len(cluster.members)
     power: dict[int, float] = {}
     for cluster in order:
-        an = serving_an[cluster.center_vehicle]
+        an = cluster_an[cluster.center_vehicle]
         budget = an_power_budget_w.get(an, 0.0)
         share = len(cluster.members) / an_members[an] if an_members[an] else 0.0
         power[cluster.center_vehicle] = budget * share

@@ -380,8 +380,12 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
             if svc.service_id in seen_services:
                 errors.append(f"edge_compute.services[{i}]: duplicate service id {svc.service_id}")
             seen_services.add(svc.service_id)
+            if svc.popularity < 0:
+                errors.append(f"edge_compute.services[{i}].popularity: must be >= 0, got {svc.popularity}")
         if not ec.services:
             errors.append("edge_compute.services: at least one service required when enabled")
+        elif not any(svc.popularity > 0 for svc in ec.services):
+            errors.append("edge_compute.services: at least one popularity must be > 0")
         if not 0.0 <= ec.task_arrival_prob <= 1.0:
             errors.append("edge_compute.task_arrival_prob: must lie in [0, 1]")
         if ec.recache_period < 1:

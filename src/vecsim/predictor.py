@@ -7,7 +7,8 @@ into a predicted association vector that seeds proactive downlink.
 
 The filter steps a whole fleet at once: `FleetBelief` stacks one posterior
 row per vehicle, `update_fleet` and `predict_fleet` advance every row, and
-each association vector's likelihood is computed once per observation model.
+the observation model keeps each association vector's likelihood in a memo
+of bounded size.
 Every row is computed exactly as a lone vehicle's would be, so
 `update_belief` and `predict_association`, the one-vehicle API, are the
 one-row case.
@@ -21,6 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 NORM_TOL = 1e-9
+# Bytes of likelihood rows an observation model keeps. Noisy AN views make
+# almost every association vector distinct, so the memo is cleared when full.
+LIKELIHOOD_MEMO_BYTES = 32 * 2**20
 
 
 @dataclass(frozen=True)
@@ -107,7 +111,7 @@ class ObservationModel:
         object.__setattr__(self, "_memo", {})
 
     def obs_likelihood(self, bits: tuple[int, ...]) -> np.ndarray:
-        """Per-cell likelihood of one association vector, computed once per vector and read-only."""
+        """Per-cell likelihood of one association vector, read-only, and kept until the memo fills."""
         out = self._memo.get(bits)
         if out is None:
             if len(bits) != len(self._hit):
@@ -116,6 +120,8 @@ class ObservationModel:
             for j, bit in enumerate(bits):
                 out *= self._hit[j] if bit else self._miss[j]
             out.flags.writeable = False
+            if (len(self._memo) + 1) * out.nbytes > LIKELIHOOD_MEMO_BYTES:
+                self._memo.clear()
             self._memo[bits] = out
         return out
 

@@ -8,6 +8,7 @@ comes from an entity-scoped stream, so a fixed seed fixes the whole trace.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import operator
 from collections import Counter, deque
@@ -35,13 +36,12 @@ class VehicleRuntime:
     assoc_true: Optional[predictor.AssociationVector] = None
     assoc_an: Optional[predictor.AssociationVector] = None
     predicted: dict[int, tuple[int, ...]] = field(default_factory=dict)
-    serving_an: Optional[int] = None
     window_self: deque = field(default_factory=deque)
     window_an: deque = field(default_factory=deque)
-    session_self: Optional[cipher.CipherState] = None
-    session_an: Optional[cipher.CipherState] = None
+    # both endpoints' state: equal before every exchange, since a rejected
+    # exchange is always followed by a resync or a compromise
+    session: Optional[cipher.CipherState] = None
     session_an_id: Optional[int] = None
-    session_generation: int = 0
     session_resyncs: int = 0
     session_compromised: bool = False
 
@@ -77,18 +77,21 @@ class Simulation:
         self.n_aps = len(self.ap_ids)
         self.fronthaul = {a.ap_id: channel.SignalQuality(a.fronthaul_snr_db) for a in cfg.aps}
 
-        # Static geometry: cells and APs never move, so the SNRs and each
-        # cell's cluster members (its vehicles' uplink targets) are tables.
+        # Static geometry: cells and APs never move, so the SNRs, each cell's
+        # cluster members (its vehicles' uplink targets) and each cell's AN
+        # are tables. A cell's AN owns its strongest AP (AP-id tiebreak), with
+        # no threshold: coverage gates the radio (uplink packets, downlink),
+        # not which AN hosts a vehicle's control flow, tasks and cipher session.
         positions = cfg.ap_positions()
-        self.cell_sq: dict[int, dict[int, channel.SignalQuality]] = {}
+        self.cell_snr: dict[int, dict[int, float]] = {}
         self.cell_members: dict[int, tuple[int, ...]] = {}
+        self.cell_an: dict[int, int] = {}
         for cell in cfg.road.cells:
             center = cfg.road.centers[cell]
-            row = {ap: channel.signal_quality(center, xy, cfg.channel) for ap, xy in positions.items()}
-            self.cell_sq[cell] = row
-            self.cell_members[cell] = clustering.form_cluster(
-                {ap: sq.snr_db for ap, sq in row.items()}, cfg.snr_threshold_db, cfg.cluster.k_cluster
-            )
+            row = {ap: channel.signal_quality(center, xy, cfg.channel).snr_db for ap, xy in positions.items()}
+            self.cell_snr[cell] = row
+            self.cell_members[cell] = clustering.form_cluster(row, cfg.snr_threshold_db, cfg.cluster.k_cluster)
+            self.cell_an[cell] = self.ap_owner[min(row, key=lambda ap: (-row[ap], ap))]
 
         self.pool = cfg.ctu_pool
         self.curve = mac.BlerCurve(cfg.mac.bler_alpha, dict(cfg.mac.bler_beta))
@@ -108,7 +111,8 @@ class Simulation:
         preset = {ap for pairs in cfg.mac.preconfigured.values() for _, ap in pairs} & set(self.ap_col)
         self.path_failure = {
             (cell, ap): mac.path_failure_prob(
-                self.cell_sq[cell][ap], cfg.mac.relay_mode, self.fronthaul[ap], self.curve, cfg.mac.payload_bits
+                channel.SignalQuality(self.cell_snr[cell][ap]), cfg.mac.relay_mode, self.fronthaul[ap], self.curve,
+                cfg.mac.payload_bits,
             )
             for cell in self.cells
             for ap in {*self.cell_members[cell], *preset}
@@ -277,7 +281,6 @@ class Simulation:
                 policy=cfg.mac.ctu_policy,
                 preconfigured=cfg.mac.preconfigured or None,
             )
-            vr.serving_an = self.ap_owner[members[0]]
 
     def _phase_relay_decode(self, t: SlotTime) -> None:
         cfg = self.cfg
@@ -358,7 +361,7 @@ class Simulation:
             for vid, vr in self.vehicles.items()
             if (members := self.cell_members[vr.mobility.cell])
         ]
-        an_load = Counter(self.vehicles[c.center_vehicle].serving_an for c in clusters)
+        an_load = Counter(self.cell_an[self.vehicles[c.center_vehicle].mobility.cell] for c in clusters)
         demands = {c.center_vehicle: cfg.cluster.downlink_ctu_demand for c in clusters}
         budgets = {a: self.an_specs[a].power_budget_w for a in self.an_ids}
         slices = clustering.allocate_slices(clusters, self.pool, demands, budgets, self.ap_owner)
@@ -371,15 +374,15 @@ class Simulation:
             if not slices.ctus.get(vid):
                 continue                       # no downlink resources this slot
             vr = self.vehicles[vid]
-            an_id = vr.serving_an
+            an_id = self.cell_an[vr.mobility.cell]
             ar = self.ans[an_id]
             pred_bits = vr.predicted.get(t.index)
             if pred_bits is None:
                 pred_bits = tuple(1 if ap in members else 0 for ap in self.ap_ids)
             cand_aps = [ap for ap, bit in zip(self.ap_ids, pred_bits) if bit]
             load_b = min(cfg.downlink.load_buckets - 1, an_load[an_id] - 1)
-            snrs = self.cell_sq[vr.mobility.cell]
-            snr_b = int(snrs[members[0]].snr_db // cfg.downlink.snr_bucket_db)
+            snrs = self.cell_snr[vr.mobility.cell]
+            snr_b = int(snrs[members[0]] // cfg.downlink.snr_bucket_db)
             state = (load_b, snr_b)
 
             if ar.learner is not None:
@@ -392,7 +395,7 @@ class Simulation:
             delivered = False
             if rank < len(cand_aps) and power_w > 0.0:
                 ap = cand_aps[rank]
-                up_snr = snrs[ap].snr_db
+                up_snr = snrs[ap]
                 if up_snr >= cfg.snr_threshold_db:
                     delta_db = 10.0 * np.log10(power_w * 1000.0) - cfg.channel.tx_power_dbm
                     dl_snr = up_snr + delta_db
@@ -419,13 +422,10 @@ class Simulation:
             return
         if t.index % cfg.control.period_slots != 0:
             return
-        demands = []
-        for vid, vr in self.vehicles.items():
-            snrs = self.cell_sq[vr.mobility.cell]
-            best_ap = max(self.ap_ids, key=lambda a: (snrs[a].snr_db, -a))
-            demands.append(
-                control_plane.Demand(vid, self.ap_owner[best_ap], cfg.control.rate_per_vehicle)
-            )
+        demands = [
+            control_plane.Demand(vid, self.cell_an[vr.mobility.cell], cfg.control.rate_per_vehicle)
+            for vid, vr in self.vehicles.items()
+        ]
         entry: dict = {"slot": t.index}
         try:
             placement = control_plane.place_controllers(
@@ -481,16 +481,10 @@ class Simulation:
             for vid, vr in self.vehicles.items():
                 if rng.random() >= ec.task_arrival_prob:
                     continue
-                u = rng.random()
-                si = 0
-                while si < len(self.service_cum) - 1 and u > self.service_cum[si]:
-                    si += 1
-                service = self.catalog[self.service_order[si]]
-                an_id = vr.serving_an if vr.serving_an is not None else self.an_ids[0]
+                service = self.catalog[self.service_order[bisect.bisect_left(self.service_cum, rng.random())]]
+                an_id = self.cell_an[vr.mobility.cell]
                 ar = self.ans[an_id]
-                ar.request_counts[service.service_id] = (
-                    ar.request_counts.get(service.service_id, 0) + 1
-                )
+                ar.request_counts[service.service_id] = ar.request_counts.get(service.service_id, 0) + 1
                 task = edge.Task(service.service_id, vid, ec.input_bits, t.index)
                 decision = edge.decide_offload(
                     task, service, ar.cache, ar.ledger, ar.queued_cycles, self.cparams,
@@ -521,14 +515,10 @@ class Simulation:
             vr.window_an.append(vr.assoc_an)
             if not cfg.cipher.enabled:
                 continue
-            an_id = vr.serving_an
-            if an_id is None:
-                continue
-            if vr.session_self is None or vr.session_an_id != an_id:
-                pair = cipher.start_session(vid, an_id, self.stream(f"cipher/{vid}"))
-                vr.session_self, vr.session_an = pair
+            an_id = self.cell_an[vr.mobility.cell]
+            if vr.session is None or vr.session_an_id != an_id:
+                vr.session = cipher.start_session(vid, an_id, self.stream(f"cipher/{vid}"))[0]
                 vr.session_an_id = an_id
-                vr.session_generation = 0
                 vr.session_resyncs = 0
                 vr.session_compromised = False
                 counts["sessions"] += 1
@@ -541,9 +531,7 @@ class Simulation:
                 fp_a = cipher.Fingerprint(vid, tuple(vr.window_an))
             n_bits = cfg.mac.payload_bits
             msg = cipher.deterministic_message(vid, t.index, n_bits)
-            verified, roundtrip, vr.session_self, vr.session_an = cipher.exchange(
-                vr.session_self, fp_v, vr.session_an, fp_a, msg, n_bits
-            )
+            verified, roundtrip, vr.session, _ = cipher.exchange(vr.session, fp_v, vr.session, fp_a, msg, n_bits)
             counts["messages"] += 1
             if verified:
                 counts["roundtrip_ok"] += roundtrip
@@ -554,11 +542,9 @@ class Simulation:
                     vr.session_compromised = True
                     counts["compromised"] += 1
                     continue
-                vr.session_generation += 1
                 if vid not in self.master_keys:
                     self.master_keys[vid] = cipher.master_key_for(vid, self.stream("cipher-master"))
-                pair = cipher.resync_session(self.master_keys[vid], fp_a, vr.session_generation)
-                vr.session_self, vr.session_an = pair
+                vr.session = cipher.resync_session(self.master_keys[vid], fp_a, vr.session_resyncs)[0]
                 # The vehicle adopts the AN-side window out of band.
                 vr.window_self = deque(vr.window_an, maxlen=cfg.cipher.window)
 

@@ -3,8 +3,13 @@ from __future__ import annotations
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from vecsim.config import ScenarioConfig, apply_overrides, load_scenario, validate_scenario
+
+# every property test draws the same examples on every run
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "src" / "vecsim" / "scenarios"
 

@@ -221,6 +221,13 @@ def _repeat_a_road_cell(data):
     data["mobility"] = {"rows": {"default": {str(c): {str(c): 0.2, str((c + 1) % 3): 0.8} for c in range(3)}}}
 
 
+def _set_popularities(*values):
+    def mutate(data):
+        for service, popularity in zip(data["edge_compute"]["services"], values, strict=True):
+            service["popularity"] = popularity
+    return mutate
+
+
 def _preconfigure(data, table):
     data["mac"].update(ctu_policy="preconfigured", preconfigured=table)
 
@@ -231,6 +238,8 @@ def _preconfigure(data, table):
     (lambda d: d.update(vehicles=5), "vehicles"),
     (lambda d: d.update(horizon=1.5), "horizon"),
     (_set_services_size, "edge_compute.services[0].size"),
+    (_set_popularities(-3.0, 1.0, 2.0), "edge_compute.services[0].popularity"),
+    (_set_popularities(0.0, 0.0, 0.0), "edge_compute.services"),
     (_repeat_first_an, "ans[2].an_id"),
     (_repeat_a_road_cell, "road.cells[3].cell_id"),
     (lambda d: _preconfigure(d, {"0": [[0, 0]]}), "mac.preconfigured[1]"),

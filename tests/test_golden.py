@@ -175,13 +175,13 @@ OVERRIDDEN = {
     ),
     ("b", 0): (
         "3d1e1572b98450283020ed35ed10b712fa0181dc35fdc4808547f010d1d3033d",
-        "6b0998c0b80870eb7d829fac161e6e08d5ce60d71aed99ef62c02c93fb23303a",
-        "88123462206d91e3d3c2f1c11e2bdd7904dd70494f2e7523e58d3f5cf18811b7",
+        "a94b16bce42ae7076c3156211b5acedc7df00b6b6c98360f2c771e062e682262",
+        "5bc7f773a5230a06371f41f5a3c5c1f990d9b085306cd9540255c794e6e6c18b",
     ),
     ("b", 1): (
         "3d1e1572b98450283020ed35ed10b712fa0181dc35fdc4808547f010d1d3033d",
-        "8831cd1811440f37713c9379a9ba2856db1f2f1de8e012ef006544c4c4a0d5bd",
-        "fb07f52be3c8f7bc15647198966199da0235190002bc22c6fa25220783418233",
+        "048f729dc7a8042926ac48f1d6c85e973a1861a37fb30f09ad194727ef071793",
+        "4ecf29309323a5e095616361a600b17dbe8328f93229ea2185c655bd734e4d62",
     ),
     ("c", 0): (
         "1a7ec2234e41d97aacc38ff89b5b1ee74e10ec999619e84a4cace3f33b8e99b1",

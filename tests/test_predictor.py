@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vecsim import predictor
 from vecsim.mobility import MarkovJumpModel, RoadGraph, line_graph
 from vecsim.predictor import (
     AssociationVector,
@@ -71,6 +72,25 @@ def test_obs_likelihood_is_computed_once_per_vector_and_read_only():
     assert model.obs_likelihood((0, 1)) == pytest.approx([0.1 * 0.2, 0.5 * 0.5])
     with pytest.raises(ValueError, match="read-only"):
         first[0] = 0.0
+
+
+def test_the_likelihood_memo_is_cleared_when_full_and_keeps_every_row_exact(monkeypatch):
+    # noisy AN views make almost every association vector distinct, so an
+    # unbounded memo would grow by one row per vector
+    rng = np.random.default_rng(5)
+    cells, aps = 64, 12
+    likelihood = rng.uniform(0.01, 0.99, size=(cells, aps))
+    cap = 10 * cells * 8
+    monkeypatch.setattr(predictor, "LIKELIHOOD_MEMO_BYTES", cap)
+    model = ObservationModel(likelihood=likelihood)
+    sizes = []
+    for _ in range(100):
+        bits = tuple(rng.integers(0, 2, aps).tolist())
+        got = model.obs_likelihood(bits)
+        assert np.array_equal(got, ObservationModel(likelihood=likelihood).obs_likelihood(bits))
+        assert model.obs_likelihood(bits) is got
+        sizes.append(sum(row.nbytes for row in model._memo.values()))
+    assert max(sizes) == cap and min(sizes[10:]) == cells * 8
 
 
 def test_observation_model_rejects_bad_likelihoods():

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -14,10 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import SCENARIO_DIR, load_bundled, scenario_path
-from vecsim import mac
+from vecsim import cipher, mac
 from vecsim.cli import main
 from vecsim.channel import SignalQuality, signal_quality
 from vecsim.config import ApSpec, VehicleSpec
+from vecsim.mobility import line_graph
 from vecsim.rng import RngStream
 from vecsim.simulation import Simulation, run_scenario
 
@@ -144,7 +146,7 @@ def test_the_path_failure_table_holds_every_ap_a_selection_can_aim_at():
     assert any(2 not in members for members in sim.cell_members.values())
     for (cell, ap), p_fail in sim.path_failure.items():
         assert p_fail == mac.path_failure_prob(
-            sim.cell_sq[cell][ap], cfg.mac.relay_mode, sim.fronthaul[ap], sim.curve, cfg.mac.payload_bits
+            SignalQuality(sim.cell_snr[cell][ap]), cfg.mac.relay_mode, sim.fronthaul[ap], sim.curve, cfg.mac.payload_bits
         )
     sim.engine.run()
     assert sim.finalize().packets_emitted == 40 * 2
@@ -191,6 +193,94 @@ def test_cell_members_and_likelihoods_match_a_brute_force_top_k(spots, listing, 
                 )
                 want = min(max(1.0 - p_fail, floor), ceiling)
             assert lk[i, column[ap]] == want
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    spots=st.lists(_AP_SPOT, min_size=1, max_size=8),
+    owners=st.lists(st.integers(0, 1), min_size=8, max_size=8),
+    listing=st.randoms(use_true_random=False),
+    threshold=st.floats(0.0, 80.0),
+)
+def test_each_cell_is_hosted_by_the_owner_of_its_strongest_ap(spots, owners, listing, threshold):
+    # non-contiguous AP ids, listed in a shuffled order and owned at random,
+    # so tied APs on the grid often belong to different ANs
+    ids = [3 * i + 1 for i in range(len(spots))]
+    listing.shuffle(ids)
+    cfg = load_bundled("smoke")
+    cfg.aps = [ApSpec(ap, x, y, an_id=an) for ap, (x, y), an in zip(ids, spots, owners)]
+    cfg.snr_threshold_db = threshold
+    sim = Simulation(cfg)
+    for cell in cfg.road.cells:
+        best = None
+        for a in cfg.aps:
+            snr = signal_quality(cfg.road.centers[cell], (a.x, a.y), cfg.channel).snr_db
+            if best is None or snr > best[0] or (snr == best[0] and a.ap_id < best[1]):
+                best = (snr, a.ap_id, a.an_id)
+        assert sim.cell_an[cell] == best[2]
+        if sim.cell_members[cell]:
+            assert sim.cell_an[cell] == sim.ap_owner[sim.cell_members[cell][0]]
+
+
+def test_a_vehicle_in_a_coverage_gap_is_hosted_by_the_an_nearest_its_cell(tmp_path):
+    # ten cells 100 m apart, AP 0 (AN 0) over cell 0 and AP 1 (AN 1) over cell
+    # 9; at 28 dB only cells 0-1 and 8-9 are covered. The vehicle advances one
+    # cell per slot from cell 0, so slot t finds it in cell t + 1.
+    cfg = load_bundled("smoke", horizon=7, snr_threshold_db=28.0, edge_compute__task_arrival_prob=1.0)
+    cfg.road, cfg.mobility = line_graph(10, spacing_m=100.0, forward_prob=1.0)
+    cfg.aps = [ApSpec(0, 0.0, 10.0, an_id=0), ApSpec(1, 900.0, 10.0, an_id=1)]
+    cfg.vehicles = [VehicleSpec(0, 0)]
+    sim = Simulation(cfg)
+    assert [cell for cell in sorted(sim.cell_members) if sim.cell_members[cell]] == [0, 1, 8, 9]
+    sessions = []
+    for _ in range(cfg.horizon):
+        sim.engine.advance_slot()
+        sessions.append(sim.vehicles[0].session_an_id)
+    report = sim.finalize()
+    # cells 2-4 lie nearer AP 0 and cells 5-7, the gap's far half, nearer AP 1
+    assert sessions == [0, 0, 0, 0, 1, 1, 1]
+    assert report.cipher["sessions"] == 2
+    assert report.cipher["messages"] == cfg.horizon
+    rows = {name: list(csv.DictReader(text.decode().splitlines())) for name, text in _written(report, tmp_path).items()}
+    offloads = [row for row in rows["decisions"] if row["kind"] == "offload"]
+    assert [(row["slot"], row["an_id"]) for row in offloads] == [(str(t), str(an)) for t, an in enumerate(sessions)]
+    # coverage still gates the radio: no packet in the gap, and no downlink
+    assert [row["paths"] for row in rows["packets"]] == ["1", "0", "0", "0", "0", "0", "0"]
+    assert report.downlink["attempts"] == 1
+
+
+def test_zero_popularities_set_up_and_run_with_edge_compute_off():
+    # validation requires a positive popularity only when edge compute is on
+    cfg = load_bundled("smoke", horizon=5, edge_compute__enabled=False)
+    cfg.edge_compute.services = [replace(s, popularity=0.0) for s in cfg.edge_compute.services]
+    sim = Simulation(cfg)
+    sim.engine.run()
+    assert sim.finalize().edge["tasks"] == 0
+
+
+def test_every_cipher_exchange_starts_from_equal_endpoint_states(tmp_path, monkeypatch, capsys):
+    # over the noisy AN views of override set (a) and golden set (h), where
+    # exchanges are rejected and sessions resync, are compromised and restart
+    from test_golden import OVERRIDE_SETS, _noisy_view_scenario
+
+    exchange = cipher.exchange
+    calls = []
+
+    def spy(vehicle, vehicle_fp, an, an_fp, message, n_bits):
+        calls.append((vehicle == an, an_fp is vehicle_fp))
+        return exchange(vehicle, vehicle_fp, an, an_fp, message, n_bits)
+
+    monkeypatch.setattr(cipher, "exchange", spy)
+    runs = {
+        "a": [str(scenario_path("smoke")), *(a for o in OVERRIDE_SETS["a"] for a in ("--override", o))],
+        "h": [str(_noisy_view_scenario(tmp_path))],
+    }
+    for name, run in runs.items():
+        calls.clear()
+        assert main(["run", *run, "--out", str(tmp_path / name)]) == 0
+        assert calls and all(equal for equal, _ in calls)
+        assert not all(shared for _, shared in calls)     # some windows differ: the full path
+    capsys.readouterr()
 
 
 def test_a_run_with_forced_placements_never_imports_networkx(tmp_path):

@@ -14,14 +14,7 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from vecsim.config import (
-    ConfigError,
-    ScenarioConfig,
-    apply_overrides,
-    load_record,
-    load_scenario,
-    validate_scenario,
-)
+from vecsim.config import ConfigError, ScenarioConfig, load_record, load_scenario
 from vecsim.metrics import SCHEMA_VERSION, write_summary
 from vecsim.simulation import run_scenario
 
@@ -132,15 +125,7 @@ def _parse_override(text: str) -> tuple[str, object]:
 
 
 def _load_with_overrides(path: str, seed: int | None, overrides: dict[str, object]) -> ScenarioConfig:
-    cfg = load_scenario(path)
-    if seed is not None:
-        cfg.seed = seed
-    if overrides:
-        apply_overrides(cfg, overrides)
-        problems = validate_scenario(cfg)
-        if problems:
-            raise ConfigError(problems)
-    return cfg
+    return load_scenario(path, overrides if seed is None else {"seed": seed, **overrides})
 
 
 def _emit_error(code: int, errors: list[str]) -> None:

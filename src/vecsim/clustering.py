@@ -76,14 +76,14 @@ def allocate_slices(
         (c for c in clusters if not c.empty),
         key=lambda c: (-demands.get(c.center_vehicle, 0), c.center_vehicle),
     )
-    free = list(range(pool.size))
+    start = 0       # CTUs below it are taken; each cluster carves the next run
     ctus: dict[int, frozenset[int]] = {}
     unsatisfied: dict[int, int] = {}
     for cluster in order:
         want = demands.get(cluster.center_vehicle, 0)
-        take = min(want, len(free))
-        ctus[cluster.center_vehicle] = frozenset(free[:take])
-        free = free[take:]
+        take = min(want, pool.size - start)
+        ctus[cluster.center_vehicle] = frozenset(range(start, start + take))
+        start += take
         if take < want:
             unsatisfied[cluster.center_vehicle] = want - take
 

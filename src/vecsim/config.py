@@ -1,15 +1,16 @@
 """Scenario configuration: schema, defaults, validation, JSON loading.
 
 A scenario file is one JSON object whose sections mirror the dataclasses
-below. The file and every `--override` value are converted by one path that
-reads the dataclass type hints, so a wrong type is reported with its dotted
-field path. Validation then collects every semantic problem it can find, so
-a bad file is rejected before slot 0 with actionable diagnostics rather than
-a mid-run crash.
+below. Each `--override` edits that JSON tree, and the tree is converted by
+one path that reads the dataclass type hints, so a wrong type is reported
+with its dotted field path. Validation then collects every semantic problem
+it can find, so a bad file is rejected before slot 0 with actionable
+diagnostics rather than a mid-run crash.
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import functools
 import json
@@ -325,6 +326,10 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
         errors.append("downlink.ap_ranks: must be >= 1")
     elif dl.ap_ranks > MAX_AP_RANKS:
         errors.append(f"downlink.ap_ranks: must be <= {MAX_AP_RANKS}, got {dl.ap_ranks}")
+    if not 0.0 <= dl.epsilon <= 1.0:
+        errors.append(f"downlink.epsilon: must lie in [0, 1], got {dl.epsilon}")
+    if dl.load_buckets < 1:
+        errors.append(f"downlink.load_buckets: must be >= 1, got {dl.load_buckets}")
     if not 0.0 < dl.eta <= 1.0:
         errors.append(f"downlink.eta: must lie in (0, 1], got {dl.eta}")
     if not 0.0 <= dl.gamma < 1.0:
@@ -351,6 +356,8 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
             errors.append("control.rate_per_vehicle: must be > 0")
         if ctl.period_slots < 1:
             errors.append("control.period_slots: must be >= 1")
+        if ctl.kappa < 0:       # scales each edge's congestion delay; shortest paths need it >= 0
+            errors.append(f"control.kappa: must be >= 0, got {ctl.kappa}")
         for i, an in enumerate(cfg.ans):
             if an.controller_capacity <= 0:
                 errors.append(f"ans[{i}].controller_capacity: must be > 0, got {an.controller_capacity}")
@@ -616,49 +623,35 @@ def load_record(path: str | Path, cls):
     return record
 
 
-def load_scenario(path: str | Path) -> ScenarioConfig:
-    """Read, parse, and fully validate a scenario file."""
-    cfg = scenario_from_dict(read_json_object(path))
+def load_scenario(path: str | Path, overrides: dict[str, object] | None = None) -> ScenarioConfig:
+    """Read a scenario file, apply `overrides` to its JSON tree, then parse
+    and fully validate the result."""
+    cfg = scenario_from_dict(apply_overrides(read_json_object(path), overrides or {}))
     problems = validate_scenario(cfg)
     if problems:
         raise ConfigError(problems)
     return cfg
 
 
-def apply_overrides(cfg: ScenarioConfig, overrides: dict[str, object]) -> ScenarioConfig:
-    """Apply dotted-path overrides like {"bandit.enabled": True} in place.
+def apply_overrides(data: dict, overrides: dict[str, object]) -> dict:
+    """Apply dotted-path overrides like {"bandit.enabled": True} to the parsed
+    JSON tree `data` in place, and return it.
 
-    Each value is converted by its field's type hint exactly like the scenario
-    file's, and the sections on its path are rebuilt with dataclasses.replace,
-    so frozen sections and their __post_init__ checks hold for overrides too.
+    Every part of a key but the last names a JSON object, created when
+    missing; the last part's value is replaced. The tree is then converted
+    like any scenario file, so an override addresses the file's own fields.
     """
     errors = []
     for dotted, value in overrides.items():
-        parts = dotted.split(".")
-        try:
-            setattr(cfg, parts[0], _overridden(cfg, parts, value, dotted))
-        except ConfigError as exc:
-            errors.extend(exc.errors)
+        *parents, leaf = dotted.split(".")
+        node = data
+        for i, part in enumerate(parents):
+            node = node.setdefault(part, {})
+            if not isinstance(node, dict):
+                errors.append(f"{dotted}: {'.'.join(parents[:i + 1])} is not an object")
+                break
+        else:
+            node[leaf] = copy.deepcopy(value)     # a later override may edit inside it
     if errors:
         raise ConfigError(errors)
-    return cfg
-
-
-def _overridden(obj, parts: list[str], value, dotted: str):
-    """The new value of obj's field parts[0] once the field at `parts` holds `value`."""
-    name, rest = parts[0], parts[1:]
-    hint = _fields(type(obj))[0].get(name)
-    if hint is None or (rest and not dataclasses.is_dataclass(hint)):
-        raise ConfigError([f"{dotted}: no such {'section' if rest else 'field'} {name!r}"])
-    if rest:
-        section = getattr(obj, name)
-        new = _overridden(section, rest, value, dotted)
-        try:
-            return dataclasses.replace(section, **{rest[0]: new})
-        except ValueError as exc:
-            raise ConfigError([f"{dotted}: {exc}"]) from None
-    errors: list[str] = []
-    new = _convert(value, hint, dotted, errors)
-    if errors:
-        raise ConfigError(errors)
-    return new
+    return data

@@ -183,7 +183,7 @@ def test_argparse_rejects_unknown_commands():
 @pytest.mark.parametrize(("override", "path"), [
     ("horizon=1.5", "horizon"),
     ("horizon=true", "horizon"),
-    ("ctu_pool.freq_blocks=0", "ctu_pool.freq_blocks"),
+    ("ctu_pool.freq_blocks=0", "ctu_pool"),
     ("mac=5", "mac"),
     ('mac.k_max="2"', "mac.k_max"),
     ("downlink.power_levels_w=0.5", "downlink.power_levels_w"),
@@ -195,6 +195,25 @@ def test_a_wrong_typed_override_exits_two_naming_its_path(override, path, tmp_pa
     )
     assert code == 2
     assert any(e.startswith(f"{path}:") for e in json.loads(stdout)["errors"])
+
+
+def test_an_override_through_a_non_object_exits_two_naming_its_key(tmp_path, capsys):
+    code, stdout = _run(
+        capsys, "run", str(scenario_path("smoke")), "--out", str(tmp_path), "--override", "horizon.x=1",
+    )
+    assert code == 2
+    assert any(e.startswith("horizon.x:") for e in json.loads(stdout)["errors"])
+
+
+def test_a_line_road_override_rebuilds_the_road(tmp_path, capsys):
+    code, _ = _run(
+        capsys, "run", str(scenario_path("smoke")), "--out", str(tmp_path),
+        "--override", "road.cells=50", "--override", "horizon=20",
+    )
+    assert code == 0
+    with (tmp_path / "packets.csv").open(newline="") as fh:
+        assert len(list(csv.reader(fh))) == 1 + 2 * 20
+    assert json.loads((tmp_path / "summary.json").read_text())["horizon"] == 20
 
 
 @pytest.mark.parametrize("override", ["downlink.power_levels_w=[0.2,0.4]", 'mac.bler_beta={"128":4}'])

@@ -6,11 +6,13 @@ import json
 
 import pytest
 
-from conftest import SCENARIO_DIR, load_bundled, scenario_path
+from conftest import SCENARIO_DIR, scenario_path
 from vecsim.config import (
     ConfigError,
+    ScenarioConfig,
     apply_overrides,
     load_scenario,
+    read_json_object,
     scenario_from_dict,
     validate_scenario,
 )
@@ -29,6 +31,11 @@ def _minimal() -> dict:
         "aps": [{"ap_id": 0, "x": 0.0, "y": 5.0, "an_id": 0}],
         "ans": [{"an_id": 0, "power_budget_w": 1.0}],
     }
+
+
+def _smoke_with(overrides: dict) -> ScenarioConfig:
+    """smoke.json's tree with `overrides` applied, converted but not validated."""
+    return scenario_from_dict(apply_overrides(read_json_object(scenario_path("smoke")), overrides))
 
 
 def test_all_bundled_scenarios_load_and_validate():
@@ -147,33 +154,55 @@ def test_config_error_carries_the_full_problem_list(tmp_path):
 
 
 def test_apply_overrides_sets_nested_fields():
-    cfg = load_bundled("smoke")
-    apply_overrides(cfg, {"horizon": 20, "downlink.epsilon": 0.5, "mac.relay_mode": "DF"})
+    cfg = _smoke_with({"horizon": 20, "downlink.epsilon": 0.5, "mac.relay_mode": "DF"})
     assert cfg.horizon == 20
     assert cfg.downlink.epsilon == 0.5
     assert cfg.mac.relay_mode == "DF"
     assert validate_scenario(cfg) == []
 
 
+def test_apply_overrides_edits_the_tree_and_creates_missing_objects():
+    tree = {"mac": {"k_max": 2}, "horizon": 5}
+    assert apply_overrides(tree, {"mac.k_max": 3, "bandit.enabled": True, "horizon": 9}) is tree
+    assert tree == {"mac": {"k_max": 3}, "horizon": 9, "bandit": {"enabled": True}}
+
+
 def test_apply_overrides_coerces_lists_onto_tuple_fields():
-    cfg = load_bundled("smoke")
-    apply_overrides(cfg, {"downlink.power_levels_w": [0.2, 0.4]})
+    cfg = _smoke_with({"downlink.power_levels_w": [0.2, 0.4]})
     assert cfg.downlink.power_levels_w == (0.2, 0.4)
 
 
 def test_apply_overrides_rejects_unknown_paths():
-    cfg = load_bundled("smoke")
-    with pytest.raises(ConfigError, match="no such field"):
-        apply_overrides(cfg, {"downlink.warp_factor": 1})
-    with pytest.raises(ConfigError, match="no such section"):
-        apply_overrides(cfg, {"flux.capacitor": 1})
+    with pytest.raises(ConfigError, match="downlink.warp_factor: unknown field"):
+        _smoke_with({"downlink.warp_factor": 1})
+    with pytest.raises(ConfigError, match="flux: unknown section"):
+        _smoke_with({"flux.capacitor": 1})
+
+
+def test_an_override_through_a_non_object_names_its_dotted_key():
+    with pytest.raises(ConfigError) as err:
+        apply_overrides(read_json_object(scenario_path("smoke")), {"horizon.x": 1, "mac.k_max.y": 2})
+    assert err.value.errors == [
+        "horizon.x: horizon is not an object",
+        "mac.k_max.y: mac.k_max is not an object",
+    ]
+
+
+def test_a_line_road_override_rebuilds_the_road_and_its_mobility_model():
+    cfg = _smoke_with({"road.cells": 50, "road.spacing_m": 20.0})
+    assert cfg.road.cells == list(range(50))
+    assert cfg.road.centers[49] == (980.0, 0.0)
+    assert set(cfg.mobility.rows["default"]) == set(range(50))
+    assert validate_scenario(cfg) == []
 
 
 def test_overridden_config_revalidates_to_catch_new_problems():
-    cfg = load_bundled("smoke")
-    apply_overrides(cfg, {"horizon": -5})
+    cfg = _smoke_with({"horizon": -5})
     problems = validate_scenario(cfg)
     assert any(p.startswith("horizon:") for p in problems)
+    with pytest.raises(ConfigError) as err:
+        load_scenario(scenario_path("smoke"), {"horizon": -5})
+    assert err.value.errors == problems
 
 
 @pytest.mark.parametrize(("overrides", "path"), [
@@ -193,16 +222,19 @@ def test_overridden_config_revalidates_to_catch_new_problems():
     ({"ctu_pool.freq_blocks": 10**9}, "ctu_pool"),
     ({"ctu_pool.sequences": 8193}, "ctu_pool"),
     ({"downlink.ap_ranks": 1025}, "downlink.ap_ranks"),
+    # exploration rates and bucket counts the downlink learner divides by or draws against
+    ({"downlink.epsilon": 1.5}, "downlink.epsilon"),
+    ({"downlink.epsilon": -0.1}, "downlink.epsilon"),
+    ({"downlink.load_buckets": 0}, "downlink.load_buckets"),
+    # the control plane's shortest paths need non-negative edge costs
+    ({"control.kappa": -5.0}, "control.kappa"),
 ])
 def test_runtime_divisors_and_sizes_are_range_checked(overrides, path):
-    cfg = load_bundled("smoke")
-    apply_overrides(cfg, overrides)
-    assert any(p.startswith(f"{path}:") for p in validate_scenario(cfg))
+    assert any(p.startswith(f"{path}:") for p in validate_scenario(_smoke_with(overrides)))
 
 
 def test_a_disconnected_control_graph_names_its_components():
-    cfg = load_bundled("smoke")
-    apply_overrides(cfg, {"control.edges": [[0, 0, 0.001, 100.0]]})
+    cfg = _smoke_with({"control.edges": [[0, 0, 0.001, 100.0]]})
     assert validate_scenario(cfg) == [
         "control.edges: the ANs must form one connected graph, got components [[0], [1]]"
     ]
@@ -244,13 +276,10 @@ def test_sections_are_built_as_their_typed_dataclasses():
     assert validate_scenario(cfg) == []
 
 
-def test_overrides_are_typed_and_rebuild_frozen_sections():
-    cfg = load_bundled("smoke")
-    pool = cfg.ctu_pool
-    apply_overrides(cfg, {"ctu_pool.freq_blocks": 4, "mac.bler_beta": {"128": 4}})
-    assert cfg.ctu_pool.freq_blocks == 4 and pool.freq_blocks == 8
+def test_overrides_are_typed_and_every_error_is_reported():
+    cfg = _smoke_with({"ctu_pool.freq_blocks": 4, "mac.bler_beta": {"128": 4}})
+    assert cfg.ctu_pool.freq_blocks == 4
     assert cfg.mac.bler_beta == {128: 4.0}
     with pytest.raises(ConfigError) as err:
-        apply_overrides(cfg, {"mac.k_max": 2.5, "ctu_pool.sequences": 0, "bandit": 5})
+        _smoke_with({"mac.k_max": 2.5, "ctu_pool.sequences": 0, "bandit": 5})
     assert len(err.value.errors) == 3
-    assert cfg.mac.k_max == 2 and cfg.ctu_pool.sequences == 2

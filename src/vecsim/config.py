@@ -311,6 +311,8 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
         errors.append(f"bandit.r_max: must be >= 1, got {bandit.r_max}")
     elif bandit.enabled and bandit.r_max > cfg.ctu_pool.size:
         errors.append(f"bandit.r_max: {bandit.r_max} exceeds ctu_pool size {cfg.ctu_pool.size}")
+    if bandit.enabled and mac.ctu_policy == "preconfigured":     # the pair lists fix the replica count
+        errors.append("bandit.enabled: the replica bandit needs mac.ctu_policy random, got preconfigured")
 
     if cfg.cluster.k_cluster < 1:
         errors.append(f"cluster.k_cluster: must be >= 1, got {cfg.cluster.k_cluster}")

@@ -259,19 +259,15 @@ class Simulation:
         histogram = self.report.bandit["replica_histogram"]
         for vid, vr in self.vehicles.items():
             members = self.cell_members[vr.mobility.cell]
+            if not members:         # nothing is sent, so the bandit neither draws nor learns
+                vr.selection = None
+                continue
             if vr.bandit is not None:
                 replicas = mac.bandit_select_and_update(
                     vr.bandit, vr.last_outcome, vr.last_replicas, self.stream(f"bandit/{vid}")
                 )
-                replicas = min(replicas, self.pool.size)
             else:
                 replicas = cfg.mac.replicas
-            key = str(replicas)
-            histogram[key] = histogram.get(key, 0) + 1
-            vr.last_replicas = replicas
-            if not members:
-                vr.selection = None
-                continue
             vr.selection = mac.select_ctus(
                 vid,
                 list(members),
@@ -281,6 +277,9 @@ class Simulation:
                 policy=cfg.mac.ctu_policy,
                 preconfigured=cfg.mac.preconfigured or None,
             )
+            # a preconfigured pair list, not `replicas`, fixes how many CTUs carry the packet
+            vr.last_replicas = sent = len(vr.selection.ctus)
+            histogram[str(sent)] = histogram.get(str(sent), 0) + 1
 
     def _phase_relay_decode(self, t: SlotTime) -> None:
         cfg = self.cfg
@@ -299,8 +298,9 @@ class Simulation:
         for vid, vr in self.vehicles.items():
             heard = [0] * self.n_aps        # association bits, by AP column
             if vr.selection is None:
-                outcome = mac.combine([])
-                paths = 0
+                # out of coverage: no packet went out, and last_outcome keeps
+                # the outcome of the last one that did for the bandit's update
+                self.report.record_packet(vid, t.index, False, 0, 0)
             else:
                 flags = []
                 decode = self.stream(f"decode/{vid}")
@@ -310,10 +310,9 @@ class Simulation:
                     flags.append(ok)
                     if ok:
                         heard[self.ap_col[ap]] = 1
-                outcome = mac.combine(flags)
+                vr.last_outcome = outcome = mac.combine(flags)
                 paths = len(set(vr.selection.target_aps))
-            self.report.record_packet(vid, t.index, outcome.combined, vr.last_replicas or 0, paths)
-            vr.last_outcome = outcome
+                self.report.record_packet(vid, t.index, outcome.combined, vr.last_replicas, paths)
             bits = tuple(heard)
             vr.assoc_true = predictor.AssociationVector(vid, t.index, bits)
             flip = cfg.cipher.an_view_flip_prob

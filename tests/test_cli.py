@@ -264,6 +264,8 @@ def _preconfigure(data, table):
     (lambda d: _preconfigure(d, {"0": [[0, 0]]}), "mac.preconfigured[1]"),
     (lambda d: _preconfigure(d, {"0": [[0, 0]], "1": []}), "mac.preconfigured[1]"),
     (lambda d: _preconfigure(d, {"0": [[3, 0], [3, 1]], "1": [[4, 2]]}), "mac.preconfigured[0][1]"),
+    (lambda d: (_preconfigure(d, {"0": [[0, 0]], "1": [[1, 2]]}), d.update(bandit={"enabled": True})),
+     "bandit.enabled"),
 ])
 def test_a_wrong_typed_file_field_fails_validation_naming_its_path(mutate, path, tmp_path, capsys):
     data = json.loads(scenario_path("smoke").read_text())

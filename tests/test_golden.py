@@ -174,14 +174,14 @@ OVERRIDDEN = {
         "a17fac5939744f43629b6e2b1cb1e1b414599db78cbe5d7e3acb4c26f2d6bb3d",
     ),
     ("b", 0): (
-        "3d1e1572b98450283020ed35ed10b712fa0181dc35fdc4808547f010d1d3033d",
+        "ee2b1aadfd5a56c1fc6f793c82ca5ee194f58771d5bbd0d0c6cc679a71229fad",
         "a94b16bce42ae7076c3156211b5acedc7df00b6b6c98360f2c771e062e682262",
-        "5bc7f773a5230a06371f41f5a3c5c1f990d9b085306cd9540255c794e6e6c18b",
+        "3ff39fe08fabc20fcaedac90c520972cf386912d933846aca4e300635b01dee2",
     ),
     ("b", 1): (
-        "3d1e1572b98450283020ed35ed10b712fa0181dc35fdc4808547f010d1d3033d",
+        "ee2b1aadfd5a56c1fc6f793c82ca5ee194f58771d5bbd0d0c6cc679a71229fad",
         "048f729dc7a8042926ac48f1d6c85e973a1861a37fb30f09ad194727ef071793",
-        "4ecf29309323a5e095616361a600b17dbe8328f93229ea2185c655bd734e4d62",
+        "95ec3e0b1cce66c576126fd53d75f37164a27ba2c412b4c332d4536e23fafe8b",
     ),
     ("c", 0): (
         "1a7ec2234e41d97aacc38ff89b5b1ee74e10ec999619e84a4cace3f33b8e99b1",

@@ -246,7 +246,47 @@ def test_a_vehicle_in_a_coverage_gap_is_hosted_by_the_an_nearest_its_cell(tmp_pa
     assert [(row["slot"], row["an_id"]) for row in offloads] == [(str(t), str(an)) for t, an in enumerate(sessions)]
     # coverage still gates the radio: no packet in the gap, and no downlink
     assert [row["paths"] for row in rows["packets"]] == ["1", "0", "0", "0", "0", "0", "0"]
+    assert [row["replicas"] for row in rows["packets"]] == ["2", "0", "0", "0", "0", "0", "0"]
+    assert report.bandit["replica_histogram"] == {"2": 1}
     assert report.downlink["attempts"] == 1
+
+
+def _gap_road_with_bandit(horizon: int):
+    # the ten-cell road above: slots 0 and 7-9 are covered, slots 1-6 are not
+    cfg = load_bundled("smoke", horizon=horizon, snr_threshold_db=28.0, bandit__enabled=True)
+    cfg.road, cfg.mobility = line_graph(10, spacing_m=100.0, forward_prob=1.0)
+    cfg.aps = [ApSpec(0, 0.0, 10.0, an_id=0), ApSpec(1, 900.0, 10.0, an_id=1)]
+    cfg.vehicles = [VehicleSpec(0, 0)]
+    return cfg
+
+
+def test_the_bandit_draws_and_learns_only_in_slots_that_send(tmp_path):
+    sim = Simulation(_gap_road_with_bandit(10))
+    pulls = []
+    for _ in range(10):
+        sim.engine.advance_slot()
+        pulls.append(sum(sim.vehicles[0].bandit.pulls))
+    # slot 7 learns from slot 0's packet, the last one sent before the gap
+    assert pulls == [0, 0, 0, 0, 0, 0, 0, 1, 2, 3]
+    report = sim.finalize()
+    rows = list(csv.DictReader(_written(report, tmp_path)["packets"].decode().splitlines()))
+    sent = [int(row["replicas"]) for row in rows if row["paths"] != "0"]
+    assert len(sent) == 4 and all(1 <= r <= 4 for r in sent)
+    assert [row["replicas"] for row in rows if row["paths"] == "0"] == ["0"] * 6
+    histogram = report.bandit["replica_histogram"]
+    assert histogram == {str(r): sent.count(r) for r in set(sent)}
+
+
+def test_a_preconfigured_packet_records_the_ctus_of_its_pair_list(tmp_path):
+    pairs = {"0": [[0, 0]], "1": [[1, 0], [2, 1], [3, 2]]}
+    report = run_scenario(load_bundled("smoke", horizon=20, mac__ctu_policy="preconfigured",
+                                       mac__preconfigured=pairs))
+    rows = list(csv.DictReader(_written(report, tmp_path)["packets"].decode().splitlines()))
+    sent = {vid: len(p) for vid, p in pairs.items()}
+    assert all(row["replicas"] == str(sent[row["vehicle_id"]]) for row in rows if row["paths"] != "0")
+    assert report.bandit["replica_histogram"] == {
+        str(n): sum(row["paths"] != "0" for row in rows if sent[row["vehicle_id"]] == n) for n in (1, 3)
+    }
 
 
 def test_zero_popularities_set_up_and_run_with_edge_compute_off():

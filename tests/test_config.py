@@ -165,6 +165,10 @@ def test_apply_overrides_edits_the_tree_and_creates_missing_objects():
     tree = {"mac": {"k_max": 2}, "horizon": 5}
     assert apply_overrides(tree, {"mac.k_max": 3, "bandit.enabled": True, "horizon": 9}) is tree
     assert tree == {"mac": {"k_max": 3}, "horizon": 9, "bandit": {"enabled": True}}
+    # a later override edits the tree's copy of an earlier value, not the caller's
+    section = {"epsilon": 0.1}
+    apply_overrides(tree, {"bandit": section, "bandit.r_max": 2})
+    assert tree["bandit"] == {"epsilon": 0.1, "r_max": 2} and section == {"epsilon": 0.1}
 
 
 def test_apply_overrides_coerces_lists_onto_tuple_fields():

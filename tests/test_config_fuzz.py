@@ -95,8 +95,8 @@ def test_validate_rejects_a_wrong_typed_leaf_without_crashing(mutation):
 @given(mutations())
 def test_run_rejects_a_wrong_typed_override_without_crashing(mutation):
     name, path, tree = mutation
-    # A dotted path names at most section.field and cannot index a list, so
-    # the override carries the mutated subtree under that prefix.
+    # A dotted path cannot index a list, so the override carries the mutated
+    # subtree under its section.field prefix, or the shorter one before a list.
     depth = min(2, next((i for i, part in enumerate(path) if not isinstance(part, str)), len(path)))
     value = tree
     for part in path[:depth]:

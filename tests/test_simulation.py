@@ -262,14 +262,19 @@ def _gap_road_with_bandit(horizon: int):
 
 def test_the_bandit_draws_and_learns_only_in_slots_that_send(tmp_path):
     sim = Simulation(_gap_road_with_bandit(10))
-    pulls = []
+    bandit = sim.vehicles[0].bandit
+    pulls, estimates = [], []
     for _ in range(10):
         sim.engine.advance_slot()
-        pulls.append(sum(sim.vehicles[0].bandit.pulls))
-    # slot 7 learns from slot 0's packet, the last one sent before the gap
-    assert pulls == [0, 0, 0, 0, 0, 0, 0, 1, 2, 3]
+        pulls.append(sum(bandit.pulls))
+        estimates.append(list(bandit.estimates))
     report = sim.finalize()
     rows = list(csv.DictReader(_written(report, tmp_path)["packets"].decode().splitlines()))
+    # slot 7 learns from slot 0's packet, the last one sent before the gap
+    assert pulls == [0, 0, 0, 0, 0, 0, 0, 1, 2, 3]
+    first = int(rows[0]["replicas"])
+    reward = int(rows[0]["delivered"]) - bandit.cost_per_replica * first
+    assert estimates[7] == [reward if arm == first - 1 else 0.0 for arm in range(bandit.r_max)]
     sent = [int(row["replicas"]) for row in rows if row["paths"] != "0"]
     assert len(sent) == 4 and all(1 <= r <= 4 for r in sent)
     assert [row["replicas"] for row in rows if row["paths"] == "0"] == ["0"] * 6

@@ -1,5 +1,5 @@
 """Golden digests: the three contract files of every bundled scenario x seed,
-of a 400-cell line road built from smoke.json, of smoke.json under six
+of a 400-cell line road built from smoke.json, of smoke.json under seven
 --override sets, of a 40-cell road whose vehicles switch velocity class, of a
 40-cell road whose ANs see noisy association vectors, and of a 500-vehicle
 crowd on a 40-cell road.
@@ -141,7 +141,10 @@ def test_long_road_outputs_match_their_pinned_digests(seed, tmp_path, capsys):
 #     controllers and the placement chooses each vehicle's domain;
 # (f) twelve vehicles on three ANs of capacity 6 joined in a triangle, so
 #     each checkpoint splits the fleet between two controllers and the
-#     balancing chooses between the direct edge and the two-hop path.
+#     balancing chooses between the direct edge and the two-hop path;
+# (j) preconfigured CTUs: both vehicles send on CTU 0, which collides with
+#     k_max=1 and is lost in every slot, and on a CTU of their own, which
+#     delivers, some of it through an AP outside the vehicle's cluster.
 OVERRIDE_SETS = {
     "a": (
         "horizon=400", "bandit.enabled=true", "mac.k_max=1", "cipher.an_view_flip_prob=0.3",
@@ -159,6 +162,12 @@ OVERRIDE_SETS = {
         "control.edges=[[0,1,0.001,20],[1,2,0.001,20],[0,2,0.0025,20]]",
         "control.kappa=0.001",
         "control.period_slots=10",
+    ),
+    "j": (
+        "horizon=200",
+        "mac.ctu_policy=preconfigured",
+        'mac.preconfigured={"0":[[0,0],[5,1]],"1":[[0,1],[9,2]]}',
+        "mac.k_max=1",
     ),
 }
 
@@ -222,6 +231,16 @@ OVERRIDDEN = {
         "5e01198810a2af57e21b088ceda1873c0f761e78078cfd23bde433d131fa5090",
         "d6900a4418ebf2c2cb85b3f4cc6ded5d1fd854c99b64cd30a331855aeec4fbb2",
         "f5f755455513d962136eb7178571e2b1630b377c75c70ac590653709245bec04",
+    ),
+    ("j", 0): (
+        "3313e11c7667d3bc7b64e86c16c6136faf0d8f3edf163671d1422c58a9e56e67",
+        "a94b16bce42ae7076c3156211b5acedc7df00b6b6c98360f2c771e062e682262",
+        "f1f4be6db8c221229151378d5e93d71d6e9613b6a167827f7568cc75efbdd60d",
+    ),
+    ("j", 1): (
+        "3313e11c7667d3bc7b64e86c16c6136faf0d8f3edf163671d1422c58a9e56e67",
+        "048f729dc7a8042926ac48f1d6c85e973a1861a37fb30f09ad194727ef071793",
+        "023de84a14cde5ccb02d768d265e2769140dd36a1157bbdf7848253208a3c6fe",
     ),
 }
 

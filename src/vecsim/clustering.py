@@ -1,9 +1,11 @@
 """Vehicle-centric virtual clusters and non-conflicting resource slices.
 
 Each vehicle is served by the top-k APs it can reach (clusters may overlap
-across vehicles); downlink CTUs and AN power are then partitioned into
-pairwise-disjoint slices, one per cluster, by greedy water-filling. Cells and
-APs never move, so a cluster's members depend only on the vehicle's cell.
+across vehicles) and hosted by one AN, which the caller decides; downlink CTUs
+and AN power are then partitioned into pairwise-disjoint slices, one per
+cluster: equal CTU runs in ascending vehicle id, and each AN's power in
+proportion to member count. Cells and APs never move, so a cluster's members
+depend only on the vehicle's cell.
 """
 
 from __future__ import annotations
@@ -18,10 +20,7 @@ from vecsim.mac import CtuPool
 class VirtualCluster:
     center_vehicle: int
     members: tuple[int, ...]          # AP ids, descending SNR order
-
-    @property
-    def empty(self) -> bool:
-        return len(self.members) == 0
+    an: int                           # the AN hosting the vehicle; its power funds the slice
 
 
 @dataclass(frozen=True)
@@ -62,43 +61,33 @@ def form_cluster(snr_db: dict[int, float], threshold_db: float, k_cluster: int) 
 def allocate_slices(
     clusters: list[VirtualCluster],
     pool: CtuPool,
-    demands: dict[int, int],
+    demand: int,
     an_power_budget_w: dict[int, float],
-    ap_owner: dict[int, int],
 ) -> SliceAssignment:
-    """Greedy water-filling in descending demand order (cluster-id tiebreak).
+    """Carve `demand` CTUs per cluster in ascending vehicle id.
 
     Each cluster receives min(demand, remaining) CTUs, disjoint by
-    construction, plus a share of its serving AN's power budget proportional
-    to its member count among the clusters that AN serves.
+    construction, plus a share of its AN's power budget proportional to its
+    member count among the clusters that AN hosts.
     """
-    order = sorted(
-        (c for c in clusters if not c.empty),
-        key=lambda c: (-demands.get(c.center_vehicle, 0), c.center_vehicle),
-    )
+    order = sorted(clusters, key=lambda c: c.center_vehicle)
     start = 0       # CTUs below it are taken; each cluster carves the next run
     ctus: dict[int, frozenset[int]] = {}
     unsatisfied: dict[int, int] = {}
     for cluster in order:
-        want = demands.get(cluster.center_vehicle, 0)
-        take = min(want, pool.size - start)
+        take = min(demand, pool.size - start)
         ctus[cluster.center_vehicle] = frozenset(range(start, start + take))
         start += take
-        if take < want:
-            unsatisfied[cluster.center_vehicle] = want - take
+        if take < demand:
+            unsatisfied[cluster.center_vehicle] = demand - take
 
-    # Power: each cluster draws from the AN owning its best AP.
     an_members: dict[int, int] = {}
-    cluster_an: dict[int, int] = {}
     for cluster in order:
-        an = ap_owner[cluster.members[0]]
-        cluster_an[cluster.center_vehicle] = an
-        an_members[an] = an_members.get(an, 0) + len(cluster.members)
+        an_members[cluster.an] = an_members.get(cluster.an, 0) + len(cluster.members)
     power: dict[int, float] = {}
     for cluster in order:
-        an = cluster_an[cluster.center_vehicle]
-        budget = an_power_budget_w.get(an, 0.0)
-        share = len(cluster.members) / an_members[an] if an_members[an] else 0.0
+        budget = an_power_budget_w.get(cluster.an, 0.0)
+        share = len(cluster.members) / an_members[cluster.an] if an_members[cluster.an] else 0.0
         power[cluster.center_vehicle] = budget * share
 
     assignment = SliceAssignment(ctus=ctus, power_w=power, unsatisfied=unsatisfied)

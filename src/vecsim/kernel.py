@@ -2,14 +2,13 @@
 
 Owns the clock and the per-slot phase schedule. Subsystems register handlers
 against named phases; every slot runs the phases in one fixed order, handlers
-within a phase in registration order. An exception inside a phase aborts the
-run with the slot index attached, since a half-executed slot has no defined
-state.
+within a phase in registration order, each called with the slot index. An
+exception inside a phase aborts the run with the slot index attached, since a
+half-executed slot has no defined state.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
@@ -28,12 +27,6 @@ class Phase(Enum):
 PHASE_ORDER = list(Phase)
 
 
-@dataclass(frozen=True)
-class SlotTime:
-    index: int
-    slot_duration: float
-
-
 class PhaseError(RuntimeError):
     def __init__(self, phase: Phase, slot: int, cause: BaseException):
         super().__init__(f"phase {phase.name} failed at slot {slot}: {cause}")
@@ -45,37 +38,27 @@ class PhaseError(RuntimeError):
 class SlotEngine:
     """Runs `horizon` slots of the registered phase handlers."""
 
-    def __init__(self, horizon: int, slot_duration: float):
+    def __init__(self, horizon: int):
         if horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {horizon}")
-        if slot_duration <= 0:
-            raise ValueError(f"slot_duration must be > 0, got {slot_duration}")
         self.horizon = horizon
-        self.slot_duration = slot_duration
-        self._handlers: dict[Phase, list[Callable[[SlotTime], None]]] = {p: [] for p in PHASE_ORDER}
-        self._clock = 0
-        self.slots_run = 0
+        self._handlers: dict[Phase, list[Callable[[int], None]]] = {p: [] for p in PHASE_ORDER}
+        self.clock = 0       # the slot that runs next
 
-    def register(self, phase: Phase, handler: Callable[[SlotTime], None]) -> None:
+    def register(self, phase: Phase, handler: Callable[[int], None]) -> None:
         self._handlers[phase].append(handler)
 
-    @property
-    def clock(self) -> int:
-        return self._clock
-
-    def advance_slot(self) -> SlotTime:
+    def advance_slot(self) -> None:
         """Execute every phase for the current slot, then tick the clock."""
-        now = SlotTime(index=self._clock, slot_duration=self.slot_duration)
+        slot = self.clock
         for phase in PHASE_ORDER:
             for handler in self._handlers[phase]:
                 try:
-                    handler(now)
+                    handler(slot)
                 except Exception as exc:
-                    raise PhaseError(phase, now.index, exc) from exc
-        self._clock += 1
-        self.slots_run += 1
-        return SlotTime(index=self._clock, slot_duration=self.slot_duration)
+                    raise PhaseError(phase, slot, exc) from exc
+        self.clock += 1
 
     def run(self) -> None:
-        while self._clock < self.horizon:
+        while self.clock < self.horizon:
             self.advance_slot()

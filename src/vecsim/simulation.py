@@ -19,7 +19,7 @@ import numpy as np
 
 from vecsim import channel, cipher, clustering, control_plane, ecorouting, edge, mac, mobility, predictor
 from vecsim.config import ConfigError, ScenarioConfig, validate_scenario
-from vecsim.kernel import Phase, SlotEngine, SlotTime
+from vecsim.kernel import Phase, SlotEngine
 from vecsim.metrics import MetricsReport
 from vecsim.rng import RngStream
 
@@ -66,13 +66,14 @@ class Simulation:
             raise ConfigError(problems)
         self.cfg = cfg
         self.root = RngStream(cfg.seed, "root")
-        self.engine = SlotEngine(cfg.horizon, cfg.slot_duration)
+        self.engine = SlotEngine(cfg.horizon)
         self._streams: dict[str, RngStream] = {}
 
         self.ap_ids = sorted(a.ap_id for a in cfg.aps)
         self.an_ids = sorted(a.an_id for a in cfg.ans)
         self.ap_owner = cfg.ap_owner()
         self.an_specs = {a.an_id: a for a in cfg.ans}
+        self.an_budgets_w = {a: self.an_specs[a].power_budget_w for a in self.an_ids}
         self.ap_col = {ap: i for i, ap in enumerate(self.ap_ids)}
         self.n_aps = len(self.ap_ids)
         self.fronthaul = {a.ap_id: channel.SignalQuality(a.fronthaul_snr_db) for a in cfg.aps}
@@ -246,15 +247,15 @@ class Simulation:
 
     # -- phases ---------------------------------------------------------------
 
-    def _phase_mobility(self, t: SlotTime) -> None:
-        sched = self.sched_by_slot.get(t.index, {})
+    def _phase_mobility(self, slot: int) -> None:
+        sched = self.sched_by_slot.get(slot, {})
         for vid, vr in self.vehicles.items():
             vclass = sched.get(vid, vr.mobility.velocity_class)
             targets, cum = self.rows[(vclass, vr.mobility.cell)]
             nxt = mobility.draw_from_row(targets, cum, self.stream(f"mobility/{vid}"))
             vr.mobility = mobility.MobilityState(nxt, vclass)
 
-    def _phase_uplink(self, t: SlotTime) -> None:
+    def _phase_uplink(self, slot: int) -> None:
         cfg = self.cfg
         histogram = self.report.bandit["replica_histogram"]
         for vid, vr in self.vehicles.items():
@@ -281,7 +282,7 @@ class Simulation:
             vr.last_replicas = sent = len(vr.selection.ctus)
             histogram[str(sent)] = histogram.get(str(sent), 0) + 1
 
-    def _phase_relay_decode(self, t: SlotTime) -> None:
+    def _phase_relay_decode(self, slot: int) -> None:
         cfg = self.cfg
         selections = [vr.selection for vr in self.vehicles.values() if vr.selection is not None]
         occupancy = mac.detect_collisions(selections)
@@ -300,7 +301,7 @@ class Simulation:
             if vr.selection is None:
                 # out of coverage: no packet went out, and last_outcome keeps
                 # the outcome of the last one that did for the bandit's update
-                self.report.record_packet(vid, t.index, False, 0, 0)
+                self.report.record_packet(vid, slot, False, 0, 0)
             else:
                 flags = []
                 decode = self.stream(f"decode/{vid}")
@@ -312,18 +313,18 @@ class Simulation:
                         heard[self.ap_col[ap]] = 1
                 vr.last_outcome = outcome = mac.combine(flags)
                 paths = len(set(vr.selection.target_aps))
-                self.report.record_packet(vid, t.index, outcome.combined, vr.last_replicas, paths)
+                self.report.record_packet(vid, slot, outcome.combined, vr.last_replicas, paths)
             bits = tuple(heard)
-            vr.assoc_true = predictor.AssociationVector(vid, t.index, bits)
+            vr.assoc_true = predictor.AssociationVector(vid, slot, bits)
             flip = cfg.cipher.an_view_flip_prob
             if flip > 0.0:
                 noise = self.stream(f"anview/{vid}")
                 bits_an = tuple(b ^ (1 if noise.random() < flip else 0) for b in bits)
-                vr.assoc_an = predictor.AssociationVector(vid, t.index, bits_an)
+                vr.assoc_an = predictor.AssociationVector(vid, slot, bits_an)
             else:
                 vr.assoc_an = vr.assoc_true
 
-    def _phase_prediction(self, t: SlotTime) -> None:
+    def _phase_prediction(self, slot: int) -> None:
         cfg = self.cfg
         prediction = self.report.prediction
         observed = []
@@ -333,7 +334,7 @@ class Simulation:
             # Score the predictions aimed at this slot before replacing them:
             # the filter's one-step-ahead bits and the persistence baseline
             # (yesterday's vector repeats), both against today's actual.
-            want = vr.predicted.get(t.index)
+            want = vr.predicted.get(slot)
             if want is not None:
                 prediction["bits_scored"] += self.n_aps
                 self.pred_correct += sum(map(operator.eq, want, obs))
@@ -349,33 +350,30 @@ class Simulation:
         else:
             predicted = observed
         for vr, bits in zip(self.vehicles.values(), predicted):
-            vr.predicted[t.index + 1] = bits
-            vr.predicted.pop(t.index - 1, None)
+            vr.predicted[slot + 1] = bits
+            vr.predicted.pop(slot - 1, None)
 
-    def _phase_downlink(self, t: SlotTime) -> None:
+    def _phase_downlink(self, slot: int) -> None:
         cfg = self.cfg
         # each covered vehicle's cluster, in vehicle order, and how many each AN serves
         clusters = [
-            clustering.VirtualCluster(vid, members)
+            clustering.VirtualCluster(vid, members, self.cell_an[vr.mobility.cell])
             for vid, vr in self.vehicles.items()
             if (members := self.cell_members[vr.mobility.cell])
         ]
-        an_load = Counter(self.cell_an[self.vehicles[c.center_vehicle].mobility.cell] for c in clusters)
-        demands = {c.center_vehicle: cfg.cluster.downlink_ctu_demand for c in clusters}
-        budgets = {a: self.an_specs[a].power_budget_w for a in self.an_ids}
-        slices = clustering.allocate_slices(clusters, self.pool, demands, budgets, self.ap_owner)
+        an_load = Counter(c.an for c in clusters)
+        slices = clustering.allocate_slices(clusters, self.pool, cfg.cluster.downlink_ctu_demand, self.an_budgets_w)
         self.report.slices["allocated_ctus"] += sum(len(v) for v in slices.ctus.values())
         self.report.slices["unsatisfied"] += sum(slices.unsatisfied.values())
         downlink = self.report.downlink
 
         for c in clusters:
-            vid, members = c.center_vehicle, c.members
+            vid, members, an_id = c.center_vehicle, c.members, c.an
             if not slices.ctus.get(vid):
                 continue                       # no downlink resources this slot
             vr = self.vehicles[vid]
-            an_id = self.cell_an[vr.mobility.cell]
             ar = self.ans[an_id]
-            pred_bits = vr.predicted.get(t.index)
+            pred_bits = vr.predicted.get(slot)
             if pred_bits is None:
                 pred_bits = tuple(1 if ap in members else 0 for ap in self.ap_ids)
             cand_aps = [ap for ap, bit in zip(self.ap_ids, pred_bits) if bit]
@@ -401,7 +399,7 @@ class Simulation:
                     p_ok = 1.0 - self.curve.bler(dl_snr, cfg.mac.payload_bits)
                     delivered = self.stream(f"dldecode/{an_id}").random() < p_ok
             energy = power_w * cfg.slot_duration
-            self.report.record_energy(an_id, t.index, energy)
+            self.report.record_energy(an_id, slot, energy)
             downlink["attempts"] += 1
             downlink["delivered"] += 1 if delivered else 0
             downlink["energy_j"] += energy
@@ -415,17 +413,17 @@ class Simulation:
                     ar.learner.update(ps, pa, pr, state)
                 ar.pending = (state, action, reward)
 
-    def _phase_control(self, t: SlotTime) -> None:
+    def _phase_control(self, slot: int) -> None:
         cfg = self.cfg
         if self.topology is None:
             return
-        if t.index % cfg.control.period_slots != 0:
+        if slot % cfg.control.period_slots != 0:
             return
         demands = [
             control_plane.Demand(vid, self.cell_an[vr.mobility.cell], cfg.control.rate_per_vehicle)
             for vid, vr in self.vehicles.items()
         ]
-        entry: dict = {"slot": t.index}
+        entry: dict = {"slot": slot}
         try:
             placement = control_plane.place_controllers(
                 self.topology, demands, cfg.control.latency_bound_s
@@ -455,18 +453,18 @@ class Simulation:
             rounds, _ = control_plane.sync_controllers(sync_graph, views)
             entry["sync_rounds"] = rounds
             for c in sorted(placement.controllers):
-                self.report.record_decision("controller", t.index, an_id=c, decision="open")
+                self.report.record_decision("controller", slot, an_id=c, decision="open")
         except control_plane.InfeasiblePlacement as exc:
             entry["infeasible"] = exc.binding
         except control_plane.CongestionInfeasible:
             entry["infeasible"] = "congestion"
         self.report.control["checkpoints"].append(entry)
 
-    def _phase_edge(self, t: SlotTime) -> None:
+    def _phase_edge(self, slot: int) -> None:
         cfg = self.cfg
         ec = cfg.edge_compute
         if ec.enabled and self.catalog:
-            if t.index % ec.recache_period == 0:
+            if slot % ec.recache_period == 0:
                 for an_id in self.an_ids:
                     ar = self.ans[an_id]
                     pop = (
@@ -484,7 +482,7 @@ class Simulation:
                 an_id = self.cell_an[vr.mobility.cell]
                 ar = self.ans[an_id]
                 ar.request_counts[service.service_id] = ar.request_counts.get(service.service_id, 0) + 1
-                task = edge.Task(service.service_id, vid, ec.input_bits, t.index)
+                task = edge.Task(service.service_id, vid, ec.input_bits, slot)
                 decision = edge.decide_offload(
                     task, service, ar.cache, ar.ledger, ar.queued_cycles, self.cparams,
                     policy=ec.offload_policy,
@@ -496,17 +494,17 @@ class Simulation:
                 ar.slot_energy += decision.energy_j
                 self.edge_latency_sum += decision.latency_s
                 self.report.record_decision(
-                    "offload", t.index, an_id, vid, service.service_id,
+                    "offload", slot, an_id, vid, service.service_id,
                     decision.where, decision.latency_s, decision.energy_j,
                 )
         for an_id in self.an_ids:
             ar = self.ans[an_id]
             ar.queued_cycles = max(0.0, ar.queued_cycles - self.cparams.cpu_rate * cfg.slot_duration)
             edge.settle_slot(ar.ledger, ar.slot_energy)
-            self.report.record_energy(an_id, t.index, ar.slot_energy)
+            self.report.record_energy(an_id, slot, ar.slot_energy)
             ar.slot_energy = 0.0
 
-    def _phase_cipher(self, t: SlotTime) -> None:
+    def _phase_cipher(self, slot: int) -> None:
         cfg = self.cfg
         counts = self.report.cipher
         for vid, vr in self.vehicles.items():
@@ -529,7 +527,7 @@ class Simulation:
             else:
                 fp_a = cipher.Fingerprint(vid, tuple(vr.window_an))
             n_bits = cfg.mac.payload_bits
-            msg = cipher.deterministic_message(vid, t.index, n_bits)
+            msg = cipher.deterministic_message(vid, slot, n_bits)
             verified, roundtrip, vr.session, _ = cipher.exchange(vr.session, fp_v, vr.session, fp_a, msg, n_bits)
             counts["messages"] += 1
             if verified:

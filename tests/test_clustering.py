@@ -33,15 +33,13 @@ def test_form_cluster_rejects_bad_k():
 
 
 def _cluster(vid: int, members: tuple[int, ...]) -> VirtualCluster:
-    return VirtualCluster(center_vehicle=vid, members=members)
+    an = OWNER[members[0]] if members else 0
+    return VirtualCluster(center_vehicle=vid, members=members, an=an)
 
 
 def test_allocation_order_and_prefix_assignment():
     clusters = [_cluster(0, (0, 1)), _cluster(1, (2,))]
-    out = allocate_slices(
-        clusters, POOL8, demands={0: 3, 1: 3},
-        an_power_budget_w={0: 2.0, 1: 1.0}, ap_owner=OWNER,
-    )
+    out = allocate_slices(clusters, POOL8, demand=3, an_power_budget_w={0: 2.0, 1: 1.0})
     assert out.ctus[0] == frozenset({0, 1, 2})
     assert out.ctus[1] == frozenset({3, 4, 5})
     assert out.unsatisfied == {}
@@ -49,43 +47,31 @@ def test_allocation_order_and_prefix_assignment():
     assert out.power_w[1] == pytest.approx(1.0)
 
 
-def test_higher_demand_is_served_first_with_id_tiebreak():
-    clusters = [_cluster(0, (0,)), _cluster(1, (2,)), _cluster(2, (3,))]
-    out = allocate_slices(
-        clusters, POOL8, demands={0: 2, 1: 5, 2: 2},
-        an_power_budget_w={0: 1.0, 1: 1.0}, ap_owner=OWNER,
-    )
-    assert out.ctus[1] == frozenset({0, 1, 2, 3, 4})
-    assert out.ctus[0] == frozenset({5, 6})     # id 0 before id 2 at equal demand
-    assert out.ctus[2] == frozenset({7})
+def test_clusters_are_carved_in_ascending_vehicle_id_until_the_pool_runs_out():
+    clusters = [_cluster(2, (3,)), _cluster(0, (0,)), _cluster(1, (2,))]
+    out = allocate_slices(clusters, POOL8, demand=3, an_power_budget_w={0: 1.0, 1: 1.0})
+    assert out.ctus[0] == frozenset({0, 1, 2})
+    assert out.ctus[1] == frozenset({3, 4, 5})
+    assert out.ctus[2] == frozenset({6, 7})
     assert out.unsatisfied == {2: 1}
+
+
+def test_power_is_split_by_the_cluster_an_not_by_its_first_member():
+    # vehicle 1's best AP belongs to AN 0, but the caller hosts it at AN 1
+    clusters = [_cluster(0, (0,)), VirtualCluster(center_vehicle=1, members=(1, 2), an=1)]
+    out = allocate_slices(clusters, POOL8, demand=1, an_power_budget_w={0: 2.0, 1: 4.0})
+    assert out.power_w == {0: pytest.approx(2.0), 1: pytest.approx(4.0)}
 
 
 def test_power_shares_are_proportional_to_member_count_per_an():
     clusters = [_cluster(0, (0, 1)), _cluster(1, (0,))]
-    out = allocate_slices(
-        clusters, POOL8, demands={0: 1, 1: 1},
-        an_power_budget_w={0: 3.0}, ap_owner=OWNER,
-    )
+    out = allocate_slices(clusters, POOL8, demand=1, an_power_budget_w={0: 3.0})
     assert out.power_w[0] == pytest.approx(2.0)
     assert out.power_w[1] == pytest.approx(1.0)
 
 
-def test_empty_clusters_are_skipped():
-    clusters = [_cluster(0, ()), _cluster(1, (2,))]
-    out = allocate_slices(
-        clusters, POOL8, demands={0: 4, 1: 2},
-        an_power_budget_w={0: 1.0, 1: 1.0}, ap_owner=OWNER,
-    )
-    assert 0 not in out.ctus
-    assert out.ctus[1] == frozenset({0, 1})
-
-
 def test_zero_demand_gets_an_empty_slice():
-    out = allocate_slices(
-        [_cluster(0, (0,))], POOL8, demands={0: 0},
-        an_power_budget_w={0: 1.0}, ap_owner=OWNER,
-    )
+    out = allocate_slices([_cluster(0, (0,))], POOL8, demand=0, an_power_budget_w={0: 1.0})
     assert out.ctus[0] == frozenset()
     assert out.unsatisfied == {}
 
@@ -109,15 +95,11 @@ def test_validate_disjoint_catches_a_forged_overlap():
         min_size=1,
         max_size=4,
     ),
-    demands=st.lists(st.integers(min_value=0, max_value=6), min_size=4, max_size=4),
+    demand=st.integers(min_value=0, max_value=6),
 )
-def test_slices_are_always_disjoint_and_conserve_demand(members, demands):
+def test_slices_are_always_disjoint_and_conserve_demand(members, demand):
     clusters = [_cluster(vid, tuple(sorted(m))) for vid, m in enumerate(members)]
-    demand_map = {vid: demands[vid] for vid in range(len(clusters))}
-    out = allocate_slices(
-        clusters, POOL8, demand_map,
-        an_power_budget_w={0: 2.0, 1: 4.0}, ap_owner=OWNER,
-    )
+    out = allocate_slices(clusters, POOL8, demand, an_power_budget_w={0: 2.0, 1: 4.0})
 
     seen: set[int] = set()
     for cid, ctuset in out.ctus.items():
@@ -125,13 +107,12 @@ def test_slices_are_always_disjoint_and_conserve_demand(members, demands):
         seen |= ctuset
         assert all(0 <= c < POOL8.size for c in ctuset)
         got = len(ctuset) + out.unsatisfied.get(cid, 0)
-        assert got == demand_map[cid]
+        assert got == demand
     assert len(seen) <= POOL8.size
 
     # power never exceeds any AN budget
     budget_used = {0: 0.0, 1: 0.0}
-    for cid, watts in out.power_w.items():
-        an = OWNER[[c for c in clusters if c.center_vehicle == cid][0].members[0]]
-        budget_used[an] += watts
+    for c in clusters:
+        budget_used[c.an] += out.power_w[c.center_vehicle]
     assert budget_used[0] <= 2.0 + 1e-9
     assert budget_used[1] <= 4.0 + 1e-9

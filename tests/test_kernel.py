@@ -1,8 +1,15 @@
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from vecsim.kernel import PHASE_ORDER, Phase, PhaseError, SlotEngine, SlotTime
+from conftest import scenario_path
+from vecsim.kernel import PHASE_ORDER, Phase, PhaseError, SlotEngine
 
 
 def test_phase_order_is_fixed_and_complete():
@@ -20,33 +27,32 @@ def test_phase_order_is_fixed_and_complete():
 
 
 def test_every_phase_runs_in_order_each_slot():
-    engine = SlotEngine(horizon=3, slot_duration=0.01)
+    engine = SlotEngine(horizon=3)
     trace: list[tuple[int, str]] = []
     for phase in Phase:
-        engine.register(phase, lambda t, p=phase: trace.append((t.index, p.name)))
+        engine.register(phase, lambda slot, p=phase: trace.append((slot, p.name)))
     engine.run()
     per_slot = [p.name for p in PHASE_ORDER]
     assert trace == [(s, name) for s in range(3) for name in per_slot]
-    assert engine.slots_run == 3
     assert engine.clock == 3
 
 
 def test_handlers_within_a_phase_run_in_registration_order():
-    engine = SlotEngine(horizon=1, slot_duration=1.0)
+    engine = SlotEngine(horizon=1)
     seen: list[str] = []
-    engine.register(Phase.UPLINK, lambda t: seen.append("first"))
-    engine.register(Phase.UPLINK, lambda t: seen.append("second"))
+    engine.register(Phase.UPLINK, lambda slot: seen.append("first"))
+    engine.register(Phase.UPLINK, lambda slot: seen.append("second"))
     engine.run()
     assert seen == ["first", "second"]
 
 
 def test_handler_exception_becomes_phase_error_with_slot_and_cause():
-    engine = SlotEngine(horizon=5, slot_duration=1.0)
+    engine = SlotEngine(horizon=5)
     ticks = []
-    engine.register(Phase.MOBILITY, lambda t: ticks.append(t.index))
+    engine.register(Phase.MOBILITY, ticks.append)
 
-    def boom(t: SlotTime) -> None:
-        if t.index == 2:
+    def boom(slot: int) -> None:
+        if slot == 2:
             raise ValueError("bad row")
 
     engine.register(Phase.DOWNLINK, boom)
@@ -60,15 +66,34 @@ def test_handler_exception_becomes_phase_error_with_slot_and_cause():
     assert ticks == [0, 1, 2]
 
 
-def test_constructor_rejects_bad_horizon_and_duration():
+def test_constructor_rejects_a_horizon_below_one():
     with pytest.raises(ValueError):
-        SlotEngine(horizon=0, slot_duration=1.0)
-    with pytest.raises(ValueError):
-        SlotEngine(horizon=10, slot_duration=0.0)
+        SlotEngine(horizon=0)
 
 
-def test_advance_slot_returns_the_next_slot_time():
-    engine = SlotEngine(horizon=2, slot_duration=0.5)
-    nxt = engine.advance_slot()
-    assert nxt.index == 1
+def test_advance_slot_runs_the_current_slot_and_ticks_the_clock():
+    engine = SlotEngine(horizon=2)
+    seen: list[int] = []
+    engine.register(Phase.CIPHER, seen.append)
+    assert engine.advance_slot() is None
+    assert seen == [0]
     assert engine.clock == 1
+
+
+def test_the_benchmark_child_traces_every_phase_of_every_slot(tmp_path):
+    # perfbench wraps SlotEngine.register, run and advance_slot from outside;
+    # a traced run must still time each slot and count each phase's calls
+    repo = Path(__file__).resolve().parent.parent
+    data = json.loads(scenario_path("smoke").read_text())
+    data["horizon"] = 50
+    scenario = tmp_path / "smoke.json"
+    scenario.write_text(json.dumps(data))
+    env = {**os.environ, "PYTHONPATH": str(repo / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    argv = ["trace", str(scenario), "1", str(tmp_path / "out"), str(tmp_path / "r.json"), str(tmp_path / "s.jsonl")]
+    proc = subprocess.run(
+        [sys.executable, str(repo / "perfbench" / "child.py"), *argv], env=env, cwd=tmp_path, capture_output=True
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    result = json.loads((tmp_path / "r.json").read_text())
+    assert len(result["slot_s"]) == 50
+    assert {p.name: result["stats"][f"phase.{p.name}"][0] for p in Phase} == {p.name: 50 for p in Phase}

@@ -245,6 +245,9 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
         if an.an_id in an_ids:
             errors.append(f"ans[{i}].an_id: duplicate AN id {an.an_id}")
         an_ids.add(an.an_id)
+        for name in ("power_budget_w", "storage_capacity"):
+            if getattr(an, name) < 0:
+                errors.append(f"ans[{i}].{name}: must be >= 0, got {getattr(an, name)}")
     if not cfg.ans:
         errors.append("ans: at least one AN required")
     seen_aps = set()
@@ -276,6 +279,8 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
         errors.append(f"mac.payload_bits: must be >= 1, got {mac.payload_bits}")
     elif mac.payload_bits not in mac.bler_beta:
         errors.append(f"mac.bler_beta: no threshold for payload_bits {mac.payload_bits}")
+    if mac.bler_alpha <= 0:     # the BLER must fall as SNR rises
+        errors.append(f"mac.bler_alpha: must be > 0, got {mac.bler_alpha}")
     if mac.k_max < 1:
         errors.append(f"mac.k_max: must be >= 1, got {mac.k_max}")
     if mac.relay_mode not in ("AF", "DF"):
@@ -646,6 +651,9 @@ def apply_overrides(data: dict, overrides: dict[str, object]) -> dict:
     errors = []
     for dotted, value in overrides.items():
         *parents, leaf = dotted.split(".")
+        if not all([*parents, leaf]):
+            errors.append(f"override key {dotted!r}: empty part")
+            continue
         node = data
         for i, part in enumerate(parents):
             node = node.setdefault(part, {})

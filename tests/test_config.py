@@ -16,6 +16,7 @@ from vecsim.config import (
     scenario_from_dict,
     validate_scenario,
 )
+from vecsim.cli import main
 from vecsim.edge import Service
 
 
@@ -192,6 +193,19 @@ def test_an_override_through_a_non_object_names_its_dotted_key():
     ]
 
 
+@pytest.mark.parametrize(("override", "key"), [
+    ("=5", ""),
+    ("mac.=5", "mac."),
+    (".mac=5", ".mac"),
+    ("mac..k_max=5", "mac..k_max"),
+])
+def test_an_override_key_with_an_empty_part_exits_two_naming_the_key(override, key, tmp_path, capsys):
+    code = main(["run", str(scenario_path("smoke")), "--out", str(tmp_path), "--override", override])
+    assert code == 2
+    assert json.loads(capsys.readouterr().out)["errors"] == [f"override key {key!r}: empty part"]
+    assert not any(tmp_path.iterdir())
+
+
 def test_a_line_road_override_rebuilds_the_road_and_its_mobility_model():
     cfg = _smoke_with({"road.cells": 50, "road.spacing_m": 20.0})
     assert cfg.road.cells == list(range(50))
@@ -232,6 +246,13 @@ def test_overridden_config_revalidates_to_catch_new_problems():
     ({"downlink.load_buckets": 0}, "downlink.load_buckets"),
     # the control plane's shortest paths need non-negative edge costs
     ({"control.kappa": -5.0}, "control.kappa"),
+    # AN budgets: a negative power budget books negative energy, a negative
+    # storage capacity caches nothing
+    ({"ans": [{"an_id": 0, "power_budget_w": -1.0}, {"an_id": 1}]}, "ans[0].power_budget_w"),
+    ({"ans": [{"an_id": 0}, {"an_id": 1, "storage_capacity": -5.0}]}, "ans[1].storage_capacity"),
+    # the logistic BLER curve must fall as SNR rises
+    ({"mac.bler_alpha": -1.0}, "mac.bler_alpha"),
+    ({"mac.bler_alpha": 0.0}, "mac.bler_alpha"),
 ])
 def test_runtime_divisors_and_sizes_are_range_checked(overrides, path):
     assert any(p.startswith(f"{path}:") for p in validate_scenario(_smoke_with(overrides)))

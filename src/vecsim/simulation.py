@@ -73,7 +73,7 @@ class Simulation:
         self.an_ids = sorted(a.an_id for a in cfg.ans)
         self.ap_owner = cfg.ap_owner()
         self.an_specs = {a.an_id: a for a in cfg.ans}
-        self.an_budgets_w = {a: self.an_specs[a].power_budget_w for a in self.an_ids}
+        self.an_budgets_w = {a.an_id: a.power_budget_w for a in cfg.ans}
         self.ap_col = {ap: i for i, ap in enumerate(self.ap_ids)}
         self.n_aps = len(self.ap_ids)
         self.fronthaul = {a.ap_id: channel.SignalQuality(a.fronthaul_snr_db) for a in cfg.aps}

@@ -7,11 +7,15 @@ Keystream blocks come from HMAC-SHA256 in counter mode keyed on the session
 key and bound to the fingerprint digest, so the stream drifts with mobility.
 An in-band digest check detects window divergence (MAI can corrupt one
 side's view) and triggers re-keying from the AN's master key. A fingerprint
-computes its canonical bytes and digest once, from chunks each association
-vector packs once, so endpoints that hold equal windows can share one.
-`exchange` runs a whole vehicle-to-AN loopback; when the endpoints share a
-fingerprint and hold equal states it skips the integrity tags and computes
-the keystream once, since both sides would compute the same values.
+computes its canonical bytes and digest when first asked and keeps them, from
+chunks each association vector packs once, so endpoints that hold equal
+windows can share one.
+`exchange` runs a whole vehicle-to-AN loopback. When the endpoints share one
+fingerprint object and hold equal states, its outcome is fixed by
+construction: the AN reproduces the vehicle's tag, so the message verifies,
+and XORing one keystream twice returns the message with its tail bits
+masked, so the roundtrip holds exactly when those bits are already zero.
+That in-sync path therefore hashes nothing and only advances the counters.
 
 Security claims here are functional (roundtrip, sensitivity, recovery), not
 cryptanalytic.
@@ -22,7 +26,8 @@ from __future__ import annotations
 import hashlib
 import hmac
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from vecsim.predictor import AssociationVector
 from vecsim.rng import RngStream
@@ -35,20 +40,21 @@ BLOCK_BYTES = 32     # HMAC-SHA256 output
 class Fingerprint:
     """Sliding window of the last W association vectors, canonically ordered.
 
-    The canonical bytes and their digest are computed once, at construction.
+    The canonical bytes and their digest are computed on first use, once.
     """
 
     vehicle_id: int
     window: tuple[AssociationVector, ...]
-    _canonical: bytes = field(init=False, compare=False, repr=False)
-    _digest: bytes = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
+    @cached_property
+    def _canonical(self) -> bytes:
         # slot-ascending, bits in AP-id order; length prefixes keep it injective
         chunks = [_chunk(vec) for vec in sorted(self.window, key=lambda v: v.slot)]
-        canonical = struct.pack(">I", len(self.window)) + b"".join(chunks)
-        object.__setattr__(self, "_canonical", canonical)
-        object.__setattr__(self, "_digest", hashlib.sha256(canonical).digest())
+        return struct.pack(">I", len(self.window)) + b"".join(chunks)
+
+    @cached_property
+    def _digest(self) -> bytes:
+        return hashlib.sha256(self._canonical).digest()
 
     def canonical_bytes(self) -> bytes:
         return self._canonical
@@ -105,7 +111,7 @@ def keystream_block(state: CipherState, fp: Fingerprint, n_bits: int) -> tuple[b
     if n_bits < 1:
         raise ValueError("keystream length must be >= 1 bit")
     n_bytes = (n_bits + 7) // 8
-    n_blocks = -(-n_bytes // BLOCK_BYTES)
+    n_blocks = _n_blocks(n_bits)
     fp_digest = fp.digest()
     blocks = [
         hmac.digest(state.key, struct.pack(">Q", counter) + fp_digest, "sha256")
@@ -113,6 +119,10 @@ def keystream_block(state: CipherState, fp: Fingerprint, n_bits: int) -> tuple[b
     ]
     stream = _mask_tail(b"".join(blocks)[:n_bytes], n_bits)
     return stream, CipherState(key=state.key, counter=state.counter + n_blocks)
+
+
+def _n_blocks(n_bits: int) -> int:
+    return -(-((n_bits + 7) // 8) // BLOCK_BYTES)
 
 
 def _mask_tail(data: bytes, n_bits: int) -> bytes:
@@ -167,13 +177,14 @@ def exchange(
     and, if it verifies, `crypt` would. A message the AN rejects leaves the
     AN state as it was. When both ends hold the same fingerprint object and
     equal states, the AN's tag and keystream are the vehicle's by
-    construction, so no tag is hashed and the keystream is computed once.
+    construction, so nothing is hashed: the message verifies, the roundtrip
+    holds unless the message has tail bits set, and both counters advance.
     """
     _check_message(message, n_bits)
     if an_fp is vehicle_fp and an == vehicle:
-        stream, new_vehicle = keystream_block(vehicle, vehicle_fp, n_bits)
-        plain = _xor(_xor(message, stream, n_bits), stream, n_bits)
-        return True, plain == message, new_vehicle, CipherState(key=an.key, counter=new_vehicle.counter)
+        counter = vehicle.counter + _n_blocks(n_bits)
+        roundtrip = _mask_tail(message, n_bits) == message
+        return True, roundtrip, CipherState(key=vehicle.key, counter=counter), CipherState(key=an.key, counter=counter)
     tag = integrity_tag(vehicle_fp, vehicle.counter)
     body, new_vehicle = crypt(vehicle, vehicle_fp, message, n_bits)
     if not verify_key(an_fp, tag, an):

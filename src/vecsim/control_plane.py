@@ -13,9 +13,11 @@ and the flows are one shortest-augmenting-path search in a fixed order.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
@@ -207,8 +209,9 @@ def place_controllers(
     """
     if len({d.rate for d in demands}) > 1:
         raise ValueError(f"demands must share one rate, got {sorted({d.rate for d in demands})}")
-    total_demand = sum(d.rate for d in demands)
-    total_capacity = sum(topology.capacity.values())
+    # floats add left to right here: Python 3.12's sum() compensates and moves bits
+    total_demand = functools.reduce(operator.add, (d.rate for d in demands), 0)
+    total_capacity = functools.reduce(operator.add, topology.capacity.values(), 0)
     if total_demand > total_capacity + 1e-12:
         raise InfeasiblePlacement(
             f"total demand {total_demand} exceeds total controller capacity {total_capacity}",
@@ -387,7 +390,7 @@ def balance_control_traffic(
 
     def path_cost(path: list[int], weight_fn) -> float:
         costs = [weight_fn(u, v) for u, v in zip(path, path[1:])]
-        return math.inf if None in costs else sum(costs)
+        return math.inf if None in costs else functools.reduce(operator.add, costs, 0)
 
     # initial greedy routing, ascending vehicle id
     for vid in sorted(placement.domain):
@@ -421,8 +424,10 @@ def balance_control_traffic(
     for e, f in load.items():
         if f >= topology.edges[e][1]:
             raise CongestionInfeasible(f"edge {e} carries {f} against capacity {topology.edges[e][1]}")
-    total = sum(f * _edge_latency(*topology.edges[e], f, topology.kappa) for e, f in load.items())
-    total_rate = sum(by_vehicle[v].rate for v in placement.domain)
+    total = functools.reduce(
+        operator.add, (f * _edge_latency(*topology.edges[e], f, topology.kappa) for e, f in load.items()), 0
+    )
+    total_rate = functools.reduce(operator.add, (by_vehicle[v].rate for v in placement.domain), 0)
     mean = total / total_rate if total_rate > 0 else 0.0
     return ControlFlowRouting(paths=paths, edge_load=load, mean_latency=mean)
 

@@ -11,8 +11,10 @@ are part of the public contract (golden-tested).
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
+import operator
 import shutil
 import tempfile
 import weakref
@@ -88,6 +90,8 @@ class MetricsReport:
             str(an): float(np.mean(series)) if series else 0.0
             for an, series in sorted(self.energy_per_an.items())
         }
+        # floats add left to right here: Python 3.12's sum() compensates and moves bits
+        per_an_total = (functools.reduce(operator.add, series, 0) for series in self.energy_per_an.values())
         return {
             "schema_version": SCHEMA_VERSION,
             "scenario": self.scenario_name,
@@ -108,7 +112,7 @@ class MetricsReport:
             },
             "energy": {
                 "mean_per_slot_per_an_j": mean_energy,
-                "total_j": float(sum(sum(s) for s in self.energy_per_an.values())),
+                "total_j": float(functools.reduce(operator.add, per_an_total, 0)),
             },
             "downlink": dict(sorted(self.downlink.items())),
             "prediction": dict(sorted(self.prediction.items())),

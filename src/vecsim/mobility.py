@@ -9,6 +9,8 @@ cells keep the downstream Bayesian filter exact.
 from __future__ import annotations
 
 import bisect
+import functools
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -144,7 +146,8 @@ def row_arrays(model: MarkovJumpModel, vclass: str, cell: int) -> tuple[list[int
     row = model.row(vclass, cell)
     targets = sorted(row)
     cum, total = [], 0.0
-    norm = sum(row.values())
+    # floats add left to right here: Python 3.12's sum() compensates and moves bits
+    norm = functools.reduce(operator.add, row.values(), 0)
     for t in targets:
         total += row[t] / norm
         cum.append(total)

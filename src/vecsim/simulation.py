@@ -9,7 +9,9 @@ comes from an entity-scoped stream, so a fixed seed fixes the whole trace.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
+import math
 import operator
 from collections import Counter, deque
 from dataclasses import dataclass, field
@@ -178,7 +180,8 @@ class Simulation:
 
         self.catalog: dict[int, edge.Service] = {s.service_id: s for s in ec.services}
         self.service_order = sorted(self.catalog)
-        pop_total = sum(self.catalog[s].popularity for s in self.service_order)
+        # floats add left to right here: Python 3.12's sum() compensates and moves bits
+        pop_total = functools.reduce(operator.add, (self.catalog[s].popularity for s in self.service_order), 0)
         shares = (self.catalog[s].popularity / pop_total if pop_total else 0.0 for s in self.service_order)
         self.service_cum = list(itertools.accumulate(shares))
         if self.service_cum:
@@ -394,7 +397,7 @@ class Simulation:
                 ap = cand_aps[rank]
                 up_snr = snrs[ap]
                 if up_snr >= cfg.snr_threshold_db:
-                    delta_db = 10.0 * np.log10(power_w * 1000.0) - cfg.channel.tx_power_dbm
+                    delta_db = 10.0 * math.log10(power_w * 1000.0) - cfg.channel.tx_power_dbm
                     dl_snr = up_snr + delta_db
                     p_ok = 1.0 - self.curve.bler(dl_snr, cfg.mac.payload_bits)
                     delivered = self.stream(f"dldecode/{an_id}").random() < p_ok
@@ -522,12 +525,14 @@ class Simulation:
             if vr.session_compromised:
                 continue
             fp_v = cipher.Fingerprint(vid, tuple(vr.window_self))
+            n_bits = cfg.mac.payload_bits
             if vr.window_an == vr.window_self:
-                fp_a = fp_v
+                # In sync, exchange reads only the message's masked tail, which
+                # deterministic_message always zeroes, so a zero message stands in.
+                fp_a, msg = fp_v, bytes((n_bits + 7) // 8)
             else:
                 fp_a = cipher.Fingerprint(vid, tuple(vr.window_an))
-            n_bits = cfg.mac.payload_bits
-            msg = cipher.deterministic_message(vid, slot, n_bits)
+                msg = cipher.deterministic_message(vid, slot, n_bits)
             verified, roundtrip, vr.session, _ = cipher.exchange(vr.session, fp_v, vr.session, fp_a, msg, n_bits)
             counts["messages"] += 1
             if verified:

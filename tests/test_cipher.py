@@ -261,6 +261,45 @@ def test_exchange_equals_the_tag_encrypt_verify_decrypt_sequence(
     assert got[3] is not got[2]
 
 
+def _forbid(name):
+    def call(*args, **kwargs):
+        raise AssertionError(f"{name} called on the in-sync path")
+    return call
+
+
+@pytest.mark.parametrize("n_bits", [1, 7, 8, 256, 257, 4096])
+@pytest.mark.parametrize("tail_set", [False, True])
+def test_the_in_sync_exchange_hashes_nothing(n_bits, tail_set, monkeypatch):
+    window = tuple(_vec(s, (s % 2, 1, 0)) for s in range(4))
+    state = CipherState(key=bytes(range(32)), counter=9)
+    n_bytes = (n_bits + 7) // 8
+    message = bytes(n_bytes - 1) + bytes([0xFF if tail_set else 0x80])
+    want = _reference_exchange(state, Fingerprint(0, window), state, Fingerprint(0, window), message, n_bits)
+    fp = Fingerprint(0, window)
+    monkeypatch.setattr(hashlib, "sha256", _forbid("hashlib.sha256"))
+    monkeypatch.setattr(hmac, "digest", _forbid("hmac.digest"))
+    monkeypatch.setattr(hmac, "new", _forbid("hmac.new"))
+    got = exchange(state, fp, CipherState(key=state.key, counter=9), fp, message, n_bits)
+    assert got == want
+    assert got[1] is (not tail_set or n_bits % 8 == 0)
+
+
+def test_a_fingerprint_hashes_its_window_once_and_only_when_asked(monkeypatch):
+    calls = []
+    sha256 = hashlib.sha256
+
+    def counted(data=b""):
+        calls.append(data)
+        return sha256(data)
+
+    monkeypatch.setattr(hashlib, "sha256", counted)
+    fp = _fp((0, (1, 0)), (1, (0, 1)))
+    assert calls == []
+    first = fp.digest()
+    assert fp.digest() == first
+    assert calls == [fp.canonical_bytes()]
+
+
 def test_exchange_validates_lengths():
     state = CipherState(key=bytes(32))
     fp = _fp((0, (1,)))

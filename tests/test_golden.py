@@ -12,6 +12,7 @@ reason. Regenerate a pin with `vecsim run <scenario> --seed <s>` and
 
 from __future__ import annotations
 
+import builtins
 import hashlib
 import json
 import os
@@ -426,3 +427,42 @@ def test_crowd_outputs_match_their_pinned_digests(seed, tmp_path, capsys):
     assert code == 0
     digests = tuple(hashlib.sha256((out / f).read_bytes()).hexdigest() for f in FILES)
     assert digests == CROWD[seed]
+
+
+def _compensated_sum(iterable, /, start=0, _int_sum=builtins.sum):
+    """sum() as Python 3.12 and later compute it: exact for ints (and bools),
+    Neumaier-compensated for floats, which moves the last bits of a float
+    total against 3.11's left-to-right loop."""
+    items = [start, *iterable]
+    if all(isinstance(x, int) for x in items):
+        return _int_sum(items)
+    total = compensation = 0.0
+    for x in map(float, items):
+        t = total + x
+        compensation += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + compensation
+
+
+# Every float total on the trace path is accumulated left to right by hand, so
+# the pins hold whichever summation the interpreter's sum() uses. At seed 1 a
+# compensated sum() moved bytes in each of these runs while float totals still
+# went through sum(): the four bundled scenarios (energy.total_j), override set
+# (f) (control placement and balancing over float rates and latencies) and the
+# crowd (per-checkpoint mean latencies).
+@pytest.mark.parametrize("case", ["degenerate", "eco_toy", "oracle", "smoke", "override f", "crowd"])
+def test_pins_hold_under_a_compensated_builtin_sum(case, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(builtins, "sum", _compensated_sum)
+    out = tmp_path / "out"
+    if case == "override f":
+        argv, want = [str(scenario_path("smoke"))], OVERRIDDEN[("f", 1)]
+        for override in OVERRIDE_SETS["f"]:
+            argv += ["--override", override]
+    elif case == "crowd":
+        argv, want = [str(_crowd_scenario(tmp_path))], CROWD[1]
+    else:
+        argv, want = [str(scenario_path(case))], GOLDEN[(case, 1)]
+    code = main(["run", *argv, "--seed", "1", "--out", str(out)])
+    capsys.readouterr()
+    assert code == 0
+    assert tuple(hashlib.sha256((out / f).read_bytes()).hexdigest() for f in FILES) == want

@@ -1,10 +1,14 @@
-"""Stream identity, independence, and the label-to-spawn-key derivation."""
+"""Stream identity, independence, the label-to-spawn-key derivation, and
+every draw against numpy's Generator on the same PCG64 stream."""
 
 from __future__ import annotations
 
 import hashlib
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vecsim.rng import RngStream
 
@@ -48,14 +52,16 @@ def test_draws_on_one_stream_never_shift_a_sibling():
     assert [quiet.random() for _ in range(8)] == [fresh.random() for _ in range(8)]
 
 
-def test_spawn_key_is_the_sha256_prefix_of_the_label():
-    # independent recompute of the derivation; string hash() would be salted
-    label = "root/decode/5"
+def _generator(seed: int, label: str) -> np.random.Generator:
+    """numpy's Generator on the stream's PCG64, the spawn key recomputed
+    independently; string hash() would be salted."""
     digest = hashlib.sha256(label.encode("utf-8")).digest()
-    expected = tuple(int.from_bytes(digest[i : i + 4], "little") for i in (0, 4, 8, 12))
-    seq = np.random.SeedSequence(13, spawn_key=expected)
-    expected_first = np.random.default_rng(seq).random()
-    assert RngStream(13, label).random() == expected_first
+    spawn_key = tuple(int.from_bytes(digest[i : i + 4], "little") for i in (0, 4, 8, 12))
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=spawn_key))
+
+
+def test_spawn_key_is_the_sha256_prefix_of_the_label():
+    assert RngStream(13, "root/decode/5").random() == _generator(13, "root/decode/5").random()
 
 
 def test_choice_without_replacement_is_distinct_and_in_range():
@@ -70,3 +76,91 @@ def test_choice_without_replacement_is_distinct_and_in_range():
 def test_bytes_length_and_determinism():
     assert len(RngStream(3, "k").bytes(17)) == 17
     assert RngStream(3, "k").bytes(32) == RngStream(3, "k").bytes(32)
+
+
+def _draw_both(stream: RngStream, gen: np.random.Generator, op: tuple):
+    kind, *args = op
+    if kind == "random":
+        return stream.random(), float(gen.random())
+    if kind == "integers":
+        return stream.integers(*args), int(gen.integers(*args))
+    if kind == "choice":
+        n, k = args
+        return stream.choice_without_replacement(n, k), [int(x) for x in gen.choice(n, size=k, replace=False)]
+    return stream.bytes(*args), gen.bytes(*args)
+
+
+# spans high - low: 1 draws nothing, 2 and 2**32 are Lemire's range 1 and the
+# plain 32-bit draw of range 2**32 - 1, above 2**32 the draw takes 64-bit words
+_SPANS = st.sampled_from([1, 2, 3, 7, 1000, 2**31 + 1, 2**32 - 1, 2**32, 2**32 + 1, 2**40, 2**63])
+
+
+@st.composite
+def _ops(draw):
+    kind = draw(st.sampled_from(["random", "integers", "integers", "choice", "bytes"]))
+    if kind == "random":
+        return ("random",)
+    if kind == "integers":
+        span = draw(_SPANS)
+        if draw(st.booleans()):
+            return ("integers", span)
+        low = draw(st.integers(-(2**63), 2**63 - span))
+        return ("integers", low, low + span)
+    if kind == "choice":
+        # 10000 < n with k > n // 50 takes numpy's tail shuffle, the rest Floyd's sampling
+        n = draw(st.integers(0, 300) | st.sampled_from([10000, 10001, 10500]))
+        return ("choice", n, draw(st.integers(0, min(n, 40)) | st.integers(0, n)))
+    return ("bytes", draw(st.integers(0, 70)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.text(max_size=8), st.lists(_ops(), min_size=1, max_size=30))
+def test_every_draw_equals_numpys_generator_in_any_interleaving(seed, label, ops):
+    stream, gen = RngStream(seed, label), _generator(seed, label)
+    for op in ops:
+        got, want = _draw_both(stream, gen, op)
+        assert got == want, op
+
+
+@pytest.mark.parametrize("k", [65536, 65535, 65536 // 50 + 1, 65536 // 50, 3])
+def test_choice_over_a_65536_pool_equals_numpy_on_both_branches(k):
+    stream, gen = RngStream(4, "ctu/0"), _generator(4, "ctu/0")
+    stream.integers(7)              # leaves a buffered half-word behind
+    gen.integers(7)
+    for _ in range(2):
+        got, want = _draw_both(stream, gen, ("choice", 65536, k))
+        assert got == want
+
+
+@pytest.mark.parametrize("span", [2, 2**32])
+def test_ranges_1_and_2_32_minus_1_equal_numpy_around_half_words(span):
+    stream, gen = RngStream(8, "span"), _generator(8, "span")
+    for i in range(64):
+        op = ("integers", span) if i % 3 else ("bytes", 3)
+        got, want = _draw_both(stream, gen, op)
+        assert got == want
+    assert stream.random() == gen.random()
+
+
+@pytest.mark.parametrize(("call", "args"), [
+    ("integers", (5, 5)), ("integers", (5, 4)), ("integers", (0,)), ("integers", (-1,)),
+    ("choice_without_replacement", (3, 4)), ("choice_without_replacement", (3, -1)),
+])
+def test_empty_ranges_and_oversized_choices_raise_like_numpy(call, args):
+    with pytest.raises(ValueError):
+        getattr(RngStream(1, "bad"), call)(*args)
+    gen = _generator(1, "bad")
+    with pytest.raises(ValueError):
+        gen.integers(*args) if call == "integers" else gen.choice(args[0], size=args[1], replace=False)
+
+
+def test_pinned_draws_outlive_numpy_versions():
+    # literal values, so the reference holds even if Generator's methods change
+    r = RngStream(20261019, "root/pin")
+    assert [r.random() for _ in range(3)] == [0.39749078981676467, 0.8750268785492834, 0.46499901028091617]
+    assert [r.integers(10) for _ in range(6)] == [5, 5, 6, 3, 3, 5]
+    assert r.integers(-5, 2**32 - 5) == 2743933564
+    assert r.choice_without_replacement(256, 4) == [141, 125, 145, 52]
+    assert r.bytes(9).hex() == "10ac8e64c2d44517d2"
+    assert r.integers(2**40) == 585322611200
+    assert r.choice_without_replacement(65536, 65536)[:6] == [65441, 48667, 6721, 21195, 51364, 47342]

@@ -9,17 +9,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Annotated
+
+from vecsim.ranges import Range
 
 __all__ = ["ChannelParams", "SignalQuality", "signal_quality", "candidate_aps"]
 
 
 @dataclass(frozen=True)
 class ChannelParams:
-    tx_power_dbm: float = 23.0
-    pl0_db: float = 47.86          # reference path loss at d0
-    pathloss_exp: float = 2.0
-    ref_distance_m: float = 1.0
-    noise_dbm: float = -95.0
+    tx_power_dbm: Annotated[float, Range()] = 23.0
+    pl0_db: Annotated[float, Range()] = 47.86           # reference path loss at d0
+    pathloss_exp: Annotated[float, Range(ge=0)] = 2.0   # so no SNR exceeds the peak, at ref_distance_m
+    ref_distance_m: Annotated[float, Range(gt=0)] = 1.0
+    noise_dbm: Annotated[float, Range()] = -95.0
 
 
 @dataclass(frozen=True)

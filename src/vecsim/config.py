@@ -3,29 +3,35 @@
 A scenario file is one JSON object whose sections mirror the dataclasses
 below. Each `--override` edits that JSON tree, and the tree is converted by
 one path that reads the dataclass type hints, so a wrong type is reported
-with its dotted field path. Validation then collects every semantic problem
-it can find, so a bad file is rejected before slot 0 with actionable
+with its dotted field path. Each number, enum and required list declares its
+range next to it, as `Annotated[float, Range(gt=0)]` (`Range()` takes any
+finite value). Validation checks every declared range in one message format,
+`dotted.path: must be > 0, got 0.0`, whether or not the field's section is
+enabled, then the rules that relate two fields or entities. It collects
+every problem, so a bad file is rejected before slot 0 with actionable
 diagnostics rather than a mid-run crash.
 """
 
-from __future__ import annotations
-
+# No postponed annotations here: the field hints are built once at import,
+# so reading them for conversion and range checks compiles no strings.
 import copy
 import dataclasses
 import functools
+import itertools
 import json
 import sys
 import types
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple
+from typing import Annotated, NamedTuple
 
 from vecsim.channel import ChannelParams
 from vecsim.control_plane import connected_components
 from vecsim.edge import Service
 from vecsim.mac import CtuPool
 from vecsim.mobility import MarkovJumpModel, ModelValidationError, RoadGraph, line_graph
+from vecsim.ranges import Range
 
 
 class ConfigError(ValueError):
@@ -36,97 +42,111 @@ class ConfigError(ValueError):
         self.errors = errors
 
 
+MAX_SNR_DB = 1000.0     # keeps 10 ** (snr_db / 10) in mac.effective_snr_db, and its AF product, finite
+MAX_CTU_POOL = 1 << 16  # the downlink lists every free CTU of the pool in each slot
+MAX_AP_RANKS = 1024     # each downlink decision scans all ap_ranks x power level actions
+
+Id = Annotated[int, Range()]     # validate_scenario checks that each id is unique and each reference known
+Probability = Annotated[float, Range(ge=0, le=1)]
+
+
 @dataclass
 class VehicleSpec:
-    vehicle_id: int
-    cell: int
+    vehicle_id: Id
+    cell: Id
     velocity_class: str = "default"
 
 
 class VelocityChange(NamedTuple):
     """A scheduled switch of one vehicle's velocity class; a (slot, vehicle, class) tuple."""
 
-    slot: int
-    vehicle_id: int
+    slot: Annotated[int, Range(ge=0)]
+    vehicle_id: Id
     velocity_class: str
 
 
 @dataclass
 class ApSpec:
-    ap_id: int
-    x: float
-    y: float
-    an_id: int
-    fronthaul_snr_db: float = 30.0
+    ap_id: Id
+    x: Annotated[float, Range()]
+    y: Annotated[float, Range()]
+    an_id: Id
+    fronthaul_snr_db: Annotated[float, Range(le=MAX_SNR_DB)] = 30.0
 
 
 @dataclass
 class AnSpec:
-    an_id: int
-    power_budget_w: float = 2.0
-    controller_capacity: float = 100.0
-    storage_capacity: float = 10.0
+    an_id: Id
+    power_budget_w: Annotated[float, Range(ge=0)] = 2.0     # a negative budget books negative energy
+    controller_capacity: Annotated[float, Range(gt=0)] = 100.0
+    storage_capacity: Annotated[float, Range(ge=0)] = 10.0
 
 
 @dataclass
 class MacConfig:
-    payload_bits: int = 128
-    bler_alpha: float = 1.0
-    bler_beta: dict[int, float] = field(default_factory=lambda: {128: 5.0, 256: 8.0})
-    k_max: int = 2
-    relay_mode: str = "AF"                 # AF | DF
-    replicas: int = 2                      # used when the bandit is off
-    ctu_policy: str = "random"             # random | preconfigured
+    payload_bits: Annotated[int, Range(ge=1)] = 128
+    bler_alpha: Annotated[float, Range(gt=0)] = 1.0         # the BLER must fall as SNR rises
+    # the SNR (dB) at which half the blocks fail: below unit SNR a short packet fails more often than not
+    bler_beta: dict[int, Annotated[float, Range(ge=0)]] = field(default_factory=lambda: {128: 5.0, 256: 8.0})
+    k_max: Annotated[int, Range(ge=1)] = 2
+    relay_mode: Annotated[str, Range(among=("AF", "DF"))] = "AF"
+    replicas: Annotated[int, Range(ge=1)] = 2               # used when the bandit is off
+    ctu_policy: Annotated[str, Range(among=("random", "preconfigured"))] = "random"
     preconfigured: dict[int, list[tuple[int, int]]] = field(default_factory=dict)
 
 
 @dataclass
 class BanditConfig:
     enabled: bool = False
-    epsilon: float = 0.1
-    cost_per_replica: float = 0.05
-    r_max: int = 4
+    epsilon: Probability = 0.1
+    cost_per_replica: Annotated[float, Range(ge=0)] = 0.05  # a negative cost rewards every extra replica
+    r_max: Annotated[int, Range(ge=1)] = 4
 
 
 @dataclass
 class ClusterConfig:
-    k_cluster: int = 2
-    downlink_ctu_demand: int = 1
+    k_cluster: Annotated[int, Range(ge=1)] = 2
+    downlink_ctu_demand: Annotated[int, Range(ge=0)] = 1
 
 
 @dataclass
 class DownlinkConfig:
-    policy: str = "eco"                    # eco | random
-    power_levels_w: tuple[float, ...] = (0.1, 1.0)
-    ap_ranks: int = 2
-    epsilon: float = 0.1
-    eta: float = 0.3
-    gamma: float = 0.5
-    w_delivery: float = 1.0
-    w_power: float = 0.5
-    load_buckets: int = 3
-    snr_bucket_db: float = 10.0
+    policy: Annotated[str, Range(among=("eco", "random"))] = "eco"
+    power_levels_w: Annotated[tuple[Annotated[float, Range(gt=0)], ...], Range(ge=1, items=True)] = (0.1, 1.0)
+    ap_ranks: Annotated[int, Range(ge=1, le=MAX_AP_RANKS)] = 2
+    epsilon: Probability = 0.1
+    eta: Annotated[float, Range(gt=0, le=1)] = 0.3
+    gamma: Annotated[float, Range(ge=0, lt=1)] = 0.5
+    # reward weights: a negative one would reward a lost packet or spent power
+    w_delivery: Annotated[float, Range(ge=0)] = 1.0
+    w_power: Annotated[float, Range(ge=0)] = 0.5
+    load_buckets: Annotated[int, Range(ge=1)] = 3
+    # keeps snr_db / snr_bucket_db finite for every |snr_db| <= MAX_SNR_DB
+    snr_bucket_db: Annotated[float, Range(ge=1e-300)] = 10.0
 
 
 @dataclass
 class PredictorConfig:
-    policy: str = "bayes"                  # bayes | persistence
-    threshold: float = 0.5
-    obs_floor: float = 0.01
-    obs_ceiling: float = 0.99
+    policy: Annotated[str, Range(among=("bayes", "persistence"))] = "bayes"
+    threshold: Annotated[float, Range(gt=0, lt=1)] = 0.5
+    obs_floor: Probability = 0.01
+    obs_ceiling: Probability = 0.99
 
 
 @dataclass
 class ControlConfig:
     enabled: bool = True
-    latency_bound_s: float = 0.01
-    target_mean_latency_s: float | None = None
-    tighten_factor: float = 0.8
-    max_feedback_iters: int = 3
-    rate_per_vehicle: float = 1.0
-    period_slots: int = 50
-    kappa: float = 1e-4
-    edges: list[tuple[int, int, float, float]] = field(default_factory=list)   # u, v, weight_s, capacity
+    latency_bound_s: Annotated[float, Range(gt=0)] = 0.01
+    target_mean_latency_s: Annotated[float, Range(gt=0)] | None = None
+    tighten_factor: Annotated[float, Range(gt=0, lt=1)] = 0.8
+    max_feedback_iters: Annotated[int, Range(ge=1)] = 3     # with no iteration the target is never pursued
+    rate_per_vehicle: Annotated[float, Range(gt=0)] = 1.0
+    period_slots: Annotated[int, Range(ge=1)] = 50
+    kappa: Annotated[float, Range(ge=0)] = 1e-4             # scales each edge's congestion delay; shortest paths need it >= 0
+    # u, v, weight_s, capacity
+    edges: list[tuple[int, int, Annotated[float, Range(gt=0)], Annotated[float, Range(gt=0)]]] = field(
+        default_factory=list
+    )
 
 
 @dataclass
@@ -135,43 +155,45 @@ class EdgeComputeConfig:
     services: list[Service] = field(default_factory=lambda: [
         Service(service_id=0, size=2.0, cycles_per_task=2e6, popularity=1.0),
     ])
-    task_arrival_prob: float = 0.1
-    input_bits: float = 1e5
-    recache_period: int = 100
-    cpu_rate: float = 5e9
-    cloud_rate: float = 5e10
-    backhaul_rtt: float = 0.05
-    backhaul_rate: float = 1e8
-    joules_per_cycle: float = 1e-9
-    joules_per_bit: float = 1e-8
-    energy_budget_per_slot: float = 0.01
-    tradeoff_v: float = 1.0
-    offload_policy: str = "drift"          # drift | greedy_local | always_cloud
+    task_arrival_prob: Probability = 0.1
+    input_bits: Annotated[float, Range(ge=0)] = 1e5
+    recache_period: Annotated[int, Range(ge=1)] = 100
+    cpu_rate: Annotated[float, Range(gt=0)] = 5e9
+    cloud_rate: Annotated[float, Range(gt=0)] = 5e10
+    backhaul_rtt: Annotated[float, Range(ge=0)] = 0.05
+    backhaul_rate: Annotated[float, Range(gt=0)] = 1e8
+    joules_per_cycle: Annotated[float, Range(ge=0)] = 1e-9
+    joules_per_bit: Annotated[float, Range(ge=0)] = 1e-8
+    # every AN keeps an energy ledger, with edge compute on or off
+    energy_budget_per_slot: Annotated[float, Range(gt=0)] = 0.01
+    tradeoff_v: Annotated[float, Range(gt=0)] = 1.0
+    offload_policy: Annotated[str, Range(among=("drift", "greedy_local", "always_cloud"))] = "drift"
 
 
 @dataclass
 class CipherConfig:
     enabled: bool = True
-    window: int = 4
-    max_resync: int = 10
-    an_view_flip_prob: float = 0.0         # chance an association bit is mis-recorded AN-side
+    window: Annotated[int, Range(ge=1)] = 4                 # sizes every vehicle's fingerprint window, cipher on or off
+    max_resync: Annotated[int, Range(ge=1)] = 10
+    an_view_flip_prob: Probability = 0.0                    # chance an association bit is mis-recorded AN-side
 
 
 @dataclass
 class ScenarioConfig:
     name: str = "scenario"
-    seed: int = 0
-    horizon: int = 100
-    slot_duration: float = 1e-3
-    latency_deadline_s: float = 1e-3
+    seed: Annotated[int, Range(ge=0)] = 0
+    horizon: Annotated[int, Range(ge=1)] = 100
+    slot_duration: Annotated[float, Range(gt=0)] = 1e-3
+    latency_deadline_s: Annotated[float, Range(gt=0)] = 1e-3
     road: RoadGraph = field(default_factory=lambda: line_graph(5)[0])
     mobility: MarkovJumpModel = field(default_factory=lambda: line_graph(5)[1])
-    vehicles: list[VehicleSpec] = field(default_factory=list)
+    vehicles: Annotated[list[VehicleSpec], Range(ge=1, items=True)] = field(default_factory=list)
     velocity_schedule: list[VelocityChange] = field(default_factory=list)
-    aps: list[ApSpec] = field(default_factory=list)
-    ans: list[AnSpec] = field(default_factory=list)
+    aps: Annotated[list[ApSpec], Range(ge=1, items=True)] = field(default_factory=list)
+    ans: Annotated[list[AnSpec], Range(ge=1, items=True)] = field(default_factory=list)
     channel: ChannelParams = field(default_factory=ChannelParams)
-    snr_threshold_db: float = 3.0
+    # a cluster member's SNR lies between the threshold and the peak
+    snr_threshold_db: Annotated[float, Range(ge=-MAX_SNR_DB, le=MAX_SNR_DB)] = 3.0
     ctu_pool: CtuPool = field(default_factory=CtuPool)
     mac: MacConfig = field(default_factory=MacConfig)
     bandit: BanditConfig = field(default_factory=BanditConfig)
@@ -189,22 +211,15 @@ class ScenarioConfig:
         return {ap.ap_id: ap.an_id for ap in self.aps}
 
 
-MAX_SNR_DB = 1000.0     # keeps 10 ** (snr_db / 10) in mac.effective_snr_db, and its AF product, finite
-MAX_CTU_POOL = 1 << 16  # the downlink lists every free CTU of the pool in each slot
-MAX_AP_RANKS = 1024     # each downlink decision scans all ap_ranks x power level actions
-
-
 def validate_scenario(cfg: ScenarioConfig) -> list[str]:
-    """All invariant checks; returns a list of 'path: problem' strings."""
+    """All invariant checks; returns a list of 'path: problem' strings.
+
+    Every declared Range is checked first, then the rules that relate two
+    fields or entities: ids, references, pool sizes, the peak SNR and
+    connectivity.
+    """
     errors: list[str] = []
-    if cfg.seed < 0:
-        errors.append(f"seed: must be >= 0, got {cfg.seed}")
-    if cfg.horizon < 1:
-        errors.append(f"horizon: must be >= 1, got {cfg.horizon}")
-    if cfg.slot_duration <= 0:
-        errors.append(f"slot_duration: must be > 0, got {cfg.slot_duration}")
-    if cfg.latency_deadline_s <= 0:
-        errors.append(f"latency_deadline_s: must be > 0, got {cfg.latency_deadline_s}")
+    _range_problems(cfg, ScenarioConfig, "", errors)
 
     try:
         cfg.road.validate()
@@ -217,10 +232,6 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
             errors.append(f"mobility: {exc}")
 
     ch = cfg.channel
-    if ch.ref_distance_m <= 0:
-        errors.append(f"channel.ref_distance_m: must be > 0, got {ch.ref_distance_m}")
-    if ch.pathloss_exp < 0:     # then no SNR exceeds the peak, at the reference distance
-        errors.append(f"channel.pathloss_exp: must be >= 0, got {ch.pathloss_exp}")
     if (peak := ch.tx_power_dbm - ch.pl0_db - ch.noise_dbm) > MAX_SNR_DB:
         errors.append(
             f"channel: peak SNR tx_power_dbm - pl0_db - noise_dbm must be <= {MAX_SNR_DB:g}, got {peak:g}"
@@ -237,19 +248,12 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
             errors.append(f"vehicles[{i}].cell: unknown cell {veh.cell}")
         if veh.velocity_class not in vclasses:
             errors.append(f"vehicles[{i}].velocity_class: unknown class {veh.velocity_class!r}")
-    if not cfg.vehicles:
-        errors.append("vehicles: at least one vehicle required")
 
     an_ids = set()
     for i, an in enumerate(cfg.ans):
         if an.an_id in an_ids:
             errors.append(f"ans[{i}].an_id: duplicate AN id {an.an_id}")
         an_ids.add(an.an_id)
-        for name in ("power_budget_w", "storage_capacity"):
-            if getattr(an, name) < 0:
-                errors.append(f"ans[{i}].{name}: must be >= 0, got {getattr(an, name)}")
-    if not cfg.ans:
-        errors.append("ans: at least one AN required")
     seen_aps = set()
     for i, ap in enumerate(cfg.aps):
         if ap.ap_id in seen_aps:
@@ -257,39 +261,21 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
         seen_aps.add(ap.ap_id)
         if ap.an_id not in an_ids:
             errors.append(f"aps[{i}].an_id: unknown AN {ap.an_id}")
-        if ap.fronthaul_snr_db > MAX_SNR_DB:
-            errors.append(f"aps[{i}].fronthaul_snr_db: must be <= {MAX_SNR_DB:g}, got {ap.fronthaul_snr_db:g}")
-    if not cfg.aps:
-        errors.append("aps: at least one AP required")
 
-    for i, (slot, vid, vclass) in enumerate(cfg.velocity_schedule):
+    for i, (_, vid, vclass) in enumerate(cfg.velocity_schedule):
         if vid not in seen_vehicles:
             errors.append(f"velocity_schedule[{i}]: unknown vehicle {vid}")
         if vclass not in vclasses:
             errors.append(f"velocity_schedule[{i}]: unknown class {vclass!r}")
-        if slot < 0:
-            errors.append(f"velocity_schedule[{i}]: negative slot {slot}")
 
     if cfg.ctu_pool.size > MAX_CTU_POOL:
         errors.append(
             f"ctu_pool: slots_per_frame * freq_blocks * sequences must be <= {MAX_CTU_POOL}, got {cfg.ctu_pool.size}"
         )
     mac = cfg.mac
-    if mac.payload_bits < 1:
-        errors.append(f"mac.payload_bits: must be >= 1, got {mac.payload_bits}")
-    elif mac.payload_bits not in mac.bler_beta:
+    if mac.payload_bits not in mac.bler_beta:
         errors.append(f"mac.bler_beta: no threshold for payload_bits {mac.payload_bits}")
-    if mac.bler_alpha <= 0:     # the BLER must fall as SNR rises
-        errors.append(f"mac.bler_alpha: must be > 0, got {mac.bler_alpha}")
-    if mac.k_max < 1:
-        errors.append(f"mac.k_max: must be >= 1, got {mac.k_max}")
-    if mac.relay_mode not in ("AF", "DF"):
-        errors.append(f"mac.relay_mode: must be AF or DF, got {mac.relay_mode!r}")
-    if mac.ctu_policy not in ("random", "preconfigured"):
-        errors.append(f"mac.ctu_policy: must be random or preconfigured, got {mac.ctu_policy!r}")
-    if mac.replicas < 1:
-        errors.append(f"mac.replicas: must be >= 1, got {mac.replicas}")
-    elif mac.replicas > cfg.ctu_pool.size:
+    if mac.replicas > cfg.ctu_pool.size:
         errors.append(
             f"mac.replicas: {mac.replicas} exceeds ctu_pool size {cfg.ctu_pool.size} "
             "(mac.replicas vs ctu_pool)"
@@ -310,72 +296,19 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
                     errors.append(f"mac.preconfigured[{vid}][{j}]: unknown AP {ap}")
 
     bandit = cfg.bandit
-    if not 0.0 <= bandit.epsilon <= 1.0:
-        errors.append(f"bandit.epsilon: must lie in [0, 1], got {bandit.epsilon}")
-    if bandit.r_max < 1:
-        errors.append(f"bandit.r_max: must be >= 1, got {bandit.r_max}")
-    elif bandit.enabled and bandit.r_max > cfg.ctu_pool.size:
+    if bandit.enabled and bandit.r_max > cfg.ctu_pool.size:
         errors.append(f"bandit.r_max: {bandit.r_max} exceeds ctu_pool size {cfg.ctu_pool.size}")
     if bandit.enabled and mac.ctu_policy == "preconfigured":     # the pair lists fix the replica count
         errors.append("bandit.enabled: the replica bandit needs mac.ctu_policy random, got preconfigured")
 
-    if cfg.cluster.k_cluster < 1:
-        errors.append(f"cluster.k_cluster: must be >= 1, got {cfg.cluster.k_cluster}")
-    if cfg.cluster.downlink_ctu_demand < 0:
-        errors.append("cluster.downlink_ctu_demand: must be >= 0")
-
-    dl = cfg.downlink
-    if dl.policy not in ("eco", "random"):
-        errors.append(f"downlink.policy: must be eco or random, got {dl.policy!r}")
-    if not dl.power_levels_w or any(p <= 0 for p in dl.power_levels_w):
-        errors.append("downlink.power_levels_w: need at least one positive level")
-    if dl.ap_ranks < 1:
-        errors.append("downlink.ap_ranks: must be >= 1")
-    elif dl.ap_ranks > MAX_AP_RANKS:
-        errors.append(f"downlink.ap_ranks: must be <= {MAX_AP_RANKS}, got {dl.ap_ranks}")
-    if not 0.0 <= dl.epsilon <= 1.0:
-        errors.append(f"downlink.epsilon: must lie in [0, 1], got {dl.epsilon}")
-    if dl.load_buckets < 1:
-        errors.append(f"downlink.load_buckets: must be >= 1, got {dl.load_buckets}")
-    if not 0.0 < dl.eta <= 1.0:
-        errors.append(f"downlink.eta: must lie in (0, 1], got {dl.eta}")
-    if not 0.0 <= dl.gamma < 1.0:
-        errors.append(f"downlink.gamma: must lie in [0, 1), got {dl.gamma}")
-    if dl.snr_bucket_db <= 0:
-        errors.append(f"downlink.snr_bucket_db: must be > 0, got {dl.snr_bucket_db}")
-
-    pred = cfg.predictor
-    if pred.policy not in ("bayes", "persistence"):
-        errors.append(f"predictor.policy: must be bayes or persistence, got {pred.policy!r}")
-    if not 0.0 < pred.threshold < 1.0:
-        errors.append(f"predictor.threshold: must lie in (0, 1), got {pred.threshold}")
-    for name in ("obs_floor", "obs_ceiling"):
-        if not 0.0 <= getattr(pred, name) <= 1.0:
-            errors.append(f"predictor.{name}: must lie in [0, 1], got {getattr(pred, name)}")
-
     ctl = cfg.control
     if ctl.enabled:
-        if ctl.latency_bound_s <= 0:
-            errors.append("control.latency_bound_s: must be > 0")
-        if not 0.0 < ctl.tighten_factor < 1.0:
-            errors.append(f"control.tighten_factor: must lie in (0, 1), got {ctl.tighten_factor}")
-        if ctl.rate_per_vehicle <= 0:
-            errors.append("control.rate_per_vehicle: must be > 0")
-        if ctl.period_slots < 1:
-            errors.append("control.period_slots: must be >= 1")
-        if ctl.kappa < 0:       # scales each edge's congestion delay; shortest paths need it >= 0
-            errors.append(f"control.kappa: must be >= 0, got {ctl.kappa}")
-        for i, an in enumerate(cfg.ans):
-            if an.controller_capacity <= 0:
-                errors.append(f"ans[{i}].controller_capacity: must be > 0, got {an.controller_capacity}")
         graph: dict[int, list[int]] = {an: [] for an in an_ids}
-        for i, (u, v, w, cap) in enumerate(ctl.edges):
+        for i, (u, v, _, _) in enumerate(ctl.edges):
             if u not in an_ids or v not in an_ids:
                 errors.append(f"control.edges[{i}]: endpoint not an AN id")
             else:
                 graph[u].append(v)
-            if w <= 0 or cap <= 0:
-                errors.append(f"control.edges[{i}]: weight and capacity must be positive")
         parts = connected_components(graph)
         if len(cfg.ans) > 1 and not ctl.edges:
             errors.append("control.edges: required when more than one AN exists")
@@ -383,46 +316,58 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
             errors.append(f"control.edges: the ANs must form one connected graph, got components {parts}")
 
     ec = cfg.edge_compute
-    # Every AN keeps an energy ledger, with edge compute on or off.
-    if ec.energy_budget_per_slot <= 0:
-        errors.append("edge_compute.energy_budget_per_slot: must be > 0")
-    if ec.tradeoff_v <= 0:
-        errors.append("edge_compute.tradeoff_v: must be > 0")
     if ec.enabled:
         seen_services = set()
         for i, svc in enumerate(ec.services):
             if svc.service_id in seen_services:
                 errors.append(f"edge_compute.services[{i}]: duplicate service id {svc.service_id}")
             seen_services.add(svc.service_id)
-            if svc.popularity < 0:
-                errors.append(f"edge_compute.services[{i}].popularity: must be >= 0, got {svc.popularity}")
         if not ec.services:
             errors.append("edge_compute.services: at least one service required when enabled")
         elif not any(svc.popularity > 0 for svc in ec.services):
             errors.append("edge_compute.services: at least one popularity must be > 0")
-        if not 0.0 <= ec.task_arrival_prob <= 1.0:
-            errors.append("edge_compute.task_arrival_prob: must lie in [0, 1]")
-        if ec.recache_period < 1:
-            errors.append("edge_compute.recache_period: must be >= 1")
-        for name in ("cpu_rate", "cloud_rate", "backhaul_rate"):
-            if getattr(ec, name) <= 0:
-                errors.append(f"edge_compute.{name}: must be > 0, got {getattr(ec, name)}")
-        for name in ("input_bits", "joules_per_cycle", "joules_per_bit"):
-            if getattr(ec, name) < 0:
-                errors.append(f"edge_compute.{name}: must be >= 0, got {getattr(ec, name)}")
-        if ec.offload_policy not in ("drift", "greedy_local", "always_cloud"):
-            errors.append(f"edge_compute.offload_policy: unknown policy {ec.offload_policy!r}")
-
-    ci = cfg.cipher
-    if ci.window < 1:       # sizes every vehicle's fingerprint window, cipher on or off
-        errors.append(f"cipher.window: must be >= 1, got {ci.window}")
-    if ci.enabled:
-        if ci.max_resync < 1:
-            errors.append(f"cipher.max_resync: must be >= 1, got {ci.max_resync}")
-        if not 0.0 <= ci.an_view_flip_prob <= 1.0:
-            errors.append("cipher.an_view_flip_prob: must lie in [0, 1]")
 
     return errors
+
+
+def _range_problems(value, hint, path: str, errors: list[str]) -> None:
+    """Append "path: must be ..., got ..." for `value`, an instance of the type
+    `hint`, and for each value under it that lies outside the Range its type
+    declares; only types for which `_declares` holds are visited."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is Annotated:
+        if (problem := args[1].problem(value)) is not None:
+            errors.append(f"{path}: {problem}")
+        elif _declares(args[0]):
+            _range_problems(value, args[0], path, errors)
+    elif origin in (typing.Union, types.UnionType):
+        if value is not None:
+            (inner,) = [a for a in args if a is not type(None)]
+            _range_problems(value, inner, path, errors)
+    elif origin in (list, tuple, dict):
+        items = value.items() if origin is dict else enumerate(value)
+        if origin is tuple and args[-1] is not Ellipsis:     # one hint per item
+            item_hints = args
+        else:
+            item_hints = itertools.repeat(args[-1] if origin is dict else args[0])
+        for (key, item), item_hint in zip(items, item_hints):
+            if _declares(item_hint):
+                _range_problems(item, item_hint, f"{path}[{key}]", errors)
+    else:     # a record; a NamedTuple record may be given as a plain tuple
+        for i, (name, field_hint) in enumerate(_fields(hint)[2].items()):
+            if _declares(field_hint):
+                item = value[i] if isinstance(value, tuple) else getattr(value, name)
+                _range_problems(item, field_hint, _join(path, name), errors)
+
+
+@functools.cache
+def _declares(hint) -> bool:
+    """Whether the type `hint`, or a type under it, declares a Range that excludes a value."""
+    if typing.get_origin(hint) is Annotated:
+        return hint.__metadata__[0] != Range() or _declares(hint.__origin__)
+    if _is_record(hint):
+        return any(map(_declares, _fields(hint)[2].values()))
+    return any(map(_declares, typing.get_args(hint)))
 
 
 # ---------------------------------------------------------------------------
@@ -502,15 +447,18 @@ def _parse_road(data, errors: list[str]) -> tuple[RoadGraph | None, MarkovJumpMo
 
 
 @functools.cache
-def _fields(cls) -> tuple[dict[str, object], frozenset[str]]:
-    """Type hint per field of a dataclass or NamedTuple, and the fields without a default."""
-    hints = typing.get_type_hints(cls)
+def _fields(cls) -> tuple[dict[str, object], frozenset[str], dict[str, object]]:
+    """Type hint per field of a dataclass or NamedTuple, the fields without a
+    default, and each field's hint with its declared Range."""
+    declared = typing.get_type_hints(cls, include_extras=True)
     if dataclasses.is_dataclass(cls):
-        fields = dataclasses.fields(cls)
         missing = dataclasses.MISSING
-        required = {f.name for f in fields if f.default is missing and f.default_factory is missing}
-        return {f.name: hints[f.name] for f in fields}, frozenset(required)
-    return {name: hints[name] for name in cls._fields}, frozenset(cls._fields) - cls._field_defaults.keys()
+        fields = dataclasses.fields(cls)
+        required = frozenset(f.name for f in fields if f.default is missing and f.default_factory is missing)
+    else:
+        required = frozenset(cls._fields) - cls._field_defaults.keys()
+    bare = {name: h.__origin__ if typing.get_origin(h) is Annotated else h for name, h in declared.items()}
+    return bare, required, declared
 
 
 def _is_record(hint) -> bool:
@@ -541,6 +489,8 @@ def _convert(value, hint, path: str, errors: list[str]):
         errors.append(f"{path}: expected {_SCALARS[hint]}, got {value!r}")
         return None
     origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is Annotated:     # an item's declared Range, checked by validate_scenario
+        return _convert(value, args[0], path, errors)
     if origin in (typing.Union, types.UnionType):
         if value is None and type(None) in args:
             return None
@@ -585,7 +535,7 @@ def _convert_record(value, cls, path: str, errors: list[str]):
     if not isinstance(value, dict):
         errors.append(f"{path}: expected an object, got {value!r}")
         return None
-    hints, required = _fields(cls)
+    hints, required, _ = _fields(cls)
     before = len(errors)
     kwargs = {}
     for key, item in value.items():

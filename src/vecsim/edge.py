@@ -10,14 +10,17 @@ cached have no local option at all.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Annotated
+
+from vecsim.ranges import Range
 
 
 @dataclass(frozen=True)
 class Service:
-    service_id: int
-    size: float               # storage units
-    cycles_per_task: float
-    popularity: float = 1.0
+    service_id: Annotated[int, Range()]
+    size: Annotated[float, Range(gt=0)]               # storage units
+    cycles_per_task: Annotated[float, Range(gt=0)]
+    popularity: Annotated[float, Range(ge=0)] = 1.0
 
     def __post_init__(self):
         if self.size <= 0 or self.cycles_per_task <= 0:

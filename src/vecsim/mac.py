@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Annotated
 
 from vecsim.channel import SignalQuality
+from vecsim.ranges import Range
 from vecsim.rng import RngStream
 
 
@@ -20,9 +22,9 @@ from vecsim.rng import RngStream
 class CtuPool:
     """The contention grid. A CTU id is a flat index into the grid."""
 
-    slots_per_frame: int = 1
-    freq_blocks: int = 8
-    sequences: int = 1
+    slots_per_frame: Annotated[int, Range(ge=1)] = 1
+    freq_blocks: Annotated[int, Range(ge=1)] = 8
+    sequences: Annotated[int, Range(ge=1)] = 1
 
     def __post_init__(self):
         if min(self.slots_per_frame, self.freq_blocks, self.sequences) < 1:

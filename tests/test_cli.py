@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import csv
 import hashlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import scenario_path
 from vecsim.cli import main
@@ -287,8 +294,8 @@ _ANS_ZERO_CAPACITY = json.dumps([
     ("control.edges=[[0,0,0.001,100.0]]", "control.edges"),
     (f"ans={_ANS_ZERO_CAPACITY}", "ans[0].controller_capacity"),
     ("control.edges=[[0,7,0.001,100.0]]", "control.edges[0]"),
-    ("control.edges=[[0,1,0.0,100.0]]", "control.edges[0]"),
-    ("control.edges=[[0,1,0.001,-1.0]]", "control.edges[0]"),
+    ("control.edges=[[0,1,0.0,100.0]]", "control.edges[0][2]"),
+    ("control.edges=[[0,1,0.001,-1.0]]", "control.edges[0][3]"),
 ])
 def test_a_bad_control_topology_exits_two_naming_its_path(override, path, tmp_path, capsys):
     code, stdout = _run(
@@ -386,3 +393,53 @@ def test_a_malformed_run_request_exits_two_naming_its_path(request_, path, tmp_p
     code, stdout = _run(capsys, "compare", str(bp), str(tp), "--out", str(tmp_path / "c"))
     assert code == 2
     assert any(e.startswith(f"{path}:") for e in json.loads(stdout)["errors"])
+
+
+@st.composite
+def policy_overrides(draw) -> dict:
+    """Overrides of smoke.json drawn over every policy combination: relay
+    mode, CTU policy, bandit (never with preconfigured pairs), downlink,
+    predictor and offload policy, and control, edge compute and cipher on or
+    off, with one to four vehicles on any cells of its five-cell road."""
+    vehicles = draw(st.lists(st.integers(0, 4), min_size=1, max_size=4))
+    ctu_policy = draw(st.sampled_from(["random", "preconfigured"]))
+    overrides = {
+        "horizon": draw(st.integers(1, 12)),
+        "vehicles": [{"vehicle_id": v, "cell": cell} for v, cell in enumerate(vehicles)],
+        "mac.relay_mode": draw(st.sampled_from(["AF", "DF"])),
+        "mac.ctu_policy": ctu_policy,
+        "mac.replicas": draw(st.integers(1, 3)),
+        "bandit.enabled": ctu_policy == "random" and draw(st.booleans()),
+        "downlink.policy": draw(st.sampled_from(["eco", "random"])),
+        "predictor.policy": draw(st.sampled_from(["bayes", "persistence"])),
+        "edge_compute.offload_policy": draw(st.sampled_from(["drift", "greedy_local", "always_cloud"])),
+        "control.enabled": draw(st.booleans()),
+        "control.period_slots": draw(st.integers(1, 5)),
+        "edge_compute.enabled": draw(st.booleans()),
+        "cipher.enabled": draw(st.booleans()),
+    }
+    if ctu_policy == "preconfigured":    # one to three distinct CTUs of smoke's 16 per vehicle
+        overrides["mac.preconfigured"] = {
+            str(v): [[3 * v + j, draw(st.integers(0, 2))] for j in range(draw(st.integers(1, 3)))]
+            for v in range(len(vehicles))
+        }
+    return overrides
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(policy_overrides())
+def test_every_policy_combination_runs_and_its_counts_match_the_packet_rows(overrides):
+    flags = [arg for key, value in overrides.items() for arg in ("--override", f"{key}={json.dumps(value)}")]
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()) as stdout:
+        code = main(["run", str(scenario_path("smoke")), "--out", tmp, *flags])
+        assert code == 0, stdout.getvalue()
+        with (Path(tmp) / "packets.csv").open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        summary = json.loads((Path(tmp) / "summary.json").read_text())
+    n_vehicles, horizon = len(overrides["vehicles"]), overrides["horizon"]
+    assert sorted((int(r["emit_slot"]), int(r["vehicle_id"])) for r in rows) == [
+        (slot, v) for slot in range(horizon) for v in range(n_vehicles)
+    ]
+    assert summary["packets"]["delivered"] == sum(r["delivered"] == "1" for r in rows)
+    sent = collections.Counter(r["replicas"] for r in rows if r["replicas"] != "0")
+    assert summary["bandit"]["replica_histogram"] == dict(sent)

@@ -2,7 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import math
+import types
+import typing
+from typing import Annotated
 
 import pytest
 
@@ -10,6 +16,7 @@ from conftest import SCENARIO_DIR, scenario_path
 from vecsim.config import (
     ConfigError,
     ScenarioConfig,
+    _is_record,
     apply_overrides,
     load_scenario,
     read_json_object,
@@ -18,6 +25,8 @@ from vecsim.config import (
 )
 from vecsim.cli import main
 from vecsim.edge import Service
+from vecsim.mobility import MarkovJumpModel, RoadGraph
+from vecsim.ranges import Range
 
 
 def _minimal() -> dict:
@@ -253,6 +262,17 @@ def test_overridden_config_revalidates_to_catch_new_problems():
     # the logistic BLER curve must fall as SNR rises
     ({"mac.bler_alpha": -1.0}, "mac.bler_alpha"),
     ({"mac.bler_alpha": 0.0}, "mac.bler_alpha"),
+    # the downlink's SNR bucket index snr_db // snr_bucket_db must stay a finite number
+    ({"downlink.snr_bucket_db": 1e-307}, "downlink.snr_bucket_db"),
+    ({"channel.pathloss_exp": 1e300, "snr_threshold_db": -1e308, "downlink.snr_bucket_db": 1e-10}, "snr_threshold_db"),
+    # fields that ran unchecked: a negative RTT, iteration count, target, BLER
+    # threshold, reward weight or replica cost has no meaning
+    ({"edge_compute.backhaul_rtt": -1.0}, "edge_compute.backhaul_rtt"),
+    ({"control.max_feedback_iters": -1}, "control.max_feedback_iters"),
+    ({"control.target_mean_latency_s": -1.0}, "control.target_mean_latency_s"),
+    ({"mac.bler_beta": {"128": -50.0}}, "mac.bler_beta[128]"),
+    ({"downlink.w_power": -1.0}, "downlink.w_power"),
+    ({"bandit.cost_per_replica": -1.0}, "bandit.cost_per_replica"),
 ])
 def test_runtime_divisors_and_sizes_are_range_checked(overrides, path):
     assert any(p.startswith(f"{path}:") for p in validate_scenario(_smoke_with(overrides)))
@@ -308,3 +328,122 @@ def test_overrides_are_typed_and_every_error_is_reported():
     with pytest.raises(ConfigError) as err:
         _smoke_with({"mac.k_max": 2.5, "ctu_pool.sequences": 0, "bandit": 5})
     assert len(err.value.errors) == 3
+
+
+def test_a_declared_range_has_one_message_format():
+    assert Range(gt=0).problem(0.0) == "must be > 0, got 0.0"
+    assert Range(ge=0, le=1).problem(1.5) == "must be <= 1, got 1.5"
+    assert Range(gt=0, lt=1).problem(1.0) == "must be < 1, got 1.0"
+    assert Range(ge=1e-300).problem(1e-307) == "must be >= 1e-300, got 1e-307"
+    assert Range(among=("AF", "DF")).problem("XX") == "must be one of AF, DF, got 'XX'"
+    assert Range(ge=1, items=True).problem([]) == "must hold >= 1 items, got 0"
+    assert [Range(ge=0, le=1).problem(x) for x in (0, 0.0, 1, 1.0)] == [None] * 4
+    assert Range().problem(-1e308) is None
+    assert validate_scenario(_smoke_with({"slot_duration": 0.0, "mac.bler_beta": {"128": -50}})) == [
+        "slot_duration: must be > 0, got 0.0",
+        "mac.bler_beta[128]: must be >= 0, got -50.0",
+    ]
+
+
+def _record_fields(hint, seen: dict | None = None) -> dict:
+    """{record class: its type hints} for every record reachable from `hint`;
+    RoadGraph and MarkovJumpModel check themselves in their own `validate`."""
+    seen = {} if seen is None else seen
+    if typing.get_origin(hint) is Annotated:
+        hint = typing.get_args(hint)[0]
+    if hint in (RoadGraph, MarkovJumpModel) or hint in seen:
+        return seen
+    if _is_record(hint):
+        seen[hint] = typing.get_type_hints(hint, include_extras=True)
+        subs = seen[hint].values()
+    else:
+        subs = typing.get_args(hint)
+    for sub in subs:
+        _record_fields(sub, seen)
+    return seen
+
+
+def _declared_range(hint) -> Range | None:
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):
+        (hint,) = [a for a in typing.get_args(hint) if a is not type(None)]
+    if typing.get_origin(hint) is Annotated:
+        return next((m for m in hint.__metadata__ if isinstance(m, Range)), None)
+    return None
+
+
+def test_every_number_field_of_the_scenario_declares_its_range():
+    numbers = (int, float, float | None)
+    checked, undeclared = [], []
+    for cls, hints in _record_fields(ScenarioConfig).items():
+        for name, hint in hints.items():
+            if typing.get_type_hints(cls)[name] in numbers:
+                checked.append(f"{cls.__name__}.{name}")
+                if _declared_range(hint) is None:
+                    undeclared.append(f"{cls.__name__}.{name}")
+    assert undeclared == []
+    # the walk reaches records inside lists, in other modules and NamedTuples
+    assert {"Service.popularity", "CtuPool.freq_blocks", "ChannelParams.noise_dbm", "VelocityChange.slot"} <= set(checked)
+
+
+def _just_past(rng: Range, number: type) -> list:
+    """Values that break each bound of `rng` by the least step of `number`."""
+    if rng.among:
+        return ["none-of-these"]
+    if rng.items:
+        assert (rng.gt, rng.ge, rng.lt, rng.le) == (None, 1, None, None)
+        return [[]]
+    if number is int:
+        down, up = (lambda b: b - 1), (lambda b: b + 1)
+    else:
+        down, up = (lambda b: math.nextafter(b, -math.inf)), (lambda b: math.nextafter(b, math.inf))
+    past = {"gt": lambda b: b, "ge": down, "lt": lambda b: b, "le": up}
+    return [past[name](getattr(rng, name)) for name in past if getattr(rng, name) is not None]
+
+
+def _bound_probes(hint, keys=(), path="", guard=None):
+    """(JSON keys, dotted path, record path whose constructor also guards the
+    field, value) for each declared bound under `hint`; lists and mappings
+    are probed at their first entry."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is Annotated:
+        rng = args[1]
+        yield from ((keys, path, guard, v) for v in _just_past(rng, typing.get_origin(args[0]) or args[0]))
+        yield from _bound_probes(args[0], keys, path, guard)
+    elif origin in (typing.Union, types.UnionType):
+        (inner,) = [a for a in args if a is not type(None)]
+        yield from _bound_probes(inner, keys, path, guard)
+    elif origin in (list, tuple):
+        items = [args[0]] if origin is list or args[-1] is Ellipsis else args
+        for i, item in enumerate(items):
+            yield from _bound_probes(item, keys + (i,), f"{path}[{i}]", guard)
+    elif origin is dict:
+        yield from _bound_probes(args[1], keys + ("0",), f"{path}[0]", guard)
+    elif _is_record(hint) and hint not in (RoadGraph, MarkovJumpModel):
+        owner = path if "__post_init__" in vars(hint) else None
+        for name, sub in typing.get_type_hints(hint, include_extras=True).items():
+            yield from _bound_probes(sub, keys + (name,), f"{path}.{name}" if path else name, owner)
+
+
+BOUND_PROBES = list(_bound_probes(ScenarioConfig))
+
+
+def _set(tree, keys, value):
+    for key in keys[:-1]:
+        tree = tree.setdefault(key, {}) if isinstance(tree, dict) else tree[key]
+    tree[keys[-1]] = value
+
+
+@pytest.mark.parametrize(("keys", "path", "guard", "value"), BOUND_PROBES,
+                         ids=[f"{path}={value!r}" for _, path, _, value in BOUND_PROBES])
+def test_a_value_just_past_a_declared_bound_exits_two_naming_its_path(keys, path, guard, value, tmp_path):
+    tree = read_json_object(scenario_path("smoke"))
+    tree["velocity_schedule"] = [{"slot": 1, "vehicle_id": 0, "velocity_class": "default"}]
+    _set(tree, keys, value)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(tree), encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(["validate", str(bad)])
+    errors = json.loads(out.getvalue())["errors"]
+    assert code == 2
+    named = [f"{path}:"] + ([f"{guard}:"] if guard else [])
+    assert any(e.startswith(p) for e in errors for p in named), errors

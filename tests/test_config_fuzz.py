@@ -6,8 +6,8 @@ JSON type (string, bool, null, non-integral float, list or object). Whether
 the mutation arrives in the file or through `--override`, the CLI must exit
 0 (the value is acceptable) or 2 (rejected with a message), never 3. The
 value gate sets each int and float field to 0, -1, 1000 and 10**9 (and
-floats also to 0.5, NaN and +-Infinity) through `--override` and asks the
-same of `run`.
+floats also to 0.5, the smallest subnormal 5e-324, 1e308, NaN and
++-Infinity) through `--override` and asks the same of `run`.
 """
 
 from __future__ import annotations
@@ -128,7 +128,7 @@ def _numeric_fields():
 VALUE_PROBES = [
     f"{path}={v}"
     for path, kind in _numeric_fields()
-    for v in ((0, -1, 1000, 0.5, 1e9, "NaN", "Infinity", "-Infinity") if kind is float else (0, -1, 1000, 10**9))
+    for v in ((0, -1, 1000, 0.5, 1e9, 5e-324, 1e308, "NaN", "Infinity", "-Infinity") if kind is float else (0, -1, 1000, 10**9))
 ]
 
 

@@ -36,7 +36,7 @@ KEY_BYTES = 32
 BLOCK_BYTES = 32     # HMAC-SHA256 output
 
 
-@dataclass(frozen=True)
+@dataclass
 class Fingerprint:
     """Sliding window of the last W association vectors, canonically ordered.
 
@@ -73,8 +73,7 @@ def _chunk(vec: AssociationVector) -> bytes:
     try:
         return vec._fingerprint_chunk
     except AttributeError:
-        chunk = struct.pack(">qI", vec.slot, len(vec.bits)) + bytes(vec.bits)
-        object.__setattr__(vec, "_fingerprint_chunk", chunk)
+        vec._fingerprint_chunk = chunk = struct.pack(">qI", vec.slot, len(vec.bits)) + bytes(vec.bits)
         return chunk
 
 
@@ -174,21 +173,22 @@ def exchange(
 
     Returns (verified, roundtrip, vehicle state, AN state), exactly as the
     vehicle's `integrity_tag` and `crypt` followed by the AN's `verify_key`
-    and, if it verifies, `crypt` would. A message the AN rejects leaves the
-    AN state as it was. When both ends hold the same fingerprint object and
-    equal states, the AN's tag and keystream are the vehicle's by
-    construction, so nothing is hashed: the message verifies, the roundtrip
-    holds unless the message has tail bits set, and both counters advance.
+    and, if it verifies, `crypt` would. The tag is checked first: a message
+    the AN rejects computes no keystream, leaves the AN state as it was and
+    advances the vehicle's counter by the blocks its encryption would take.
+    When both ends hold the same fingerprint object and equal states, the
+    AN's tag and keystream are the vehicle's by construction, so nothing is
+    hashed: the message verifies, the roundtrip holds unless the message has
+    tail bits set, and both counters advance.
     """
     _check_message(message, n_bits)
     if an_fp is vehicle_fp and an == vehicle:
         counter = vehicle.counter + _n_blocks(n_bits)
         roundtrip = _mask_tail(message, n_bits) == message
         return True, roundtrip, CipherState(key=vehicle.key, counter=counter), CipherState(key=an.key, counter=counter)
-    tag = integrity_tag(vehicle_fp, vehicle.counter)
+    if not verify_key(an_fp, integrity_tag(vehicle_fp, vehicle.counter), an):
+        return False, False, CipherState(key=vehicle.key, counter=vehicle.counter + _n_blocks(n_bits)), an
     body, new_vehicle = crypt(vehicle, vehicle_fp, message, n_bits)
-    if not verify_key(an_fp, tag, an):
-        return False, False, new_vehicle, an
     plain, new_an = crypt(an, an_fp, body, n_bits)
     return True, plain == message, new_vehicle, new_an
 

@@ -14,7 +14,9 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from vecsim.config import ConfigError, ScenarioConfig, load_record, load_scenario
+from vecsim.config import (
+    ConfigError, ScenarioConfig, apply_overrides, load_record, load_scenario, read_json_object, scenario_from_dict,
+)
 from vecsim.metrics import SCHEMA_VERSION, write_summary
 from vecsim.simulation import run_scenario
 
@@ -125,7 +127,9 @@ def _parse_override(text: str) -> tuple[str, object]:
 
 
 def _load_with_overrides(path: str, seed: int | None, overrides: dict[str, object]) -> ScenarioConfig:
-    return load_scenario(path, overrides if seed is None else {"seed": seed, **overrides})
+    """The parsed scenario, not yet validated: `Simulation` validates each config it runs."""
+    data = read_json_object(path)
+    return scenario_from_dict(apply_overrides(data, overrides if seed is None else {"seed": seed, **overrides}))
 
 
 def _emit_error(code: int, errors: list[str]) -> None:

@@ -16,14 +16,14 @@ from vecsim.channel import candidate_aps
 from vecsim.mac import CtuPool
 
 
-@dataclass(frozen=True)
+@dataclass
 class VirtualCluster:
     center_vehicle: int
     members: tuple[int, ...]          # AP ids, descending SNR order
     an: int                           # the AN hosting the vehicle; its power funds the slice
 
 
-@dataclass(frozen=True)
+@dataclass
 class SliceAssignment:
     """Per-cluster downlink CTU sets and power budgets.
 

@@ -158,12 +158,14 @@ class EdgeComputeConfig:
     task_arrival_prob: Probability = 0.1
     input_bits: Annotated[float, Range(ge=0)] = 1e5
     recache_period: Annotated[int, Range(ge=1)] = 100
-    cpu_rate: Annotated[float, Range(gt=0)] = 5e9
-    cloud_rate: Annotated[float, Range(gt=0)] = 5e10
+    # a task's latency divides its cycles and bits by these rates: at least one per second keeps it finite
+    cpu_rate: Annotated[float, Range(ge=1)] = 5e9
+    cloud_rate: Annotated[float, Range(ge=1)] = 5e10
     backhaul_rtt: Annotated[float, Range(ge=0)] = 0.05
-    backhaul_rate: Annotated[float, Range(gt=0)] = 1e8
-    joules_per_cycle: Annotated[float, Range(ge=0)] = 1e-9
-    joules_per_bit: Annotated[float, Range(ge=0)] = 1e-8
+    backhaul_rate: Annotated[float, Range(ge=1)] = 1e8
+    # a joule per cycle or bit is already 10**9 times what hardware spends; more overflows the energy sums
+    joules_per_cycle: Annotated[float, Range(ge=0, le=1)] = 1e-9
+    joules_per_bit: Annotated[float, Range(ge=0, le=1)] = 1e-8
     # every AN keeps an energy ledger, with edge compute on or off
     energy_budget_per_slot: Annotated[float, Range(gt=0)] = 0.01
     tradeoff_v: Annotated[float, Range(gt=0)] = 1.0
@@ -183,7 +185,8 @@ class ScenarioConfig:
     name: str = "scenario"
     seed: Annotated[int, Range(ge=0)] = 0
     horizon: Annotated[int, Range(ge=1)] = 100
-    slot_duration: Annotated[float, Range(gt=0)] = 1e-3
+    # one radio scheduling interval (ms-scale); the energies it books, power x slot, stay finite
+    slot_duration: Annotated[float, Range(gt=0, le=1)] = 1e-3
     latency_deadline_s: Annotated[float, Range(gt=0)] = 1e-3
     road: RoadGraph = field(default_factory=lambda: line_graph(5)[0])
     mobility: MarkovJumpModel = field(default_factory=lambda: line_graph(5)[1])

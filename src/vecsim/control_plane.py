@@ -67,7 +67,7 @@ class ControlTopology:
         return {src: _dijkstra(g, src)[0] for src in g}
 
 
-@dataclass(frozen=True)
+@dataclass
 class Demand:
     vehicle_id: int
     ingress_an: int

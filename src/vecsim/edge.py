@@ -34,7 +34,7 @@ class CacheState:
     cached: set[int] = field(default_factory=set)
 
 
-@dataclass(frozen=True)
+@dataclass
 class Task:
     service_id: int
     vehicle_id: int
@@ -68,7 +68,7 @@ class ComputeParams:
     joules_per_bit: float = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass
 class OffloadDecision:
     where: str                       # "local" or "cloud"
     latency_s: float

@@ -10,6 +10,7 @@ epsilon-greedy bandit trading replica count against reliability.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Annotated
 
@@ -35,7 +36,7 @@ class CtuPool:
         return self.slots_per_frame * self.freq_blocks * self.sequences
 
 
-@dataclass(frozen=True)
+@dataclass
 class CtuSelection:
     vehicle_id: int
     ctus: tuple[int, ...]              # distinct CTU ids
@@ -88,7 +89,7 @@ class BlerCurve:
 
 def select_ctus(
     vehicle_id: int,
-    candidates: list[int],
+    candidates: Sequence[int],
     replicas: int,
     pool: CtuPool,
     rng: RngStream,
@@ -217,17 +218,18 @@ class BanditState:
 
 def bandit_select_and_update(
     state: BanditState,
-    last_outcome: DecodeOutcome | None,
+    last_decoded: bool | None,
     last_replicas: int | None,
     rng: RngStream,
 ) -> int:
-    """Update the last pulled arm from its outcome, then choose the next arm.
+    """Update the last pulled arm from whether its packet decoded (a
+    `DecodeOutcome.combined`), then choose the next arm.
 
     Returns the replica count to use next slot. Mutates `state`.
     """
-    if last_outcome is not None and last_replicas is not None:
+    if last_decoded is not None and last_replicas is not None:
         arm = state.arm_of(last_replicas)
-        reward = (1.0 if last_outcome.combined else 0.0) - state.cost_per_replica * last_replicas
+        reward = (1.0 if last_decoded else 0.0) - state.cost_per_replica * last_replicas
         state.pulls[arm] += 1
         n = state.pulls[arm]
         state.estimates[arm] += (reward - state.estimates[arm]) / n

@@ -145,4 +145,5 @@ class MetricsReport:
 
 
 def write_summary(summary: dict, path: Path) -> None:
-    path.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    # NaN and Infinity are not JSON (RFC 8259): such a value fails the write instead of being written
+    path.write_text(json.dumps(summary, sort_keys=True, indent=2, allow_nan=False) + "\n", encoding="utf-8")

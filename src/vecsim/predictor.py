@@ -27,7 +27,7 @@ NORM_TOL = 1e-9
 LIKELIHOOD_MEMO_BYTES = 32 * 2**20
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class AssociationVector:
     """Per-slot binary reachability over APs, derived from MAC outcomes only."""
 

@@ -32,7 +32,7 @@ class VehicleRuntime:
 
     mobility: mobility.MobilityState
     bandit: Optional[mac.BanditState] = None
-    last_outcome: Optional[mac.DecodeOutcome] = None
+    last_decoded: Optional[bool] = None       # whether the last packet sent decoded
     last_replicas: Optional[int] = None
     selection: Optional[mac.CtuSelection] = None
     assoc_true: Optional[predictor.AssociationVector] = None
@@ -70,6 +70,7 @@ class Simulation:
         self.root = RngStream(cfg.seed, "root")
         self.engine = SlotEngine(cfg.horizon)
         self._streams: dict[str, RngStream] = {}
+        self._families: dict[str, dict[int, RngStream]] = {}
 
         self.ap_ids = sorted(a.ap_id for a in cfg.aps)
         self.an_ids = sorted(a.an_id for a in cfg.ans)
@@ -242,42 +243,53 @@ class Simulation:
         e.register(Phase.CIPHER, self._phase_cipher)
 
     def stream(self, label: str) -> RngStream:
-        """One cached generator per (purpose, entity); adding entities or
-        toggling one subsystem never shifts another subsystem's draws."""
+        """One cached generator per purpose; adding entities or toggling one
+        subsystem never shifts another subsystem's draws."""
         if label not in self._streams:
             self._streams[label] = self.root.substream(label)
         return self._streams[label]
+
+    def _family(self, name: str, owners) -> dict[int, RngStream]:
+        """Each owner's `name/<id>` stream, keyed in `owners` order; the whole
+        family is seeded in one batch when a phase first needs it."""
+        streams = self._families.get(name)
+        if streams is None:
+            ids = list(owners)
+            streams = self._families[name] = dict(zip(ids, self.root.substreams([f"{name}/{i}" for i in ids])))
+        return streams
 
     # -- phases ---------------------------------------------------------------
 
     def _phase_mobility(self, slot: int) -> None:
         sched = self.sched_by_slot.get(slot, {})
-        for vid, vr in self.vehicles.items():
-            vclass = sched.get(vid, vr.mobility.velocity_class)
-            targets, cum = self.rows[(vclass, vr.mobility.cell)]
-            nxt = mobility.draw_from_row(targets, cum, self.stream(f"mobility/{vid}"))
-            vr.mobility = mobility.MobilityState(nxt, vclass)
+        streams = self._family("mobility", self.vehicles)
+        for (vid, vr), rng in zip(self.vehicles.items(), streams.values()):
+            state = vr.mobility
+            state.velocity_class = vclass = sched.get(vid, state.velocity_class)
+            targets, cum = self.rows[(vclass, state.cell)]
+            state.cell = mobility.draw_from_row(targets, cum, rng)
 
     def _phase_uplink(self, slot: int) -> None:
         cfg = self.cfg
         histogram = self.report.bandit["replica_histogram"]
-        for vid, vr in self.vehicles.items():
+        streams = self._family("mac", self.vehicles)
+        for (vid, vr), rng in zip(self.vehicles.items(), streams.values()):
             members = self.cell_members[vr.mobility.cell]
             if not members:         # nothing is sent, so the bandit neither draws nor learns
                 vr.selection = None
                 continue
             if vr.bandit is not None:
                 replicas = mac.bandit_select_and_update(
-                    vr.bandit, vr.last_outcome, vr.last_replicas, self.stream(f"bandit/{vid}")
+                    vr.bandit, vr.last_decoded, vr.last_replicas, self._family("bandit", self.vehicles)[vid]
                 )
             else:
                 replicas = cfg.mac.replicas
             vr.selection = mac.select_ctus(
                 vid,
-                list(members),
+                members,
                 replicas,
                 self.pool,
-                self.stream(f"mac/{vid}"),
+                rng,
                 policy=cfg.mac.ctu_policy,
                 preconfigured=cfg.mac.preconfigured or None,
             )
@@ -299,29 +311,31 @@ class Simulation:
                 bandit["collision_ctus"] += 1
                 bandit["mud_resolved_ctus"] += ok
 
-        for vid, vr in self.vehicles.items():
+        flip = cfg.cipher.an_view_flip_prob
+        streams = self._family("decode", self.vehicles)
+        for (vid, vr), decode in zip(self.vehicles.items(), streams.values()):
             heard = [0] * self.n_aps        # association bits, by AP column
-            if vr.selection is None:
-                # out of coverage: no packet went out, and last_outcome keeps
+            selection = vr.selection
+            if selection is None:
+                # out of coverage: no packet went out, and last_decoded keeps
                 # the outcome of the last one that did for the bandit's update
                 self.report.record_packet(vid, slot, False, 0, 0)
             else:
-                flags = []
-                decode = self.stream(f"decode/{vid}")
-                for ctu, ap in zip(vr.selection.ctus, vr.selection.target_aps):
+                # selection combining: the packet is in if any path decoded
+                decoded = False
+                cell = vr.mobility.cell
+                for ctu, ap in zip(selection.ctus, selection.target_aps):
                     # a path over a lost CTU draws nothing
-                    ok = separable[ctu] and decode.random() >= self.path_failure[(vr.mobility.cell, ap)]
-                    flags.append(ok)
-                    if ok:
+                    if separable[ctu] and decode.random() >= self.path_failure[(cell, ap)]:
+                        decoded = True
                         heard[self.ap_col[ap]] = 1
-                vr.last_outcome = outcome = mac.combine(flags)
-                paths = len(set(vr.selection.target_aps))
-                self.report.record_packet(vid, slot, outcome.combined, vr.last_replicas, paths)
+                vr.last_decoded = decoded
+                paths = len(set(selection.target_aps))
+                self.report.record_packet(vid, slot, decoded, vr.last_replicas, paths)
             bits = tuple(heard)
             vr.assoc_true = predictor.AssociationVector(vid, slot, bits)
-            flip = cfg.cipher.an_view_flip_prob
             if flip > 0.0:
-                noise = self.stream(f"anview/{vid}")
+                noise = self._family("anview", self.vehicles)[vid]
                 bits_an = tuple(b ^ (1 if noise.random() < flip else 0) for b in bits)
                 vr.assoc_an = predictor.AssociationVector(vid, slot, bits_an)
             else:
@@ -369,6 +383,7 @@ class Simulation:
         self.report.slices["allocated_ctus"] += sum(len(v) for v in slices.ctus.values())
         self.report.slices["unsatisfied"] += sum(slices.unsatisfied.values())
         downlink = self.report.downlink
+        eco, dldecode = self._family("eco", self.an_ids), self._family("dldecode", self.an_ids)
 
         for c in clusters:
             vid, members, an_id = c.center_vehicle, c.members, c.an
@@ -386,9 +401,9 @@ class Simulation:
             state = (load_b, snr_b)
 
             if ar.learner is not None:
-                action = ar.learner.select(state, self.stream(f"eco/{an_id}"))
+                action = ar.learner.select(state, eco[an_id])
             else:
-                action = self.actions[self.stream(f"eco/{an_id}").integers(len(self.actions))]
+                action = self.actions[eco[an_id].integers(len(self.actions))]
             rank, p_idx = action
             # Slice power is the hard cap; the learner sees the consequence.
             power_w = min(cfg.downlink.power_levels_w[p_idx], slices.power_w.get(vid, 0.0))
@@ -400,7 +415,7 @@ class Simulation:
                     delta_db = 10.0 * math.log10(power_w * 1000.0) - cfg.channel.tx_power_dbm
                     dl_snr = up_snr + delta_db
                     p_ok = 1.0 - self.curve.bler(dl_snr, cfg.mac.payload_bits)
-                    delivered = self.stream(f"dldecode/{an_id}").random() < p_ok
+                    delivered = dldecode[an_id].random() < p_ok
             energy = power_w * cfg.slot_duration
             self.report.record_energy(an_id, slot, energy)
             downlink["attempts"] += 1
@@ -517,7 +532,7 @@ class Simulation:
                 continue
             an_id = self.cell_an[vr.mobility.cell]
             if vr.session is None or vr.session_an_id != an_id:
-                vr.session = cipher.start_session(vid, an_id, self.stream(f"cipher/{vid}"))[0]
+                vr.session = cipher.start_session(vid, an_id, self._family("cipher", self.vehicles)[vid])[0]
                 vr.session_an_id = an_id
                 vr.session_resyncs = 0
                 vr.session_compromised = False

@@ -263,7 +263,7 @@ def test_exchange_equals_the_tag_encrypt_verify_decrypt_sequence(
 
 def _forbid(name):
     def call(*args, **kwargs):
-        raise AssertionError(f"{name} called on the in-sync path")
+        raise AssertionError(f"{name} called where nothing may be hashed")
     return call
 
 
@@ -282,6 +282,22 @@ def test_the_in_sync_exchange_hashes_nothing(n_bits, tail_set, monkeypatch):
     got = exchange(state, fp, CipherState(key=state.key, counter=9), fp, message, n_bits)
     assert got == want
     assert got[1] is (not tail_set or n_bits % 8 == 0)
+
+
+@pytest.mark.parametrize("n_bits", [1, 256, 257, 4096])
+def test_a_rejected_exchange_computes_no_keystream(n_bits, monkeypatch):
+    vehicle_fp = _fp((0, (1, 0, 1)), (1, (0, 1, 1)))
+    an_fp = _fp((0, (1, 0, 1)), (1, (1, 1, 1)))        # the AN mis-recorded one bit
+    state = CipherState(key=bytes(range(32)), counter=9)
+    message = deterministic_message(0, 3, n_bits)
+    want = _reference_exchange(state, vehicle_fp, state, an_fp, message, n_bits)
+    monkeypatch.setattr(hmac, "digest", _forbid("hmac.digest"))
+    monkeypatch.setattr(hmac, "new", _forbid("hmac.new"))
+    got = exchange(state, vehicle_fp, state, an_fp, message, n_bits)
+    assert got == want
+    assert got[:2] == (False, False)
+    assert got[2] == CipherState(key=state.key, counter=9 + -(-((n_bits + 7) // 8) // 32))
+    assert got[3] is state
 
 
 def test_a_fingerprint_hashes_its_window_once_and_only_when_asked(monkeypatch):

@@ -333,6 +333,41 @@ def test_a_non_finite_or_overflowing_number_exits_two_naming_its_path(override, 
     assert any(e.startswith(f"{path}:") for e in json.loads(stdout)["errors"])
 
 
+@pytest.mark.parametrize("override", [
+    "slot_duration=1e308",
+    "edge_compute.cloud_rate=5e-324",
+    "edge_compute.backhaul_rate=5e-324",
+    "edge_compute.joules_per_bit=1e308",
+])
+def test_a_number_whose_sums_would_overflow_exits_two_naming_its_path(override, tmp_path, capsys):
+    # each ran to exit 0 and wrote Infinity, which is not JSON, into summary.json
+    code, stdout = _run(
+        capsys, "run", str(scenario_path("smoke")), "--out", str(tmp_path),
+        "--override", "horizon=20", "--override", override,
+    )
+    assert code == 2
+    path = override.split("=")[0]
+    assert any(e.startswith(f"{path}:") for e in json.loads(stdout)["errors"])
+    assert not (tmp_path / "summary.json").exists()
+
+
+def test_run_validates_the_scenario_once(tmp_path, capsys, monkeypatch):
+    from vecsim import config, simulation
+
+    calls = []
+    validate = config.validate_scenario
+
+    def counted(cfg):
+        calls.append(cfg)
+        return validate(cfg)
+
+    monkeypatch.setattr(config, "validate_scenario", counted)
+    monkeypatch.setattr(simulation, "validate_scenario", counted)
+    code, _ = _run(capsys, "run", str(scenario_path("smoke")), "--out", str(tmp_path), "--override", "horizon=5")
+    assert code == 0
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize(("section", "key", "value"), [
     (None, "slot_duration", float("nan")),
     ("channel", "pl0_db", float("-inf")),

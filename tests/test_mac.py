@@ -163,10 +163,10 @@ def test_bandit_state_validation():
 def test_bandit_update_is_an_incremental_mean():
     state = BanditState(r_max=2, epsilon=0.0, cost_per_replica=0.05)
     rng = RngStream(1, "bandit")
-    bandit_select_and_update(state, combine([True]), 2, rng)
+    bandit_select_and_update(state, combine([True]).combined, 2, rng)
     assert state.pulls[1] == 1
     assert state.estimates[1] == pytest.approx(1.0 - 0.1)
-    bandit_select_and_update(state, combine([False]), 2, rng)
+    bandit_select_and_update(state, combine([False]).combined, 2, rng)
     assert state.pulls[1] == 2
     assert state.estimates[1] == pytest.approx((0.9 + (0.0 - 0.1)) / 2)
 
@@ -184,8 +184,7 @@ def test_bandit_prefers_the_cheaper_arm_when_both_always_decode():
     choice = bandit_select_and_update(state, None, None, rng)
     picks: list[int] = []
     for _ in range(500):
-        outcome = combine([True])
-        nxt = bandit_select_and_update(state, outcome, choice, rng)
+        nxt = bandit_select_and_update(state, combine([True]).combined, choice, rng)
         picks.append(nxt)
         choice = nxt
     late = picks[300:]

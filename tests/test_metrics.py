@@ -10,7 +10,7 @@ import tracemalloc
 import pytest
 
 from conftest import load_bundled
-from vecsim.metrics import DECISIONS_HEADER, PACKETS_HEADER, SCHEMA_VERSION, MetricsReport
+from vecsim.metrics import DECISIONS_HEADER, PACKETS_HEADER, SCHEMA_VERSION, MetricsReport, write_summary
 from vecsim.simulation import run_scenario
 
 
@@ -165,3 +165,9 @@ def test_summary_is_byte_stable_across_writes(tmp_path):
     _record_packets(report, (1, 1, False))
     with report.write(tmp_path / "c")["packets"].open(newline="") as fh:
         assert list(csv.reader(fh))[1:] == [["0", "0", "1", "1", "1", "1"], ["1", "1", "0", "", "1", "1"]]
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_a_summary_holding_a_non_finite_number_is_not_written_as_json(value, tmp_path):
+    with pytest.raises(ValueError):
+        write_summary({"energy": {"total_j": value}}, tmp_path / "summary.json")

@@ -1,5 +1,6 @@
-"""Stream identity, independence, the label-to-spawn-key derivation, and
-every draw against numpy's Generator on the same PCG64 stream."""
+"""Stream identity, independence, the label-to-spawn-key derivation, the
+batch seeding against numpy's SeedSequence and PCG64, and every draw against
+numpy's Generator on the same PCG64 stream."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vecsim.rng import RngStream
+from vecsim.rng import RngStream, seed_states
 
 
 def test_same_seed_and_label_reproduce_every_draw_kind():
@@ -58,6 +59,39 @@ def _generator(seed: int, label: str) -> np.random.Generator:
     digest = hashlib.sha256(label.encode("utf-8")).digest()
     spawn_key = tuple(int.from_bytes(digest[i : i + 4], "little") for i in (0, 4, 8, 12))
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=spawn_key))
+
+
+def _numpy_state(seed: int, label: str) -> tuple[int, int]:
+    pcg = _generator(seed, label).bit_generator.state["state"]
+    return pcg["state"], pcg["inc"]
+
+
+# run entropy of one to four 32-bit words, zero-padded to the pool's four, and of more than four
+_SEEDS = st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 + 1, 2**128 - 1, 2**128, 2**200 + 7]) | st.integers(2**128, 2**256)
+_LABELS = st.text(max_size=6) | st.sampled_from(["véhicule/7", "车/3", "\U0001f697/0", ""])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_SEEDS | st.integers(0, 2**64), st.sampled_from([1, 2, 600]), st.lists(_LABELS, min_size=1, max_size=3))
+def test_batch_seeding_equals_numpys_seed_sequence_and_pcg64(seed, n, labels):
+    ids = [labels[i] if i < len(labels) else f"{labels[i % len(labels)]}/{i}" for i in range(n)]
+    assert seed_states(seed, ids) == [_numpy_state(seed, sid) for sid in ids]
+
+
+def _draws(stream: RngStream) -> list:
+    return [stream.random(), stream.integers(1000), stream.bytes(5), stream.integers(2**40)]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(_SEEDS, st.lists(_LABELS, min_size=1, max_size=5, unique=True), st.randoms(use_true_random=False))
+def test_a_streams_draws_do_not_depend_on_the_batch_that_seeded_it(seed, labels, order):
+    root = RngStream(seed, "root")
+    shuffled = labels[:]
+    order.shuffle(shuffled)
+    for batch in ([labels[0]], labels, shuffled, [f"{label}/x" for label in labels] + shuffled):
+        for label, stream in zip(batch, root.substreams(batch), strict=True):
+            assert stream.stream_id == f"root/{label}"
+            assert _draws(stream) == _draws(root.substream(label)) == _draws(RngStream(seed, f"root/{label}"))
 
 
 def test_spawn_key_is_the_sha256_prefix_of_the_label():

@@ -18,7 +18,7 @@ from conftest import SCENARIO_DIR, load_bundled, scenario_path
 from vecsim import cipher, mac
 from vecsim.cli import main
 from vecsim.channel import SignalQuality, signal_quality
-from vecsim.config import ApSpec, VehicleSpec
+from vecsim.config import ApSpec, ConfigError, VehicleSpec
 from vecsim.mobility import line_graph
 from vecsim.rng import RngStream
 from vecsim.simulation import Simulation, run_scenario
@@ -121,6 +121,15 @@ def test_downlink_energy_matches_power_times_slot():
     mean_power = agg["downlink"]["mean_power_w"]
     expected = mean_power * cfg.slot_duration * attempts
     assert agg["downlink"]["energy_j"] == pytest.approx(expected)
+
+
+def test_a_config_built_in_python_is_validated_by_the_simulation():
+    cfg = load_bundled("smoke")
+    cfg.horizon = 0
+    cfg.edge_compute.cloud_rate = 0.5
+    with pytest.raises(ConfigError) as exc:
+        Simulation(cfg)
+    assert exc.value.errors == ["horizon: must be >= 1, got 0", "edge_compute.cloud_rate: must be >= 1, got 0.5"]
 
 
 @pytest.mark.parametrize("vehicles", [2, 50])

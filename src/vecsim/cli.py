@@ -13,38 +13,35 @@ import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Annotated
 
 from vecsim.config import (
     ConfigError, ScenarioConfig, apply_overrides, load_record, load_scenario, read_json_object, scenario_from_dict,
 )
 from vecsim.metrics import SCHEMA_VERSION, write_summary
+from vecsim.ranges import Range
 from vecsim.simulation import run_scenario
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
+# at least one seed, each a valid scenario seed
+Seeds = Annotated[list[Annotated[int, Range(ge=0)]], Range(ge=1, items=True)]
+
 
 @dataclass
 class SweepAxis:
     name: str
-    values: list[object]
-
-    def __post_init__(self):
-        if not self.values:
-            raise ValueError("values must hold at least one value")
+    values: Annotated[list[object], Range(ge=1, items=True)]
 
 
 @dataclass
 class SweepSpec:
     scenario: str
-    seeds: list[int]
+    seeds: Seeds
     parameter: SweepAxis
     overrides: dict[str, object] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not self.seeds:
-            raise ValueError("seeds: must hold at least one seed")
 
 
 @dataclass
@@ -52,12 +49,8 @@ class RunRequest:
     """One side of a compare: a scenario file, its seeds and its overrides."""
 
     scenario: str
-    seeds: list[int] = field(default_factory=lambda: [0])
+    seeds: Seeds = field(default_factory=lambda: [0])
     overrides: dict[str, object] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not self.seeds:
-            raise ValueError("seeds: must hold at least one seed")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -126,10 +119,19 @@ def _parse_override(text: str) -> tuple[str, object]:
     return key, value
 
 
-def _load_with_overrides(path: str, seed: int | None, overrides: dict[str, object]) -> ScenarioConfig:
-    """The parsed scenario, not yet validated: `Simulation` validates each config it runs."""
-    data = read_json_object(path)
-    return scenario_from_dict(apply_overrides(data, overrides if seed is None else {"seed": seed, **overrides}))
+def _load_all(runs: list[tuple[str, int, dict[str, object]]]) -> list[ScenarioConfig]:
+    """The validated scenario of each (file, seed, overrides) run, loaded
+    before any of them runs; every distinct problem of every run is reported
+    at once."""
+    cfgs, problems = [], {}
+    for path, seed, overrides in runs:
+        try:
+            cfgs.append(load_scenario(path, {"seed": seed, **overrides}))
+        except ConfigError as exc:
+            problems.update(dict.fromkeys(exc.errors))
+    if problems:
+        raise ConfigError(list(problems))
+    return cfgs
 
 
 def _emit_error(code: int, errors: list[str]) -> None:
@@ -141,8 +143,10 @@ def _emit_error(code: int, errors: list[str]) -> None:
 
 def _cmd_run(args) -> int:
     overrides = dict(_parse_override(o) for o in args.override)
-    cfg = _load_with_overrides(args.scenario, args.seed, overrides)
-    report = run_scenario(cfg)
+    if args.seed is not None:
+        overrides = {"seed": args.seed, **overrides}
+    # parsed only: `Simulation` validates each config it runs
+    report = run_scenario(scenario_from_dict(apply_overrides(read_json_object(args.scenario), overrides)))
     out = _out_dir(args.out)
     files = report.write(out)
     summary = report.aggregates()
@@ -167,15 +171,16 @@ def _cmd_validate(args) -> int:
 def _cmd_sweep(args) -> int:
     spec = load_record(args.spec, SweepSpec)
     name, values = spec.parameter.name, spec.parameter.values
+    cfgs = iter(_load_all(
+        [(spec.scenario, seed, {**spec.overrides, name: value}) for seed in spec.seeds for value in values]
+    ))
 
     out = _out_dir(args.out)
     by_seed: dict[str, list[dict]] = {}
     for seed in spec.seeds:
         rows = []
         for value in values:
-            overrides = {**spec.overrides, name: value}
-            cfg = _load_with_overrides(spec.scenario, seed, overrides)
-            report = run_scenario(cfg)
+            report = run_scenario(next(cfgs))
             run_dir = out / f"seed-{seed}" / _slug(name, value)
             report.write(run_dir)
             rows.append({"value": value, "summary": report.aggregates()})
@@ -222,11 +227,12 @@ def _cmd_compare(args) -> int:
             ["compare: baseline and treatment must share the scenario file and seed list"]
         )
 
+    cfgs = iter(_load_all([(req.scenario, seed, req.overrides) for seed in base.seeds for req in (base, treat)]))
+
     metrics = ["success_rate", "latency_p99_s", "mean_energy_per_slot_j"]
     per_seed = []
     for seed in base.seeds:
-        base_cfg = _load_with_overrides(base.scenario, seed, base.overrides)
-        treat_cfg = _load_with_overrides(treat.scenario, seed, treat.overrides)
+        base_cfg, treat_cfg = next(cfgs), next(cfgs)
         base_sum = _headline(run_scenario(base_cfg).aggregates())
         treat_sum = _headline(run_scenario(treat_cfg).aggregates())
         deltas = {}

@@ -30,7 +30,7 @@ from vecsim.channel import ChannelParams
 from vecsim.control_plane import connected_components
 from vecsim.edge import Service
 from vecsim.mac import CtuPool
-from vecsim.mobility import MarkovJumpModel, ModelValidationError, RoadGraph, line_graph
+from vecsim.mobility import MarkovJumpModel, RoadGraph, line_graph
 from vecsim.ranges import Range
 
 
@@ -92,7 +92,7 @@ class MacConfig:
     relay_mode: Annotated[str, Range(among=("AF", "DF"))] = "AF"
     replicas: Annotated[int, Range(ge=1)] = 2               # used when the bandit is off
     ctu_policy: Annotated[str, Range(among=("random", "preconfigured"))] = "random"
-    preconfigured: dict[int, list[tuple[int, int]]] = field(default_factory=dict)
+    preconfigured: dict[int, list[tuple[Id, Id]]] = field(default_factory=dict)     # vehicle -> (CTU, AP) pairs
 
 
 @dataclass
@@ -144,7 +144,7 @@ class ControlConfig:
     period_slots: Annotated[int, Range(ge=1)] = 50
     kappa: Annotated[float, Range(ge=0)] = 1e-4             # scales each edge's congestion delay; shortest paths need it >= 0
     # u, v, weight_s, capacity
-    edges: list[tuple[int, int, Annotated[float, Range(gt=0)], Annotated[float, Range(gt=0)]]] = field(
+    edges: list[tuple[Id, Id, Annotated[float, Range(gt=0)], Annotated[float, Range(gt=0)]]] = field(
         default_factory=list
     )
 
@@ -224,15 +224,10 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
     errors: list[str] = []
     _range_problems(cfg, ScenarioConfig, "", errors)
 
-    try:
-        cfg.road.validate()
-    except ModelValidationError as exc:
-        errors.append(f"road: {exc}")
-    else:
-        try:
-            cfg.mobility.validate(cfg.road)
-        except ModelValidationError as exc:
-            errors.append(f"mobility: {exc}")
+    road_problems = cfg.road.problems()
+    errors += [f"road.{p}" for p in road_problems]
+    if not road_problems:     # the rows are checked against a valid road
+        errors += [f"mobility.{p}" for p in cfg.mobility.problems(cfg.road)]
 
     ch = cfg.channel
     if (peak := ch.tx_power_dbm - ch.pl0_db - ch.noise_dbm) > MAX_SNR_DB:
@@ -242,31 +237,21 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
 
     cells = set(cfg.road.centers)
     vclasses = set(cfg.mobility.rows)
-    seen_vehicles = set()
+    vehicle_ids = _unique_ids(cfg.vehicles, "vehicles", "vehicle_id", errors)
     for i, veh in enumerate(cfg.vehicles):
-        if veh.vehicle_id in seen_vehicles:
-            errors.append(f"vehicles[{i}]: duplicate vehicle id {veh.vehicle_id}")
-        seen_vehicles.add(veh.vehicle_id)
         if veh.cell not in cells:
             errors.append(f"vehicles[{i}].cell: unknown cell {veh.cell}")
         if veh.velocity_class not in vclasses:
             errors.append(f"vehicles[{i}].velocity_class: unknown class {veh.velocity_class!r}")
 
-    an_ids = set()
-    for i, an in enumerate(cfg.ans):
-        if an.an_id in an_ids:
-            errors.append(f"ans[{i}].an_id: duplicate AN id {an.an_id}")
-        an_ids.add(an.an_id)
-    seen_aps = set()
+    an_ids = _unique_ids(cfg.ans, "ans", "an_id", errors)
+    ap_ids = _unique_ids(cfg.aps, "aps", "ap_id", errors)
     for i, ap in enumerate(cfg.aps):
-        if ap.ap_id in seen_aps:
-            errors.append(f"aps[{i}]: duplicate AP id {ap.ap_id}")
-        seen_aps.add(ap.ap_id)
         if ap.an_id not in an_ids:
             errors.append(f"aps[{i}].an_id: unknown AN {ap.an_id}")
 
     for i, (_, vid, vclass) in enumerate(cfg.velocity_schedule):
-        if vid not in seen_vehicles:
+        if vid not in vehicle_ids:
             errors.append(f"velocity_schedule[{i}]: unknown vehicle {vid}")
         if vclass not in vclasses:
             errors.append(f"velocity_schedule[{i}]: unknown class {vclass!r}")
@@ -295,7 +280,7 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
                 if ctu in taken:
                     errors.append(f"mac.preconfigured[{vid}][{j}]: duplicate CTU {ctu}")
                 taken.add(ctu)
-                if ap not in seen_aps:
+                if ap not in ap_ids:
                     errors.append(f"mac.preconfigured[{vid}][{j}]: unknown AP {ap}")
 
     bandit = cfg.bandit
@@ -320,17 +305,25 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
 
     ec = cfg.edge_compute
     if ec.enabled:
-        seen_services = set()
-        for i, svc in enumerate(ec.services):
-            if svc.service_id in seen_services:
-                errors.append(f"edge_compute.services[{i}]: duplicate service id {svc.service_id}")
-            seen_services.add(svc.service_id)
+        _unique_ids(ec.services, "edge_compute.services", "service_id", errors)
         if not ec.services:
             errors.append("edge_compute.services: at least one service required when enabled")
         elif not any(svc.popularity > 0 for svc in ec.services):
             errors.append("edge_compute.services: at least one popularity must be > 0")
 
     return errors
+
+
+def _unique_ids(items, path: str, id_field: str, errors: list[str]) -> set:
+    """The ids that `items` carry in `id_field`; each repeat is appended to
+    `errors` as "path[i].id_field: duplicate id N"."""
+    ids = set()
+    for i, item in enumerate(items):
+        key = getattr(item, id_field)
+        if key in ids:
+            errors.append(f"{path}[{i}].{id_field}: duplicate id {key}")
+        ids.add(key)
+    return ids
 
 
 def _range_problems(value, hint, path: str, errors: list[str]) -> None:
@@ -365,9 +358,10 @@ def _range_problems(value, hint, path: str, errors: list[str]) -> None:
 
 @functools.cache
 def _declares(hint) -> bool:
-    """Whether the type `hint`, or a type under it, declares a Range that excludes a value."""
+    """Whether the type `hint`, or a type under it, declares a Range that
+    excludes a value; every declared float excludes NaN and the infinities."""
     if typing.get_origin(hint) is Annotated:
-        return hint.__metadata__[0] != Range() or _declares(hint.__origin__)
+        return hint.__metadata__[0] != Range() or hint.__origin__ is float or _declares(hint.__origin__)
     if _is_record(hint):
         return any(map(_declares, _fields(hint)[2].values()))
     return any(map(_declares, typing.get_args(hint)))
@@ -381,17 +375,17 @@ def _declares(hint) -> bool:
 class _LineRoad:
     """The {"builder": "line"} road shorthand; it also brings its mobility model."""
 
-    builder: str
-    cells: int = 5
-    spacing_m: float = 100.0
-    forward_prob: float = 0.8
+    builder: Annotated[str, Range(among=("line",))]
+    cells: Annotated[int, Range(ge=1)] = 5
+    spacing_m: Annotated[float, Range(gt=0)] = 100.0
+    forward_prob: Probability = 0.8
 
 
 @dataclass
 class _RoadCell:
-    cell_id: int
-    x: float
-    y: float
+    cell_id: Id
+    x: Annotated[float, Range()]
+    y: Annotated[float, Range()]
 
 
 @dataclass
@@ -399,7 +393,7 @@ class _RoadCells:
     """A road given as cells and directed [src, dst] edges."""
 
     cells: list[_RoadCell]
-    edges: list[tuple[int, int]]
+    edges: list[tuple[Id, Id]]
 
 
 def scenario_from_dict(data: dict) -> ScenarioConfig:
@@ -423,26 +417,20 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
 
 
 def _parse_road(data, errors: list[str]) -> tuple[RoadGraph | None, MarkovJumpModel | None]:
-    if isinstance(data, dict) and "builder" in data:
-        spec = _convert(data, _LineRoad, "road", errors)
-        if spec is None:
-            return None, None
-        if spec.builder != "line":
-            errors.append(f"road.builder: unknown builder {spec.builder!r}")
-            return None, None
-        try:
-            return line_graph(spec.cells, spacing_m=spec.spacing_m, forward_prob=spec.forward_prob)
-        except ModelValidationError as exc:
-            errors.append(f"road: {exc}")
-            return None, None
-    spec = _convert(data, _RoadCells, "road", errors)
-    if spec is None:
+    """The road graph, and the line builder's mobility model, once the road's
+    fields hold their declared ranges."""
+    before = len(errors)
+    cls = _LineRoad if isinstance(data, dict) and "builder" in data else _RoadCells
+    spec = _convert(data, cls, "road", errors)
+    if len(errors) == before:
+        _range_problems(spec, cls, "road", errors)
+    if len(errors) > before:
         return None, None
-    centers: dict[int, tuple[float, float]] = {}
-    for i, c in enumerate(spec.cells):
-        if c.cell_id in centers:     # the road graph keys cells by id, so repeats end here
-            errors.append(f"road.cells[{i}].cell_id: duplicate cell id {c.cell_id}")
-        centers[c.cell_id] = (c.x, c.y)
+    if cls is _LineRoad:
+        return line_graph(spec.cells, spacing_m=spec.spacing_m, forward_prob=spec.forward_prob)
+    # the road graph keys cells by id, so repeats end here
+    _unique_ids(spec.cells, "road.cells", "cell_id", errors)
+    centers = {c.cell_id: (c.x, c.y) for c in spec.cells}
     adjacency: dict[int, list[int]] = {c: [] for c in centers}
     for src, dst in spec.edges:
         adjacency.setdefault(src, []).append(dst)
@@ -575,9 +563,11 @@ def read_json_object(path: str | Path) -> dict:
 
 def load_record(path: str | Path, cls):
     """The JSON object in the file at `path`, converted to the dataclass `cls`
-    by the scenario file's typed converter."""
+    by the scenario file's typed converter, with every declared range held."""
     errors: list[str] = []
     record = _convert(read_json_object(path), cls, "", errors)
+    if not errors:
+        _range_problems(record, cls, "", errors)
     if errors:
         raise ConfigError(errors)
     return record

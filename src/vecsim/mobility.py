@@ -20,10 +20,6 @@ from vecsim.rng import RngStream
 ROW_SUM_TOL = 1e-12
 
 
-class ModelValidationError(ValueError):
-    """Raised when a road graph or transition model violates its invariants."""
-
-
 @dataclass(frozen=True)
 class RoadGraph:
     """Road cells with center coordinates (meters) and directed adjacency."""
@@ -31,18 +27,17 @@ class RoadGraph:
     centers: dict[int, tuple[float, float]]
     adjacency: dict[int, tuple[int, ...]]
 
-    def validate(self) -> None:
+    def problems(self) -> list[str]:
+        """Every broken invariant, as "adjacency[cell]: problem" strings."""
+        out = []
         for cell, neighbors in self.adjacency.items():
             if cell not in self.centers:
-                raise ModelValidationError(f"adjacency references unknown cell {cell}")
+                out.append(f"adjacency[{cell}]: unknown cell {cell}")
             if len(neighbors) == 0:
-                raise ModelValidationError(f"cell {cell} has no outgoing edge (self-loop required at minimum)")
-            for nb in neighbors:
-                if nb not in self.centers:
-                    raise ModelValidationError(f"cell {cell} has edge to unknown cell {nb}")
-        for cell in self.centers:
-            if cell not in self.adjacency:
-                raise ModelValidationError(f"cell {cell} missing from adjacency")
+                out.append(f"adjacency[{cell}]: no outgoing edge (self-loop required at minimum)")
+            out += [f"adjacency[{cell}]: edge to unknown cell {nb}" for nb in neighbors if nb not in self.centers]
+        out += [f"adjacency[{cell}]: missing" for cell in self.centers if cell not in self.adjacency]
+        return out
 
     @property
     def cells(self) -> list[int]:
@@ -54,33 +49,33 @@ class MarkovJumpModel:
     """Per-(velocity class, cell) transition rows over adjacent cells.
 
     rows[velocity_class][cell] is a mapping target-cell -> probability.
-    Rows must sum to 1 and put zero mass on non-adjacent cells; both are
-    enforced at load time so draws never see a bad row.
+    Rows must sum to 1 and put zero mass on non-adjacent cells; the
+    scenario check reports every row that does not, so draws never see one.
     """
 
     rows: dict[str, dict[int, dict[int, float]]]
 
-    def validate(self, graph: RoadGraph) -> None:
+    def problems(self, graph: RoadGraph) -> list[str]:
+        """Every broken invariant of the rows over a valid `graph`, as
+        "rows[class][cell]: problem" strings."""
+        out = []
         for vclass, per_cell in self.rows.items():
             for cell in graph.cells:
+                path = f"rows[{vclass}][{cell}]"
                 if cell not in per_cell:
-                    raise ModelValidationError(f"velocity class {vclass!r}: no transition row for cell {cell}")
+                    out.append(f"{path}: no transition row")
+                    continue
                 row = per_cell[cell]
                 total = sum(row.values())
-                if abs(total - 1.0) > ROW_SUM_TOL:
-                    raise ModelValidationError(
-                        f"velocity class {vclass!r}, cell {cell}: row sums to {total!r}, expected 1"
-                    )
-                allowed = set(graph.adjacency[cell])
+                if not abs(total - 1.0) <= ROW_SUM_TOL:     # NaN too
+                    out.append(f"{path}: row sums to {total!r}, expected 1")
+                allowed = graph.adjacency[cell]
                 for target, p in row.items():
                     if p < 0:
-                        raise ModelValidationError(
-                            f"velocity class {vclass!r}, cell {cell}: negative probability for target {target}"
-                        )
-                    if p > 0 and target not in allowed:
-                        raise ModelValidationError(
-                            f"velocity class {vclass!r}, cell {cell}: positive mass on non-adjacent cell {target}"
-                        )
+                        out.append(f"{path}: negative probability for target {target}")
+                    elif p > 0 and target not in allowed:
+                        out.append(f"{path}: positive mass on non-adjacent cell {target}")
+        return out
 
     def row(self, vclass: str, cell: int) -> dict[int, float]:
         return self.rows[vclass][cell]
@@ -176,8 +171,4 @@ def line_graph(n_cells: int, spacing_m: float = 100.0, forward_prob: float = 0.8
             rows[i] = {i: 1.0}
         else:
             rows[i] = {i: 1.0 - forward_prob, nxt: forward_prob}
-    graph = RoadGraph(centers=centers, adjacency=adjacency)
-    model = MarkovJumpModel(rows={"default": rows})
-    graph.validate()
-    model.validate(graph)
-    return graph, model
+    return RoadGraph(centers=centers, adjacency=adjacency), MarkovJumpModel(rows={"default": rows})

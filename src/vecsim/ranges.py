@@ -8,6 +8,7 @@ walk, in one message format: `dotted.path: must be > 0, got 0.0`.
 
 from __future__ import annotations
 
+import math
 import operator
 from typing import NamedTuple
 
@@ -17,7 +18,8 @@ _BOUNDS = ((">", operator.gt), (">=", operator.ge), ("<", operator.lt), ("<=", o
 class Range(NamedTuple):
     """Bounds on a number (`gt`, `ge`, `lt`, `le`) or, with `items`, on a
     list's length; `among` is the fixed set of values a string takes.
-    `Range()` declares that the field takes any finite value."""
+    A float must also be finite, so `Range()` on a float field declares
+    that it takes any finite value."""
 
     gt: float | None = None
     ge: float | None = None
@@ -31,6 +33,8 @@ class Range(NamedTuple):
         if self.among and value not in self.among:
             return f"must be one of {', '.join(self.among)}, got {value!r}"
         x = len(value) if self.items else value
+        if isinstance(x, float) and not math.isfinite(x):
+            return f"must be finite, got {x!r}"
         for (symbol, holds), bound in zip(_BOUNDS, self):
             if bound is not None and not holds(x, bound):
                 what = f"hold {symbol} {bound:g} items" if self.items else f"be {symbol} {bound:g}"

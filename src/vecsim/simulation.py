@@ -525,6 +525,12 @@ class Simulation:
     def _phase_cipher(self, slot: int) -> None:
         cfg = self.cfg
         counts = self.report.cipher
+        n_bits = cfg.mac.payload_bits
+        # In sync, exchange reads only the message's masked tail, which
+        # deterministic_message always zeroes; out of sync, the windows'
+        # fingerprints differ, so the tag never verifies and the message is
+        # never read. A zero message stands in on both paths.
+        msg = bytes((n_bits + 7) // 8)
         for vid, vr in self.vehicles.items():
             vr.window_self.append(vr.assoc_true)
             vr.window_an.append(vr.assoc_an)
@@ -540,14 +546,7 @@ class Simulation:
             if vr.session_compromised:
                 continue
             fp_v = cipher.Fingerprint(vid, tuple(vr.window_self))
-            n_bits = cfg.mac.payload_bits
-            if vr.window_an == vr.window_self:
-                # In sync, exchange reads only the message's masked tail, which
-                # deterministic_message always zeroes, so a zero message stands in.
-                fp_a, msg = fp_v, bytes((n_bits + 7) // 8)
-            else:
-                fp_a = cipher.Fingerprint(vid, tuple(vr.window_an))
-                msg = cipher.deterministic_message(vid, slot, n_bits)
+            fp_a = fp_v if vr.window_an == vr.window_self else cipher.Fingerprint(vid, tuple(vr.window_an))
             verified, roundtrip, vr.session, _ = cipher.exchange(vr.session, fp_v, vr.session, fp_a, msg, n_bits)
             counts["messages"] += 1
             if verified:

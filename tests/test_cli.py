@@ -401,7 +401,8 @@ def _sweep_spec(**changes) -> dict:
     pytest.param(_sweep_spec(seeds=[1.7]), "seeds[0]", id="fractional-seed"),
     pytest.param(_sweep_spec(seeds=[]), "seeds", id="no-seeds"),
     pytest.param(_sweep_spec(parameter="horizon"), "parameter", id="string-parameter"),
-    pytest.param(_sweep_spec(parameter={"name": "horizon", "values": []}), "parameter", id="no-values"),
+    pytest.param(_sweep_spec(parameter={"name": "horizon", "values": []}), "parameter.values", id="no-values"),
+    pytest.param(_sweep_spec(seeds=[1, -1]), "seeds[1]", id="negative-seed"),
     pytest.param(_sweep_spec(overrides=[1]), "overrides", id="list-overrides"),
     pytest.param(_sweep_spec(repeat=3), "repeat", id="unknown-key"),
 ])
@@ -428,6 +429,42 @@ def test_a_malformed_run_request_exits_two_naming_its_path(request_, path, tmp_p
     code, stdout = _run(capsys, "compare", str(bp), str(tp), "--out", str(tmp_path / "c"))
     assert code == 2
     assert any(e.startswith(f"{path}:") for e in json.loads(stdout)["errors"])
+
+
+def _no_runs(monkeypatch) -> list:
+    """The configs `vecsim.cli` hands to `run_scenario`, which is stubbed out."""
+    from vecsim import cli
+
+    calls = []
+    monkeypatch.setattr(cli, "run_scenario", calls.append)
+    return calls
+
+
+def test_a_sweep_with_one_invalid_cell_runs_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    calls = _no_runs(monkeypatch)
+    spec_path = tmp_path / "sweep.json"
+    spec_path.write_text(json.dumps(_sweep_spec(seeds=[1, 2], parameter={"name": "mac.replicas", "values": [1, 2, 0]})))
+    out = tmp_path / "out"
+    code, stdout = _run(capsys, "sweep", str(spec_path), "--out", str(out))
+    assert code == 2
+    assert json.loads(stdout)["errors"] == ["mac.replicas: must be >= 1, got 0"]     # once, not once per seed
+    assert calls == []
+    assert not out.exists()
+
+
+def test_a_compare_with_an_invalid_treatment_runs_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    calls = _no_runs(monkeypatch)
+    base = {"scenario": str(scenario_path("degenerate")), "seeds": [1, 2], "overrides": {"horizon": 5}}
+    treat = dict(base, overrides={"horizon": 5, "mac.replicas": 0})
+    bp, tp = tmp_path / "b.json", tmp_path / "t.json"
+    bp.write_text(json.dumps(base))
+    tp.write_text(json.dumps(treat))
+    out = tmp_path / "c"
+    code, stdout = _run(capsys, "compare", str(bp), str(tp), "--out", str(out))
+    assert code == 2
+    assert json.loads(stdout)["errors"] == ["mac.replicas: must be >= 1, got 0"]
+    assert calls == []
+    assert not out.exists()
 
 
 @st.composite

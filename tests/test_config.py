@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -17,13 +18,16 @@ from vecsim.config import (
     ConfigError,
     ScenarioConfig,
     _is_record,
+    _LineRoad,
+    _RoadCell,
+    _RoadCells,
     apply_overrides,
     load_scenario,
     read_json_object,
     scenario_from_dict,
     validate_scenario,
 )
-from vecsim.cli import main
+from vecsim.cli import RunRequest, SweepAxis, SweepSpec, main
 from vecsim.edge import Service
 from vecsim.mobility import MarkovJumpModel, RoadGraph
 from vecsim.ranges import Range
@@ -104,8 +108,47 @@ def test_bad_transition_rows_surface_under_the_mobility_key():
     }
     data["mobility"] = {"rows": {"default": {"0": {"1": 0.9}, "1": {"1": 1.0}}}}
     cfg = scenario_from_dict(data)
-    problems = validate_scenario(cfg)
-    assert any(p.startswith("mobility:") and "sums to" in p for p in problems)
+    assert validate_scenario(cfg) == ["mobility.rows[default][0]: row sums to 0.9, expected 1"]
+
+
+def test_every_bad_row_and_dangling_edge_is_reported():
+    data = _minimal()
+    data["road"] = {
+        "cells": [{"cell_id": c, "x": 100.0 * c, "y": 0.0} for c in range(4)],
+        "edges": [[c, c] for c in range(4)],
+    }
+    rows = {str(c): {str(c): 1.0} for c in range(4)}
+    rows["0"], rows["3"] = {"0": 0.5}, {"3": 0.25}
+    data["mobility"] = {"rows": {"default": rows}}
+    assert validate_scenario(scenario_from_dict(data)) == [
+        "mobility.rows[default][0]: row sums to 0.5, expected 1",
+        "mobility.rows[default][3]: row sums to 0.25, expected 1",
+    ]
+    data["road"]["edges"] += [[1, 8], [2, 9]]
+    assert validate_scenario(scenario_from_dict(data)) == [     # rows are checked on a valid road only
+        "road.adjacency[1]: edge to unknown cell 8",
+        "road.adjacency[2]: edge to unknown cell 9",
+    ]
+
+
+def test_each_repeated_id_is_named_at_its_id_field():
+    data = _minimal()
+    data["vehicles"] = [{"vehicle_id": v, "cell": 0} for v in (0, 1, 0)]
+    data["ans"] = [{"an_id": 0}, {"an_id": 0}]
+    data["control"] = {"enabled": False}     # two AN entries would need control edges
+    data["aps"] = [{"ap_id": 4, "x": 0.0, "y": 5.0, "an_id": 0}] * 2
+    data["edge_compute"] = {"services": [{"service_id": 3, "size": 1, "cycles_per_task": 10}] * 2}
+    assert validate_scenario(scenario_from_dict(data)) == [
+        "vehicles[2].vehicle_id: duplicate id 0",
+        "ans[1].an_id: duplicate id 0",
+        "aps[1].ap_id: duplicate id 4",
+        "edge_compute.services[1].service_id: duplicate id 3",
+    ]
+    data = _minimal()
+    data["road"] = {"cells": [{"cell_id": 0, "x": 0, "y": 0}] * 2, "edges": [[0, 0]]}
+    with pytest.raises(ConfigError) as err:
+        scenario_from_dict(data)
+    assert err.value.errors == ["road.cells[1].cell_id: duplicate id 0"]
 
 
 def test_replicas_cannot_exceed_the_ctu_pool():
@@ -295,8 +338,10 @@ def test_a_disconnected_control_graph_names_its_components():
     ("control", {"edges": [[0, 1, 0.001]]}, "control.edges[0]: expected 4 items"),
     ("ctu_pool", {"freq_blocks": 0}, "ctu_pool: all CTU pool dimensions must be >= 1"),
     ("velocity_schedule", [{"slot": 1, "vehicle_id": 0}], "velocity_schedule[0].velocity_class: required"),
-    ("road", {"builder": "ring"}, "road.builder: unknown builder 'ring'"),
-    ("road", {"builder": "line", "forward_prob": 1.5}, "road: velocity class"),
+    ("road", {"builder": "ring"}, "road.builder: must be one of line, got 'ring'"),
+    ("road", {"builder": "line", "forward_prob": 1.5}, "road.forward_prob: must be <= 1, got 1.5"),
+    ("road", {"builder": "line", "cells": 0}, "road.cells: must be >= 1, got 0"),
+    ("road", {"builder": "line", "spacing_m": 0}, "road.spacing_m: must be > 0, got 0.0"),
     ("road", {"cells": [{"cell_id": 0, "x": 0, "y": 0}], "edges": [[0]]}, "road.edges[0]: expected 2 items"),
 ])
 def test_file_type_errors_name_their_dotted_path(section, value, message):
@@ -347,7 +392,7 @@ def test_a_declared_range_has_one_message_format():
 
 def _record_fields(hint, seen: dict | None = None) -> dict:
     """{record class: its type hints} for every record reachable from `hint`;
-    RoadGraph and MarkovJumpModel check themselves in their own `validate`."""
+    RoadGraph and MarkovJumpModel check themselves in their own `problems`."""
     seen = {} if seen is None else seen
     if typing.get_origin(hint) is Annotated:
         hint = typing.get_args(hint)[0]
@@ -363,26 +408,44 @@ def _record_fields(hint, seen: dict | None = None) -> dict:
     return seen
 
 
-def _declared_range(hint) -> Range | None:
-    if typing.get_origin(hint) in (typing.Union, types.UnionType):
-        (hint,) = [a for a in typing.get_args(hint) if a is not type(None)]
-    if typing.get_origin(hint) is Annotated:
-        return next((m for m in hint.__metadata__ if isinstance(m, Range)), None)
-    return None
+def _number_leaves(hint, where: str):
+    """(where, declared) for each int or float in the field type `hint`, down
+    through optional values, lists, tuples and dict values."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is Annotated and args[0] in (int, float):
+        yield where, True
+    elif origin is Annotated:
+        yield from _number_leaves(args[0], where)
+    elif hint in (int, float):
+        yield where, False
+    elif origin is dict:
+        yield from _number_leaves(args[1], f"{where}[]")
+    elif origin in (list, tuple, typing.Union, types.UnionType):
+        for i, arg in enumerate(args):
+            if arg not in (Ellipsis, type(None)):
+                yield from _number_leaves(arg, f"{where}[{i}]" if origin in (list, tuple) else where)
 
 
 def test_every_number_field_of_the_scenario_declares_its_range():
-    numbers = (int, float, float | None)
+    records: dict = {}
+    for root in (ScenarioConfig, _LineRoad, _RoadCells, SweepSpec, RunRequest):
+        _record_fields(root, records)
     checked, undeclared = [], []
-    for cls, hints in _record_fields(ScenarioConfig).items():
+    for cls, hints in records.items():
         for name, hint in hints.items():
-            if typing.get_type_hints(cls)[name] in numbers:
-                checked.append(f"{cls.__name__}.{name}")
-                if _declared_range(hint) is None:
-                    undeclared.append(f"{cls.__name__}.{name}")
+            for where, declared in _number_leaves(hint, f"{cls.__name__}.{name}"):
+                checked.append(where)
+                if not declared:
+                    undeclared.append(where)
     assert undeclared == []
-    # the walk reaches records inside lists, in other modules and NamedTuples
-    assert {"Service.popularity", "CtuPool.freq_blocks", "ChannelParams.noise_dbm", "VelocityChange.slot"} <= set(checked)
+    # the walk reaches records inside lists, in other modules and NamedTuples,
+    # the road builders and the sweep and compare records, and list items
+    assert {
+        "Service.popularity", "CtuPool.freq_blocks", "ChannelParams.noise_dbm", "VelocityChange.slot",
+        "_LineRoad.spacing_m", "_RoadCell.x", "SweepSpec.seeds[0]", "RunRequest.seeds[0]",
+        "ControlConfig.edges[0][0]", "MacConfig.preconfigured[][0][1]",
+    } <= set(checked)
+    assert {SweepAxis, _RoadCell} <= records.keys()
 
 
 def _just_past(rng: Range, number: type) -> list:
@@ -400,31 +463,34 @@ def _just_past(rng: Range, number: type) -> list:
     return [past[name](getattr(rng, name)) for name in past if getattr(rng, name) is not None]
 
 
-def _bound_probes(hint, keys=(), path="", guard=None):
+def _declarations(hint, keys=(), path="", guard=None):
     """(JSON keys, dotted path, record path whose constructor also guards the
-    field, value) for each declared bound under `hint`; lists and mappings
-    are probed at their first entry."""
+    field, Range, the number or container type it bounds) for each declared
+    Range under `hint`; lists and mappings are probed at their first entry."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin is Annotated:
-        rng = args[1]
-        yield from ((keys, path, guard, v) for v in _just_past(rng, typing.get_origin(args[0]) or args[0]))
-        yield from _bound_probes(args[0], keys, path, guard)
+        yield keys, path, guard, args[1], typing.get_origin(args[0]) or args[0]
+        yield from _declarations(args[0], keys, path, guard)
     elif origin in (typing.Union, types.UnionType):
         (inner,) = [a for a in args if a is not type(None)]
-        yield from _bound_probes(inner, keys, path, guard)
+        yield from _declarations(inner, keys, path, guard)
     elif origin in (list, tuple):
         items = [args[0]] if origin is list or args[-1] is Ellipsis else args
         for i, item in enumerate(items):
-            yield from _bound_probes(item, keys + (i,), f"{path}[{i}]", guard)
+            yield from _declarations(item, keys + (i,), f"{path}[{i}]", guard)
     elif origin is dict:
-        yield from _bound_probes(args[1], keys + ("0",), f"{path}[0]", guard)
+        yield from _declarations(args[1], keys + ("0",), f"{path}[0]", guard)
     elif _is_record(hint) and hint not in (RoadGraph, MarkovJumpModel):
         owner = path if "__post_init__" in vars(hint) else None
         for name, sub in typing.get_type_hints(hint, include_extras=True).items():
-            yield from _bound_probes(sub, keys + (name,), f"{path}.{name}" if path else name, owner)
+            yield from _declarations(sub, keys + (name,), f"{path}.{name}" if path else name, owner)
 
 
-BOUND_PROBES = list(_bound_probes(ScenarioConfig))
+BOUND_PROBES = [
+    (keys, path, guard, value)
+    for keys, path, guard, rng, number in _declarations(ScenarioConfig)
+    for value in _just_past(rng, number)
+]
 
 
 def _set(tree, keys, value):
@@ -447,3 +513,46 @@ def test_a_value_just_past_a_declared_bound_exits_two_naming_its_path(keys, path
     assert code == 2
     named = [f"{path}:"] + ([f"{guard}:"] if guard else [])
     assert any(e.startswith(p) for e in errors for p in named), errors
+
+
+ROAD_PROBES = [(path, value) for _, path, _, rng, number in _declarations(_LineRoad, (), "road")
+               for value in _just_past(rng, number)]
+
+
+@pytest.mark.parametrize(("path", "value"), ROAD_PROBES, ids=[f"{path}={value!r}" for path, value in ROAD_PROBES])
+def test_a_road_override_just_past_a_declared_bound_exits_two_naming_its_path(path, value, tmp_path):
+    argv = ["run", str(scenario_path("smoke")), "--out", str(tmp_path), "--override", f"{path}={json.dumps(value)}"]
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(argv)
+    assert code == 2
+    assert any(e.startswith(f"{path}:") for e in json.loads(out.getvalue())["errors"])
+    assert not (tmp_path / "summary.json").exists()
+
+
+def _replaced(node, keys, value):
+    """`node` with the item at the path `keys` set to `value`; records are
+    rebuilt, not mutated, and the JSON key "0" of a mapping is the int 0."""
+    if not keys:
+        return value
+    key, rest = keys[0], keys[1:]
+    if isinstance(node, dict):
+        return {**node, int(key): _replaced(node.get(int(key)), rest, value)}
+    if isinstance(node, (list, tuple)):
+        items = list(node)
+        items[key] = _replaced(node[key], rest, value)
+        return type(node)(items)
+    return dataclasses.replace(node, **{key: _replaced(getattr(node, key), rest, value)})
+
+
+FLOAT_FIELDS = [(keys, path, guard) for keys, path, guard, _, number in _declarations(ScenarioConfig) if number is float]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(("keys", "path", "guard"), FLOAT_FIELDS, ids=[path for _, path, _ in FLOAT_FIELDS])
+def test_a_non_finite_float_in_a_config_built_in_python_is_named(keys, path, guard, value):
+    try:
+        cfg = _replaced(load_scenario(scenario_path("smoke")), keys, value)
+    except ValueError:
+        assert guard, "only a record with its own constructor check may refuse the value"
+    else:
+        assert f"{path}: must be finite, got {value!r}" in validate_scenario(cfg)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from vecsim.mobility import (
     MarkovJumpModel,
-    ModelValidationError,
     RoadGraph,
     draw_from_row,
     line_graph,
@@ -37,40 +36,42 @@ def _two_cell_graph() -> RoadGraph:
 
 
 def test_road_graph_rejects_unknown_and_missing_cells():
-    with pytest.raises(ModelValidationError, match="unknown cell 9"):
-        RoadGraph(centers={0: (0.0, 0.0)}, adjacency={9: (0,)}).validate()
-    with pytest.raises(ModelValidationError, match="edge to unknown cell 7"):
-        RoadGraph(centers={0: (0.0, 0.0)}, adjacency={0: (7,)}).validate()
-    with pytest.raises(ModelValidationError, match="missing from adjacency"):
-        RoadGraph(centers={0: (0.0, 0.0), 1: (1.0, 0.0)}, adjacency={0: (0,)}).validate()
+    assert RoadGraph(centers={0: (0.0, 0.0)}, adjacency={9: (0,)}).problems() == [
+        "adjacency[9]: unknown cell 9",
+        "adjacency[0]: missing",
+    ]
+    assert RoadGraph(centers={0: (0.0, 0.0)}, adjacency={0: (7,)}).problems() == [
+        "adjacency[0]: edge to unknown cell 7",
+    ]
+    assert RoadGraph(centers={0: (0.0, 0.0), 1: (1.0, 0.0)}, adjacency={0: (0,)}).problems() == [
+        "adjacency[1]: missing",
+    ]
 
 
 def test_road_graph_requires_an_outgoing_edge_everywhere():
-    with pytest.raises(ModelValidationError, match="no outgoing edge"):
-        RoadGraph(centers={0: (0.0, 0.0)}, adjacency={0: ()}).validate()
+    assert RoadGraph(centers={0: (0.0, 0.0)}, adjacency={0: ()}).problems() == [
+        "adjacency[0]: no outgoing edge (self-loop required at minimum)",
+    ]
     # a pure self-loop is the minimal legal adjacency
-    RoadGraph(centers={0: (0.0, 0.0)}, adjacency={0: (0,)}).validate()
+    assert RoadGraph(centers={0: (0.0, 0.0)}, adjacency={0: (0,)}).problems() == []
 
 
 def test_model_rejects_bad_rows_with_cell_and_class_named():
     graph = _two_cell_graph()
     short = MarkovJumpModel(rows={"default": {0: {0: 0.5, 1: 0.4}, 1: {1: 1.0}}})
-    with pytest.raises(ModelValidationError) as err:
-        short.validate(graph)
-    assert "cell 0" in str(err.value)
-    assert "'default'" in str(err.value)
+    assert short.problems(graph) == ["rows[default][0]: row sums to 0.9, expected 1"]
 
     missing = MarkovJumpModel(rows={"default": {0: {0: 1.0}}})
-    with pytest.raises(ModelValidationError, match="no transition row for cell 1"):
-        missing.validate(graph)
+    assert missing.problems(graph) == ["rows[default][1]: no transition row"]
 
     negative = MarkovJumpModel(rows={"default": {0: {0: 1.5, 1: -0.5}, 1: {1: 1.0}}})
-    with pytest.raises(ModelValidationError, match="negative probability"):
-        negative.validate(graph)
+    assert negative.problems(graph) == ["rows[default][0]: negative probability for target 1"]
 
     offroad = MarkovJumpModel(rows={"default": {0: {0: 1.0}, 1: {0: 1.0}}})
-    with pytest.raises(ModelValidationError, match="non-adjacent cell 0"):
-        offroad.validate(graph)
+    assert offroad.problems(graph) == ["rows[default][1]: positive mass on non-adjacent cell 0"]
+
+    not_a_number = MarkovJumpModel(rows={"default": {0: {0: float("nan")}, 1: {1: 1.0}}})
+    assert not_a_number.problems(graph) == ["rows[default][0]: row sums to nan, expected 1"]
 
 
 def test_transition_matrix_matches_rows():
@@ -108,7 +109,7 @@ def test_advance_preserves_velocity_class_and_uses_its_row():
             "fast": {0: {1: 1.0}, 1: {1: 1.0}},
         }
     )
-    model.validate(graph)
+    assert model.problems(graph) == []
     rng = RngStream(0, "v")
     assert draw_from_row(*row_arrays(model, "default", 0), rng) == 0
     assert draw_from_row(*row_arrays(model, "fast", 0), rng) == 1
@@ -130,8 +131,8 @@ def test_line_graph_shapes():
     assert graph.cells == [0, 1, 2, 3]
     assert graph.centers[3] == (150.0, 0.0)
     assert graph.adjacency[3] == (3, 0)
-    graph.validate()
-    model.validate(graph)
+    assert graph.problems() == []
+    assert model.problems(graph) == []
 
     single, single_model = line_graph(1)
     assert single.adjacency[0] == (0, 0)
@@ -165,8 +166,8 @@ def test_sparse_transition_matches_a_dense_matrix_built_from_rows(road):
     adjacency = {c: tuple(t for s, t in edges if s == c) for c in centers}
     graph = RoadGraph(centers=centers, adjacency=adjacency)
     model = MarkovJumpModel(rows=rows)
-    graph.validate()
-    model.validate(graph)
+    assert graph.problems() == []
+    assert model.problems(graph) == []
     order = graph.cells
     index = {c: i for i, c in enumerate(order)}
     b = np.array(belief) + 1e-3

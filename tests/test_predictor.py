@@ -224,8 +224,8 @@ def _road_model(draw):
             per_cell[c] = {t: w / sum(weights) for t, w in zip(targets, weights)}
     graph = RoadGraph(centers={c: (float(c), 0.0) for c in ids}, adjacency=adjacency)
     model = MarkovJumpModel(rows=rows)
-    graph.validate()
-    model.validate(graph)
+    assert graph.problems() == []
+    assert model.problems(graph) == []
     return graph.cells, model
 
 

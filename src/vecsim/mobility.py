@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import math
 import operator
 from dataclasses import dataclass, field
 
@@ -28,8 +29,9 @@ class RoadGraph:
     adjacency: dict[int, tuple[int, ...]]
 
     def problems(self) -> list[str]:
-        """Every broken invariant, as "adjacency[cell]: problem" strings."""
-        out = []
+        """Every broken invariant, as "centers[cell]: problem" or "adjacency[cell]: problem" strings."""
+        out = [f"centers[{cell}]: must be finite, got {xy!r}" for cell, xy in self.centers.items()
+               if not all(map(math.isfinite, xy))]
         for cell, neighbors in self.adjacency.items():
             if cell not in self.centers:
                 out.append(f"adjacency[{cell}]: unknown cell {cell}")

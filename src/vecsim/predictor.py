@@ -12,6 +12,12 @@ of bounded size.
 Every row is computed exactly as a lone vehicle's would be, so
 `update_belief` and `predict_association`, the one-vehicle API, are the
 one-row case.
+
+A predicted bit is defined by the marginal summed in ascending cell order.
+`predict_fleet` computes the marginals with one BLAS product and takes each
+bit from it where a certified error bound shows that the cell-order sum
+lies on the same side of the threshold; the cell-order sums are computed
+only for a row with a marginal too close to the threshold to tell.
 """
 
 from __future__ import annotations
@@ -104,7 +110,7 @@ class ObservationModel:
 
     def __post_init__(self):
         lk = self.likelihood
-        if lk.ndim != 2 or ((lk < 0) | (lk > 1)).any():
+        if lk.ndim != 2 or not ((lk >= 0) & (lk <= 1)).all():     # NaN too: marginal_error_bound needs [0, 1]
             raise ValueError("likelihood must be a (cells x aps) matrix with entries in [0, 1]")
         object.__setattr__(self, "_hit", np.ascontiguousarray(lk.T))
         object.__setattr__(self, "_miss", 1.0 - self._hit)
@@ -154,6 +160,27 @@ def update_fleet(
     return fallback
 
 
+def marginal_error_bound(n_cells: int) -> tuple[float, float]:
+    """(rel, tiny): any two float64 sums of n_cells terms prior[c] * lk[c], in
+    any order, with or without FMA, differ by at most rel * x + tiny, x either sum.
+
+    Every term is >= 0 (lk lies in [0, 1]), so under IEEE arithmetic with
+    gradual underflow each sum x lies within gamma_C * m + C * 2**-1075 of
+    the exact marginal m, with C = n_cells, u = 2**-53 and gamma_C =
+    C*u / (1 - C*u) (Higham, Accuracy and Stability of Numerical Algorithms,
+    section 3.1: a term passes through at most C roundings; a product or FMA
+    that lands below 2**-1022 adds at most 2**-1075, and a plain sum there
+    is exact). Two such sums then differ by at most
+    2*gamma_C*m + (1 + gamma_C) * C*2**-1074, and
+    m <= (x + (1 + gamma_C) * C*2**-1075) / (1 - gamma_C) turns that into at
+    most 2*C*eps * x + C*2**-1073 for C*u <= 1/4. rel and tiny are twice and
+    eight times that; the slack covers the roundings of the threshold edges
+    in predict_fleet. Nothing assumes m <= 1: a dense transition passed to
+    predict_association need not be stochastic.
+    """
+    return 4 * n_cells * 2.0**-52, n_cells * 2.0**-1070
+
+
 def predict_fleet(
     fleet: FleetBelief,
     transitions: Sequence,
@@ -163,13 +190,36 @@ def predict_fleet(
     """One-step-ahead association bits per row: bit set iff the predicted marginal clears threshold.
 
     marginal(ap) = sum_c b_plus(c) * P(ap observed | c) with b_plus the
-    transition-propagated belief, summed in ascending cell order by einsum's
-    own loop, not BLAS, whose kernel choice at run time would change the bits.
+    transition-propagated belief, summed in ascending cell order. BLAS's
+    product decides no bit on its own: its order depends on the kernel
+    picked at run time, so a bit is taken from it only where
+    |product - threshold| > rel * product + tiny (marginal_error_bound),
+    which puts the cell-order sum on the same side of the threshold. A row
+    with a marginal that close takes all its bits from the cell-order sums.
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must lie in (0, 1)")
-    marginals = np.einsum("rc,ca->ra", fleet.prior(transitions), obs_model.likelihood)
-    return [tuple(row) for row in (marginals >= threshold).astype(int).tolist()]
+    prior = fleet.prior(transitions)
+    rel, tiny = marginal_error_bound(len(obs_model.likelihood))
+    approx = prior @ obs_model.likelihood
+    # |approx - threshold| > rel * approx + tiny, solved for approx
+    bits = approx > (threshold + tiny) / (1.0 - rel)
+    low = approx < (threshold - tiny) / (1.0 + rel)
+    if np.count_nonzero(bits) + np.count_nonzero(low) < bits.size:
+        # the running sums take a (rows, cells, APs) buffer: only for rows that need them
+        rows = np.flatnonzero(~(bits | low).all(axis=1))
+        bits[rows] = _cell_order_sums(prior[rows], obs_model.likelihood) >= threshold
+    return [tuple(row) for row in bits.astype(int).tolist()]
+
+
+def _cell_order_sums(prior: np.ndarray, likelihood: np.ndarray) -> np.ndarray:
+    """sum_c prior[r, c] * likelihood[c, a], each product rounded, then added one cell after another.
+
+    A running sum fixes the order on every CPU; einsum does not (with one AP
+    it sums in its own blocked order).
+    """
+    terms = prior[:, :, None] * likelihood
+    return np.add.accumulate(terms, axis=1, out=terms)[:, -1]
 
 
 def update_belief(

@@ -362,7 +362,7 @@ class Simulation:
         if cfg.predictor.policy == "bayes":
             trans = [self.transitions[vr.mobility.velocity_class] for vr in self.vehicles.values()]
             fellback = predictor.update_fleet(self.beliefs, observed, trans, self.obs_model)
-            prediction["fallbacks"] += int(fellback.sum())
+            prediction["fallbacks"] += int(np.count_nonzero(fellback))
             predicted = predictor.predict_fleet(self.beliefs, trans, self.obs_model, cfg.predictor.threshold)
         else:
             predicted = observed

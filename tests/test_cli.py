@@ -223,6 +223,17 @@ def test_a_line_road_override_rebuilds_the_road(tmp_path, capsys):
     assert json.loads((tmp_path / "summary.json").read_text())["horizon"] == 20
 
 
+def test_a_line_road_spacing_that_overflows_a_center_exits_two_naming_the_cells(tmp_path, capsys):
+    # ran to exit 0 with cells 2-4 centred at x = inf
+    code, stdout = _run(
+        capsys, "run", str(scenario_path("smoke")), "--out", str(tmp_path),
+        "--override", "horizon=20", "--override", "road.spacing_m=1e308",
+    )
+    assert code == 2
+    assert json.loads(stdout)["errors"] == [f"road.centers[{c}]: must be finite, got (inf, 0.0)" for c in (2, 3, 4)]
+    assert not (tmp_path / "summary.json").exists()
+
+
 @pytest.mark.parametrize("override", ["downlink.power_levels_w=[0.2,0.4]", 'mac.bler_beta={"128":4}'])
 def test_list_and_int_keyed_overrides_still_run(override, tmp_path, capsys):
     code, _ = _run(

@@ -13,6 +13,7 @@ reason. Regenerate a pin with `vecsim run <scenario> --seed <s>` and
 from __future__ import annotations
 
 import builtins
+import collections
 import hashlib
 import json
 import os
@@ -23,6 +24,7 @@ from pathlib import Path
 import pytest
 
 from conftest import scenario_path
+from vecsim import predictor
 from vecsim.cli import main
 
 FILES = ("packets.csv", "decisions.csv", "summary.json")
@@ -118,19 +120,50 @@ LONG_ROAD = {
 }
 
 
-@pytest.mark.parametrize("seed", sorted(LONG_ROAD))
-def test_long_road_outputs_match_their_pinned_digests(seed, tmp_path, capsys):
+def _long_road_scenario(tmp_path: Path) -> Path:
     data = json.loads(scenario_path("smoke").read_text())
     data["road"] = {"builder": "line", "cells": 400, "spacing_m": 1.0, "forward_prob": 0.8}
     data["horizon"] = 300
     scenario = tmp_path / "long_road.json"
     scenario.write_text(json.dumps(data))
+    return scenario
+
+
+@pytest.mark.parametrize("seed", sorted(LONG_ROAD))
+def test_long_road_outputs_match_their_pinned_digests(seed, tmp_path, capsys):
     out = tmp_path / "out"
-    code = main(["run", str(scenario), "--seed", str(seed), "--out", str(out)])
+    code = main(["run", str(_long_road_scenario(tmp_path)), "--seed", str(seed), "--out", str(out)])
     capsys.readouterr()
     assert code == 0
     digests = tuple(hashlib.sha256((out / f).read_bytes()).hexdigest() for f in FILES)
     assert digests == LONG_ROAD[seed]
+
+
+def test_blas_decides_every_predicted_bit_of_the_pinned_runs(tmp_path, capsys, monkeypatch):
+    # predict_fleet sums in cell order only for a row with a marginal within
+    # the certified bound of the threshold; no pinned bundled or long-road run
+    # has one, so the fast path is the one these pins hold on
+    calls = collections.Counter()
+
+    def counting(name):
+        real = getattr(predictor, name)
+
+        def wrapped(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapped
+
+    for name in ("predict_fleet", "_cell_order_sums"):
+        monkeypatch.setattr(predictor, name, counting(name))
+    runs = [(scenario_path(name), seed, GOLDEN[(name, seed)]) for name, seed in sorted(GOLDEN)]
+    runs += [(_long_road_scenario(tmp_path), seed, pin) for seed, pin in sorted(LONG_ROAD.items())]
+    for i, (scenario, seed, pin) in enumerate(runs):
+        out = tmp_path / f"out{i}"
+        assert main(["run", str(scenario), "--seed", str(seed), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert tuple(hashlib.sha256((out / f).read_bytes()).hexdigest() for f in FILES) == pin
+    assert calls["predict_fleet"] > 0
+    assert calls["_cell_order_sums"] == 0
 
 
 # smoke.json through --override, for branches no bundled scenario takes:

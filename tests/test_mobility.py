@@ -48,6 +48,17 @@ def test_road_graph_rejects_unknown_and_missing_cells():
     ]
 
 
+def test_road_graph_rejects_non_finite_centers():
+    graph = RoadGraph(
+        centers={0: (0.0, 0.0), 1: (float("inf"), 0.0), 2: (1.0, float("nan"))},
+        adjacency={0: (1,), 1: (2,), 2: (0,)},
+    )
+    assert graph.problems() == [
+        "centers[1]: must be finite, got (inf, 0.0)",
+        "centers[2]: must be finite, got (1.0, nan)",
+    ]
+
+
 def test_road_graph_requires_an_outgoing_edge_everywhere():
     assert RoadGraph(centers={0: (0.0, 0.0)}, adjacency={0: ()}).problems() == [
         "adjacency[0]: no outgoing edge (self-loop required at minimum)",

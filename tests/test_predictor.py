@@ -98,6 +98,8 @@ def test_observation_model_rejects_bad_likelihoods():
         ObservationModel(likelihood=np.array([[1.2]]))
     with pytest.raises(ValueError):
         ObservationModel(likelihood=np.array([0.5, 0.5]))
+    with pytest.raises(ValueError):
+        ObservationModel(likelihood=np.array([[0.5], [np.nan]]))
 
 
 def test_update_matches_a_hand_computed_two_cell_step():
@@ -317,3 +319,67 @@ def test_predicted_marginals_are_the_cell_order_sum_bit_for_bit():
     for (r, a), m in np.ndenumerate(expected):
         assert predict_fleet(fleet, trans, model, m)[r][a] == 1
         assert predict_fleet(fleet, trans, model, np.nextafter(m, 1.0))[r][a] == 0
+
+
+class _FixedPrior:
+    """A transition that propagates every belief to the same given prior rows,
+    so predict_fleet can be fed priors no stochastic matrix produces."""
+
+    __array_ufunc__ = None      # make `ndarray @ op` defer to __rmatmul__
+
+    def __init__(self, rows: np.ndarray):
+        self.rows = rows
+
+    def __rmatmul__(self, probs: np.ndarray) -> np.ndarray:
+        return self.rows
+
+
+@st.composite
+def _marginal_inputs(draw):
+    """Non-negative priors, one scale per row from far below 1 (whole rows
+    subnormal) to far above it, with zeros and subnormal entries; likelihoods
+    in [0, 1] with exact 0s, 1s and halves (halves of subnormals are ties)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_rows, n_cells, n_aps = draw(st.integers(1, 3)), draw(st.integers(1, 3000)), draw(st.integers(1, 4))
+    scales = [2.0 ** draw(st.sampled_from([-1074, -1060, -1030, -1022, -500, 0, 0, 40, 900])) for _ in range(n_rows)]
+    prior = rng.random((n_rows, n_cells)) * np.array(scales)[:, None]
+    kind = rng.integers(0, 4, size=prior.shape)
+    prior[kind == 1] = 0.0
+    prior[kind == 2] = rng.integers(1, 2**12, size=int(np.count_nonzero(kind == 2))) * 2.0**-1074
+    likelihood = rng.choice([0.0, 1.0, 0.5, *rng.random(5)], size=(n_cells, n_aps))
+    return prior, likelihood
+
+
+def _marginals_in_reversed_cell_order(prior, likelihood):
+    acc = prior[..., -1, None] * likelihood[-1]
+    for c in range(len(likelihood) - 2, -1, -1):
+        acc += prior[..., c, None] * likelihood[c]
+    return acc
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_marginal_inputs())
+def test_blas_and_reversed_order_sums_are_within_the_certified_bound(inputs):
+    prior, likelihood = inputs
+    rel, tiny = predictor.marginal_error_bound(len(likelihood))
+    exact_order = _marginals_in_cell_order(prior, likelihood)
+    for other in (prior @ likelihood, _marginals_in_reversed_cell_order(prior, likelihood)):
+        assert (np.abs(other - exact_order) <= rel * other + tiny).all()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_marginal_inputs(), st.lists(st.floats(-310.0, -0.01), max_size=4))
+def test_predicted_bits_are_the_cell_order_sums_bits_at_every_threshold(inputs, exponents):
+    # thresholds at the cell-order sums themselves and their neighbours are
+    # where BLAS's bits may differ; tiny thresholds need the bound's absolute term
+    prior, likelihood = inputs
+    expected = _marginals_in_cell_order(prior, likelihood)
+    fleet = FleetBelief(np.eye(1, len(likelihood)).repeat(len(prior), axis=0))
+    trans = [_FixedPrior(prior)] * len(prior)
+    model = ObservationModel(likelihood=likelihood)
+    entries = np.unique(expected)
+    thresholds = [*entries, *np.nextafter(entries, 0.0), *np.nextafter(entries, np.inf), *(10.0**e for e in exponents)]
+    for threshold in thresholds:
+        if 0.0 < threshold < 1.0:
+            bits = [tuple(int(b) for b in row) for row in expected >= threshold]
+            assert predict_fleet(fleet, trans, model, threshold) == bits

@@ -13,7 +13,7 @@ from typing import Annotated
 
 from vecsim.ranges import Range
 
-__all__ = ["ChannelParams", "SignalQuality", "signal_quality", "candidate_aps"]
+__all__ = ["ChannelParams", "SignalQuality", "signal_quality"]
 
 
 @dataclass(frozen=True)
@@ -44,15 +44,3 @@ def signal_quality(
     d = max(d, params.ref_distance_m)
     path_loss = params.pl0_db + 10.0 * params.pathloss_exp * math.log10(d / params.ref_distance_m)
     return SignalQuality(snr_db=params.tx_power_dbm - path_loss - params.noise_dbm)
-
-
-def candidate_aps(snr_db: dict[int, float], threshold_db: float) -> list[tuple[int, float]]:
-    """APs whose SNR clears the threshold, ordered by descending SNR then AP id.
-
-    `snr_db` maps each AP id to its SNR at one position. Returns
-    (ap_id, snr_db) pairs; an empty list is a legal result and means the
-    vehicle is out of coverage this slot.
-    """
-    reachable = [(ap_id, snr) for ap_id, snr in snr_db.items() if snr >= threshold_db]
-    reachable.sort(key=lambda pair: (-pair[1], pair[0]))
-    return reachable

@@ -1,95 +1,70 @@
 """Vehicle-centric virtual clusters and non-conflicting resource slices.
 
-Each vehicle is served by the top-k APs it can reach (clusters may overlap
-across vehicles) and hosted by one AN, which the caller decides; downlink CTUs
-and AN power are then partitioned into pairwise-disjoint slices, one per
-cluster: equal CTU runs in ascending vehicle id, and each AN's power in
-proportion to member count. Cells and APs never move, so a cluster's members
-depend only on the vehicle's cell.
+Cells and APs never move, so each cell is ranked once: its cluster members are
+the top-k APs its vehicles can reach (clusters may overlap across cells), and
+the caller hosts its vehicles at the AN that owns the ranking's head. Each
+slot, downlink CTUs and AN power are partitioned into one slice per covered
+vehicle: equal CTU runs carved from one advancing offset in ascending vehicle
+id, so pairwise disjoint by construction, and each AN's power in proportion
+to member count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from vecsim.channel import candidate_aps
-from vecsim.mac import CtuPool
-
-
-@dataclass
-class VirtualCluster:
-    center_vehicle: int
-    members: tuple[int, ...]          # AP ids, descending SNR order
-    an: int                           # the AN hosting the vehicle; its power funds the slice
-
 
 @dataclass
 class SliceAssignment:
-    """Per-cluster downlink CTU sets and power budgets.
+    """Per-vehicle downlink CTU runs and power budgets.
 
-    ctus maps cluster (vehicle) id to a disjoint set of CTU ids; power maps it
-    to a wattage within the granting AN's budget. unsatisfied records demand
-    that found no free CTUs.
+    ctus maps each vehicle id to its run of CTU ids, no two of which overlap;
+    power_w maps it to a wattage within its AN's budget.
     """
 
-    ctus: dict[int, frozenset[int]]
+    ctus: dict[int, range]
     power_w: dict[int, float]
-    unsatisfied: dict[int, int]
-
-    def validate_disjoint(self) -> None:
-        seen: set[int] = set()
-        for cid in sorted(self.ctus):
-            overlap = seen & self.ctus[cid]
-            if overlap:
-                raise AssertionError(f"slice for cluster {cid} reuses CTUs {sorted(overlap)}")
-            seen |= self.ctus[cid]
 
 
-def form_cluster(snr_db: dict[int, float], threshold_db: float, k_cluster: int) -> tuple[int, ...]:
-    """Cluster members at one position: the first min(k, |candidates|) of
-    `channel.candidate_aps`, so descending SNR with AP-id tiebreak.
+def rank_cell(snr_db: dict[int, float], threshold_db: float, k_cluster: int) -> tuple[tuple[int, ...], int]:
+    """(members, head) of one position, from one ranking of its APs by
+    descending SNR with AP-id tiebreak; `snr_db` maps each AP id (at least one)
+    to its SNR there.
 
-    `snr_db` maps each AP id to its SNR there. No AP at or above the
-    threshold yields no members: a vehicle there is unserved and the caller
-    records the loss (open-loop, no retry queue).
+    Members are the first k of the ranking at or above the threshold; with
+    none, a vehicle there is unserved and the caller records the loss
+    (open-loop, no retry queue). The head is the first AP, with no threshold.
     """
     if k_cluster < 1:
         raise ValueError("k_cluster must be >= 1")
-    return tuple(ap for ap, _ in candidate_aps(snr_db, threshold_db)[:k_cluster])
+    ranking = sorted([(-snr, ap) for ap, snr in snr_db.items()])
+    members = tuple([ap for neg_snr, ap in ranking[:k_cluster] if -neg_snr >= threshold_db])
+    return members, ranking[0][1]
 
 
 def allocate_slices(
-    clusters: list[VirtualCluster],
-    pool: CtuPool,
+    clusters: list[tuple[int, int, int]],
+    pool_size: int,
     demand: int,
     an_power_budget_w: dict[int, float],
 ) -> SliceAssignment:
-    """Carve `demand` CTUs per cluster in ascending vehicle id.
+    """Carve `demand` CTUs per (vehicle id, member count, AN) in ascending
+    vehicle id.
 
-    Each cluster receives min(demand, remaining) CTUs, disjoint by
-    construction, plus a share of its AN's power budget proportional to its
-    member count among the clusters that AN hosts.
+    Each vehicle receives the next min(demand, remaining) CTUs of the pool,
+    plus a share of its AN's power budget proportional to its member count
+    (at least one) among the vehicles that AN hosts.
     """
-    order = sorted(clusters, key=lambda c: c.center_vehicle)
-    start = 0       # CTUs below it are taken; each cluster carves the next run
-    ctus: dict[int, frozenset[int]] = {}
-    unsatisfied: dict[int, int] = {}
-    for cluster in order:
-        take = min(demand, pool.size - start)
-        ctus[cluster.center_vehicle] = frozenset(range(start, start + take))
-        start += take
-        if take < demand:
-            unsatisfied[cluster.center_vehicle] = demand - take
-
+    order = sorted(clusters)
     an_members: dict[int, int] = {}
-    for cluster in order:
-        an_members[cluster.an] = an_members.get(cluster.an, 0) + len(cluster.members)
+    for _, n, an in order:
+        an_members[an] = an_members.get(an, 0) + n
+    ctus: dict[int, range] = {}
     power: dict[int, float] = {}
-    for cluster in order:
-        budget = an_power_budget_w.get(cluster.an, 0.0)
-        share = len(cluster.members) / an_members[cluster.an] if an_members[cluster.an] else 0.0
-        power[cluster.center_vehicle] = budget * share
-
-    assignment = SliceAssignment(ctus=ctus, power_w=power, unsatisfied=unsatisfied)
-    assignment.validate_disjoint()
-    return assignment
+    start = 0       # CTUs below it are taken; each vehicle carves the next run
+    for vid, n, an in order:
+        stop = min(start + demand, pool_size)
+        ctus[vid] = range(start, stop)
+        start = stop
+        power[vid] = an_power_budget_w[an] * (n / an_members[an])
+    return SliceAssignment(ctus=ctus, power_w=power)

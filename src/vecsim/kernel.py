@@ -29,7 +29,7 @@ PHASE_ORDER = list(Phase)
 
 class PhaseError(RuntimeError):
     def __init__(self, phase: Phase, slot: int, cause: BaseException):
-        super().__init__(f"phase {phase.name} failed at slot {slot}: {cause}")
+        super().__init__(f"phase {phase.name} failed at slot {slot}: {cause!r}")
         self.phase = phase
         self.slot = slot
         self.__cause__ = cause

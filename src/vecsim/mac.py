@@ -81,7 +81,7 @@ class BlerCurve:
         x = self.alpha * (snr_eff_db - beta)
         # exp overflow guard; the curve saturates anyway
         if x > 60:
-            return 0.0 if x > 0 else 1.0
+            return 0.0
         if x < -60:
             return 1.0
         return 1.0 / (1.0 + math.exp(x))
@@ -212,9 +212,6 @@ class BanditState:
         if not self.pulls:
             self.pulls = [0] * self.r_max
 
-    def arm_of(self, replicas: int) -> int:
-        return replicas - 1
-
 
 def bandit_select_and_update(
     state: BanditState,
@@ -228,7 +225,7 @@ def bandit_select_and_update(
     Returns the replica count to use next slot. Mutates `state`.
     """
     if last_decoded is not None and last_replicas is not None:
-        arm = state.arm_of(last_replicas)
+        arm = last_replicas - 1
         reward = (1.0 if last_decoded else 0.0) - state.cost_per_replica * last_replicas
         state.pulls[arm] += 1
         n = state.pulls[arm]

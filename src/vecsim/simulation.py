@@ -13,7 +13,7 @@ import functools
 import itertools
 import math
 import operator
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -83,8 +83,8 @@ class Simulation:
 
         # Static geometry: cells and APs never move, so the SNRs, each cell's
         # cluster members (its vehicles' uplink targets) and each cell's AN
-        # are tables. A cell's AN owns its strongest AP (AP-id tiebreak), with
-        # no threshold: coverage gates the radio (uplink packets, downlink),
+        # are tables from one ranking per cell. A cell's AN owns the ranking's
+        # head, with no threshold: coverage gates the radio (uplink, downlink),
         # not which AN hosts a vehicle's control flow, tasks and cipher session.
         positions = cfg.ap_positions()
         self.cell_snr: dict[int, dict[int, float]] = {}
@@ -94,8 +94,8 @@ class Simulation:
             center = cfg.road.centers[cell]
             row = {ap: channel.signal_quality(center, xy, cfg.channel).snr_db for ap, xy in positions.items()}
             self.cell_snr[cell] = row
-            self.cell_members[cell] = clustering.form_cluster(row, cfg.snr_threshold_db, cfg.cluster.k_cluster)
-            self.cell_an[cell] = self.ap_owner[min(row, key=lambda ap: (-row[ap], ap))]
+            self.cell_members[cell], head = clustering.rank_cell(row, cfg.snr_threshold_db, cfg.cluster.k_cluster)
+            self.cell_an[cell] = self.ap_owner[head]
 
         self.pool = cfg.ctu_pool
         self.curve = mac.BlerCurve(cfg.mac.bler_alpha, dict(cfg.mac.bler_beta))
@@ -216,7 +216,7 @@ class Simulation:
         r.prediction = {"bits_scored": 0, "fallbacks": 0}
         r.control = {"checkpoints": []}
         r.cipher = {"messages": 0, "roundtrip_ok": 0, "resyncs": 0, "sessions": 0, "compromised": 0}
-        # allocate_slices validates disjointness every slot, so overlaps stay 0
+        # each slot's CTU runs come from one advancing offset, so overlaps stay 0
         r.slices = {"allocated_ctus": 0, "unsatisfied": 0, "overlaps": 0}
         r.bandit = {"replica_histogram": {}, "collision_ctus": 0, "mud_resolved_ctus": 0}
         r.edge = {"tasks": 0, "local": 0}
@@ -372,25 +372,29 @@ class Simulation:
 
     def _phase_downlink(self, slot: int) -> None:
         cfg = self.cfg
-        # each covered vehicle's cluster, in vehicle order, and how many each AN serves
-        clusters = [
-            clustering.VirtualCluster(vid, members, self.cell_an[vr.mobility.cell])
-            for vid, vr in self.vehicles.items()
-            if (members := self.cell_members[vr.mobility.cell])
-        ]
-        an_load = Counter(c.an for c in clusters)
-        slices = clustering.allocate_slices(clusters, self.pool, cfg.cluster.downlink_ctu_demand, self.an_budgets_w)
-        self.report.slices["allocated_ctus"] += sum(len(v) for v in slices.ctus.values())
-        self.report.slices["unsatisfied"] += sum(slices.unsatisfied.values())
+        # each covered vehicle's (id, member count, AN), in vehicle order, and how many each AN serves
+        clusters = []
+        an_load = dict.fromkeys(self.an_ids, 0)
+        for vid, vr in self.vehicles.items():
+            cell = vr.mobility.cell
+            if members := self.cell_members[cell]:
+                an_id = self.cell_an[cell]
+                clusters.append((vid, len(members), an_id))
+                an_load[an_id] += 1
+        demand, pool_size = cfg.cluster.downlink_ctu_demand, self.pool.size
+        slices = clustering.allocate_slices(clusters, pool_size, demand, self.an_budgets_w)
+        wanted = demand * len(clusters)        # runs of min(demand, remaining) CTUs sum to min(wanted, pool_size)
+        self.report.slices["allocated_ctus"] += min(wanted, pool_size)
+        self.report.slices["unsatisfied"] += max(wanted - pool_size, 0)
         downlink = self.report.downlink
         eco, dldecode = self._family("eco", self.an_ids), self._family("dldecode", self.an_ids)
 
-        for c in clusters:
-            vid, members, an_id = c.center_vehicle, c.members, c.an
-            if not slices.ctus.get(vid):
+        for vid, _, an_id in clusters:
+            if not slices.ctus[vid]:
                 continue                       # no downlink resources this slot
             vr = self.vehicles[vid]
             ar = self.ans[an_id]
+            members = self.cell_members[vr.mobility.cell]
             pred_bits = vr.predicted.get(slot)
             if pred_bits is None:
                 pred_bits = tuple(1 if ap in members else 0 for ap in self.ap_ids)
@@ -406,7 +410,7 @@ class Simulation:
                 action = self.actions[eco[an_id].integers(len(self.actions))]
             rank, p_idx = action
             # Slice power is the hard cap; the learner sees the consequence.
-            power_w = min(cfg.downlink.power_levels_w[p_idx], slices.power_w.get(vid, 0.0))
+            power_w = min(cfg.downlink.power_levels_w[p_idx], slices.power_w[vid])
             delivered = False
             if rank < len(cand_aps) and power_w > 0.0:
                 ap = cand_aps[rank]

@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from vecsim.channel import ChannelParams, candidate_aps, signal_quality
+from vecsim.channel import ChannelParams, signal_quality
+from vecsim.clustering import rank_cell
 
 PARAMS = ChannelParams()   # 23 dBm tx, 47.86 dB at 1 m, exponent 2, -95 dBm noise
 
@@ -39,22 +40,22 @@ def _snr_row(positions):
     return {ap: signal_quality((0.0, 0.0), xy, PARAMS).snr_db for ap, xy in positions.items()}
 
 
-def test_candidates_are_thresholded_and_sorted_by_snr():
+def test_rank_cell_thresholds_and_sorts_a_channel_row_by_snr():
     positions = {0: (1.0, 0.0), 1: (100.0, 0.0), 2: (10.0, 0.0)}
-    got = candidate_aps(_snr_row(positions), threshold_db=40.0)
-    assert [ap for ap, _ in got] == [0, 2]
-    snrs = [snr for _, snr in got]
-    assert snrs == sorted(snrs, reverse=True)
-    assert snrs[0] == pytest.approx(70.14)
-    assert snrs[1] == pytest.approx(70.14 - 20.0)
+    row = _snr_row(positions)
+    members, head = rank_cell(row, threshold_db=40.0, k_cluster=3)
+    assert members == (0, 2)
+    assert head == 0
+    assert row[0] == pytest.approx(70.14)
+    assert row[2] == pytest.approx(70.14 - 20.0)
+    assert row[1] < 40.0
 
 
-def test_candidate_tie_breaks_on_ap_id():
+def test_rank_cell_tie_breaks_on_ap_id():
     positions = {5: (10.0, 0.0), 2: (-10.0, 0.0)}
-    got = candidate_aps(_snr_row(positions), threshold_db=0.0)
-    assert [ap for ap, _ in got] == [2, 5]
+    assert rank_cell(_snr_row(positions), threshold_db=0.0, k_cluster=2) == ((2, 5), 2)
 
 
-def test_out_of_coverage_gives_an_empty_list():
+def test_out_of_coverage_gives_no_members():
     positions = {0: (1e6, 0.0)}
-    assert candidate_aps(_snr_row(positions), threshold_db=20.0) == []
+    assert rank_cell(_snr_row(positions), threshold_db=20.0, k_cluster=2) == ((), 0)

@@ -97,3 +97,14 @@ def test_the_benchmark_child_traces_every_phase_of_every_slot(tmp_path):
     result = json.loads((tmp_path / "r.json").read_text())
     assert len(result["slot_s"]) == 50
     assert {p.name: result["stats"][f"phase.{p.name}"][0] for p in Phase} == {p.name: 50 for p in Phase}
+
+
+def test_a_phase_error_names_its_cause_type_even_without_a_message():
+    engine = SlotEngine(horizon=1)
+
+    def starve(slot: int) -> None:
+        raise MemoryError()
+
+    engine.register(Phase.DOWNLINK, starve)
+    with pytest.raises(PhaseError, match=r"phase DOWNLINK failed at slot 0: MemoryError\(\)$"):
+        engine.run()

@@ -13,7 +13,7 @@ from typing import Annotated
 
 from vecsim.ranges import Range
 
-__all__ = ["ChannelParams", "SignalQuality", "signal_quality"]
+__all__ = ["ChannelParams", "SignalQuality", "snr_db"]
 
 
 @dataclass(frozen=True)
@@ -27,14 +27,16 @@ class ChannelParams:
 
 @dataclass(frozen=True)
 class SignalQuality:
+    """An SNR in dB, as `mac.decode_path` takes it."""
+
     snr_db: float
 
 
-def signal_quality(
+def snr_db(
     vehicle_xy: tuple[float, float],
     ap_xy: tuple[float, float],
     params: ChannelParams,
-) -> SignalQuality:
+) -> float:
     """SNR in dB at an AP for a vehicle at the given position.
 
     snr = tx_power - [PL0 + 10*n*log10(max(d, d0)/d0)] - noise. Distances
@@ -43,4 +45,4 @@ def signal_quality(
     d = math.hypot(vehicle_xy[0] - ap_xy[0], vehicle_xy[1] - ap_xy[1])
     d = max(d, params.ref_distance_m)
     path_loss = params.pl0_db + 10.0 * params.pathloss_exp * math.log10(d / params.ref_distance_m)
-    return SignalQuality(snr_db=params.tx_power_dbm - path_loss - params.noise_dbm)
+    return params.tx_power_dbm - path_loss - params.noise_dbm

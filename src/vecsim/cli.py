@@ -114,7 +114,7 @@ def _parse_override(text: str) -> tuple[str, object]:
     key, raw = text.split("=", 1)
     try:
         value = json.loads(raw)
-    except json.JSONDecodeError:
+    except ValueError:      # not JSON, or an integer past Python's digit limit: the raw string
         value = raw
     return key, value
 

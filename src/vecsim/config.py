@@ -45,6 +45,8 @@ class ConfigError(ValueError):
 MAX_SNR_DB = 1000.0     # keeps 10 ** (snr_db / 10) in mac.effective_snr_db, and its AF product, finite
 MAX_CTU_POOL = 1 << 16  # the downlink lists every free CTU of the pool in each slot
 MAX_AP_RANKS = 1024     # each downlink decision scans all ap_ranks x power level actions
+MAX_PAYLOAD_BITS = 1 << 16  # the cipher phase allocates a payload_bits / 8 byte message every slot
+MAX_CIPHER_WINDOW = 1024    # every vehicle-slot copies and compares both fingerprint windows
 
 Id = Annotated[int, Range()]     # validate_scenario checks that each id is unique and each reference known
 Probability = Annotated[float, Range(ge=0, le=1)]
@@ -84,7 +86,7 @@ class AnSpec:
 
 @dataclass
 class MacConfig:
-    payload_bits: Annotated[int, Range(ge=1)] = 128
+    payload_bits: Annotated[int, Range(ge=1, le=MAX_PAYLOAD_BITS)] = 128
     bler_alpha: Annotated[float, Range(gt=0)] = 1.0         # the BLER must fall as SNR rises
     # the SNR (dB) at which half the blocks fail: below unit SNR a short packet fails more often than not
     bler_beta: dict[int, Annotated[float, Range(ge=0)]] = field(default_factory=lambda: {128: 5.0, 256: 8.0})
@@ -175,7 +177,8 @@ class EdgeComputeConfig:
 @dataclass
 class CipherConfig:
     enabled: bool = True
-    window: Annotated[int, Range(ge=1)] = 4                 # sizes every vehicle's fingerprint window, cipher on or off
+    # sizes every vehicle's fingerprint window, cipher on or off
+    window: Annotated[int, Range(ge=1, le=MAX_CIPHER_WINDOW)] = 4
     max_resync: Annotated[int, Range(ge=1)] = 10
     an_view_flip_prob: Probability = 0.0                    # chance an association bit is mis-recorded AN-side
 
@@ -554,7 +557,7 @@ def read_json_object(path: str | Path) -> dict:
         data = json.loads(p.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError([f"{p}: unreadable ({exc})"])
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:     # not UTF-8, not JSON, or an integer past Python's digit limit
         raise ConfigError([f"{p}: not valid JSON ({exc})"])
     if not isinstance(data, dict):
         raise ConfigError([f"{p}: top level must be an object"])

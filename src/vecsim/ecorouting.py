@@ -19,7 +19,8 @@ State = tuple[int, ...]
 class QLearner:
     """Tabular Q with epsilon-greedy action selection.
 
-    Q values default to 0 for unseen pairs. eta in (0, 1], gamma in [0, 1).
+    q maps a state to its Q values, one per action in `actions` order; a
+    state not yet updated has every value 0. eta in (0, 1], gamma in [0, 1).
     """
 
     owner_an: int
@@ -27,7 +28,7 @@ class QLearner:
     eta: float = 0.5
     gamma: float = 0.0
     epsilon: float = 0.1
-    q: dict[tuple[State, Action], float] = field(default_factory=dict)
+    q: dict[State, list[float]] = field(default_factory=dict)
 
     def __post_init__(self):
         if not 0.0 < self.eta <= 1.0:
@@ -38,15 +39,13 @@ class QLearner:
             raise ValueError("action set must be nonempty")
 
     def value(self, state: State, action: Action) -> float:
-        return self.q.get((state, action), 0.0)
+        row = self.q.get(state)
+        return row[self.actions.index(action)] if row else 0.0
 
     def best_action(self, state: State) -> Action:
-        best = max(self.value(state, a) for a in self.actions)
+        row = self.q.get(state, (0.0,))
         # deterministic tiebreak: first action in declaration order
-        for a in self.actions:
-            if self.value(state, a) == best:
-                return a
-        raise AssertionError("unreachable")
+        return self.actions[row.index(max(row))]
 
     def select(self, state: State, rng: RngStream) -> Action:
         if rng.random() < self.epsilon:
@@ -54,10 +53,11 @@ class QLearner:
         return self.best_action(state)
 
     def update(self, state: State, action: Action, reward: float, next_state: State) -> None:
-        best_next = max(self.value(next_state, a) for a in self.actions)
-        key = (state, action)
-        old = self.q.get(key, 0.0)
-        self.q[key] = old + self.eta * (reward + self.gamma * best_next - old)
+        next_row = self.q.get(next_state)
+        best_next = max(next_row) if next_row else 0.0
+        row = self.q.setdefault(state, [0.0] * len(self.actions))
+        i = self.actions.index(action)
+        row[i] += self.eta * (reward + self.gamma * best_next - row[i])
 
 
 def delivery_reward(delivered: bool, power_w: float, w_delivery: float, w_power: float) -> float:

@@ -148,10 +148,10 @@ def mud_resolve(occupants: list[int], k_max: int) -> dict[int, bool]:
     return {v: ok for v in occupants}
 
 
-def effective_snr_db(snr: SignalQuality, relay_snr: SignalQuality, mode: str) -> float:
+def effective_snr_db(snr_db: float, relay_snr_db: float, mode: str) -> float:
     """Two-hop effective SNR: AF harmonic combination or DF bottleneck."""
-    s = 10.0 ** (snr.snr_db / 10.0)
-    r = 10.0 ** (relay_snr.snr_db / 10.0)
+    s = 10.0 ** (snr_db / 10.0)
+    r = 10.0 ** (relay_snr_db / 10.0)
     if mode == "AF":
         eff = s * r / (s + r + 1.0)
     elif mode == "DF":
@@ -170,15 +170,15 @@ def decode_path(
     rng: RngStream,
 ) -> bool:
     """One relay path: vehicle -> AP -> AN. Success w.p. 1 - BLER(eff SNR)."""
-    p_fail = path_failure_prob(snr, mode, relay_snr, curve, payload.payload_bits)
+    p_fail = path_failure_prob(snr.snr_db, mode, relay_snr.snr_db, curve, payload.payload_bits)
     return rng.random() >= p_fail
 
 
 def path_failure_prob(
-    snr: SignalQuality, mode: str, relay_snr: SignalQuality, curve: BlerCurve, payload_bits: int
+    snr_db: float, mode: str, relay_snr_db: float, curve: BlerCurve, payload_bits: int
 ) -> float:
     """P(a relay path fails to decode): BLER at the path's two-hop effective SNR."""
-    return curve.bler(effective_snr_db(snr, relay_snr, mode), payload_bits)
+    return curve.bler(effective_snr_db(snr_db, relay_snr_db, mode), payload_bits)
 
 
 def combine(path_success: list[bool], resolved_by_mud: bool = False) -> DecodeOutcome:

@@ -20,6 +20,8 @@ from vecsim.rng import RngStream
 
 ROW_SUM_TOL = 1e-12
 
+DrawRow = tuple[list[int], list[float]]     # sorted targets and their cumulative probabilities
+
 
 @dataclass(frozen=True)
 class RoadGraph:
@@ -79,23 +81,32 @@ class MarkovJumpModel:
                         out.append(f"{path}: positive mass on non-adjacent cell {target}")
         return out
 
-    def row(self, vclass: str, cell: int) -> dict[int, float]:
-        return self.rows[vclass][cell]
-
-    def transition_matrix(self, vclass: str, cells: list[int]) -> SparseTransition:
-        """Row-stochastic transition over `cells`, built straight from the rows.
+    def transition_matrix(self, vclass: str, cells: list[int]) -> tuple[list[DrawRow], SparseTransition]:
+        """Each cell's draw row, for `draw_from_row`, and the row-stochastic
+        transition over `cells`, from one walk of each row.
 
         (b @ op)[j] = sum_i b[i] * P(cells[j] | cells[i]); see SparseTransition.
         """
         index = {c: i for i, c in enumerate(cells)}
         incoming: list[list[tuple[int, float]]] = [[] for _ in cells]
+        draws = []
         for i, cell in enumerate(cells):
-            for target, p in self.rows[vclass][cell].items():
+            row = self.rows[vclass][cell]
+            targets = sorted(row)
+            cum, total = [], 0.0
+            # floats add left to right here: Python 3.12's sum() compensates and moves bits
+            norm = functools.reduce(operator.add, row.values(), 0)
+            for target in targets:
+                p = row[target]
+                total += p / norm
+                cum.append(total)
                 if p:
                     incoming[index[target]].append((i, p))
+            cum[-1] = 1.0
+            draws.append((targets, cum))
         depth = max(map(len, incoming))
         src, w = np.array([edges + [(0, 0.0)] * (depth - len(edges)) for edges in incoming]).T
-        return SparseTransition(np.ascontiguousarray(src, dtype=np.intp), np.ascontiguousarray(w))
+        return draws, SparseTransition(np.ascontiguousarray(src, dtype=np.intp), np.ascontiguousarray(w))
 
 
 class SparseTransition:
@@ -136,20 +147,6 @@ class SparseTransition:
 class MobilityState:
     cell: int
     velocity_class: str = "default"
-
-
-def row_arrays(model: MarkovJumpModel, vclass: str, cell: int) -> tuple[list[int], list[float]]:
-    """Sorted target cells and cumulative probabilities for one row."""
-    row = model.row(vclass, cell)
-    targets = sorted(row)
-    cum, total = [], 0.0
-    # floats add left to right here: Python 3.12's sum() compensates and moves bits
-    norm = functools.reduce(operator.add, row.values(), 0)
-    for t in targets:
-        total += row[t] / norm
-        cum.append(total)
-    cum[-1] = 1.0
-    return targets, cum
 
 
 def draw_from_row(targets: list[int], cum: list[float], rng: RngStream) -> int:

@@ -79,7 +79,7 @@ class Simulation:
         self.an_budgets_w = {a.an_id: a.power_budget_w for a in cfg.ans}
         self.ap_col = {ap: i for i, ap in enumerate(self.ap_ids)}
         self.n_aps = len(self.ap_ids)
-        self.fronthaul = {a.ap_id: channel.SignalQuality(a.fronthaul_snr_db) for a in cfg.aps}
+        self.fronthaul = {a.ap_id: a.fronthaul_snr_db for a in cfg.aps}
 
         # Static geometry: cells and APs never move, so the SNRs, each cell's
         # cluster members (its vehicles' uplink targets) and each cell's AN
@@ -87,12 +87,13 @@ class Simulation:
         # head, with no threshold: coverage gates the radio (uplink, downlink),
         # not which AN hosts a vehicle's control flow, tasks and cipher session.
         positions = cfg.ap_positions()
+        self.cells = list(cfg.road.cells)
         self.cell_snr: dict[int, dict[int, float]] = {}
         self.cell_members: dict[int, tuple[int, ...]] = {}
         self.cell_an: dict[int, int] = {}
-        for cell in cfg.road.cells:
+        for cell in self.cells:
             center = cfg.road.centers[cell]
-            row = {ap: channel.signal_quality(center, xy, cfg.channel).snr_db for ap, xy in positions.items()}
+            row = {ap: channel.snr_db(center, xy, cfg.channel) for ap, xy in positions.items()}
             self.cell_snr[cell] = row
             self.cell_members[cell], head = clustering.rank_cell(row, cfg.snr_threshold_db, cfg.cluster.k_cluster)
             self.cell_an[cell] = self.ap_owner[head]
@@ -100,23 +101,17 @@ class Simulation:
         self.pool = cfg.ctu_pool
         self.curve = mac.BlerCurve(cfg.mac.bler_alpha, dict(cfg.mac.bler_beta))
 
-        self.rows: dict[tuple[str, int], tuple[list[int], list[float]]] = {}
+        self.rows: dict[tuple[str, int], mobility.DrawRow] = {}
+        self.transitions: dict[str, mobility.SparseTransition] = {}
         for vclass in sorted(cfg.mobility.rows):
-            for cell in cfg.road.cells:
-                self.rows[(vclass, cell)] = mobility.row_arrays(cfg.mobility, vclass, cell)
-
-        self.cells = list(cfg.road.cells)
-        self.transitions = {
-            vclass: cfg.mobility.transition_matrix(vclass, self.cells)
-            for vclass in sorted(cfg.mobility.rows)
-        }
+            draws, self.transitions[vclass] = cfg.mobility.transition_matrix(vclass, self.cells)
+            self.rows.update(((vclass, cell), draw) for cell, draw in zip(self.cells, draws))
         # P(path fails) per (cell, AP), for every AP a selection can aim at from
         # the cell: its cluster members and the (known) preconfigured APs
         preset = {ap for pairs in cfg.mac.preconfigured.values() for _, ap in pairs} & set(self.ap_col)
         self.path_failure = {
             (cell, ap): mac.path_failure_prob(
-                channel.SignalQuality(self.cell_snr[cell][ap]), cfg.mac.relay_mode, self.fronthaul[ap], self.curve,
-                cfg.mac.payload_bits,
+                self.cell_snr[cell][ap], cfg.mac.relay_mode, self.fronthaul[ap], self.curve, cfg.mac.payload_bits
             )
             for cell in self.cells
             for ap in {*self.cell_members[cell], *preset}

@@ -4,40 +4,40 @@ import math
 
 import pytest
 
-from vecsim.channel import ChannelParams, signal_quality
+from vecsim.channel import ChannelParams, snr_db
 from vecsim.clustering import rank_cell
 
 PARAMS = ChannelParams()   # 23 dBm tx, 47.86 dB at 1 m, exponent 2, -95 dBm noise
 
 
 def test_snr_at_reference_distance_is_the_link_budget():
-    snr = signal_quality((0.0, 0.0), (1.0, 0.0), PARAMS).snr_db
+    snr = snr_db((0.0, 0.0), (1.0, 0.0), PARAMS)
     assert snr == pytest.approx(23.0 - 47.86 + 95.0)
 
 
 def test_doubling_distance_costs_six_db_at_exponent_two():
-    near = signal_quality((0.0, 0.0), (10.0, 0.0), PARAMS).snr_db
-    far = signal_quality((0.0, 0.0), (20.0, 0.0), PARAMS).snr_db
+    near = snr_db((0.0, 0.0), (10.0, 0.0), PARAMS)
+    far = snr_db((0.0, 0.0), (20.0, 0.0), PARAMS)
     assert near - far == pytest.approx(10.0 * 2.0 * math.log10(2.0))
 
 
 def test_distances_below_the_reference_clamp_to_it():
-    at_ref = signal_quality((0.0, 0.0), (1.0, 0.0), PARAMS).snr_db
-    closer = signal_quality((0.0, 0.0), (0.05, 0.0), PARAMS).snr_db
-    on_top = signal_quality((0.0, 0.0), (0.0, 0.0), PARAMS).snr_db
+    at_ref = snr_db((0.0, 0.0), (1.0, 0.0), PARAMS)
+    closer = snr_db((0.0, 0.0), (0.05, 0.0), PARAMS)
+    on_top = snr_db((0.0, 0.0), (0.0, 0.0), PARAMS)
     assert closer == at_ref
     assert on_top == at_ref
 
 
 def test_pathloss_exponent_scales_the_slope():
     steep = ChannelParams(pathloss_exp=3.5)
-    near = signal_quality((0.0, 0.0), (10.0, 0.0), steep).snr_db
-    far = signal_quality((0.0, 0.0), (100.0, 0.0), steep).snr_db
+    near = snr_db((0.0, 0.0), (10.0, 0.0), steep)
+    far = snr_db((0.0, 0.0), (100.0, 0.0), steep)
     assert near - far == pytest.approx(35.0)
 
 
 def _snr_row(positions):
-    return {ap: signal_quality((0.0, 0.0), xy, PARAMS).snr_db for ap, xy in positions.items()}
+    return {ap: snr_db((0.0, 0.0), xy, PARAMS) for ap, xy in positions.items()}
 
 
 def test_rank_cell_thresholds_and_sorts_a_channel_row_by_snr():

@@ -195,6 +195,8 @@ def test_argparse_rejects_unknown_commands():
     ('mac.k_max="2"', "mac.k_max"),
     ("downlink.power_levels_w=0.5", "downlink.power_levels_w"),
     ("control.edges=[[0,1]]", "control.edges[0]"),
+    # past Python's 4300-digit limit json.loads raises a plain ValueError: the value stays a string
+    pytest.param("seed=" + "1" * 5000, "seed", id="seed-past-the-digit-limit"),
 ])
 def test_a_wrong_typed_override_exits_two_naming_its_path(override, path, tmp_path, capsys):
     code, stdout = _run(
@@ -440,6 +442,27 @@ def test_a_malformed_run_request_exits_two_naming_its_path(request_, path, tmp_p
     code, stdout = _run(capsys, "compare", str(bp), str(tp), "--out", str(tmp_path / "c"))
     assert code == 2
     assert any(e.startswith(f"{path}:") for e in json.loads(stdout)["errors"])
+
+
+def _with_huge_ints(record: dict) -> bytes:
+    """`record` as JSON, each "HUGE" string replaced by an integer past Python's 4300-digit limit."""
+    return json.dumps(record).replace('"HUGE"', "1" * 5001).encode()
+
+
+@pytest.mark.parametrize(("command", "content"), [
+    pytest.param("validate", _with_huge_ints({**json.loads(scenario_path("smoke").read_text()), "horizon": "HUGE"}),
+                 id="scenario-int-past-digit-limit"),
+    pytest.param("sweep", _with_huge_ints(_sweep_spec(seeds=["HUGE"])), id="sweep-spec-int-past-digit-limit"),
+    pytest.param("validate", b'{"horizon": "\xff"}', id="scenario-not-utf-8"),
+])
+def test_a_file_that_fails_to_decode_exits_two_naming_the_file(command, content, tmp_path, capsys):
+    # each raised a plain ValueError (not a JSONDecodeError) and exited 3
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    extra = () if command == "validate" else ("--out", str(tmp_path / "out"))
+    code, stdout = _run(capsys, command, str(bad), *extra)
+    assert code == 2
+    assert json.loads(stdout)["errors"][0].startswith(f"{bad}: not valid JSON")
 
 
 def _no_runs(monkeypatch) -> list:

@@ -288,10 +288,13 @@ def test_overridden_config_revalidates_to_catch_new_problems():
     # used at set-up even with their subsystem switched off
     ({"edge_compute.enabled": False, "edge_compute.tradeoff_v": 0.0}, "edge_compute.tradeoff_v"),
     ({"cipher.enabled": False, "cipher.window": -1}, "cipher.window"),
-    # sizes that would be allocated: the free CTU list, the downlink actions
+    # sizes that would be allocated: the free CTU list, the downlink actions,
+    # each slot's cipher message and each vehicle-slot's fingerprint windows
     ({"ctu_pool.freq_blocks": 10**9}, "ctu_pool"),
     ({"ctu_pool.sequences": 8193}, "ctu_pool"),
     ({"downlink.ap_ranks": 1025}, "downlink.ap_ranks"),
+    ({"mac.payload_bits": 65537, "mac.bler_beta": {"65537": 5.0}}, "mac.payload_bits"),
+    ({"cipher.window": 1025}, "cipher.window"),
     # exploration rates and bucket counts the downlink learner divides by or draws against
     ({"downlink.epsilon": 1.5}, "downlink.epsilon"),
     ({"downlink.epsilon": -0.1}, "downlink.epsilon"),

@@ -30,7 +30,7 @@ def test_update_algebra_including_the_bootstrap_term():
     s, s2 = (1,), (2,)
     learner.update(s, (0, 0), reward=2.0, next_state=s2)
     assert learner.value(s, (0, 0)) == pytest.approx(1.0)
-    learner.q[(s2, (1, 1))] = 4.0
+    learner.q[s2] = [0.0, 0.0, 0.0, 4.0]      # (1, 1) is the last of ACTIONS
     learner.update(s, (0, 0), reward=2.0, next_state=s2)
     # 1 + 0.5 * (2 + 0.5*4 - 1)
     assert learner.value(s, (0, 0)) == pytest.approx(2.5)
@@ -47,14 +47,13 @@ def test_repeated_updates_converge_to_the_discounted_fixed_point():
 def test_best_action_breaks_ties_in_declaration_order():
     learner = QLearner(owner_an=0, actions=ACTIONS)
     assert learner.best_action((0,)) == (0, 0)
-    learner.q[((0,), (1, 0))] = 0.7
-    learner.q[((0,), (1, 1))] = 0.7
+    learner.q[(0,)] = [0.0, 0.0, 0.7, 0.7]    # (1, 0) and (1, 1) tie
     assert learner.best_action((0,)) == (1, 0)
 
 
 def test_select_is_greedy_when_epsilon_is_zero():
     learner = QLearner(owner_an=0, actions=ACTIONS, epsilon=0.0)
-    learner.q[((3,), (0, 1))] = 1.0
+    learner.q[(3,)] = [0.0, 1.0, 0.0, 0.0]    # (0, 1) leads
     rng = RngStream(0, "eco")
     assert all(learner.select((3,), rng) == (0, 1) for _ in range(20))
 

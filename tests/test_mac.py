@@ -98,22 +98,20 @@ def test_mud_capacity_threshold_is_all_or_none():
 
 
 def test_effective_snr_formulas():
-    ten = SignalQuality(snr_db=10.0)
-    twenty = SignalQuality(snr_db=20.0)
     # AF: s*r/(s+r+1) in linear units; equal 10 dB hops give 100/21
-    assert effective_snr_db(ten, ten, "AF") == pytest.approx(10.0 * math.log10(100.0 / 21.0))
+    assert effective_snr_db(10.0, 10.0, "AF") == pytest.approx(10.0 * math.log10(100.0 / 21.0))
     # DF: bottleneck hop
-    assert effective_snr_db(ten, twenty, "DF") == pytest.approx(10.0)
-    assert effective_snr_db(twenty, ten, "DF") == pytest.approx(10.0)
+    assert effective_snr_db(10.0, 20.0, "DF") == pytest.approx(10.0)
+    assert effective_snr_db(20.0, 10.0, "DF") == pytest.approx(10.0)
     with pytest.raises(ValueError):
-        effective_snr_db(ten, ten, "af")
+        effective_snr_db(10.0, 10.0, "af")
 
 
 def test_af_is_never_better_than_df():
     rng = RngStream(3, "snr")
     for _ in range(100):
-        a = SignalQuality(snr_db=rng.random() * 40.0 - 10.0)
-        b = SignalQuality(snr_db=rng.random() * 40.0 - 10.0)
+        a = rng.random() * 40.0 - 10.0
+        b = rng.random() * 40.0 - 10.0
         assert effective_snr_db(a, b, "AF") <= effective_snr_db(a, b, "DF") + 1e-12
 
 

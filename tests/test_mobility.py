@@ -12,7 +12,6 @@ from vecsim.mobility import (
     RoadGraph,
     draw_from_row,
     line_graph,
-    row_arrays,
 )
 from vecsim.predictor import FleetBelief
 from vecsim.rng import RngStream
@@ -26,6 +25,12 @@ class _FixedRng:
 
     def random(self):
         return self.values.pop(0)
+
+
+def _draw_row(model: MarkovJumpModel, vclass: str, cell: int) -> tuple[list[int], list[float]]:
+    cells = sorted(model.rows[vclass])
+    draws, _ = model.transition_matrix(vclass, cells)
+    return draws[cells.index(cell)]
 
 
 def _two_cell_graph() -> RoadGraph:
@@ -87,7 +92,7 @@ def test_model_rejects_bad_rows_with_cell_and_class_named():
 
 def test_transition_matrix_matches_rows():
     _, model = line_graph(3, forward_prob=0.7)
-    op = model.transition_matrix("default", [0, 1, 2])
+    _, op = model.transition_matrix("default", [0, 1, 2])
     mat = np.array([unit @ op for unit in np.eye(3)])   # row i = e_i @ op
     assert mat[0, 0] == pytest.approx(0.3)
     assert mat[0, 1] == pytest.approx(0.7)
@@ -95,9 +100,9 @@ def test_transition_matrix_matches_rows():
     assert mat.sum(axis=1) == pytest.approx([1.0, 1.0, 1.0])
 
 
-def test_row_arrays_sorted_targets_and_exact_final_cumulative():
+def test_draw_row_has_sorted_targets_and_an_exact_final_cumulative():
     _, model = line_graph(4, forward_prob=0.8)
-    targets, cum = row_arrays(model, "default", 1)
+    targets, cum = _draw_row(model, "default", 1)
     assert targets == [1, 2]
     assert cum[0] == pytest.approx(0.2)
     assert cum[-1] == 1.0
@@ -122,8 +127,8 @@ def test_advance_preserves_velocity_class_and_uses_its_row():
     )
     assert model.problems(graph) == []
     rng = RngStream(0, "v")
-    assert draw_from_row(*row_arrays(model, "default", 0), rng) == 0
-    assert draw_from_row(*row_arrays(model, "fast", 0), rng) == 1
+    assert draw_from_row(*_draw_row(model, "default", 0), rng) == 0
+    assert draw_from_row(*_draw_row(model, "fast", 0), rng) == 1
 
 
 def test_long_run_transition_frequency_matches_the_row():
@@ -131,8 +136,9 @@ def test_long_run_transition_frequency_matches_the_row():
     rng = RngStream(1234, "mob")
     n = 20000
     moved = 0
+    targets, cum = _draw_row(model, "default", 2)
     for _ in range(n):
-        if draw_from_row(*row_arrays(model, "default", 2), rng) == 3:
+        if draw_from_row(targets, cum, rng) == 3:
             moved += 1
     assert abs(moved / n - 0.8) < 0.01
 
@@ -147,7 +153,7 @@ def test_line_graph_shapes():
 
     single, single_model = line_graph(1)
     assert single.adjacency[0] == (0, 0)
-    assert single_model.row("default", 0) == {0: 1.0}
+    assert single_model.rows["default"][0] == {0: 1.0}
 
 
 @st.composite
@@ -189,7 +195,7 @@ def test_sparse_transition_matches_a_dense_matrix_built_from_rows(road):
         for c, row in per_cell.items():
             for t, p in row.items():
                 dense[index[c], index[t]] = p
-        ops[vclass] = model.transition_matrix(vclass, order)
+        _, ops[vclass] = model.transition_matrix(vclass, order)
         assert np.max(np.abs(b @ ops[vclass] - b @ dense)) <= 1e-12
 
         # stacked beliefs: each row is computed exactly as it is alone
@@ -204,3 +210,29 @@ def test_sparse_transition_matches_a_dense_matrix_built_from_rows(road):
     fast = fleet.prior([ops["fast"]])
     assert fast is not slow
     assert np.array_equal(fast[0], b @ ops["fast"])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_road())
+def test_one_walk_gives_each_cells_draw_row_and_its_transition_row(road):
+    cells, _, rows, _ = road
+    model = MarkovJumpModel(rows=rows)
+    order = sorted(c["cell_id"] for c in cells)
+    unit = np.eye(len(order))
+    for vclass, per_cell in rows.items():
+        draws, op = model.transition_matrix(vclass, order)
+        assert len(draws) == len(order)
+        for i, cell in enumerate(order):
+            row = per_cell[cell]
+            norm = 0.0
+            for p in row.values():          # left to right, in the row's own order
+                norm += p
+            targets, cum, total = sorted(row), [], 0.0
+            for t in targets:
+                total += row[t] / norm
+                cum.append(total)
+            assert draws[i] == (targets, cum[:-1] + [1.0])
+            dense = np.zeros(len(order))
+            for t, p in row.items():
+                dense[order.index(t)] = p
+            assert np.array_equal(unit[i] @ op, dense)

@@ -274,7 +274,7 @@ def test_fleet_step_equals_the_one_vehicle_filter_bit_for_bit(
 ):
     cells, mobility = road
     rng = np.random.default_rng(seed)
-    ops = {vclass: mobility.transition_matrix(vclass, cells) for vclass in ("slow", "fast")}
+    ops = {vclass: mobility.transition_matrix(vclass, cells)[1] for vclass in ("slow", "fast")}
     likelihood = rng.choice([0.0, 1.0, *rng.random(4)], size=(len(cells), n_aps))
     if deaf_ap:
         likelihood[:, 0] = 0.0      # hearing AP 0 has zero likelihood: those rows fall back
@@ -310,7 +310,7 @@ def test_predicted_marginals_are_the_cell_order_sum_bit_for_bit():
     rng = np.random.default_rng(11)
     graph, road = line_graph(200, forward_prob=0.7)
     cells = graph.cells
-    op = road.transition_matrix("default", cells)        # sparse: the prior needs no BLAS
+    _, op = road.transition_matrix("default", cells)     # sparse: the prior needs no BLAS
     probs = rng.random((40, len(cells)))
     fleet = FleetBelief(probs / probs.sum(axis=1, keepdims=True))
     model = ObservationModel(likelihood=rng.uniform(0.01, 0.99, size=(len(cells), 20)))

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from conftest import SCENARIO_DIR, load_bundled, scenario_path
 from vecsim import cipher, mac
 from vecsim.cli import main
-from vecsim.channel import SignalQuality, signal_quality
+from vecsim.channel import snr_db
 from vecsim.config import ApSpec, ConfigError, VehicleSpec
 from vecsim.mobility import line_graph
 from vecsim.rng import RngStream
@@ -155,7 +155,7 @@ def test_the_path_failure_table_holds_every_ap_a_selection_can_aim_at():
     assert any(2 not in members for members in sim.cell_members.values())
     for (cell, ap), p_fail in sim.path_failure.items():
         assert p_fail == mac.path_failure_prob(
-            SignalQuality(sim.cell_snr[cell][ap]), cfg.mac.relay_mode, sim.fronthaul[ap], sim.curve, cfg.mac.payload_bits
+            sim.cell_snr[cell][ap], cfg.mac.relay_mode, sim.fronthaul[ap], sim.curve, cfg.mac.payload_bits
         )
     sim.engine.run()
     assert sim.finalize().packets_emitted == 40 * 2
@@ -190,7 +190,7 @@ def test_cell_members_and_likelihoods_match_a_brute_force_top_k(spots, listing, 
     lk = sim.obs_model.likelihood
     assert lk.shape == (len(cfg.road.cells), len(ids))
     for i, cell in enumerate(sorted(cfg.road.cells)):
-        snr = {a.ap_id: signal_quality(cfg.road.centers[cell], (a.x, a.y), cfg.channel).snr_db for a in cfg.aps}
+        snr = {a.ap_id: snr_db(cfg.road.centers[cell], (a.x, a.y), cfg.channel) for a in cfg.aps}
         ranked = sorted(snr, key=lambda ap: (-snr[ap], ap))
         members = tuple(ap for ap in ranked if snr[ap] >= threshold)[:k]
         assert sim.cell_members[cell] == members
@@ -198,7 +198,7 @@ def test_cell_members_and_likelihoods_match_a_brute_force_top_k(spots, listing, 
             want = floor
             if ap in members:
                 p_fail = mac.path_failure_prob(
-                    SignalQuality(snr[ap]), cfg.mac.relay_mode, SignalQuality(30.0), sim.curve, cfg.mac.payload_bits
+                    snr[ap], cfg.mac.relay_mode, 30.0, sim.curve, cfg.mac.payload_bits
                 )
                 want = min(max(1.0 - p_fail, floor), ceiling)
             assert lk[i, column[ap]] == want
@@ -223,7 +223,7 @@ def test_each_cell_is_hosted_by_the_owner_of_its_strongest_ap(spots, owners, lis
     for cell in cfg.road.cells:
         best = None
         for a in cfg.aps:
-            snr = signal_quality(cfg.road.centers[cell], (a.x, a.y), cfg.channel).snr_db
+            snr = snr_db(cfg.road.centers[cell], (a.x, a.y), cfg.channel)
             if best is None or snr > best[0] or (snr == best[0] and a.ap_id < best[1]):
                 best = (snr, a.ap_id, a.an_id)
         assert sim.cell_an[cell] == best[2]

@@ -19,7 +19,7 @@ from vecsim.config import (
     ConfigError, ScenarioConfig, apply_overrides, load_record, load_scenario, read_json_object, scenario_from_dict,
 )
 from vecsim.metrics import SCHEMA_VERSION, write_summary
-from vecsim.ranges import Range
+from vecsim.ranges import Range, shown
 from vecsim.simulation import run_scenario
 
 EXIT_OK = 0
@@ -110,7 +110,7 @@ def _out_dir(arg: str | None) -> Path:
 
 def _parse_override(text: str) -> tuple[str, object]:
     if "=" not in text:
-        raise ConfigError([f"override {text!r}: expected K=V"])
+        raise ConfigError([f"override {shown(text)}: expected K=V"])
     key, raw = text.split("=", 1)
     try:
         value = json.loads(raw)

@@ -31,7 +31,7 @@ from vecsim.control_plane import connected_components
 from vecsim.edge import Service
 from vecsim.mac import CtuPool
 from vecsim.mobility import MarkovJumpModel, RoadGraph, line_graph
-from vecsim.ranges import Range
+from vecsim.ranges import Range, shown
 
 
 class ConfigError(ValueError):
@@ -476,11 +476,11 @@ def _convert(value, hint, path: str, errors: list[str]):
         return value
     if hint in _SCALARS:
         if hint is float and type(value) in (int, float) and not abs(value) <= sys.float_info.max:
-            errors.append(f"{path}: expected a finite number, got {value!r}")   # or an int no float holds
+            errors.append(f"{path}: expected a finite number, got {_got(value)}")   # or an int no float holds
             return None
         if type(value) is hint or (hint is float and type(value) is int):
             return float(value) if hint is float else value
-        errors.append(f"{path}: expected {_SCALARS[hint]}, got {value!r}")
+        errors.append(f"{path}: expected {_SCALARS[hint]}, got {_got(value)}")
         return None
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin is Annotated:     # an item's declared Range, checked by validate_scenario
@@ -492,7 +492,7 @@ def _convert(value, hint, path: str, errors: list[str]):
         return _convert(value, inner, path, errors)
     if origin in (list, tuple):
         if not isinstance(value, (list, tuple)):
-            errors.append(f"{path}: expected a list, got {value!r}")
+            errors.append(f"{path}: expected a list, got {_got(value)}")
             return None
         if origin is list or args[-1] is Ellipsis:
             items = [_convert(v, args[0], f"{path}[{i}]", errors) for i, v in enumerate(value)]
@@ -503,7 +503,7 @@ def _convert(value, hint, path: str, errors: list[str]):
         return tuple(_convert(v, a, f"{path}[{i}]", errors) for i, (v, a) in enumerate(zip(value, args)))
     if origin is dict:
         if not isinstance(value, dict):
-            errors.append(f"{path}: expected an object, got {value!r}")
+            errors.append(f"{path}: expected an object, got {_got(value)}")
             return None
         key_hint, item_hint = args
         out = {}
@@ -521,13 +521,18 @@ def _convert(value, hint, path: str, errors: list[str]):
     raise TypeError(f"{path}: no JSON conversion to {hint!r}")
 
 
+def _got(value) -> str:
+    """A value of the wrong type, as its type and a bounded prefix of its repr."""
+    return f"{type(value).__name__} {shown(value)}"
+
+
 def _join(path: str, key) -> str:
     return f"{path}.{key}" if path else str(key)
 
 
 def _convert_record(value, cls, path: str, errors: list[str]):
     if not isinstance(value, dict):
-        errors.append(f"{path}: expected an object, got {value!r}")
+        errors.append(f"{path}: expected an object, got {_got(value)}")
         return None
     hints, required, _ = _fields(cls)
     before = len(errors)
@@ -598,7 +603,7 @@ def apply_overrides(data: dict, overrides: dict[str, object]) -> dict:
     for dotted, value in overrides.items():
         *parents, leaf = dotted.split(".")
         if not all([*parents, leaf]):
-            errors.append(f"override key {dotted!r}: empty part")
+            errors.append(f"override key {shown(dotted)}: empty part")
             continue
         node = data
         for i, part in enumerate(parents):

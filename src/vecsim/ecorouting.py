@@ -55,7 +55,7 @@ class QLearner:
     def update(self, state: State, action: Action, reward: float, next_state: State) -> None:
         next_row = self.q.get(next_state)
         best_next = max(next_row) if next_row else 0.0
-        row = self.q.setdefault(state, [0.0] * len(self.actions))
+        row = self.q.get(state) or self.q.setdefault(state, [0.0] * len(self.actions))
         i = self.actions.index(action)
         row[i] += self.eta * (reward + self.gamma * best_next - row[i])
 

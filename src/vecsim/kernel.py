@@ -51,8 +51,10 @@ class SlotEngine:
     def advance_slot(self) -> None:
         """Execute every phase for the current slot, then tick the clock."""
         slot = self.clock
-        for phase in PHASE_ORDER:
-            for handler in self._handlers[phase]:
+        if slot >= self.horizon:
+            raise RuntimeError(f"slot {slot} is past the horizon of {self.horizon} slots")
+        for phase, handlers in self._handlers.items():      # PHASE_ORDER
+            for handler in handlers:
                 try:
                     handler(slot)
                 except Exception as exc:

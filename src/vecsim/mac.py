@@ -106,22 +106,23 @@ def select_ctus(
         raise ValueError("replicas must be >= 1")
     if not candidates:
         raise ValueError("candidate AP set must be nonempty")
+    size = pool.size
     if policy == "preconfigured":
         if preconfigured is None or vehicle_id not in preconfigured:
             raise ValueError(f"no preconfigured CTU mapping for vehicle {vehicle_id}")
         pairs = preconfigured[vehicle_id]
-        ctus = tuple(c for c, _ in pairs)
-        aps = tuple(a for _, a in pairs)
+        ctus = tuple([c for c, _ in pairs])
+        aps = tuple([a for _, a in pairs])
         for c in ctus:
-            if not 0 <= c < pool.size:
-                raise ValueError(f"preconfigured CTU {c} outside pool of size {pool.size}")
+            if not 0 <= c < size:
+                raise ValueError(f"preconfigured CTU {c} outside pool of size {size}")
         return CtuSelection(vehicle_id=vehicle_id, ctus=ctus, target_aps=aps)
     if policy != "random":
         raise ValueError(f"unknown CTU selection policy {policy!r}")
-    if replicas > pool.size:
-        raise ValueError(f"replicas ({replicas}) exceed pool size ({pool.size})")
-    ctus = tuple(sorted(rng.choice_without_replacement(pool.size, replicas)))
-    aps = tuple(candidates[i % len(candidates)] for i in range(replicas))
+    if replicas > size:
+        raise ValueError(f"replicas ({replicas}) exceed pool size ({size})")
+    ctus = tuple(sorted(rng.choice_without_replacement(size, replicas)))
+    aps = (tuple(candidates) * -(-replicas // len(candidates)))[:replicas]     # round-robin
     return CtuSelection(vehicle_id=vehicle_id, ctus=ctus, target_aps=aps)
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import functools
-import io
 import json
 import operator
 import shutil
@@ -53,7 +52,8 @@ class MetricsReport:
     bandit: dict[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self._sinks = {name: tempfile.TemporaryFile("w+", newline="", encoding="utf-8")
+        # write-only text layers: a readable one resets its decoder on every row
+        self._sinks = {name: tempfile.TemporaryFile("w", newline="", encoding="utf-8")
                        for name in ("packets", "decisions")}
         for sink in self._sinks.values():
             weakref.finalize(self, sink.close)      # closed with the report, not leaked
@@ -135,11 +135,13 @@ class MetricsReport:
         }
         for name, header in (("packets", PACKETS_HEADER), ("decisions", DECISIONS_HEADER)):
             sink = self._sinks[name]
-            with paths[name].open("w", newline="", encoding="utf-8") as fh:
+            sink.flush()        # read back through its descriptor, left at the end for later rows
+            with paths[name].open("w", newline="", encoding="utf-8") as fh, \
+                    open(sink.fileno(), "rb", closefd=False) as rows:
                 csv.writer(fh).writerow(header)
-                sink.seek(0)
-                shutil.copyfileobj(sink, fh)
-            sink.seek(0, io.SEEK_END)       # later rows append after the copied ones
+                fh.flush()
+                rows.seek(0)
+                shutil.copyfileobj(rows, fh.buffer)
         write_summary(self.aggregates(), paths["summary"])
         return paths
 

@@ -124,23 +124,18 @@ class SparseTransition:
     def __init__(self, src: np.ndarray, w: np.ndarray):
         self.src = src
         self.w = w
-        self._flat = src[:, None, :]    # src into each of the rows seen so far, as flat indices
+        self._shape: tuple | None = None    # the shape of the last b, which _idx and _w fit
 
     def __rmatmul__(self, b: np.ndarray) -> np.ndarray:
-        rows = b.reshape(-1, self.src.shape[1])
-        flat = self._flat_index(len(rows))
-        x = rows.ravel()
-        acc = x[flat[0]] * self.w[0]
-        for k in range(1, len(flat)):
-            acc += x[flat[k]] * self.w[k]
-        return acc.reshape(b.shape)
-
-    def _flat_index(self, n_rows: int) -> np.ndarray:
-        """(K, n_rows, cells) indices of src into n_rows stacked rows of cells."""
-        if self._flat.shape[1] < n_rows:
-            offsets = self.src.shape[1] * np.arange(n_rows)
-            self._flat = self.src[:, None, :] + offsets[:, None]
-        return self._flat[:, :n_rows]
+        if b.shape != self._shape:
+            # src[k] as flat indices into each stacked row of b, and w[k] to broadcast over them
+            offsets = self.src.shape[1] * np.arange(b.size // self.src.shape[1])
+            self._idx = (self.src[:, None, :] + offsets[:, None]).reshape(len(self.src), *b.shape)
+            self._w = self.w.reshape(len(self.w), *[1] * (b.ndim - 1), -1)
+            self._shape = b.shape
+        terms = b.take(self._idx)           # terms[k] = b[..., src[k]], then times w[k]
+        terms *= self._w
+        return functools.reduce(operator.iadd, terms)      # a running sum over k, into terms[0]
 
 
 @dataclass

@@ -8,7 +8,9 @@ into a predicted association vector that seeds proactive downlink.
 The filter steps a whole fleet at once: `FleetBelief` stacks one posterior
 row per vehicle, `update_fleet` and `predict_fleet` advance every row, and
 the observation model keeps each association vector's likelihood in a memo
-of bounded size.
+of bounded size. A step makes the same few numpy calls for any fleet: the
+prior is one product per distinct transition, kept for the next update,
+and the update works in place and returns its fallback count.
 Every row is computed exactly as a lone vehicle's would be, so
 `update_belief` and `predict_association`, the one-vehicle API, are the
 one-row case.
@@ -22,6 +24,7 @@ only for a row with a marginal too close to the threshold to tell.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -42,7 +45,7 @@ class AssociationVector:
     bits: tuple[int, ...]       # one per AP id, in ascending AP-id order
 
     def __post_init__(self):
-        if not set(self.bits) <= {0, 1}:
+        if not {0, 1}.issuperset(self.bits):
             raise ValueError("association bits must be 0/1")
 
 
@@ -66,9 +69,9 @@ class FleetBelief:
     A row's prior is its posterior pushed through a transition (a matrix or
     the road model's sparse operator). The filter needs it twice: to predict
     the next slot's association and, a slot later, as the prior of the
-    update. So each prior row remembers the transition it was propagated
-    under and is reused while the vehicle keeps that transition; a
-    velocity-class switch, or a new posterior, makes it stale.
+    update. So the prior remembers the transitions it was propagated under
+    and is reused while the same ones come back; a new posterior, or a
+    velocity-class switch, makes it stale.
     """
 
     def __init__(self, probs: np.ndarray):
@@ -78,23 +81,26 @@ class FleetBelief:
         self._set_posteriors(probs)
 
     def _set_posteriors(self, probs: np.ndarray) -> None:
+        """New posteriors: the prior goes stale."""
         self.probs = probs
-        self._prior = np.empty_like(probs)
         self._prior_op: list = [None] * len(probs)
 
     def prior(self, transitions: Sequence) -> np.ndarray:
-        """Row i is probs[i] @ transitions[i]; only stale rows are propagated."""
-        stale: dict[int, tuple[object, list[int]]] = {}
-        for i, (op, had) in enumerate(zip(transitions, self._prior_op, strict=True)):
-            if op is not had:
-                stale.setdefault(id(op), (op, []))[1].append(i)
-        for op, rows in stale.values():
-            if len(rows) == len(self.probs):
-                self._prior = self.probs @ op
-            else:
+        """Row i is probs[i] @ transitions[i]; one product per distinct transition."""
+        if len(transitions) != len(self.probs):
+            raise ValueError(f"expected one transition per row, got {len(transitions)} for {len(self.probs)} rows")
+        # identity, not ==: a dense ndarray transition has no truth value
+        if all(map(operator.is_, transitions, self._prior_op)):
+            return self._prior
+        ops = {id(op): op for op in transitions}
+        if len(ops) == 1:
+            self._prior = self.probs @ transitions[0]
+        else:
+            self._prior = np.empty_like(self.probs)
+            for op in ops.values():
+                rows = [i for i, t in enumerate(transitions) if t is op]
                 self._prior[rows] = self.probs[rows] @ op
-            for i in rows:
-                self._prior_op[i] = op
+        self._prior_op = list(transitions)
         return self._prior
 
 
@@ -107,6 +113,7 @@ class ObservationModel:
     _hit: np.ndarray = field(init=False, compare=False, repr=False)
     _miss: np.ndarray = field(init=False, compare=False, repr=False)
     _memo: dict = field(init=False, compare=False, repr=False)     # bits -> obs_likelihood
+    _edges: dict = field(init=False, compare=False, repr=False)    # the last threshold -> its edges
 
     def __post_init__(self):
         lk = self.likelihood
@@ -115,6 +122,7 @@ class ObservationModel:
         object.__setattr__(self, "_hit", np.ascontiguousarray(lk.T))
         object.__setattr__(self, "_miss", 1.0 - self._hit)
         object.__setattr__(self, "_memo", {})
+        object.__setattr__(self, "_edges", {})
 
     def obs_likelihood(self, bits: tuple[int, ...]) -> np.ndarray:
         """Per-cell likelihood of one association vector, read-only, and kept until the memo fills."""
@@ -131,33 +139,46 @@ class ObservationModel:
             self._memo[bits] = out
         return out
 
+    def threshold_edges(self, threshold: float) -> tuple[float, float]:
+        """(above, below): a marginal summed in any order past either edge, solving
+        |approx - threshold| > rel * approx + tiny (marginal_error_bound), is on
+        that side of `threshold`. The last threshold's edges are kept."""
+        edges = self._edges.get(threshold)
+        if edges is None:
+            rel, tiny = marginal_error_bound(len(self.likelihood))
+            edges = ((threshold + tiny) / (1.0 - rel), (threshold - tiny) / (1.0 + rel))
+            self._edges.clear()
+            self._edges[threshold] = edges
+        return edges
+
 
 def update_fleet(
     fleet: FleetBelief,
     observations: Sequence[tuple[int, ...]],
     transitions: Sequence,
     obs_model: ObservationModel,
-) -> np.ndarray:
+) -> int:
     """Predict-then-update step of every row, with row i's association bits and transition.
 
     b'(c) is proportional to L(obs | c) * sum_c0 P(c | c0) b(c0), renormalized.
     If an observation has zero total likelihood under the predicted prior
     (MAI can produce impossible vectors), that row's update is skipped: its
-    predicted prior, renormalized, becomes the posterior. Returns the boolean
-    mask of the rows that fell back.
+    predicted prior, renormalized, becomes the posterior. Returns how many
+    rows fell back.
     """
     prior = fleet.prior(transitions)
-    distinct: dict[tuple[int, ...], int] = {}
-    which = [distinct.setdefault(bits, len(distinct)) for bits in observations]
-    likelihoods = np.array([obs_model.obs_likelihood(bits) for bits in distinct])
-    weighted = prior * likelihoods[which]
-    total = weighted.sum(axis=1)
-    fallback = total <= 0.0
-    if fallback.any():
+    weighted = np.array(list(map(obs_model.obs_likelihood, observations)))
+    weighted *= prior
+    total = np.add.reduce(weighted, axis=1, keepdims=True)      # weighted.sum(axis=1), as a column
+    # every term is >= 0, so a total that is not above 0 is 0
+    n_fallback = len(total) - int(np.count_nonzero(total))
+    if n_fallback:
+        fallback = (total == 0.0)[:, 0]
         weighted[fallback] = prior[fallback]
-        total[fallback] = prior[fallback].sum(axis=1)
-    fleet._set_posteriors(weighted / total[:, None])
-    return fallback
+        total[fallback] = np.add.reduce(prior[fallback], axis=1, keepdims=True)
+    weighted /= total
+    fleet._set_posteriors(weighted)
+    return n_fallback
 
 
 def marginal_error_bound(n_cells: int) -> tuple[float, float]:
@@ -175,7 +196,7 @@ def marginal_error_bound(n_cells: int) -> tuple[float, float]:
     m <= (x + (1 + gamma_C) * C*2**-1075) / (1 - gamma_C) turns that into at
     most 2*C*eps * x + C*2**-1073 for C*u <= 1/4. rel and tiny are twice and
     eight times that; the slack covers the roundings of the threshold edges
-    in predict_fleet. Nothing assumes m <= 1: a dense transition passed to
+    (ObservationModel.threshold_edges). Nothing assumes m <= 1: a dense transition passed to
     predict_association need not be stochastic.
     """
     return 4 * n_cells * 2.0**-52, n_cells * 2.0**-1070
@@ -200,16 +221,15 @@ def predict_fleet(
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must lie in (0, 1)")
     prior = fleet.prior(transitions)
-    rel, tiny = marginal_error_bound(len(obs_model.likelihood))
+    above, below = obs_model.threshold_edges(threshold)
     approx = prior @ obs_model.likelihood
-    # |approx - threshold| > rel * approx + tiny, solved for approx
-    bits = approx > (threshold + tiny) / (1.0 - rel)
-    low = approx < (threshold - tiny) / (1.0 + rel)
+    bits = approx > above
+    low = approx < below
     if np.count_nonzero(bits) + np.count_nonzero(low) < bits.size:
         # the running sums take a (rows, cells, APs) buffer: only for rows that need them
         rows = np.flatnonzero(~(bits | low).all(axis=1))
         bits[rows] = _cell_order_sums(prior[rows], obs_model.likelihood) >= threshold
-    return [tuple(row) for row in bits.astype(int).tolist()]
+    return [tuple(row) for row in bits.view(np.uint8).tolist()]
 
 
 def _cell_order_sums(prior: np.ndarray, likelihood: np.ndarray) -> np.ndarray:
@@ -231,7 +251,7 @@ def update_belief(
     """update_fleet on one belief; the second element flags the fallback."""
     fleet = FleetBelief(belief.probs)
     fallback = update_fleet(fleet, [obs.bits], [transition], obs_model)
-    return PosteriorBelief(belief.vehicle_id, fleet.probs[0]), bool(fallback[0])
+    return PosteriorBelief(belief.vehicle_id, fleet.probs[0]), fallback == 1
 
 
 def predict_association(

@@ -32,6 +32,7 @@ __all__ = ["RngStream", "seed_states"]
 
 _MULT = 0x2360ED051FC65DA44385DF649FCCF645   # PCG's 128-bit LCG multiplier
 _MASK32 = (1 << 32) - 1
+_MASK53 = (1 << 53) - 1
 _MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
 
@@ -177,11 +178,11 @@ class RngStream:
         return streams
 
     def _word(self) -> int:
-        """PCG64's next 64-bit output: step the LCG, then XSL-RR."""
+        """PCG64's next 64-bit output: step the LCG, then XSL-RR, which rotates x = high ^ low
+        right by the state's top 6 bits: the low 64 bits of (x, x) shifted right by as many."""
         s = self._state = (self._state * _MULT + self._inc) & _MASK128
         x = ((s >> 64) ^ s) & _MASK64
-        rot = s >> 122
-        return ((x >> rot) | (x << (64 - rot))) & _MASK64
+        return ((x << 64 | x) >> (s >> 122)) & _MASK64
 
     def _word32(self) -> int:
         """The low half of a fresh word; its high half serves the next 32-bit draw."""
@@ -189,7 +190,10 @@ class RngStream:
         if half is not None:
             self._half = None
             return half
-        w = self._word()
+        # _word, inlined here and in random(): the draws of every vehicle-slot
+        s = self._state = (self._state * _MULT + self._inc) & _MASK128
+        x = ((s >> 64) ^ s) & _MASK64
+        w = ((x << 64 | x) >> (s >> 122)) & _MASK64
         self._half = w >> 32
         return w & _MASK32
 
@@ -221,7 +225,9 @@ class RngStream:
     # The draws the simulator makes.
     def random(self) -> float:
         """Uniform on [0, 1) with 53 random bits."""
-        return (self._word() >> 11) * 2.0**-53
+        s = self._state = (self._state * _MULT + self._inc) & _MASK128
+        x = ((s >> 64) ^ s) & _MASK64
+        return (((x << 64 | x) >> ((s >> 122) + 11)) & _MASK53) * 2.0**-53     # the word's top 53 bits
 
     def integers(self, low: int, high: int | None = None) -> int:
         """Uniform on [low, high), or on [0, low) when high is omitted."""
@@ -258,7 +264,7 @@ class RngStream:
         Like numpy, it makes one draw even for n = 0.
         """
         count = max(1, (n + 3) // 4)
-        return struct.pack(f"<{count}I", *(self._word32() for _ in range(count)))[:n]
+        return struct.pack(f"<{count}I", *[self._word32() for _ in range(count)])[:n]
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id!r})"

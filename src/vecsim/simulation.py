@@ -37,7 +37,8 @@ class VehicleRuntime:
     selection: Optional[mac.CtuSelection] = None
     assoc_true: Optional[predictor.AssociationVector] = None
     assoc_an: Optional[predictor.AssociationVector] = None
-    predicted: dict[int, tuple[int, ...]] = field(default_factory=dict)
+    predicted: Optional[tuple[int, ...]] = None         # association bits predicted for this slot
+    predicted_next: Optional[tuple[int, ...]] = None    # and for the next one
     window_self: deque = field(default_factory=deque)
     window_an: deque = field(default_factory=deque)
     # both endpoints' state: equal before every exchange, since a rejected
@@ -268,65 +269,62 @@ class Simulation:
         cfg = self.cfg
         histogram = self.report.bandit["replica_histogram"]
         streams = self._family("mac", self.vehicles)
+        bandits = self._family("bandit", self.vehicles) if cfg.bandit.enabled else {}
+        policy, preconfigured = cfg.mac.ctu_policy, cfg.mac.preconfigured or None
         for (vid, vr), rng in zip(self.vehicles.items(), streams.values()):
             members = self.cell_members[vr.mobility.cell]
             if not members:         # nothing is sent, so the bandit neither draws nor learns
                 vr.selection = None
                 continue
             if vr.bandit is not None:
-                replicas = mac.bandit_select_and_update(
-                    vr.bandit, vr.last_decoded, vr.last_replicas, self._family("bandit", self.vehicles)[vid]
-                )
+                replicas = mac.bandit_select_and_update(vr.bandit, vr.last_decoded, vr.last_replicas, bandits[vid])
             else:
                 replicas = cfg.mac.replicas
             vr.selection = mac.select_ctus(
-                vid,
-                members,
-                replicas,
-                self.pool,
-                rng,
-                policy=cfg.mac.ctu_policy,
-                preconfigured=cfg.mac.preconfigured or None,
+                vid, members, replicas, self.pool, rng, policy=policy, preconfigured=preconfigured
             )
             # a preconfigured pair list, not `replicas`, fixes how many CTUs carry the packet
             vr.last_replicas = sent = len(vr.selection.ctus)
-            histogram[str(sent)] = histogram.get(str(sent), 0) + 1
+            key = str(sent)
+            histogram[key] = histogram.get(key, 0) + 1
 
     def _phase_relay_decode(self, slot: int) -> None:
         cfg = self.cfg
         selections = [vr.selection for vr in self.vehicles.values() if vr.selection is not None]
         occupancy = mac.detect_collisions(selections)
-        # MUD separates every occupant of a CTU or none of them
-        separable: dict[int, bool] = {}
+        # MUD separates every occupant of a CTU or none of them, and a lone one (k_max >= 1)
+        lost: set[int] = set()
         bandit = self.report.bandit
-        for ctu in sorted(occupancy):
-            occupants = occupancy[ctu]
-            separable[ctu] = ok = all(mac.mud_resolve(occupants, cfg.mac.k_max).values())
+        for ctu, occupants in occupancy.items():
             if len(occupants) > 1:
+                ok = all(mac.mud_resolve(occupants, cfg.mac.k_max).values())
                 bandit["collision_ctus"] += 1
                 bandit["mud_resolved_ctus"] += ok
+                if not ok:
+                    lost.add(ctu)
 
         flip = cfg.cipher.an_view_flip_prob
         streams = self._family("decode", self.vehicles)
+        path_failure, ap_col, record_packet = self.path_failure, self.ap_col, self.report.record_packet
         for (vid, vr), decode in zip(self.vehicles.items(), streams.values()):
             heard = [0] * self.n_aps        # association bits, by AP column
             selection = vr.selection
             if selection is None:
                 # out of coverage: no packet went out, and last_decoded keeps
                 # the outcome of the last one that did for the bandit's update
-                self.report.record_packet(vid, slot, False, 0, 0)
+                record_packet(vid, slot, False, 0, 0)
             else:
                 # selection combining: the packet is in if any path decoded
                 decoded = False
                 cell = vr.mobility.cell
                 for ctu, ap in zip(selection.ctus, selection.target_aps):
                     # a path over a lost CTU draws nothing
-                    if separable[ctu] and decode.random() >= self.path_failure[(cell, ap)]:
+                    if ctu not in lost and decode.random() >= path_failure[(cell, ap)]:
                         decoded = True
-                        heard[self.ap_col[ap]] = 1
+                        heard[ap_col[ap]] = 1
                 vr.last_decoded = decoded
                 paths = len(set(selection.target_aps))
-                self.report.record_packet(vid, slot, decoded, vr.last_replicas, paths)
+                record_packet(vid, slot, decoded, vr.last_replicas, paths)
             bits = tuple(heard)
             vr.assoc_true = predictor.AssociationVector(vid, slot, bits)
             if flip > 0.0:
@@ -339,31 +337,28 @@ class Simulation:
     def _phase_prediction(self, slot: int) -> None:
         cfg = self.cfg
         prediction = self.report.prediction
-        observed = []
-        for vr in self.vehicles.values():
-            obs = vr.assoc_an.bits
-            observed.append(obs)
-            # Score the predictions aimed at this slot before replacing them:
-            # the filter's one-step-ahead bits and the persistence baseline
-            # (yesterday's vector repeats), both against today's actual.
-            want = vr.predicted.get(slot)
+        n_aps = self.n_aps
+        vehicles = self.vehicles.values()
+        observed = [vr.assoc_an.bits for vr in vehicles]
+        for vr, obs in zip(vehicles, observed):
+            # Score the predictions aimed at this slot: the filter's
+            # one-step-ahead bits and the persistence baseline (yesterday's
+            # vector repeats), both against today's actual.
+            vr.predicted = want = vr.predicted_next
             if want is not None:
-                prediction["bits_scored"] += self.n_aps
+                prediction["bits_scored"] += n_aps
                 self.pred_correct += sum(map(operator.eq, want, obs))
-            prev = vr.window_an[-1] if vr.window_an else None
-            if prev is not None:
-                self.persist_bits += self.n_aps
-                self.persist_correct += sum(map(operator.eq, prev.bits, obs))
+            if vr.window_an:
+                self.persist_bits += n_aps
+                self.persist_correct += sum(map(operator.eq, vr.window_an[-1].bits, obs))
         if cfg.predictor.policy == "bayes":
-            trans = [self.transitions[vr.mobility.velocity_class] for vr in self.vehicles.values()]
-            fellback = predictor.update_fleet(self.beliefs, observed, trans, self.obs_model)
-            prediction["fallbacks"] += int(np.count_nonzero(fellback))
+            trans = [self.transitions[vr.mobility.velocity_class] for vr in vehicles]
+            prediction["fallbacks"] += predictor.update_fleet(self.beliefs, observed, trans, self.obs_model)
             predicted = predictor.predict_fleet(self.beliefs, trans, self.obs_model, cfg.predictor.threshold)
         else:
             predicted = observed
-        for vr, bits in zip(self.vehicles.values(), predicted):
-            vr.predicted[slot + 1] = bits
-            vr.predicted.pop(slot - 1, None)
+        for vr, bits in zip(vehicles, predicted):
+            vr.predicted_next = bits
 
     def _phase_downlink(self, slot: int) -> None:
         cfg = self.cfg
@@ -383,6 +378,8 @@ class Simulation:
         self.report.slices["unsatisfied"] += max(wanted - pool_size, 0)
         downlink = self.report.downlink
         eco, dldecode = self._family("eco", self.an_ids), self._family("dldecode", self.an_ids)
+        dl, payload_bits, slot_s = cfg.downlink, cfg.mac.payload_bits, cfg.slot_duration
+        top_load, levels_w = dl.load_buckets - 1, dl.power_levels_w
 
         for vid, _, an_id in clusters:
             if not slices.ctus[vid]:
@@ -390,14 +387,12 @@ class Simulation:
             vr = self.vehicles[vid]
             ar = self.ans[an_id]
             members = self.cell_members[vr.mobility.cell]
-            pred_bits = vr.predicted.get(slot)
+            pred_bits = vr.predicted
             if pred_bits is None:
                 pred_bits = tuple(1 if ap in members else 0 for ap in self.ap_ids)
-            cand_aps = [ap for ap, bit in zip(self.ap_ids, pred_bits) if bit]
-            load_b = min(cfg.downlink.load_buckets - 1, an_load[an_id] - 1)
+            cand_aps = list(itertools.compress(self.ap_ids, pred_bits))
             snrs = self.cell_snr[vr.mobility.cell]
-            snr_b = int(snrs[members[0]] // cfg.downlink.snr_bucket_db)
-            state = (load_b, snr_b)
+            state = (min(top_load, an_load[an_id] - 1), int(snrs[members[0]] // dl.snr_bucket_db))
 
             if ar.learner is not None:
                 action = ar.learner.select(state, eco[an_id])
@@ -405,25 +400,20 @@ class Simulation:
                 action = self.actions[eco[an_id].integers(len(self.actions))]
             rank, p_idx = action
             # Slice power is the hard cap; the learner sees the consequence.
-            power_w = min(cfg.downlink.power_levels_w[p_idx], slices.power_w[vid])
+            power_w = min(levels_w[p_idx], slices.power_w[vid])
             delivered = False
             if rank < len(cand_aps) and power_w > 0.0:
-                ap = cand_aps[rank]
-                up_snr = snrs[ap]
+                up_snr = snrs[cand_aps[rank]]
                 if up_snr >= cfg.snr_threshold_db:
-                    delta_db = 10.0 * math.log10(power_w * 1000.0) - cfg.channel.tx_power_dbm
-                    dl_snr = up_snr + delta_db
-                    p_ok = 1.0 - self.curve.bler(dl_snr, cfg.mac.payload_bits)
-                    delivered = dldecode[an_id].random() < p_ok
-            energy = power_w * cfg.slot_duration
+                    dl_snr = up_snr + (10.0 * math.log10(power_w * 1000.0) - cfg.channel.tx_power_dbm)
+                    delivered = dldecode[an_id].random() < 1.0 - self.curve.bler(dl_snr, payload_bits)
+            energy = power_w * slot_s
             self.report.record_energy(an_id, slot, energy)
             downlink["attempts"] += 1
-            downlink["delivered"] += 1 if delivered else 0
+            downlink["delivered"] += delivered
             downlink["energy_j"] += energy
             self.downlink_power_sum += power_w
-            reward = ecorouting.delivery_reward(
-                delivered, power_w, cfg.downlink.w_delivery, cfg.downlink.w_power
-            )
+            reward = ecorouting.delivery_reward(delivered, power_w, dl.w_delivery, dl.w_power)
             if ar.learner is not None:
                 if ar.pending is not None:
                     ps, pa, pr = ar.pending
@@ -432,9 +422,7 @@ class Simulation:
 
     def _phase_control(self, slot: int) -> None:
         cfg = self.cfg
-        if self.topology is None:
-            return
-        if slot % cfg.control.period_slots != 0:
+        if self.topology is None or slot % cfg.control.period_slots != 0:
             return
         demands = [
             control_plane.Demand(vid, self.cell_an[vr.mobility.cell], cfg.control.rate_per_vehicle)
@@ -514,9 +502,9 @@ class Simulation:
                     "offload", slot, an_id, vid, service.service_id,
                     decision.where, decision.latency_s, decision.energy_j,
                 )
-        for an_id in self.an_ids:
-            ar = self.ans[an_id]
-            ar.queued_cycles = max(0.0, ar.queued_cycles - self.cparams.cpu_rate * cfg.slot_duration)
+        drained = self.cparams.cpu_rate * cfg.slot_duration
+        for an_id, ar in self.ans.items():
+            ar.queued_cycles = max(0.0, ar.queued_cycles - drained)
             edge.settle_slot(ar.ledger, ar.slot_energy)
             self.report.record_energy(an_id, slot, ar.slot_energy)
             ar.slot_energy = 0.0
@@ -530,10 +518,11 @@ class Simulation:
         # fingerprints differ, so the tag never verifies and the message is
         # never read. A zero message stands in on both paths.
         msg = bytes((n_bits + 7) // 8)
+        enabled = cfg.cipher.enabled
         for vid, vr in self.vehicles.items():
             vr.window_self.append(vr.assoc_true)
             vr.window_an.append(vr.assoc_an)
-            if not cfg.cipher.enabled:
+            if not enabled:
                 continue
             an_id = self.cell_an[vr.mobility.cell]
             if vr.session is None or vr.session_an_id != an_id:

@@ -206,6 +206,23 @@ def test_a_wrong_typed_override_exits_two_naming_its_path(override, path, tmp_pa
     assert any(e.startswith(f"{path}:") for e in json.loads(stdout)["errors"])
 
 
+@pytest.mark.parametrize(("override", "start"), [
+    pytest.param("seed=" + "1" * 5000, "seed: ", id="seed-as-a-long-string"),
+    pytest.param("horizon=[" + ",".join(["1"] * 3000) + "]", "horizon: ", id="horizon-as-a-long-list"),
+    pytest.param('road.builder="' + "x" * 5000 + '"', "road.builder: ", id="builder-outside-its-range"),
+    pytest.param("x" * 5000, "override 'xxx", id="no-equals-sign"),
+    pytest.param("y" * 5000 + ".=1", "override key 'yyy", id="key-with-an-empty-part"),
+])
+def test_a_huge_rejected_value_is_echoed_as_a_bounded_prefix(override, start, tmp_path, capsys):
+    code, stdout = _run(
+        capsys, "run", str(scenario_path("smoke")), "--out", str(tmp_path), "--override", override,
+    )
+    assert code == 2
+    (error,) = json.loads(stdout)["errors"]
+    assert error.startswith(start) and "…" in error
+    assert all(len(line) < 200 for line in stdout.splitlines())
+
+
 def test_an_override_through_a_non_object_exits_two_naming_its_key(tmp_path, capsys):
     code, stdout = _run(
         capsys, "run", str(scenario_path("smoke")), "--out", str(tmp_path), "--override", "horizon.x=1",

@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 from conftest import scenario_path
+from vecsim.config import scenario_from_dict
 from vecsim.kernel import PHASE_ORDER, Phase, PhaseError, SlotEngine
+from vecsim.simulation import Simulation
 
 
 def test_phase_order_is_fixed_and_complete():
@@ -108,3 +110,29 @@ def test_a_phase_error_names_its_cause_type_even_without_a_message():
     engine.register(Phase.DOWNLINK, starve)
     with pytest.raises(PhaseError, match=r"phase DOWNLINK failed at slot 0: MemoryError\(\)$"):
         engine.run()
+
+
+def test_advance_slot_past_the_horizon_raises_before_any_handler_runs():
+    engine = SlotEngine(horizon=2)
+    trace: list[tuple[int, str]] = []
+    for phase in Phase:
+        engine.register(phase, lambda slot, p=phase: trace.append((slot, p.name)))
+    engine.run()
+    ran = list(trace)
+    with pytest.raises(RuntimeError, match=r"^slot 2 is past the horizon of 2 slots$"):
+        engine.advance_slot()
+    assert trace == ran
+    assert engine.clock == 2
+
+
+def test_a_simulation_stepped_past_its_horizon_records_nothing_more(tmp_path):
+    data = json.loads(scenario_path("smoke").read_text())
+    data["horizon"] = 3
+    sim = Simulation(scenario_from_dict(data))
+    sim.engine.run()
+    emitted = sim.report.packets_emitted
+    with pytest.raises(RuntimeError, match="past the horizon"):
+        sim.engine.advance_slot()
+    assert sim.report.packets_emitted == emitted == 3 * len(sim.vehicles)
+    paths = sim.finalize().write(tmp_path)
+    assert len(paths["packets"].read_text().splitlines()) == 1 + emitted

@@ -299,8 +299,45 @@ def test_fleet_step_equals_the_one_vehicle_filter_bit_for_bit(
             assert predicted[v] == predict_association(singles[v], trans[v], model, threshold).bits
             reference[v], ref_fb, ref_bits = _reference_step(reference[v], trans[v], model, observed[v], threshold)
             assert np.array_equal(fleet.probs[v], reference[v])
-            assert (bool(fellback[v]), predicted[v]) == (ref_fb, ref_bits)
-        assert int(fellback.sum()) == fallbacks
+            assert (fb, predicted[v]) == (ref_fb, ref_bits)
+        assert fellback == fallbacks
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_road_model(), st.integers(1, 6), st.integers(1, 3), st.integers(2, 6), st.integers(0, 2**32 - 1))
+def test_the_fleet_step_is_the_one_row_step_near_the_threshold(road, n_rows, n_aps, steps, seed):
+    # one row switches class mid-run, rows share or repeat a vector, AP 0 is
+    # never heard (a vector that hears it is impossible and its row falls
+    # back), and each threshold sits at, or one float off, a row's marginal
+    cells, mobility = road
+    rng = np.random.default_rng(seed)
+    ops = {vclass: mobility.transition_matrix(vclass, cells)[1] for vclass in ("slow", "fast")}
+    likelihood = rng.choice([0.0, 1.0, *rng.random(3)], size=(len(cells), n_aps))
+    likelihood[:, 0] = 0.0
+    model = ObservationModel(likelihood=likelihood)
+    fleet = FleetBelief(np.full((n_rows, len(cells)), 1.0 / len(cells)))
+    singles = [uniform_belief(v, len(cells)) for v in range(n_rows)]
+    classes = ["slow"] * n_rows
+    switch_row, switch_step = int(rng.integers(n_rows)), int(rng.integers(1, steps))
+    for step in range(steps):
+        if step == switch_step:
+            classes[switch_row] = "fast"
+        trans = [ops[c] for c in classes]
+        shared = tuple(rng.integers(0, 2, n_aps).tolist())
+        observed = [shared if rng.random() < 0.5 else tuple(rng.integers(0, 2, n_aps).tolist()) for _ in range(n_rows)]
+        fallbacks = update_fleet(fleet, observed, trans, model)
+        one_row = [update_belief(singles[v], AssociationVector(v, step, observed[v]), trans[v], model) for v in range(n_rows)]
+        singles = [belief for belief, _ in one_row]
+        assert fallbacks == sum(fb for _, fb in one_row)
+        assert all(np.array_equal(fleet.probs[v], singles[v].probs) for v in range(n_rows))
+
+        row, ap = int(rng.integers(n_rows)), int(rng.integers(n_aps))
+        m = _marginals_in_cell_order(singles[row].probs @ trans[row], likelihood)[ap]
+        threshold = float(rng.choice([m, np.nextafter(m, 0.0), np.nextafter(m, 1.0)]))
+        if not 0.0 < threshold < 1.0:
+            threshold = 0.5
+        predicted = predict_fleet(fleet, trans, model, threshold)
+        assert predicted == [predict_association(singles[v], trans[v], model, threshold).bits for v in range(n_rows)]
 
 
 def test_predicted_marginals_are_the_cell_order_sum_bit_for_bit():

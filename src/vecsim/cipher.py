@@ -7,9 +7,8 @@ Keystream blocks come from HMAC-SHA256 in counter mode keyed on the session
 key and bound to the fingerprint digest, so the stream drifts with mobility.
 An in-band digest check detects window divergence (MAI can corrupt one
 side's view) and triggers re-keying from the AN's master key. A fingerprint
-computes its canonical bytes and digest when first asked and keeps them, from
-chunks each association vector packs once, so endpoints that hold equal
-windows can share one.
+packs and hashes its window only when asked, which an in-sync exchange never
+does; endpoints that hold equal windows can share one.
 `exchange` runs a whole vehicle-to-AN loopback. When the endpoints share one
 fingerprint object and hold equal states, its outcome is fixed by
 construction: the AN reproduces the vehicle's tag, so the message verifies,
@@ -27,7 +26,6 @@ import hashlib
 import hmac
 import struct
 from dataclasses import dataclass
-from functools import cached_property
 
 from vecsim.predictor import AssociationVector
 from vecsim.rng import RngStream
@@ -38,43 +36,19 @@ BLOCK_BYTES = 32     # HMAC-SHA256 output
 
 @dataclass
 class Fingerprint:
-    """Sliding window of the last W association vectors, canonically ordered.
-
-    The canonical bytes and their digest are computed on first use, once.
-    """
+    """Sliding window of the last W association vectors, canonically ordered."""
 
     vehicle_id: int
     window: tuple[AssociationVector, ...]
 
-    @cached_property
-    def _canonical(self) -> bytes:
+    def canonical_bytes(self) -> bytes:
         # slot-ascending, bits in AP-id order; length prefixes keep it injective
-        chunks = [_chunk(vec) for vec in sorted(self.window, key=lambda v: v.slot)]
+        chunks = [struct.pack(">qI", vec.slot, len(vec.bits)) + bytes(vec.bits)
+                  for vec in sorted(self.window, key=lambda v: v.slot)]
         return struct.pack(">I", len(self.window)) + b"".join(chunks)
 
-    @cached_property
-    def _digest(self) -> bytes:
-        return hashlib.sha256(self._canonical).digest()
-
-    def canonical_bytes(self) -> bytes:
-        return self._canonical
-
     def digest(self) -> bytes:
-        return self._digest
-
-
-def _chunk(vec: AssociationVector) -> bytes:
-    """One vector's part of the canonical bytes: slot and bit count (>qI), then one byte per bit.
-
-    A vector stays in W windows on each side, so its chunk is packed once and
-    kept on the vector. It is no dataclass field, so the vector's ==, hash and
-    repr are unchanged.
-    """
-    try:
-        return vec._fingerprint_chunk
-    except AttributeError:
-        vec._fingerprint_chunk = chunk = struct.pack(">qI", vec.slot, len(vec.bits)) + bytes(vec.bits)
-        return chunk
+        return hashlib.sha256(self.canonical_bytes()).digest()
 
 
 @dataclass

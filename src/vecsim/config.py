@@ -47,6 +47,8 @@ MAX_CTU_POOL = 1 << 16  # the downlink lists every free CTU of the pool in each 
 MAX_AP_RANKS = 1024     # each downlink decision scans all ap_ranks x power level actions
 MAX_PAYLOAD_BITS = 1 << 16  # the cipher phase allocates a payload_bits / 8 byte message every slot
 MAX_CIPHER_WINDOW = 1024    # every vehicle-slot copies and compares both fingerprint windows
+MAX_POWER_W = 1e6           # 10**4 times a macro cell's transmit power; keeps the downlink energy sums finite
+MAX_INPUT_BITS = 1e15       # 10**10 times the default task input; keeps the cloud latency and energy sums finite
 
 Id = Annotated[int, Range()]     # validate_scenario checks that each id is unique and each reference known
 Probability = Annotated[float, Range(ge=0, le=1)]
@@ -114,7 +116,7 @@ class ClusterConfig:
 @dataclass
 class DownlinkConfig:
     policy: Annotated[str, Range(among=("eco", "random"))] = "eco"
-    power_levels_w: Annotated[tuple[Annotated[float, Range(gt=0)], ...], Range(ge=1, items=True)] = (0.1, 1.0)
+    power_levels_w: Annotated[tuple[Annotated[float, Range(gt=0, le=MAX_POWER_W)], ...], Range(ge=1, items=True)] = (0.1, 1.0)
     ap_ranks: Annotated[int, Range(ge=1, le=MAX_AP_RANKS)] = 2
     epsilon: Probability = 0.1
     eta: Annotated[float, Range(gt=0, le=1)] = 0.3
@@ -158,7 +160,7 @@ class EdgeComputeConfig:
         Service(service_id=0, size=2.0, cycles_per_task=2e6, popularity=1.0),
     ])
     task_arrival_prob: Probability = 0.1
-    input_bits: Annotated[float, Range(ge=0)] = 1e5
+    input_bits: Annotated[float, Range(ge=0, le=MAX_INPUT_BITS)] = 1e5
     recache_period: Annotated[int, Range(ge=1)] = 100
     # a task's latency divides its cycles and bits by these rates: at least one per second keeps it finite
     cpu_rate: Annotated[float, Range(ge=1)] = 5e9

@@ -14,12 +14,14 @@ from typing import Annotated
 
 from vecsim.ranges import Range
 
+MAX_CYCLES_PER_TASK = 1e15      # days of one core; keeps the CPU backlog and the latency sums finite
+
 
 @dataclass(frozen=True)
 class Service:
     service_id: Annotated[int, Range()]
     size: Annotated[float, Range(gt=0)]               # storage units
-    cycles_per_task: Annotated[float, Range(gt=0)]
+    cycles_per_task: Annotated[float, Range(gt=0, le=MAX_CYCLES_PER_TASK)]
     popularity: Annotated[float, Range(ge=0)] = 1.0
 
     def __post_init__(self):

@@ -1,11 +1,11 @@
 """Run counters, per-slot energy, and the three output files.
 
 Phases count into the report's summary sections and aggregates() derives the
-ratios. A packet or decision row is final when it is recorded (uplink access
-is grant-free: a packet is decoded in its emit slot or lost), so it goes
-straight to a temporary file that write() copies out after the header. The
-output schema is versioned and frozen: the CSV headers and summary.json keys
-are part of the public contract (golden-tested).
+ratios; each AN's energy is summed as the slots close. A packet or decision row
+is final when it is recorded (uplink access is grant-free: a packet is decoded
+in its emit slot or lost), so it goes straight to a temporary file that write()
+copies out after the header. The output schema is versioned and frozen: the CSV
+headers and summary.json keys are part of the public contract (golden-tested).
 """
 
 from __future__ import annotations
@@ -20,11 +20,58 @@ import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 SCHEMA_VERSION = 1
 PACKETS_HEADER = ["vehicle_id", "emit_slot", "delivered", "latency_slots", "replicas", "paths"]
 DECISIONS_HEADER = ["kind", "slot", "an_id", "vehicle_id", "service_id", "decision", "latency_s", "energy_j"]
+
+
+def _block_sum(block: list[float]) -> float:
+    """numpy's pairwise_sum of at most 128 values: eight running partials, then the rest (all of them below 8)."""
+    full = len(block) - len(block) % 8
+    r = [functools.reduce(operator.add, block[j:full:8], 0.0) for j in range(8)]
+    partials = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    return functools.reduce(operator.add, block[full:], partials)
+
+
+class _AnEnergy:
+    """One AN's energy per slot, summed as the slots close.
+
+    The total adds the slots left to right. The pairwise sum is numpy's
+    pairwise_sum over the whole horizon (numpy/_core/src/umath/loops_utils.h.src;
+    Higham, Accuracy and Stability of Numerical Algorithms, s4.2), so divided
+    by the horizon it has np.mean's bits. Its tree depends only on the horizon:
+    the open slot's leaf block is kept, and a full one folds into the left
+    sums on its path. A slot with nothing booked holds 0 J.
+    """
+
+    def __init__(self, horizon: int, slot: int) -> None:
+        self.total = 0          # the folded blocks, left to right from int 0
+        self.path: list[tuple[float, int]] = []     # per split above the block: (left sum, right half's size to come)
+        self._enter(horizon, slot)
+
+    def _enter(self, n: int, skip: int) -> None:
+        while n > 128:      # descend n slots to the block of slot `skip`, the slots before it 0 J
+            half = n // 2 - n // 2 % 8      # numpy's split: n // 2 rounded down to a multiple of 8
+            self.path.append((0.0, n - half if skip < half else 0))
+            n, skip = (half, skip) if skip < half else (n - half, skip - half)
+        self.block, self.at = [0.0] * n, skip - n      # the open slot, counted back from the block's end
+
+    def fold(self) -> None:
+        """Fold the full block into the total and the path, then open the next block."""
+        self.total = functools.reduce(operator.add, self.block, self.total)
+        value = _block_sum(self.block)
+        while self.path and not self.path[-1][1]:       # the block ends these right halves
+            value = self.path.pop()[0] + value
+        right = self.path.pop()[1] if self.path else 0  # 0 once every slot is in: an empty block stays open
+        self.path.append((value, 0))
+        self._enter(right, 0)
+
+    def sums(self) -> tuple[float, float]:
+        """(total, pairwise sum) with the open block in; a later slot's 0 J, summed to 0.0, changes neither."""
+        pairwise = _block_sum(self.block)
+        for left, _ in reversed(self.path):
+            pairwise = left + pairwise      # 0.0 where the block is in a left half
+        return functools.reduce(operator.add, self.block, self.total), pairwise
 
 
 @dataclass
@@ -42,7 +89,6 @@ class MetricsReport:
     latency_deadline_s: float
     packets_emitted: int = 0
     packets_delivered: int = 0
-    energy_per_an: dict[int, list[float]] = field(default_factory=dict)
     downlink: dict[str, float] = field(default_factory=dict)
     prediction: dict[str, float] = field(default_factory=dict)
     control: dict[str, object] = field(default_factory=dict)
@@ -59,6 +105,8 @@ class MetricsReport:
             weakref.finalize(self, sink.close)      # closed with the report, not leaked
         self._packet_row = csv.writer(self._sinks["packets"]).writerow
         self._decision_row = csv.writer(self._sinks["decisions"]).writerow
+        self._energy: dict[int, _AnEnergy] = {}     # in the order the ANs first booked energy
+        self._slot = 0          # the open slot
 
     def record_packet(self, vehicle_id: int, emit_slot: int, delivered: bool, replicas: int, paths: int):
         """One uplink packet, delivered in its emit slot (a latency of one slot) or lost."""
@@ -73,11 +121,18 @@ class MetricsReport:
         row = (kind, slot, an_id, vehicle_id, service_id, decision, latency_s, energy_j)
         self._decision_row(["" if v is None else v for v in row])
 
-    def record_energy(self, an_id: int, slot: int, joules: float) -> None:
-        series = self.energy_per_an.get(an_id)
-        if series is None:      # allocate once per AN, not on every call
-            series = self.energy_per_an[an_id] = [0.0] * self.horizon
-        series[slot] += joules
+    def record_energy(self, an_id: int, joules: float) -> None:
+        """Add joules to the AN's energy in the open slot; its slots before its first booking hold 0 J."""
+        an = self._energy.get(an_id) or self._energy.setdefault(an_id, _AnEnergy(self.horizon, self._slot))
+        an.block[an.at] += joules
+
+    def end_slot(self) -> None:
+        """Close the open slot: no energy is booked into it after this."""
+        self._slot += 1
+        for an in self._energy.values():
+            an.at += 1
+            if not an.at:
+                an.fold()
 
     # -- aggregates ---------------------------------------------------------
 
@@ -86,12 +141,8 @@ class MetricsReport:
         latency_slots = 1.0 if delivered else None
         latency_s = self.slot_duration if delivered else None
         meets_deadline = self.slot_duration <= self.latency_deadline_s * (1 + 1e-9)
-        mean_energy = {
-            str(an): float(np.mean(series)) if series else 0.0
-            for an, series in sorted(self.energy_per_an.items())
-        }
         # floats add left to right here: Python 3.12's sum() compensates and moves bits
-        per_an_total = (functools.reduce(operator.add, series, 0) for series in self.energy_per_an.values())
+        sums = {an_id: an.sums() for an_id, an in self._energy.items()}
         return {
             "schema_version": SCHEMA_VERSION,
             "scenario": self.scenario_name,
@@ -111,8 +162,8 @@ class MetricsReport:
                 "deadline_hit_fraction": delivered / emitted if emitted and meets_deadline else 0.0,
             },
             "energy": {
-                "mean_per_slot_per_an_j": mean_energy,
-                "total_j": float(functools.reduce(operator.add, per_an_total, 0)),
+                "mean_per_slot_per_an_j": {str(an_id): sums[an_id][1] / self.horizon for an_id in sorted(sums)},
+                "total_j": float(functools.reduce(operator.add, (total for total, _ in sums.values()), 0)),
             },
             "downlink": dict(sorted(self.downlink.items())),
             "prediction": dict(sorted(self.prediction.items())),

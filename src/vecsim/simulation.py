@@ -408,7 +408,7 @@ class Simulation:
                     dl_snr = up_snr + (10.0 * math.log10(power_w * 1000.0) - cfg.channel.tx_power_dbm)
                     delivered = dldecode[an_id].random() < 1.0 - self.curve.bler(dl_snr, payload_bits)
             energy = power_w * slot_s
-            self.report.record_energy(an_id, slot, energy)
+            self.report.record_energy(an_id, energy)
             downlink["attempts"] += 1
             downlink["delivered"] += delivered
             downlink["energy_j"] += energy
@@ -506,8 +506,9 @@ class Simulation:
         for an_id, ar in self.ans.items():
             ar.queued_cycles = max(0.0, ar.queued_cycles - drained)
             edge.settle_slot(ar.ledger, ar.slot_energy)
-            self.report.record_energy(an_id, slot, ar.slot_energy)
+            self.report.record_energy(an_id, ar.slot_energy)
             ar.slot_energy = 0.0
+        self.report.end_slot()
 
     def _phase_cipher(self, slot: int) -> None:
         cfg = self.cfg

@@ -353,6 +353,9 @@ def _smoke_aps_with(**changes) -> str:
     ("channel.noise_dbm=-2000", "channel"),
     ("channel.pathloss_exp=-1e9", "channel.pathloss_exp"),
     (f"aps={_smoke_aps_with(fronthaul_snr_db=1e9)}", "aps[1].fronthaul_snr_db"),
+    ("downlink.power_levels_w=[1e308]", "downlink.power_levels_w[0]"),
+    ('edge_compute.services=[{"service_id":0,"size":1.0,"cycles_per_task":1e308}]',
+     "edge_compute.services[0].cycles_per_task"),
 ])
 def test_a_non_finite_or_overflowing_number_exits_two_naming_its_path(override, path, tmp_path, capsys):
     code, stdout = _run(
@@ -368,6 +371,7 @@ def test_a_non_finite_or_overflowing_number_exits_two_naming_its_path(override, 
     "edge_compute.cloud_rate=5e-324",
     "edge_compute.backhaul_rate=5e-324",
     "edge_compute.joules_per_bit=1e308",
+    "edge_compute.input_bits=1e308",
 ])
 def test_a_number_whose_sums_would_overflow_exits_two_naming_its_path(override, tmp_path, capsys):
     # each ran to exit 0 and wrote Infinity, which is not JSON, into summary.json

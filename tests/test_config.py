@@ -319,6 +319,11 @@ def test_overridden_config_revalidates_to_catch_new_problems():
     ({"mac.bler_beta": {"128": -50.0}}, "mac.bler_beta[128]"),
     ({"downlink.w_power": -1.0}, "downlink.w_power"),
     ({"bandit.cost_per_replica": -1.0}, "bandit.cost_per_replica"),
+    # magnitudes whose energy, backlog and latency sums would overflow
+    ({"downlink.power_levels_w": [1e308]}, "downlink.power_levels_w[0]"),
+    ({"edge_compute.services": [{"service_id": 0, "size": 1.0, "cycles_per_task": 1e308}]},
+     "edge_compute.services[0].cycles_per_task"),
+    ({"edge_compute.input_bits": 1e308}, "edge_compute.input_bits"),
 ])
 def test_runtime_divisors_and_sizes_are_range_checked(overrides, path):
     assert any(p.startswith(f"{path}:") for p in validate_scenario(_smoke_with(overrides)))

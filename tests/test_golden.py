@@ -501,6 +501,28 @@ def test_pins_hold_under_a_compensated_builtin_sum(case, tmp_path, monkeypatch, 
     assert tuple(hashlib.sha256((out / f).read_bytes()).hexdigest() for f in FILES) == want
 
 
+# Each AN's mean energy per slot is numpy's pairwise sum streamed in Python as
+# the slots close, so no numpy reduction stands behind summary.json: the pins
+# hold with numpy.mean refusing every call.
+@pytest.mark.parametrize("case", ["degenerate", "eco_toy", "oracle", "smoke", "crowd"])
+def test_pins_hold_with_numpy_mean_refused(case, tmp_path, monkeypatch, capsys):
+    import numpy
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.mean was called")
+
+    monkeypatch.setattr(numpy, "mean", refuse)
+    out = tmp_path / "out"
+    if case == "crowd":
+        argv, want = [str(_crowd_scenario(tmp_path))], CROWD[1]
+    else:
+        argv, want = [str(scenario_path(case))], GOLDEN[(case, 1)]
+    code = main(["run", *argv, "--seed", "1", "--out", str(out)])
+    capsys.readouterr()
+    assert code == 0
+    assert tuple(hashlib.sha256((out / f).read_bytes()).hexdigest() for f in FILES) == want
+
+
 # Out of sync, the two windows' fingerprints differ, so the integrity tag never
 # verifies and the simulation needs no payload: override set (a) and the noisy
 # views (h), whose full-path exchanges interleave with in-sync ones, keep their

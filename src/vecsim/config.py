@@ -28,7 +28,7 @@ from typing import Annotated, NamedTuple
 
 from vecsim.channel import ChannelParams
 from vecsim.control_plane import connected_components
-from vecsim.edge import Service
+from vecsim.edge import ComputeParams, Service
 from vecsim.mac import CtuPool
 from vecsim.mobility import MarkovJumpModel, RoadGraph, line_graph
 from vecsim.ranges import Range, shown
@@ -154,7 +154,7 @@ class ControlConfig:
 
 
 @dataclass
-class EdgeComputeConfig:
+class EdgeComputeConfig(ComputeParams):
     enabled: bool = True
     services: list[Service] = field(default_factory=lambda: [
         Service(service_id=0, size=2.0, cycles_per_task=2e6, popularity=1.0),
@@ -162,14 +162,6 @@ class EdgeComputeConfig:
     task_arrival_prob: Probability = 0.1
     input_bits: Annotated[float, Range(ge=0, le=MAX_INPUT_BITS)] = 1e5
     recache_period: Annotated[int, Range(ge=1)] = 100
-    # a task's latency divides its cycles and bits by these rates: at least one per second keeps it finite
-    cpu_rate: Annotated[float, Range(ge=1)] = 5e9
-    cloud_rate: Annotated[float, Range(ge=1)] = 5e10
-    backhaul_rtt: Annotated[float, Range(ge=0)] = 0.05
-    backhaul_rate: Annotated[float, Range(ge=1)] = 1e8
-    # a joule per cycle or bit is already 10**9 times what hardware spends; more overflows the energy sums
-    joules_per_cycle: Annotated[float, Range(ge=0, le=1)] = 1e-9
-    joules_per_bit: Annotated[float, Range(ge=0, le=1)] = 1e-8
     # every AN keeps an energy ledger, with edge compute on or off
     energy_budget_per_slot: Annotated[float, Range(gt=0)] = 0.01
     tradeoff_v: Annotated[float, Range(gt=0)] = 1.0
@@ -548,13 +540,7 @@ def _convert_record(value, cls, path: str, errors: list[str]):
     for name in hints:
         if name in required and name not in value:
             errors.append(f"{_join(path, name)}: required field missing")
-    if len(errors) > before:
-        return None
-    try:
-        return cls(**kwargs)
-    except ValueError as exc:     # a __post_init__ invariant
-        errors.append(f"{path}: {exc}" if path else str(exc))
-        return None
+    return None if len(errors) > before else cls(**kwargs)
 
 
 def read_json_object(path: str | Path) -> dict:

@@ -24,10 +24,6 @@ class Service:
     cycles_per_task: Annotated[float, Range(gt=0, le=MAX_CYCLES_PER_TASK)]
     popularity: Annotated[float, Range(ge=0)] = 1.0
 
-    def __post_init__(self):
-        if self.size <= 0 or self.cycles_per_task <= 0:
-            raise ValueError("service size and cycles must be positive")
-
 
 @dataclass
 class CacheState:
@@ -60,14 +56,16 @@ class EnergyLedger:
             raise ValueError("deficit queue cannot start negative")
 
 
-@dataclass(frozen=True)
+@dataclass
 class ComputeParams:
-    cpu_rate: float = 5e9            # cycles/second at the AN
-    cloud_rate: float = 5e10         # cycles/second in the cloud
-    backhaul_rtt: float = 0.05       # seconds
-    backhaul_rate: float = 1e8       # bits/second
-    joules_per_cycle: float = 1e-9
-    joules_per_bit: float = 1e-8
+    # a task's latency divides its cycles and bits by these rates: at least one per second keeps it finite
+    cpu_rate: Annotated[float, Range(ge=1)] = 5e9           # cycles/second at the AN
+    cloud_rate: Annotated[float, Range(ge=1)] = 5e10        # cycles/second in the cloud
+    backhaul_rtt: Annotated[float, Range(ge=0)] = 0.05      # seconds
+    backhaul_rate: Annotated[float, Range(ge=1)] = 1e8      # bits/second
+    # a joule per cycle or bit is already 10**9 times what hardware spends; more overflows the energy sums
+    joules_per_cycle: Annotated[float, Range(ge=0, le=1)] = 1e-9
+    joules_per_bit: Annotated[float, Range(ge=0, le=1)] = 1e-8
 
 
 @dataclass

@@ -27,10 +27,6 @@ class CtuPool:
     freq_blocks: Annotated[int, Range(ge=1)] = 8
     sequences: Annotated[int, Range(ge=1)] = 1
 
-    def __post_init__(self):
-        if min(self.slots_per_frame, self.freq_blocks, self.sequences) < 1:
-            raise ValueError("all CTU pool dimensions must be >= 1")
-
     @property
     def size(self) -> int:
         return self.slots_per_frame * self.freq_blocks * self.sequences
@@ -135,7 +131,7 @@ def detect_collisions(selections: list[CtuSelection]) -> dict[int, list[int]]:
     return occupancy
 
 
-def mud_resolve(occupants: list[int], k_max: int) -> dict[int, bool]:
+def mud_resolve(occupants: list[int], k_max: int) -> bool:
     """Multiuser detection as a capacity threshold.
 
     Up to k_max superposed transmissions per CTU are all separable; one more
@@ -145,8 +141,7 @@ def mud_resolve(occupants: list[int], k_max: int) -> dict[int, bool]:
         raise ValueError("occupants must be nonempty")
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    ok = len(occupants) <= k_max
-    return {v: ok for v in occupants}
+    return len(occupants) <= k_max
 
 
 def effective_snr_db(snr_db: float, relay_snr_db: float, mode: str) -> float:

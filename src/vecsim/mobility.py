@@ -12,7 +12,7 @@ import bisect
 import functools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -136,12 +136,6 @@ class SparseTransition:
         terms = b.take(self._idx)           # terms[k] = b[..., src[k]], then times w[k]
         terms *= self._w
         return functools.reduce(operator.iadd, terms)      # a running sum over k, into terms[0]
-
-
-@dataclass
-class MobilityState:
-    cell: int
-    velocity_class: str = "default"
 
 
 def draw_from_row(targets: list[int], cum: list[float], rng: RngStream) -> int:

@@ -30,7 +30,8 @@ from vecsim.rng import RngStream
 class VehicleRuntime:
     """Per-vehicle mutable state across slots."""
 
-    mobility: mobility.MobilityState
+    cell: int
+    velocity_class: str
     bandit: Optional[mac.BanditState] = None
     last_decoded: Optional[bool] = None       # whether the last packet sent decoded
     last_replicas: Optional[int] = None
@@ -133,7 +134,7 @@ class Simulation:
 
         self.vehicles: dict[int, VehicleRuntime] = {}
         for spec in sorted(cfg.vehicles, key=lambda v: v.vehicle_id):
-            vr = VehicleRuntime(mobility.MobilityState(spec.cell, spec.velocity_class))
+            vr = VehicleRuntime(spec.cell, spec.velocity_class)
             if cfg.bandit.enabled:
                 vr.bandit = mac.BanditState(
                     r_max=cfg.bandit.r_max,
@@ -150,14 +151,6 @@ class Simulation:
         # (AP rank, power level index) pairs, rank-major
         self.actions = list(itertools.product(range(cfg.downlink.ap_ranks), range(len(cfg.downlink.power_levels_w))))
         ec = cfg.edge_compute
-        self.cparams = edge.ComputeParams(
-            cpu_rate=ec.cpu_rate,
-            cloud_rate=ec.cloud_rate,
-            backhaul_rtt=ec.backhaul_rtt,
-            backhaul_rate=ec.backhaul_rate,
-            joules_per_cycle=ec.joules_per_cycle,
-            joules_per_bit=ec.joules_per_bit,
-        )
         self.ans: dict[int, AnRuntime] = {}
         for an_id in self.an_ids:
             spec = self.an_specs[an_id]
@@ -260,10 +253,9 @@ class Simulation:
         sched = self.sched_by_slot.get(slot, {})
         streams = self._family("mobility", self.vehicles)
         for (vid, vr), rng in zip(self.vehicles.items(), streams.values()):
-            state = vr.mobility
-            state.velocity_class = vclass = sched.get(vid, state.velocity_class)
-            targets, cum = self.rows[(vclass, state.cell)]
-            state.cell = mobility.draw_from_row(targets, cum, rng)
+            vr.velocity_class = vclass = sched.get(vid, vr.velocity_class)
+            targets, cum = self.rows[(vclass, vr.cell)]
+            vr.cell = mobility.draw_from_row(targets, cum, rng)
 
     def _phase_uplink(self, slot: int) -> None:
         cfg = self.cfg
@@ -272,7 +264,7 @@ class Simulation:
         bandits = self._family("bandit", self.vehicles) if cfg.bandit.enabled else {}
         policy, preconfigured = cfg.mac.ctu_policy, cfg.mac.preconfigured or None
         for (vid, vr), rng in zip(self.vehicles.items(), streams.values()):
-            members = self.cell_members[vr.mobility.cell]
+            members = self.cell_members[vr.cell]
             if not members:         # nothing is sent, so the bandit neither draws nor learns
                 vr.selection = None
                 continue
@@ -297,7 +289,7 @@ class Simulation:
         bandit = self.report.bandit
         for ctu, occupants in occupancy.items():
             if len(occupants) > 1:
-                ok = all(mac.mud_resolve(occupants, cfg.mac.k_max).values())
+                ok = mac.mud_resolve(occupants, cfg.mac.k_max)
                 bandit["collision_ctus"] += 1
                 bandit["mud_resolved_ctus"] += ok
                 if not ok:
@@ -316,7 +308,7 @@ class Simulation:
             else:
                 # selection combining: the packet is in if any path decoded
                 decoded = False
-                cell = vr.mobility.cell
+                cell = vr.cell
                 for ctu, ap in zip(selection.ctus, selection.target_aps):
                     # a path over a lost CTU draws nothing
                     if ctu not in lost and decode.random() >= path_failure[(cell, ap)]:
@@ -352,7 +344,7 @@ class Simulation:
                 self.persist_bits += n_aps
                 self.persist_correct += sum(map(operator.eq, vr.window_an[-1].bits, obs))
         if cfg.predictor.policy == "bayes":
-            trans = [self.transitions[vr.mobility.velocity_class] for vr in vehicles]
+            trans = [self.transitions[vr.velocity_class] for vr in vehicles]
             prediction["fallbacks"] += predictor.update_fleet(self.beliefs, observed, trans, self.obs_model)
             predicted = predictor.predict_fleet(self.beliefs, trans, self.obs_model, cfg.predictor.threshold)
         else:
@@ -366,7 +358,7 @@ class Simulation:
         clusters = []
         an_load = dict.fromkeys(self.an_ids, 0)
         for vid, vr in self.vehicles.items():
-            cell = vr.mobility.cell
+            cell = vr.cell
             if members := self.cell_members[cell]:
                 an_id = self.cell_an[cell]
                 clusters.append((vid, len(members), an_id))
@@ -386,12 +378,12 @@ class Simulation:
                 continue                       # no downlink resources this slot
             vr = self.vehicles[vid]
             ar = self.ans[an_id]
-            members = self.cell_members[vr.mobility.cell]
+            members = self.cell_members[vr.cell]
             pred_bits = vr.predicted
             if pred_bits is None:
                 pred_bits = tuple(1 if ap in members else 0 for ap in self.ap_ids)
             cand_aps = list(itertools.compress(self.ap_ids, pred_bits))
-            snrs = self.cell_snr[vr.mobility.cell]
+            snrs = self.cell_snr[vr.cell]
             state = (min(top_load, an_load[an_id] - 1), int(snrs[members[0]] // dl.snr_bucket_db))
 
             if ar.learner is not None:
@@ -425,7 +417,7 @@ class Simulation:
         if self.topology is None or slot % cfg.control.period_slots != 0:
             return
         demands = [
-            control_plane.Demand(vid, self.cell_an[vr.mobility.cell], cfg.control.rate_per_vehicle)
+            control_plane.Demand(vid, self.cell_an[vr.cell], cfg.control.rate_per_vehicle)
             for vid, vr in self.vehicles.items()
         ]
         entry: dict = {"slot": slot}
@@ -484,12 +476,12 @@ class Simulation:
                 if rng.random() >= ec.task_arrival_prob:
                     continue
                 service = self.catalog[self.service_order[bisect.bisect_left(self.service_cum, rng.random())]]
-                an_id = self.cell_an[vr.mobility.cell]
+                an_id = self.cell_an[vr.cell]
                 ar = self.ans[an_id]
                 ar.request_counts[service.service_id] = ar.request_counts.get(service.service_id, 0) + 1
                 task = edge.Task(service.service_id, vid, ec.input_bits, slot)
                 decision = edge.decide_offload(
-                    task, service, ar.cache, ar.ledger, ar.queued_cycles, self.cparams,
+                    task, service, ar.cache, ar.ledger, ar.queued_cycles, ec,
                     policy=ec.offload_policy,
                 )
                 self.report.edge["tasks"] += 1
@@ -502,7 +494,7 @@ class Simulation:
                     "offload", slot, an_id, vid, service.service_id,
                     decision.where, decision.latency_s, decision.energy_j,
                 )
-        drained = self.cparams.cpu_rate * cfg.slot_duration
+        drained = ec.cpu_rate * cfg.slot_duration
         for an_id, ar in self.ans.items():
             ar.queued_cycles = max(0.0, ar.queued_cycles - drained)
             edge.settle_slot(ar.ledger, ar.slot_energy)
@@ -525,7 +517,7 @@ class Simulation:
             vr.window_an.append(vr.assoc_an)
             if not enabled:
                 continue
-            an_id = self.cell_an[vr.mobility.cell]
+            an_id = self.cell_an[vr.cell]
             if vr.session is None or vr.session_an_id != an_id:
                 vr.session = cipher.start_session(vid, an_id, self._family("cipher", self.vehicles)[vid])[0]
                 vr.session_an_id = an_id

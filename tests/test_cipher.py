@@ -43,7 +43,7 @@ def test_canonical_bytes_are_slot_ordered_and_window_insensitive():
     assert a.digest() == shuffled.digest()
 
 
-def test_fingerprint_bytes_are_computed_once_and_equal_a_fresh_fingerprint():
+def test_fingerprint_bytes_and_digest_are_stable_and_equal_a_fresh_fingerprint():
     fp = _fp((3, (1, 0, 1)), (1, (0, 0, 1)), (2, (1, 1, 0)))
     fresh = Fingerprint(vehicle_id=0, window=fp.window)
     assert fp.canonical_bytes() == fp.canonical_bytes() == fresh.canonical_bytes()

@@ -190,7 +190,7 @@ def test_argparse_rejects_unknown_commands():
 @pytest.mark.parametrize(("override", "path"), [
     ("horizon=1.5", "horizon"),
     ("horizon=true", "horizon"),
-    ("ctu_pool.freq_blocks=0", "ctu_pool"),
+    ("ctu_pool.freq_blocks=0", "ctu_pool.freq_blocks"),
     ("mac=5", "mac"),
     ('mac.k_max="2"', "mac.k_max"),
     ("downlink.power_levels_w=0.5", "downlink.power_levels_w"),

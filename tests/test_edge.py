@@ -36,10 +36,6 @@ def _svc(sid, size, cycles=1e6, pop=1.0) -> Service:
 
 def test_service_and_ledger_validation():
     with pytest.raises(ValueError):
-        _svc(0, size=0.0)
-    with pytest.raises(ValueError):
-        Service(service_id=0, size=1.0, cycles_per_task=0.0)
-    with pytest.raises(ValueError):
         EnergyLedger(an_id=0, budget_per_slot=0.0, tradeoff_v=1.0)
     with pytest.raises(ValueError):
         EnergyLedger(an_id=0, budget_per_slot=1.0, tradeoff_v=1.0, deficit=-0.1)

@@ -26,8 +26,6 @@ from vecsim.rng import RngStream
 
 def test_pool_size_is_the_grid_product():
     assert CtuPool(slots_per_frame=2, freq_blocks=8, sequences=3).size == 48
-    with pytest.raises(ValueError):
-        CtuPool(slots_per_frame=0, freq_blocks=8, sequences=1)
 
 
 def test_selection_rejects_duplicates_and_ragged_lists():
@@ -88,9 +86,9 @@ def test_detect_collisions_builds_the_exact_occupancy_multimap():
 
 
 def test_mud_capacity_threshold_is_all_or_none():
-    assert mud_resolve([4], k_max=2) == {4: True}
-    assert mud_resolve([4, 7], k_max=2) == {4: True, 7: True}
-    assert mud_resolve([4, 7, 9], k_max=2) == {4: False, 7: False, 9: False}
+    assert mud_resolve([4], k_max=2) is True
+    assert mud_resolve([4, 7], k_max=2) is True
+    assert mud_resolve([4, 7, 9], k_max=2) is False
     with pytest.raises(ValueError):
         mud_resolve([], k_max=2)
     with pytest.raises(ValueError):

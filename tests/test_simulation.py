@@ -98,8 +98,8 @@ def test_velocity_schedule_switches_the_class_at_its_slot():
     cfg.velocity_schedule = [(10, 0, "crawl")]
     sim = Simulation(cfg)
     sim.engine.run()
-    assert sim.vehicles[0].mobility.velocity_class == "crawl"
-    assert sim.vehicles[1].mobility.velocity_class == "default"
+    assert sim.vehicles[0].velocity_class == "crawl"
+    assert sim.vehicles[1].velocity_class == "default"
 
 
 def test_control_checkpoints_appear_each_period():

@@ -7,14 +7,13 @@ Keystream blocks come from HMAC-SHA256 in counter mode keyed on the session
 key and bound to the fingerprint digest, so the stream drifts with mobility.
 An in-band digest check detects window divergence (MAI can corrupt one
 side's view) and triggers re-keying from the AN's master key. A fingerprint
-packs and hashes its window only when asked, which an in-sync exchange never
-does; endpoints that hold equal windows can share one.
-`exchange` runs a whole vehicle-to-AN loopback. When the endpoints share one
-fingerprint object and hold equal states, its outcome is fixed by
-construction: the AN reproduces the vehicle's tag, so the message verifies,
-and XORing one keystream twice returns the message with its tail bits
-masked, so the roundtrip holds exactly when those bits are already zero.
-That in-sync path therefore hashes nothing and only advances the counters.
+packs and hashes its window only when asked. `exchange` runs a whole
+vehicle-to-AN loopback. When the two windows are equal its outcome is fixed
+by construction: the AN reproduces the vehicle's tag, so the message
+verifies, and XORing one keystream twice returns the message with its tail
+bits masked. So a caller that knows its windows agree (the simulation keeps
+a count of agreeing slots) takes that outcome without building fingerprints
+or calling `exchange`, and only a diverged window is packed and hashed.
 
 Security claims here are functional (roundtrip, sensitivity, recovery), not
 cryptanalytic.
@@ -84,17 +83,18 @@ def keystream_block(state: CipherState, fp: Fingerprint, n_bits: int) -> tuple[b
     if n_bits < 1:
         raise ValueError("keystream length must be >= 1 bit")
     n_bytes = (n_bits + 7) // 8
-    n_blocks = _n_blocks(n_bits)
+    blocks_used = n_blocks(n_bits)
     fp_digest = fp.digest()
     blocks = [
         hmac.digest(state.key, struct.pack(">Q", counter) + fp_digest, "sha256")
-        for counter in range(state.counter, state.counter + n_blocks)
+        for counter in range(state.counter, state.counter + blocks_used)
     ]
     stream = _mask_tail(b"".join(blocks)[:n_bytes], n_bits)
-    return stream, CipherState(key=state.key, counter=state.counter + n_blocks)
+    return stream, CipherState(key=state.key, counter=state.counter + blocks_used)
 
 
-def _n_blocks(n_bits: int) -> int:
+def n_blocks(n_bits: int) -> int:
+    """Keystream blocks an n_bits message takes: how far one exchange advances a counter."""
     return -(-((n_bits + 7) // 8) // BLOCK_BYTES)
 
 
@@ -150,18 +150,10 @@ def exchange(
     and, if it verifies, `crypt` would. The tag is checked first: a message
     the AN rejects computes no keystream, leaves the AN state as it was and
     advances the vehicle's counter by the blocks its encryption would take.
-    When both ends hold the same fingerprint object and equal states, the
-    AN's tag and keystream are the vehicle's by construction, so nothing is
-    hashed: the message verifies, the roundtrip holds unless the message has
-    tail bits set, and both counters advance.
     """
     _check_message(message, n_bits)
-    if an_fp is vehicle_fp and an == vehicle:
-        counter = vehicle.counter + _n_blocks(n_bits)
-        roundtrip = _mask_tail(message, n_bits) == message
-        return True, roundtrip, CipherState(key=vehicle.key, counter=counter), CipherState(key=an.key, counter=counter)
     if not verify_key(an_fp, integrity_tag(vehicle_fp, vehicle.counter), an):
-        return False, False, CipherState(key=vehicle.key, counter=vehicle.counter + _n_blocks(n_bits)), an
+        return False, False, CipherState(key=vehicle.key, counter=vehicle.counter + n_blocks(n_bits)), an
     body, new_vehicle = crypt(vehicle, vehicle_fp, message, n_bits)
     plain, new_an = crypt(an, an_fp, body, n_bits)
     return True, plain == message, new_vehicle, new_an

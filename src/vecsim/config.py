@@ -46,7 +46,7 @@ MAX_SNR_DB = 1000.0     # keeps 10 ** (snr_db / 10) in mac.effective_snr_db, and
 MAX_CTU_POOL = 1 << 16  # the downlink lists every free CTU of the pool in each slot
 MAX_AP_RANKS = 1024     # each downlink decision scans all ap_ranks x power level actions
 MAX_PAYLOAD_BITS = 1 << 16  # the cipher phase allocates a payload_bits / 8 byte message every slot
-MAX_CIPHER_WINDOW = 1024    # every vehicle-slot copies and compares both fingerprint windows
+MAX_CIPHER_WINDOW = 1024    # a diverged or resynced slot copies and packs the fingerprint windows
 MAX_POWER_W = 1e6           # 10**4 times a macro cell's transmit power; keeps the downlink energy sums finite
 MAX_INPUT_BITS = 1e15       # 10**10 times the default task input; keeps the cloud latency and energy sums finite
 

@@ -97,29 +97,26 @@ def select_ctus(
     `candidates` is the vehicle's AP list in descending-SNR order; chosen CTUs
     are assigned to APs round-robin over that order, so the strongest APs get
     relay duty first. `preconfigured` maps vehicle id to fixed (ctu, ap) pairs.
+    The policy and the pairs are taken as the validated config leaves them:
+    any policy but "preconfigured" draws at random, and every preconfigured
+    CTU lies in the pool.
     """
     if replicas < 1:
         raise ValueError("replicas must be >= 1")
     if not candidates:
         raise ValueError("candidate AP set must be nonempty")
-    size = pool.size
     if policy == "preconfigured":
         if preconfigured is None or vehicle_id not in preconfigured:
             raise ValueError(f"no preconfigured CTU mapping for vehicle {vehicle_id}")
         pairs = preconfigured[vehicle_id]
-        ctus = tuple([c for c, _ in pairs])
-        aps = tuple([a for _, a in pairs])
-        for c in ctus:
-            if not 0 <= c < size:
-                raise ValueError(f"preconfigured CTU {c} outside pool of size {size}")
-        return CtuSelection(vehicle_id=vehicle_id, ctus=ctus, target_aps=aps)
-    if policy != "random":
-        raise ValueError(f"unknown CTU selection policy {policy!r}")
+        return CtuSelection(vehicle_id, tuple([c for c, _ in pairs]), tuple([a for _, a in pairs]))
+    size = pool.size
     if replicas > size:
         raise ValueError(f"replicas ({replicas}) exceed pool size ({size})")
     ctus = tuple(sorted(rng.choice_without_replacement(size, replicas)))
-    aps = (tuple(candidates) * -(-replicas // len(candidates)))[:replicas]     # round-robin
-    return CtuSelection(vehicle_id=vehicle_id, ctus=ctus, target_aps=aps)
+    # round-robin; the candidate tuple itself when it has `replicas` APs
+    aps = (tuple(candidates) * -(-replicas // len(candidates)))[:replicas]
+    return CtuSelection(vehicle_id, ctus, aps)
 
 
 def detect_collisions(selections: list[CtuSelection]) -> dict[int, list[int]]:

@@ -215,13 +215,6 @@ class RngStream:
                 m = draw() * excl
         return m >> bits
 
-    def _shuffle(self, data: list[int], first: int) -> None:
-        """Fisher-Yates over data[first:], swapping each place with a bounded draw
-        from the places at or below it, from the last place down."""
-        for i in range(len(data) - 1, first - 1, -1):
-            j = self._bounded(i)
-            data[i], data[j] = data[j], data[i]
-
     # The draws the simulator makes.
     def random(self) -> float:
         """Uniform on [0, 1) with 53 random bits."""
@@ -243,27 +236,62 @@ class RngStream:
             raise ValueError(f"cannot choose {k} distinct values from {n}")
         if n > 10000 and k > n // 50:
             # the last k places of a Fisher-Yates pass over range(n) stopped early
-            pool = list(range(n))
-            self._shuffle(pool, max(n - k, 1))
-            return pool[n - k :]
-        # Floyd's sampling, then a Fisher-Yates shuffle of the k picks
-        picked: list[int] = []
+            picked, first, top, stop = list(range(n)), n, n - 1, max(n - k, 1)
+        else:
+            # Floyd's sampling, then a Fisher-Yates shuffle of the k picks
+            picked, first, top, stop = [], n - k, k - 1, 1
+        # Step t < n draws Floyd's pick on [0, t]; the steps after it draw the
+        # swaps of places top, top - 1, ..., stop, each with a place at or below
+        # it. Each draw is _bounded's, written out with the PCG64 state and the
+        # buffered half-word in locals: numpy's 32-bit Lemire draw, whose
+        # threshold is needed only when the low bits fall under the bound.
         seen: set[int] = set()
-        for j in range(n - k, n):
-            v = self._bounded(j)
-            if v in seen:
-                v = j
-            seen.add(v)
-            picked.append(v)
-        self._shuffle(picked, 1)
-        return picked
+        s, inc, half = self._state, self._inc, self._half
+        for t in range(first, n + top - stop + 1):
+            j = t if t < n else top + n - t
+            if 0 < j <= _MASK32:
+                excl, threshold = j + 1, None
+                while True:
+                    if half is None:
+                        s = (s * _MULT + inc) & _MASK128
+                        x = ((s >> 64) ^ s) & _MASK64
+                        w = ((x << 64 | x) >> (s >> 122)) & _MASK64
+                        half = w >> 32
+                        m = (w & _MASK32) * excl
+                    else:
+                        m = half * excl
+                        half = None
+                    low = m & _MASK32
+                    if low >= excl:
+                        break
+                    if threshold is None:
+                        threshold = (1 << 32) % excl
+                    if low >= threshold:
+                        break
+                v = m >> 32
+            else:           # no draw for j = 0, 64-bit words for j >= 2**32
+                self._state, self._half = s, half
+                v = self._bounded(j)
+                s, half = self._state, self._half
+            if t < n:
+                if v in seen:
+                    v = j
+                seen.add(v)
+                picked.append(v)
+            else:
+                picked[j], picked[v] = picked[v], picked[j]
+        self._state, self._half = s, half
+        return picked[len(picked) - k :]
 
     def bytes(self, n: int) -> bytes:
         """n random bytes: 32-bit draws packed little-endian, the last one cut short.
 
-        Like numpy, it makes one draw even for n = 0.
+        Like numpy, it makes one draw even for n = 0. With no half-word buffered,
+        an even number of draws is whole words, each packed as one 64-bit word.
         """
         count = max(1, (n + 3) // 4)
+        if self._half is None and count % 2 == 0:
+            return struct.pack(f"<{count // 2}Q", *[self._word() for _ in range(count // 2)])[:n]
         return struct.pack(f"<{count}I", *[self._word32() for _ in range(count)])[:n]
 
     def __repr__(self) -> str:  # pragma: no cover

@@ -42,6 +42,9 @@ class VehicleRuntime:
     predicted_next: Optional[tuple[int, ...]] = None    # and for the next one
     window_self: deque = field(default_factory=deque)
     window_an: deque = field(default_factory=deque)
+    # trailing slots whose two association views agree: the windows are
+    # equal exactly when this covers all of window_an
+    agreed_slots: int = 0
     # both endpoints' state: equal before every exchange, since a rejected
     # exchange is always followed by a resync or a compromise
     session: Optional[cipher.CipherState] = None
@@ -506,15 +509,16 @@ class Simulation:
         cfg = self.cfg
         counts = self.report.cipher
         n_bits = cfg.mac.payload_bits
-        # In sync, exchange reads only the message's masked tail, which
-        # deterministic_message always zeroes; out of sync, the windows'
-        # fingerprints differ, so the tag never verifies and the message is
-        # never read. A zero message stands in on both paths.
+        in_sync_blocks = cipher.n_blocks(n_bits)
+        # Out of sync the windows' fingerprints differ, so the tag never
+        # verifies and exchange never reads the message: a zero one stands in.
         msg = bytes((n_bits + 7) // 8)
         enabled = cfg.cipher.enabled
         for vid, vr in self.vehicles.items():
-            vr.window_self.append(vr.assoc_true)
-            vr.window_an.append(vr.assoc_an)
+            true, seen = vr.assoc_true, vr.assoc_an
+            vr.window_self.append(true)
+            vr.window_an.append(seen)
+            vr.agreed_slots = vr.agreed_slots + 1 if seen is true or seen.bits == true.bits else 0
             if not enabled:
                 continue
             an_id = self.cell_an[vr.cell]
@@ -526,10 +530,17 @@ class Simulation:
                 counts["sessions"] += 1
             if vr.session_compromised:
                 continue
-            fp_v = cipher.Fingerprint(vid, tuple(vr.window_self))
-            fp_a = fp_v if vr.window_an == vr.window_self else cipher.Fingerprint(vid, tuple(vr.window_an))
-            verified, roundtrip, vr.session, _ = cipher.exchange(vr.session, fp_v, vr.session, fp_a, msg, n_bits)
             counts["messages"] += 1
+            if vr.agreed_slots >= len(vr.window_an):
+                # Equal windows: exchange's outcome is fixed, so it is not
+                # called. The message verifies, the zero message round-trips
+                # and both counters advance by its blocks.
+                counts["roundtrip_ok"] += 1
+                vr.session.counter += in_sync_blocks
+                continue
+            fp_v = cipher.Fingerprint(vid, tuple(vr.window_self))
+            fp_a = cipher.Fingerprint(vid, tuple(vr.window_an))
+            verified, roundtrip, vr.session, _ = cipher.exchange(vr.session, fp_v, vr.session, fp_a, msg, n_bits)
             if verified:
                 counts["roundtrip_ok"] += roundtrip
             else:
@@ -544,6 +555,7 @@ class Simulation:
                 vr.session = cipher.resync_session(self.master_keys[vid], fp_a, vr.session_resyncs)[0]
                 # The vehicle adopts the AN-side window out of band.
                 vr.window_self = deque(vr.window_an, maxlen=cfg.cipher.window)
+                vr.agreed_slots = len(vr.window_an)
 
     # -- results --------------------------------------------------------------
 

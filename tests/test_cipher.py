@@ -267,23 +267,6 @@ def _forbid(name):
     return call
 
 
-@pytest.mark.parametrize("n_bits", [1, 7, 8, 256, 257, 4096])
-@pytest.mark.parametrize("tail_set", [False, True])
-def test_the_in_sync_exchange_hashes_nothing(n_bits, tail_set, monkeypatch):
-    window = tuple(_vec(s, (s % 2, 1, 0)) for s in range(4))
-    state = CipherState(key=bytes(range(32)), counter=9)
-    n_bytes = (n_bits + 7) // 8
-    message = bytes(n_bytes - 1) + bytes([0xFF if tail_set else 0x80])
-    want = _reference_exchange(state, Fingerprint(0, window), state, Fingerprint(0, window), message, n_bits)
-    fp = Fingerprint(0, window)
-    monkeypatch.setattr(hashlib, "sha256", _forbid("hashlib.sha256"))
-    monkeypatch.setattr(hmac, "digest", _forbid("hmac.digest"))
-    monkeypatch.setattr(hmac, "new", _forbid("hmac.new"))
-    got = exchange(state, fp, CipherState(key=state.key, counter=9), fp, message, n_bits)
-    assert got == want
-    assert got[1] is (not tail_set or n_bits % 8 == 0)
-
-
 @pytest.mark.parametrize("n_bits", [1, 256, 257, 4096])
 def test_a_rejected_exchange_computes_no_keystream(n_bits, monkeypatch):
     vehicle_fp = _fp((0, (1, 0, 1)), (1, (0, 1, 1)))

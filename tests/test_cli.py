@@ -301,6 +301,7 @@ def _preconfigure(data, table):
     (lambda d: _preconfigure(d, {"0": [[0, 0]]}), "mac.preconfigured[1]"),
     (lambda d: _preconfigure(d, {"0": [[0, 0]], "1": []}), "mac.preconfigured[1]"),
     (lambda d: _preconfigure(d, {"0": [[3, 0], [3, 1]], "1": [[4, 2]]}), "mac.preconfigured[0][1]"),
+    (lambda d: _preconfigure(d, {"0": [[0, 0]], "1": [[16, 2]]}), "mac.preconfigured[1][0]"),
     (lambda d: (_preconfigure(d, {"0": [[0, 0]], "1": [[1, 2]]}), d.update(bandit={"enabled": True})),
      "bandit.enabled"),
 ])

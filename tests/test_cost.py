@@ -99,8 +99,10 @@ def test_setup_calls_per_cell_do_not_rise_with_cells():
 
 
 # Loop calls per vehicle-slot of the bundled smoke scenario at 2000 slots,
-# two vehicles: the count this ceiling was set at (143.1), plus 5%.
-SMOKE_LOOP_CALLS_CEILING = 150.3
+# two vehicles: the count this ceiling was set at (126.1, on Python 3.11,
+# where an in-sync cipher slot calls neither Fingerprint nor exchange and a
+# CTU draw is one call), plus 5%.
+SMOKE_LOOP_CALLS_CEILING = 132.4
 
 
 def test_smoke_loop_calls_per_vehicle_slot_stay_under_a_ceiling():

@@ -166,6 +166,54 @@ def test_choice_over_a_65536_pool_equals_numpy_on_both_branches(k):
         assert got == want
 
 
+def _after_a_half_word(seed: int, label: str, buffered: bool) -> tuple[RngStream, np.random.Generator]:
+    """A stream and numpy's Generator in the same state, with a buffered
+    half-word left behind by one 32-bit draw, or with none."""
+    stream, gen = RngStream(seed, label), _generator(seed, label)
+    if buffered:
+        assert stream.integers(7) == gen.integers(7)
+    return stream, gen
+
+
+def _same_state_after(stream: RngStream, gen: np.random.Generator) -> None:
+    # a 32-bit draw takes the buffered half first, so it checks that too
+    assert stream.integers(1000) == gen.integers(1000)
+    assert stream.random() == gen.random()
+
+
+# Floyd's bounds are n - k ... n - 1, so k <= 40 keeps every bound above
+# 2**31 where n > 2**31 + 40: there Lemire's threshold, 2**32 % (bound + 1),
+# is near 2**31 and about half of all 32-bit draws are rejected. From n =
+# 2**32 + 1 on, the largest bounds take 64-bit words.
+_REJECTING = st.integers(2**31 + 41, 2**31 + 2**20) | st.sampled_from([2**31 + 41, 2**32, 2**32 + 1, 2**32 + 3, 2**40])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_REJECTING, st.integers(0, 40), st.booleans(), st.integers(0, 2**32 - 1))
+def test_floyd_equals_numpy_where_lemire_rejects_often(n, k, buffered, seed):
+    stream, gen = _after_a_half_word(seed, "floyd", buffered)
+    for _ in range(3):
+        assert stream.choice_without_replacement(n, k) == [int(x) for x in gen.choice(n, size=k, replace=False)]
+    _same_state_after(stream, gen)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.integers(10001, 20000), st.data(), st.booleans(), st.integers(0, 2**32 - 1))
+def test_the_tail_shuffle_equals_numpy(n, data, buffered, seed):
+    k = data.draw(st.integers(n // 50 + 1, n) | st.sampled_from([n // 50 + 1, n - 1, n]))
+    stream, gen = _after_a_half_word(seed, "tail", buffered)
+    assert stream.choice_without_replacement(n, k) == [int(x) for x in gen.choice(n, size=k, replace=False)]
+    _same_state_after(stream, gen)
+
+
+@pytest.mark.parametrize("buffered", [False, True])
+@pytest.mark.parametrize("n", range(41))
+def test_bytes_equal_numpy_for_every_length_up_to_40(n, buffered):
+    stream, gen = _after_a_half_word(n, "bytes", buffered)
+    assert stream.bytes(n) == gen.bytes(n)
+    _same_state_after(stream, gen)
+
+
 @pytest.mark.parametrize("span", [2, 2**32])
 def test_ranges_1_and_2_32_minus_1_equal_numpy_around_half_words(span):
     stream, gen = RngStream(8, "span"), _generator(8, "span")

@@ -7,11 +7,13 @@ import json
 import os
 import subprocess
 import sys
+from collections import deque
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import SCENARIO_DIR, load_bundled, scenario_path
@@ -20,6 +22,7 @@ from vecsim.cli import main
 from vecsim.channel import snr_db
 from vecsim.config import ApSpec, ConfigError, VehicleSpec
 from vecsim.mobility import line_graph
+from vecsim.predictor import AssociationVector
 from vecsim.rng import RngStream
 from vecsim.simulation import Simulation, run_scenario
 
@@ -312,28 +315,111 @@ def test_zero_popularities_set_up_and_run_with_edge_compute_off():
     assert sim.finalize().edge["tasks"] == 0
 
 
+# One vehicle's slot: its true association bits (smoke has 3 APs), how the AN
+# records them (the same vector, an equal copy, or one bit flipped), the bit a
+# flip hits, and the cell it moves to first, if any (smoke's cells 0-2 belong
+# to AN 0 and 3-4 to AN 1, so a move may start a new session).
+_CIPHER_SLOT = st.tuples(
+    st.tuples(*[st.integers(0, 1)] * 3),
+    st.sampled_from(["same", "copy", "flip", "flip"]),
+    st.integers(0, 2),
+    st.sampled_from([None, None, None, 0, 1, 2, 3, 4]),
+)
+_FLIP, _SAME, _MOVE = ((1, 0, 1), "flip", 0, None), ((1, 0, 1), "same", 0, None), ((1, 0, 1), "same", 0, 4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 8),
+    st.integers(1, 3),
+    st.lists(st.lists(_CIPHER_SLOT, min_size=2, max_size=2), min_size=1, max_size=14),
+)
+# vehicle 0 resyncs, is compromised, then starts a new session on AN 1 in a
+# slot whose views agree while its window still holds the earlier divergence
+@example(3, 1, [[_FLIP, _SAME], [_FLIP, _SAME], [_MOVE, _SAME], [_SAME, _SAME]])
+def test_the_agreement_count_reads_in_sync_exactly_when_the_windows_are_equal(window, max_resync, slots):
+    # from the first slot, before a window fills, through flips, resyncs,
+    # compromises and new sessions
+    sim = Simulation(load_bundled("smoke", cipher__window=window, cipher__max_resync=max_resync))
+    n_bits = sim.cfg.mac.payload_bits
+    message = bytes((n_bits + 7) // 8)
+    blocks = cipher.n_blocks(n_bits)
+    for slot, views in enumerate(slots):
+        equal_after_append, talking, counters = {}, set(), {}
+        for (vid, vr), (bits, view, flip_at, cell) in zip(sim.vehicles.items(), views, strict=True):
+            if cell is not None:
+                vr.cell = sim.cells[cell % len(sim.cells)]
+            vr.assoc_true = AssociationVector(vid, slot, bits)
+            if view == "same":
+                vr.assoc_an = vr.assoc_true
+            else:
+                seen = list(bits)
+                seen[flip_at] ^= view == "flip"
+                vr.assoc_an = AssociationVector(vid, slot, tuple(seen))
+            # the windows the phase decides on: this slot's views appended
+            own, an = deque(vr.window_self, maxlen=window), deque(vr.window_an, maxlen=window)
+            own.append(vr.assoc_true)
+            an.append(vr.assoc_an)
+            equal_after_append[vid] = own == an
+            if not (vr.session_compromised and vr.session_an_id == sim.cell_an[vr.cell]):
+                talking.add(vid)
+                counters[vid] = vr.session.counter if vr.session_an_id == sim.cell_an[vr.cell] else 0
+        before = dict(sim.report.cipher)
+        with mock.patch.object(cipher, "exchange", wraps=cipher.exchange) as spy:
+            sim._phase_cipher(slot)
+        after = sim.report.cipher
+        in_sync = [vid for vid in talking if equal_after_append[vid]]
+        # only a diverged window is fingerprinted and exchanged
+        assert sorted(call.args[1].vehicle_id for call in spy.call_args_list) == sorted(talking - set(in_sync))
+        assert after["messages"] - before["messages"] == len(talking)
+        assert after["roundtrip_ok"] - before["roundtrip_ok"] == len(in_sync)
+        assert after["resyncs"] - before["resyncs"] == len(talking) - len(in_sync)
+        for vid in in_sync:
+            assert sim.vehicles[vid].session.counter == counters[vid] + blocks
+        for vid, vr in sim.vehicles.items():
+            counted_in_sync = vr.agreed_slots >= len(vr.window_an)
+            assert counted_in_sync == (vr.window_self == vr.window_an)
+            state = cipher.CipherState(key=bytes(cipher.KEY_BYTES))
+            fp_self = cipher.Fingerprint(vid, tuple(vr.window_self))
+            fp_an = cipher.Fingerprint(vid, tuple(vr.window_an))
+            assert cipher.exchange(state, fp_self, state, fp_an, message, n_bits)[0] == counted_in_sync
+
+
 def test_every_cipher_exchange_starts_from_equal_endpoint_states(tmp_path, monkeypatch, capsys):
     # over the noisy AN views of override set (a) and golden set (h), where
-    # exchanges are rejected and sessions resync, are compromised and restart
+    # exchanges are rejected and sessions resync, are compromised and restart,
+    # and over smoke, whose AN view is exact, so its windows never diverge
     from test_golden import OVERRIDE_SETS, _noisy_view_scenario
 
-    exchange = cipher.exchange
-    calls = []
+    exchange, fingerprint = cipher.exchange, cipher.Fingerprint
+    calls, fingerprints = [], []
 
     def spy(vehicle, vehicle_fp, an, an_fp, message, n_bits):
         calls.append((vehicle == an, an_fp is vehicle_fp))
         return exchange(vehicle, vehicle_fp, an, an_fp, message, n_bits)
 
+    def counted(*args, **kwargs):
+        fingerprints.append(args)
+        return fingerprint(*args, **kwargs)
+
     monkeypatch.setattr(cipher, "exchange", spy)
+    monkeypatch.setattr(cipher, "Fingerprint", counted)
     runs = {
         "a": [str(scenario_path("smoke")), *(a for o in OVERRIDE_SETS["a"] for a in ("--override", o))],
         "h": [str(_noisy_view_scenario(tmp_path))],
+        "smoke": [str(scenario_path("smoke"))],
     }
     for name, run in runs.items():
         calls.clear()
+        fingerprints.clear()
         assert main(["run", *run, "--out", str(tmp_path / name)]) == 0
-        assert calls and all(equal for equal, _ in calls)
-        assert not all(shared for _, shared in calls)     # some windows differ: the full path
+        if name == "smoke":
+            # every window in sync: no slot builds a fingerprint or calls exchange
+            assert calls == [] and fingerprints == []
+        else:
+            assert calls and all(equal for equal, _ in calls)
+            # only diverged windows reach exchange, each with its own two fingerprints
+            assert not any(shared for _, shared in calls)
     capsys.readouterr()
 
 

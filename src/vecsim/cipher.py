@@ -5,6 +5,8 @@ start, and a time-dynamic fingerprint, the sliding window of the vehicle's
 recent AP association vectors, which both endpoints can derive on their own.
 Keystream blocks come from HMAC-SHA256 in counter mode keyed on the session
 key and bound to the fingerprint digest, so the stream drifts with mobility.
+SHA-256 is the interpreter's own (see `vecsim.rng.sha256`) and HMAC is the
+RFC 2104 construction over it, so a run never loads OpenSSL.
 An in-band digest check detects window divergence (MAI can corrupt one
 side's view) and triggers re-keying from the AN's master key. A fingerprint
 packs and hashes its window only when asked. `exchange` runs a whole
@@ -16,21 +18,32 @@ a count of agreeing slots) takes that outcome without building fingerprints
 or calling `exchange`, and only a diverged window is packed and hashed.
 
 Security claims here are functional (roundtrip, sensitivity, recovery), not
-cryptanalytic.
+cryptanalytic: tags are compared with `==`, not in constant time.
 """
 
 from __future__ import annotations
 
-import hashlib
-import hmac
 import struct
 from dataclasses import dataclass
 
 from vecsim.predictor import AssociationVector
-from vecsim.rng import RngStream
+from vecsim.rng import RngStream, sha256
 
 KEY_BYTES = 32
 BLOCK_BYTES = 32     # HMAC-SHA256 output
+_SHA256_BLOCK = 64
+_IPAD = bytes(b ^ 0x36 for b in range(256))
+_OPAD = bytes(b ^ 0x5C for b in range(256))
+
+
+def hmac_sha256(key: bytes, msg: bytes) -> bytes:
+    """HMAC-SHA256 (RFC 2104): a key longer than SHA-256's 64-byte block is
+    hashed first, then zero-padded to the block and XORed with 0x36 (inner)
+    and 0x5C (outer)."""
+    if len(key) > _SHA256_BLOCK:
+        key = sha256(key).digest()
+    key = key.ljust(_SHA256_BLOCK, b"\0")
+    return sha256(key.translate(_OPAD) + sha256(key.translate(_IPAD) + msg).digest()).digest()
 
 
 @dataclass
@@ -47,7 +60,7 @@ class Fingerprint:
         return struct.pack(">I", len(self.window)) + b"".join(chunks)
 
     def digest(self) -> bytes:
-        return hashlib.sha256(self.canonical_bytes()).digest()
+        return sha256(self.canonical_bytes()).digest()
 
 
 @dataclass
@@ -64,14 +77,20 @@ class CipherState:
             raise ValueError("counter cannot be negative")
 
 
+def new_session(rng: RngStream) -> CipherState:
+    """A session's starting state: a key the AN draws from rng, counter 0."""
+    return CipherState(key=rng.bytes(KEY_BYTES))
+
+
 def start_session(vehicle_id: int, an_id: int, rng: RngStream) -> tuple[CipherState, CipherState]:
     """AN draws a starting key; both sides begin with identical state, counter 0.
 
     Authentication and the key transport are assumed (out of model); the two
-    returned states are the vehicle copy and the AN copy.
+    returned states are the vehicle copy and the AN copy. A caller that keeps
+    one copy calls `new_session`, which draws the same key.
     """
-    key = rng.bytes(KEY_BYTES)
-    return CipherState(key=key), CipherState(key=key)
+    state = new_session(rng)
+    return state, CipherState(key=state.key)
 
 
 def keystream_block(state: CipherState, fp: Fingerprint, n_bits: int) -> tuple[bytes, CipherState]:
@@ -86,7 +105,7 @@ def keystream_block(state: CipherState, fp: Fingerprint, n_bits: int) -> tuple[b
     blocks_used = n_blocks(n_bits)
     fp_digest = fp.digest()
     blocks = [
-        hmac.digest(state.key, struct.pack(">Q", counter) + fp_digest, "sha256")
+        hmac_sha256(state.key, struct.pack(">Q", counter) + fp_digest)
         for counter in range(state.counter, state.counter + blocks_used)
     ]
     stream = _mask_tail(b"".join(blocks)[:n_bytes], n_bits)
@@ -127,12 +146,12 @@ def _xor(message: bytes, stream: bytes, n_bits: int) -> bytes:
 
 def integrity_tag(fp: Fingerprint, counter: int) -> bytes:
     """The in-band check value: digest of fingerprint material plus counter."""
-    return hashlib.sha256(fp.canonical_bytes() + struct.pack(">Q", counter)).digest()
+    return sha256(fp.canonical_bytes() + struct.pack(">Q", counter)).digest()
 
 
 def verify_key(an_fp: Fingerprint, vehicle_check: bytes, state: CipherState) -> bool:
     """True when the AN-side fingerprint reproduces the vehicle's check value."""
-    return hmac.compare_digest(integrity_tag(an_fp, state.counter), vehicle_check)
+    return integrity_tag(an_fp, state.counter) == vehicle_check
 
 
 def exchange(
@@ -166,7 +185,7 @@ def deterministic_message(vehicle_id: int, slot: int, n_bits: int) -> bytes:
     out = b""
     counter = 0
     while len(out) < n_bytes:
-        out += hashlib.sha256(seed + struct.pack(">I", counter)).digest()
+        out += sha256(seed + struct.pack(">I", counter)).digest()
         counter += 1
     return _mask_tail(out[:n_bytes], n_bits)
 
@@ -182,5 +201,5 @@ def resync_session(master_key: bytes, an_record: Fingerprint, generation: int) -
     plane knows the plausible AP set); the caller aligns the windows.
     """
     material = struct.pack(">Q", generation) + an_record.digest()
-    key = hmac.new(master_key, b"resync" + material, hashlib.sha256).digest()
+    key = hmac_sha256(master_key, b"resync" + material)
     return CipherState(key=key), CipherState(key=key)

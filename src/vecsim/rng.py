@@ -22,13 +22,25 @@ between numpy versions.
 from __future__ import annotations
 
 import functools
-import hashlib
 import struct
 from collections.abc import Sequence
 
 import numpy as np
 
-__all__ = ["RngStream", "seed_states"]
+# SHA-256 from the interpreter's own hash module, as random.py takes its
+# SHA-512: hashlib would load OpenSSL's libcrypto (about 3.5 MB of peak RSS)
+# to hash short stream ids. SHA-256 is a fixed standard (FIPS 180-4), so the
+# digests are the same bytes. cipher.py imports it from here. The tests have
+# run the 3.10-3.11 branch only.
+try:
+    from _sha2 import sha256            # 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256      # 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
+
+__all__ = ["RngStream", "seed_states", "sha256"]
 
 _MULT = 0x2360ED051FC65DA44385DF649FCCF645   # PCG's 128-bit LCG multiplier
 _MASK32 = (1 << 32) - 1
@@ -112,15 +124,15 @@ def seed_states(seed: int, stream_ids: Sequence[str]) -> list[tuple[int, int]]:
     `PCG64(SeedSequence(seed, spawn_key))` sets them.
 
     An id's spawn key is the first 16 bytes of its UTF-8 SHA-256 as four
-    little-endian 32-bit words (hashlib, not hash(): Python string hashing is
-    salted per process). The ids' keys are mixed into the seed's pool as one
-    (ids, word, lane) array; SeedSequence's 32-bit arithmetic runs in uint64
-    lanes, masked after each product.
+    little-endian 32-bit words (the interpreter's own SHA-256, not hash():
+    Python string hashing is salted per process). The ids' keys are mixed
+    into the seed's pool as one (ids, word, lane) array; SeedSequence's
+    32-bit arithmetic runs in uint64 lanes, masked after each product.
     """
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     pool, xor, mul = _seed_pool(seed)
-    keys = b"".join([hashlib.sha256(sid.encode("utf-8")).digest()[:16] for sid in stream_ids])
+    keys = b"".join([sha256(sid.encode("utf-8")).digest()[:16] for sid in stream_ids])
     h = (np.frombuffer(keys, dtype="<u4").astype(np.uint64).reshape(-1, _POOL, 1) ^ xor) * mul
     h &= _M32
     h ^= h >> _S16

@@ -523,7 +523,7 @@ class Simulation:
                 continue
             an_id = self.cell_an[vr.cell]
             if vr.session is None or vr.session_an_id != an_id:
-                vr.session = cipher.start_session(vid, an_id, self._family("cipher", self.vehicles)[vid])[0]
+                vr.session = cipher.new_session(self._family("cipher", self.vehicles)[vid])
                 vr.session_an_id = an_id
                 vr.session_resyncs = 0
                 vr.session_compromised = False

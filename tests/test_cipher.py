@@ -7,9 +7,10 @@ import hmac
 import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from vecsim import cipher
 from vecsim.cipher import (
     KEY_BYTES,
     CipherState,
@@ -17,9 +18,11 @@ from vecsim.cipher import (
     crypt,
     deterministic_message,
     exchange,
+    hmac_sha256,
     integrity_tag,
     keystream_block,
     master_key_for,
+    new_session,
     resync_session,
     start_session,
     verify_key,
@@ -113,6 +116,53 @@ def test_start_session_hands_both_ends_the_same_fresh_state():
     assert vehicle.counter == an.counter == 0
     again_v, _ = start_session(0, 1, RngStream(5, "cipher/0"))
     assert again_v.key == vehicle.key
+
+
+def test_a_session_start_draws_one_key():
+    rng, keys = RngStream(5, "cipher/0"), RngStream(5, "cipher/0")
+    for _ in range(3):
+        assert new_session(rng) == CipherState(key=keys.bytes(KEY_BYTES))
+    vehicle, an = start_session(0, 1, rng)
+    assert vehicle == an == CipherState(key=keys.bytes(KEY_BYTES))
+    assert vehicle is not an
+    assert rng.random() == keys.random()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.binary(max_size=200), st.binary(max_size=300))
+@example(bytes(63), b"")
+@example(bytes(64), b"m")
+@example(bytes(65), b"m")
+def test_hmac_sha256_equals_hmac(key, msg):
+    # keys below, at and above SHA-256's 64-byte block
+    assert hmac_sha256(key, msg) == hmac.new(key, msg, hashlib.sha256).digest()
+
+
+# RFC 4231 section 4: the HMAC-SHA-256 test cases (case 5's tag is truncated to 128 bits)
+_RFC4231 = [
+    (b"\x0b" * 20, b"Hi There",
+     "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"),
+    (b"Jefe", b"what do ya want for nothing?",
+     "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"),
+    (b"\xaa" * 20, b"\xdd" * 50,
+     "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe"),
+    (bytes(range(1, 26)), b"\xcd" * 50,
+     "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b"),
+    (b"\x0c" * 20, b"Test With Truncation", "a3b6167473100ee06e0c796c2955552b"),
+    (b"\xaa" * 131, b"Test Using Larger Than Block-Size Key - Hash Key First",
+     "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"),
+    (b"\xaa" * 131,
+     b"This is a test using a larger than block-size key and a larger than block-size data."
+     b" The key needs to be hashed before being used by the HMAC algorithm.",
+     "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2"),
+]
+
+
+@pytest.mark.parametrize("key, msg, tag", _RFC4231)
+def test_hmac_sha256_passes_the_rfc4231_cases(key, msg, tag):
+    want = hmac.new(key, msg, hashlib.sha256).digest()
+    assert want.hex().startswith(tag)
+    assert hmac_sha256(key, msg) == want
 
 
 def test_keystream_is_deterministic_and_advances_by_blocks():
@@ -274,8 +324,7 @@ def test_a_rejected_exchange_computes_no_keystream(n_bits, monkeypatch):
     state = CipherState(key=bytes(range(32)), counter=9)
     message = deterministic_message(0, 3, n_bits)
     want = _reference_exchange(state, vehicle_fp, state, an_fp, message, n_bits)
-    monkeypatch.setattr(hmac, "digest", _forbid("hmac.digest"))
-    monkeypatch.setattr(hmac, "new", _forbid("hmac.new"))
+    monkeypatch.setattr(cipher, "hmac_sha256", _forbid("hmac_sha256"))
     got = exchange(state, vehicle_fp, state, an_fp, message, n_bits)
     assert got == want
     assert got[:2] == (False, False)
@@ -285,13 +334,13 @@ def test_a_rejected_exchange_computes_no_keystream(n_bits, monkeypatch):
 
 def test_a_fingerprint_hashes_its_window_only_when_asked(monkeypatch):
     calls = []
-    sha256 = hashlib.sha256
+    sha256 = cipher.sha256
 
     def counted(data=b""):
         calls.append(data)
         return sha256(data)
 
-    monkeypatch.setattr(hashlib, "sha256", counted)
+    monkeypatch.setattr(cipher, "sha256", counted)
     fp = _fp((0, (1, 0)), (1, (0, 1)))
     assert calls == []
     first = fp.digest()

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vecsim.rng import RngStream, seed_states
+from vecsim.rng import RngStream, seed_states, sha256
 
 
 def test_same_seed_and_label_reproduce_every_draw_kind():
@@ -51,6 +51,15 @@ def test_draws_on_one_stream_never_shift_a_sibling():
     quiet = root.substream("b")
     fresh = RngStream(99, "root/b")
     assert [quiet.random() for _ in range(8)] == [fresh.random() for _ in range(8)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.binary(max_size=300), st.integers(0, 300))
+def test_sha256_equals_hashlib(data, cut):
+    assert sha256(data).digest() == hashlib.sha256(data).digest()
+    h = sha256(data[:cut])
+    h.update(data[cut:])
+    assert h.hexdigest() == hashlib.sha256(data).hexdigest()
 
 
 def _generator(seed: int, label: str) -> np.random.Generator:

@@ -435,6 +435,25 @@ def test_a_run_with_forced_placements_never_imports_networkx(tmp_path):
     assert done.stdout.splitlines()[-1] == "False"
 
 
+def test_a_run_loads_neither_hashlib_nor_openssl(tmp_path):
+    # SHA-256 and HMAC come from the interpreter's own hash module
+    code = (
+        "import json, os, sys\n"
+        "from vecsim import cli\n"
+        f"assert cli.main(['run', {str(scenario_path('smoke'))!r}, '--out', {str(tmp_path)!r}]) == 0\n"
+        "maps = open('/proc/self/maps').read() if os.path.exists('/proc/self/maps') else None\n"
+        "print(json.dumps([sorted({'hashlib', 'hmac', '_hashlib'} & set(sys.modules)),"
+        " None if maps is None else 'libcrypto' in maps]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True)
+    modules, libcrypto = json.loads(done.stdout.splitlines()[-1])
+    assert modules == []
+    if libcrypto is None:
+        pytest.skip("no /proc/self/maps to check for libcrypto")
+    assert not libcrypto
+
+
 def test_every_run_leaves_the_same_bytes_where_networkx_cannot_be_imported(tmp_path, capsys):
     # bundled scenarios, and smoke.json where placements split vehicles
     # between controllers (override sets (e) and (f)): a run needs no networkx

@@ -10,12 +10,13 @@ RFC 2104 construction over it, so a run never loads OpenSSL.
 An in-band digest check detects window divergence (MAI can corrupt one
 side's view) and triggers re-keying from the AN's master key. A fingerprint
 packs and hashes its window only when asked. `exchange` runs a whole
-vehicle-to-AN loopback. When the two windows are equal its outcome is fixed
-by construction: the AN reproduces the vehicle's tag, so the message
-verifies, and XORing one keystream twice returns the message with its tail
-bits masked. So a caller that knows its windows agree (the simulation keeps
-a count of agreeing slots) takes that outcome without building fingerprints
-or calling `exchange`, and only a diverged window is packed and hashed.
+vehicle-to-AN loopback. Its outcome is fixed by construction: equal windows
+reproduce the vehicle's tag, so the message verifies, and XORing one
+keystream twice returns it with its tail bits masked; diverged windows pack
+to different bytes, so the tags differ and the AN rejects the message. The
+simulation therefore counts outcomes from whether the windows agree and
+never calls this module; tests/test_simulation.py replays its counts
+through this protocol.
 
 Security claims here are functional (roundtrip, sensitivity, recovery), not
 cryptanalytic: tags are compared with `==`, not in constant time.
@@ -77,20 +78,14 @@ class CipherState:
             raise ValueError("counter cannot be negative")
 
 
-def new_session(rng: RngStream) -> CipherState:
-    """A session's starting state: a key the AN draws from rng, counter 0."""
-    return CipherState(key=rng.bytes(KEY_BYTES))
-
-
 def start_session(vehicle_id: int, an_id: int, rng: RngStream) -> tuple[CipherState, CipherState]:
     """AN draws a starting key; both sides begin with identical state, counter 0.
 
     Authentication and the key transport are assumed (out of model); the two
-    returned states are the vehicle copy and the AN copy. A caller that keeps
-    one copy calls `new_session`, which draws the same key.
+    returned states are the vehicle copy and the AN copy.
     """
-    state = new_session(rng)
-    return state, CipherState(key=state.key)
+    key = rng.bytes(KEY_BYTES)
+    return CipherState(key=key), CipherState(key=key)
 
 
 def keystream_block(state: CipherState, fp: Fingerprint, n_bits: int) -> tuple[bytes, CipherState]:

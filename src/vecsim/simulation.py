@@ -1,9 +1,11 @@
 """Scenario wiring: builds entities from a config and runs the slot loop.
 
 One Simulation owns all mutable state (vehicle positions, beliefs, caches,
-cipher sessions, learners) and registers one handler per phase on the slot
-engine. Everything iterates in sorted entity order, and every random draw
+cipher session counts, learners) and registers one handler per phase on the
+slot engine. Everything iterates in sorted entity order, and every random draw
 comes from an entity-scoped stream, so a fixed seed fixes the whole trace.
+The cipher phase counts the outcomes `vecsim.cipher`'s exchanges are fixed
+to, without running them (see `_phase_cipher`).
 """
 
 from __future__ import annotations
@@ -13,13 +15,12 @@ import functools
 import itertools
 import math
 import operator
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from vecsim import channel, cipher, clustering, control_plane, ecorouting, edge, mac, mobility, predictor
+from vecsim import channel, clustering, control_plane, ecorouting, edge, mac, mobility, predictor
 from vecsim.config import ConfigError, ScenarioConfig, validate_scenario
 from vecsim.kernel import Phase, SlotEngine
 from vecsim.metrics import MetricsReport
@@ -36,18 +37,14 @@ class VehicleRuntime:
     last_decoded: Optional[bool] = None       # whether the last packet sent decoded
     last_replicas: Optional[int] = None
     selection: Optional[mac.CtuSelection] = None
-    assoc_true: Optional[predictor.AssociationVector] = None
-    assoc_an: Optional[predictor.AssociationVector] = None
+    assoc_true: Optional[tuple[int, ...]] = None        # this slot's association bits, by AP column
+    assoc_an: Optional[tuple[int, ...]] = None          # and as the AN records them
+    last_assoc_an: Optional[tuple[int, ...]] = None     # the AN's record of the previous slot
     predicted: Optional[tuple[int, ...]] = None         # association bits predicted for this slot
     predicted_next: Optional[tuple[int, ...]] = None    # and for the next one
-    window_self: deque = field(default_factory=deque)
-    window_an: deque = field(default_factory=deque)
-    # trailing slots whose two association views agree: the windows are
-    # equal exactly when this covers all of window_an
+    # trailing slots whose two association views agree: the vehicle's
+    # fingerprint window equals the AN's exactly when this covers the window
     agreed_slots: int = 0
-    # both endpoints' state: equal before every exchange, since a rejected
-    # exchange is always followed by a resync or a compromise
-    session: Optional[cipher.CipherState] = None
     session_an_id: Optional[int] = None
     session_resyncs: int = 0
     session_compromised: bool = False
@@ -144,8 +141,6 @@ class Simulation:
                     epsilon=cfg.bandit.epsilon,
                     cost_per_replica=cfg.bandit.cost_per_replica,
                 )
-            vr.window_self = deque(maxlen=cfg.cipher.window)
-            vr.window_an = deque(maxlen=cfg.cipher.window)
             self.vehicles[spec.vehicle_id] = vr
         # the Bayes filter's beliefs, one uniform row per vehicle in self.vehicles order
         n_cells = len(self.cells)
@@ -189,9 +184,6 @@ class Simulation:
                 },
                 kappa=cfg.control.kappa,
             )
-
-        # each vehicle's master key, derived at its first resync
-        self.master_keys: dict[int, bytes] = {}
 
         self.report = MetricsReport(
             scenario_name=cfg.name,
@@ -300,6 +292,7 @@ class Simulation:
 
         flip = cfg.cipher.an_view_flip_prob
         streams = self._family("decode", self.vehicles)
+        anview = self._family("anview", self.vehicles) if flip > 0.0 else None
         path_failure, ap_col, record_packet = self.path_failure, self.ap_col, self.report.record_packet
         for (vid, vr), decode in zip(self.vehicles.items(), streams.values()):
             heard = [0] * self.n_aps        # association bits, by AP column
@@ -320,21 +313,19 @@ class Simulation:
                 vr.last_decoded = decoded
                 paths = len(set(selection.target_aps))
                 record_packet(vid, slot, decoded, vr.last_replicas, paths)
-            bits = tuple(heard)
-            vr.assoc_true = predictor.AssociationVector(vid, slot, bits)
-            if flip > 0.0:
-                noise = self._family("anview", self.vehicles)[vid]
-                bits_an = tuple(b ^ (1 if noise.random() < flip else 0) for b in bits)
-                vr.assoc_an = predictor.AssociationVector(vid, slot, bits_an)
+            vr.assoc_true = bits = tuple(heard)
+            if anview is not None:
+                noise = anview[vid]
+                vr.assoc_an = tuple(b ^ (1 if noise.random() < flip else 0) for b in bits)
             else:
-                vr.assoc_an = vr.assoc_true
+                vr.assoc_an = bits
 
     def _phase_prediction(self, slot: int) -> None:
         cfg = self.cfg
         prediction = self.report.prediction
         n_aps = self.n_aps
         vehicles = self.vehicles.values()
-        observed = [vr.assoc_an.bits for vr in vehicles]
+        observed = [vr.assoc_an for vr in vehicles]
         for vr, obs in zip(vehicles, observed):
             # Score the predictions aimed at this slot: the filter's
             # one-step-ahead bits and the persistence baseline (yesterday's
@@ -343,9 +334,10 @@ class Simulation:
             if want is not None:
                 prediction["bits_scored"] += n_aps
                 self.pred_correct += sum(map(operator.eq, want, obs))
-            if vr.window_an:
+            if (last := vr.last_assoc_an) is not None:
                 self.persist_bits += n_aps
-                self.persist_correct += sum(map(operator.eq, vr.window_an[-1].bits, obs))
+                self.persist_correct += sum(map(operator.eq, last, obs))
+            vr.last_assoc_an = obs
         if cfg.predictor.policy == "bayes":
             trans = [self.transitions[vr.velocity_class] for vr in vehicles]
             prediction["fallbacks"] += predictor.update_fleet(self.beliefs, observed, trans, self.obs_model)
@@ -506,24 +498,28 @@ class Simulation:
         self.report.end_slot()
 
     def _phase_cipher(self, slot: int) -> None:
+        """Count each vehicle's message to its AN as the cipher protocol ends it.
+
+        A message's tag digests the vehicle's fingerprint window (its last
+        `window` association vectors) and the AN checks it against its own.
+        Equal windows reproduce the tag, so the message verifies and
+        round-trips; diverged ones pack to different bytes, so the AN rejects
+        it and the session resyncs (the vehicle adopts the AN's window) or,
+        past `max_resync`, is compromised. So the agreement count fixes every
+        outcome, and no key, counter or digest is computed: none of them
+        reaches an output file.
+        """
         cfg = self.cfg
+        if not cfg.cipher.enabled:
+            return
         counts = self.report.cipher
-        n_bits = cfg.mac.payload_bits
-        in_sync_blocks = cipher.n_blocks(n_bits)
-        # Out of sync the windows' fingerprints differ, so the tag never
-        # verifies and exchange never reads the message: a zero one stands in.
-        msg = bytes((n_bits + 7) // 8)
-        enabled = cfg.cipher.enabled
-        for vid, vr in self.vehicles.items():
-            true, seen = vr.assoc_true, vr.assoc_an
-            vr.window_self.append(true)
-            vr.window_an.append(seen)
-            vr.agreed_slots = vr.agreed_slots + 1 if seen is true or seen.bits == true.bits else 0
-            if not enabled:
-                continue
+        # every vehicle is present from slot 0, so each window holds this many slots
+        window = min(slot + 1, cfg.cipher.window)
+        for vr in self.vehicles.values():
+            vr.agreed_slots = vr.agreed_slots + 1 if vr.assoc_an == vr.assoc_true else 0
             an_id = self.cell_an[vr.cell]
-            if vr.session is None or vr.session_an_id != an_id:
-                vr.session = cipher.new_session(self._family("cipher", self.vehicles)[vid])
+            if vr.session_an_id != an_id:
+                # a hand-over starts a session; its key reaches no output, so none is drawn
                 vr.session_an_id = an_id
                 vr.session_resyncs = 0
                 vr.session_compromised = False
@@ -531,31 +527,16 @@ class Simulation:
             if vr.session_compromised:
                 continue
             counts["messages"] += 1
-            if vr.agreed_slots >= len(vr.window_an):
-                # Equal windows: exchange's outcome is fixed, so it is not
-                # called. The message verifies, the zero message round-trips
-                # and both counters advance by its blocks.
+            if vr.agreed_slots >= window:
                 counts["roundtrip_ok"] += 1
-                vr.session.counter += in_sync_blocks
                 continue
-            fp_v = cipher.Fingerprint(vid, tuple(vr.window_self))
-            fp_a = cipher.Fingerprint(vid, tuple(vr.window_an))
-            verified, roundtrip, vr.session, _ = cipher.exchange(vr.session, fp_v, vr.session, fp_a, msg, n_bits)
-            if verified:
-                counts["roundtrip_ok"] += roundtrip
+            vr.session_resyncs += 1
+            counts["resyncs"] += 1
+            if vr.session_resyncs > cfg.cipher.max_resync:
+                vr.session_compromised = True
+                counts["compromised"] += 1
             else:
-                vr.session_resyncs += 1
-                counts["resyncs"] += 1
-                if vr.session_resyncs > cfg.cipher.max_resync:
-                    vr.session_compromised = True
-                    counts["compromised"] += 1
-                    continue
-                if vid not in self.master_keys:
-                    self.master_keys[vid] = cipher.master_key_for(vid, self.stream("cipher-master"))
-                vr.session = cipher.resync_session(self.master_keys[vid], fp_a, vr.session_resyncs)[0]
-                # The vehicle adopts the AN-side window out of band.
-                vr.window_self = deque(vr.window_an, maxlen=cfg.cipher.window)
-                vr.agreed_slots = len(vr.window_an)
+                vr.agreed_slots = window        # the vehicle adopts the AN-side window
 
     # -- results --------------------------------------------------------------
 

@@ -1,8 +1,9 @@
 """Golden digests: the three contract files of every bundled scenario x seed,
 of a 400-cell line road built from smoke.json, of smoke.json under seven
 --override sets, of a 40-cell road whose vehicles switch velocity class, of a
-40-cell road whose ANs see noisy association vectors, and of a 500-vehicle
-crowd on a 40-cell road.
+40-cell road whose ANs see noisy association vectors, of a 500-vehicle
+crowd on a 40-cell road, and of sixteen ANs whose checkpoints take the
+greedy controller placement, with and without feedback re-placement.
 
 These pins are the gate for refactors that must keep the trace: a change that
 alters any of these bytes on purpose has to say so and re-pin them with the
@@ -460,6 +461,108 @@ def test_crowd_outputs_match_their_pinned_digests(seed, tmp_path, capsys):
     assert code == 0
     digests = tuple(hashlib.sha256((out / f).read_bytes()).hexdigest() for f in FILES)
     assert digests == CROWD[seed]
+
+
+# (k) ninety-six vehicles on a 32-cell line road at 50 m spacing, under
+# sixteen ANs of one AP each, controller capacity 16, in a chain with a chord
+# from every even AN to the one three along. More ANs than
+# `control_plane.place_controllers`' exact limit of 12, so every checkpoint
+# takes the greedy placement and opens several controllers, and the chords
+# give the balancing cycles to search. (l) the same with a target mean
+# latency no placement meets, so at every checkpoint `replace_on_feedback`
+# tightens the latency bound and places again.
+def _greedy_control_scenario(tmp_path: Path, target_mean_latency_s=None) -> Path:
+    data = json.loads(scenario_path("smoke").read_text())
+    cells, n_ans = 32, 16
+    data["horizon"] = 40
+    data["road"] = {"builder": "line", "cells": cells, "spacing_m": 50.0, "forward_prob": 0.8}
+    data["vehicles"] = [{"vehicle_id": v, "cell": v % cells} for v in range(3 * cells)]
+    data["aps"] = [
+        {"ap_id": a, "x": 100.0 * a + 50.0, "y": 10.0, "an_id": a, "fronthaul_snr_db": 30.0} for a in range(n_ans)
+    ]
+    data["ans"] = [
+        {"an_id": a, "power_budget_w": 2.0, "controller_capacity": 16.0, "storage_capacity": 10.0}
+        for a in range(n_ans)
+    ]
+    data["ctu_pool"] = {"slots_per_frame": 1, "freq_blocks": 64, "sequences": 2}
+    data["control"].update(
+        period_slots=10,
+        edges=[[a, a + 1, 0.001, 100.0] for a in range(n_ans - 1)]
+        + [[a, a + 3, 0.0025, 100.0] for a in range(0, n_ans - 3, 2)],
+    )
+    if target_mean_latency_s is not None:
+        data["control"]["target_mean_latency_s"] = target_mean_latency_s
+    path = tmp_path / "greedy_control.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+GREEDY_CONTROL = {
+    0: (
+        "724cfceb7527260334576f418c02992e448d184d3a65cbae2b17484d8fb4922f",
+        "fb77064a3694b47d2a8c4ca5eeb70f33c84f45957847260fe7c32e6cd49bb2ce",
+        "471398e9e3249b9754cb8e8e516e70708bae88daca68bf35778cf6a6b986eb08",
+    ),
+    1: (
+        "829ee758215889ab7c63c5e390da3622f348ea42b7be57bb11a90018b809a595",
+        "439a7bbfe0fbef83be68e611cf75f2073e479c9f38b09e9ae4a55f934119260f",
+        "fdbfa6c60e773ad3a712a21f70c4106e4cc6d7b5fa80908738c9dc00e126f5db",
+    ),
+}
+
+GREEDY_REPLACEMENT = {
+    0: (
+        "724cfceb7527260334576f418c02992e448d184d3a65cbae2b17484d8fb4922f",
+        "42fbba514d218c241aad218b79023dc5594cec5370e7bda663c5d48dcd7e3e29",
+        "22e009192aea6e56d022ca3dadf4813415c4431789be8c81fcc9dac102ddb58c",
+    ),
+    1: (
+        "829ee758215889ab7c63c5e390da3622f348ea42b7be57bb11a90018b809a595",
+        "7096229937e0635447eb4f4acbdfae005c0d5b9fdfd6fde755231513e753b07c",
+        "9e209a362439466a8e42c2a23798cdab93fd1ebe7c1179ff9555942fdb9b878e",
+    ),
+}
+
+
+def _greedy_checkpoints(out: Path) -> list[dict]:
+    checkpoints = json.loads((out / "summary.json").read_text())["control"]["checkpoints"]
+    # every checkpoint placed greedily, with more than one controller
+    assert len(checkpoints) == 4
+    assert all(c["exact"] is False and len(c["controllers"]) >= 2 for c in checkpoints)
+    return checkpoints
+
+
+@pytest.mark.parametrize("seed", sorted(GREEDY_CONTROL))
+def test_greedy_control_outputs_match_their_pinned_digests(seed, tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(["run", str(_greedy_control_scenario(tmp_path)), "--seed", str(seed), "--out", str(out)])
+    capsys.readouterr()
+    assert code == 0
+    _greedy_checkpoints(out)
+    digests = tuple(hashlib.sha256((out / f).read_bytes()).hexdigest() for f in FILES)
+    assert digests == GREEDY_CONTROL[seed]
+
+
+@pytest.mark.parametrize("seed", sorted(GREEDY_REPLACEMENT))
+def test_greedy_replacement_outputs_match_their_pinned_digests(seed, tmp_path, monkeypatch, capsys):
+    from vecsim import control_plane
+
+    placements, place = [], control_plane.place_controllers
+
+    def counted(*args, **kwargs):
+        placements.append(args)
+        return place(*args, **kwargs)
+
+    monkeypatch.setattr(control_plane, "place_controllers", counted)
+    out = tmp_path / "out"
+    scenario = _greedy_control_scenario(tmp_path, target_mean_latency_s=0.001)
+    code = main(["run", str(scenario), "--seed", str(seed), "--out", str(out)])
+    capsys.readouterr()
+    assert code == 0
+    # each checkpoint placed again after its first placement
+    assert len(placements) > 2 * len(_greedy_checkpoints(out))
+    digests = tuple(hashlib.sha256((out / f).read_bytes()).hexdigest() for f in FILES)
+    assert digests == GREEDY_REPLACEMENT[seed]
 
 
 def _compensated_sum(iterable, /, start=0, _int_sum=builtins.sum):

@@ -8,9 +8,8 @@ import os
 import subprocess
 import sys
 from collections import deque
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -315,6 +314,88 @@ def test_zero_popularities_set_up_and_run_with_edge_compute_off():
     assert sim.finalize().edge["tasks"] == 0
 
 
+_CIPHER_COUNTS = ("messages", "roundtrip_ok", "resyncs", "sessions", "compromised")
+
+
+@dataclass
+class _Session:
+    an_id: int
+    vehicle: cipher.CipherState
+    an: cipher.CipherState
+    resyncs: int = 0
+    compromised: bool = False
+
+
+class _CipherReplay:
+    """The cipher phase run as the full protocol, the reference its counts are checked against.
+
+    Per vehicle it keeps both endpoints' fingerprint windows of
+    AssociationVectors and both endpoints' session states. A hand-over starts
+    a session with a key from the vehicle's `cipher/<vid>` stream. Every
+    message goes through `exchange`. A rejected one is resynced from the
+    vehicle's master key (drawn from the `cipher-master` stream at its first
+    resync), and the vehicle adopts the AN's window; past `max_resync`
+    resyncs in one session the session is compromised.
+    """
+
+    def __init__(self, sim: Simulation):
+        cfg = sim.cfg.cipher
+        self.sim, self.enabled, self.max_resync = sim, cfg.enabled, cfg.max_resync
+        self.n_bits = sim.cfg.mac.payload_bits
+        self.windows = {vid: (deque(maxlen=cfg.window), deque(maxlen=cfg.window)) for vid in sim.vehicles}
+        self.keys = {vid: sim.root.substream(f"cipher/{vid}") for vid in sim.vehicles}
+        self.master, self.master_keys = sim.root.substream("cipher-master"), {}
+        self.sessions: dict[int, _Session] = {}
+        self.totals = dict.fromkeys(_CIPHER_COUNTS, 0)
+
+    def step(self, slot: int) -> dict[str, int]:
+        """Run one slot's exchanges on the simulation's association views; return the counts they add."""
+        sim, n_bits = self.sim, self.n_bits
+        counts = dict.fromkeys(_CIPHER_COUNTS, 0)
+        for vid, vr in sim.vehicles.items():
+            own, an = self.windows[vid]
+            own.append(AssociationVector(vid, slot, vr.assoc_true))
+            an.append(AssociationVector(vid, slot, vr.assoc_an))
+            if not self.enabled:
+                continue
+            an_id = sim.cell_an[vr.cell]
+            session = self.sessions.get(vid)
+            if session is None or session.an_id != an_id:
+                session = self.sessions[vid] = _Session(an_id, *cipher.start_session(vid, an_id, self.keys[vid]))
+                counts["sessions"] += 1
+            if session.compromised:
+                continue
+            counts["messages"] += 1
+            # a rejected exchange is always followed by a resync or a compromise
+            assert session.vehicle == session.an
+            fp_v, fp_a = cipher.Fingerprint(vid, tuple(own)), cipher.Fingerprint(vid, tuple(an))
+            message = cipher.deterministic_message(vid, slot, n_bits)
+            verified, roundtrip, session.vehicle, session.an = cipher.exchange(
+                session.vehicle, fp_v, session.an, fp_a, message, n_bits
+            )
+            assert verified == (own == an)
+            if verified:
+                counts["roundtrip_ok"] += roundtrip
+                continue
+            session.resyncs += 1
+            counts["resyncs"] += 1
+            if session.resyncs > self.max_resync:
+                session.compromised = True
+                counts["compromised"] += 1
+                continue
+            if vid not in self.master_keys:
+                self.master_keys[vid] = cipher.master_key_for(vid, self.master)
+            session.vehicle, session.an = cipher.resync_session(self.master_keys[vid], fp_a, session.resyncs)
+            self.windows[vid] = (deque(an, maxlen=an.maxlen), an)
+        for name, n in counts.items():
+            self.totals[name] += n
+        return counts
+
+
+def _cipher_deltas(before: dict, after: dict) -> dict[str, int]:
+    return {name: after[name] - before[name] for name in _CIPHER_COUNTS}
+
+
 # One vehicle's slot: its true association bits (smoke has 3 APs), how the AN
 # records them (the same vector, an equal copy, or one bit flipped), the bit a
 # flip hits, and the cell it moves to first, if any (smoke's cells 0-2 belong
@@ -337,89 +418,54 @@ _FLIP, _SAME, _MOVE = ((1, 0, 1), "flip", 0, None), ((1, 0, 1), "same", 0, None)
 # vehicle 0 resyncs, is compromised, then starts a new session on AN 1 in a
 # slot whose views agree while its window still holds the earlier divergence
 @example(3, 1, [[_FLIP, _SAME], [_FLIP, _SAME], [_MOVE, _SAME], [_SAME, _SAME]])
-def test_the_agreement_count_reads_in_sync_exactly_when_the_windows_are_equal(window, max_resync, slots):
+def test_the_cipher_phase_counts_what_the_full_protocol_counts(window, max_resync, slots):
     # from the first slot, before a window fills, through flips, resyncs,
     # compromises and new sessions
     sim = Simulation(load_bundled("smoke", cipher__window=window, cipher__max_resync=max_resync))
-    n_bits = sim.cfg.mac.payload_bits
-    message = bytes((n_bits + 7) // 8)
-    blocks = cipher.n_blocks(n_bits)
+    replay = _CipherReplay(sim)
     for slot, views in enumerate(slots):
-        equal_after_append, talking, counters = {}, set(), {}
-        for (vid, vr), (bits, view, flip_at, cell) in zip(sim.vehicles.items(), views, strict=True):
+        for vr, (bits, view, flip_at, cell) in zip(sim.vehicles.values(), views, strict=True):
             if cell is not None:
                 vr.cell = sim.cells[cell % len(sim.cells)]
-            vr.assoc_true = AssociationVector(vid, slot, bits)
-            if view == "same":
-                vr.assoc_an = vr.assoc_true
-            else:
-                seen = list(bits)
-                seen[flip_at] ^= view == "flip"
-                vr.assoc_an = AssociationVector(vid, slot, tuple(seen))
-            # the windows the phase decides on: this slot's views appended
-            own, an = deque(vr.window_self, maxlen=window), deque(vr.window_an, maxlen=window)
-            own.append(vr.assoc_true)
-            an.append(vr.assoc_an)
-            equal_after_append[vid] = own == an
-            if not (vr.session_compromised and vr.session_an_id == sim.cell_an[vr.cell]):
-                talking.add(vid)
-                counters[vid] = vr.session.counter if vr.session_an_id == sim.cell_an[vr.cell] else 0
+            seen = list(bits)
+            seen[flip_at] ^= view == "flip"
+            vr.assoc_true, vr.assoc_an = bits, bits if view == "same" else tuple(seen)
         before = dict(sim.report.cipher)
-        with mock.patch.object(cipher, "exchange", wraps=cipher.exchange) as spy:
-            sim._phase_cipher(slot)
-        after = sim.report.cipher
-        in_sync = [vid for vid in talking if equal_after_append[vid]]
-        # only a diverged window is fingerprinted and exchanged
-        assert sorted(call.args[1].vehicle_id for call in spy.call_args_list) == sorted(talking - set(in_sync))
-        assert after["messages"] - before["messages"] == len(talking)
-        assert after["roundtrip_ok"] - before["roundtrip_ok"] == len(in_sync)
-        assert after["resyncs"] - before["resyncs"] == len(talking) - len(in_sync)
-        for vid in in_sync:
-            assert sim.vehicles[vid].session.counter == counters[vid] + blocks
-        for vid, vr in sim.vehicles.items():
-            counted_in_sync = vr.agreed_slots >= len(vr.window_an)
-            assert counted_in_sync == (vr.window_self == vr.window_an)
-            state = cipher.CipherState(key=bytes(cipher.KEY_BYTES))
-            fp_self = cipher.Fingerprint(vid, tuple(vr.window_self))
-            fp_an = cipher.Fingerprint(vid, tuple(vr.window_an))
-            assert cipher.exchange(state, fp_self, state, fp_an, message, n_bits)[0] == counted_in_sync
+        sim._phase_cipher(slot)
+        assert _cipher_deltas(before, sim.report.cipher) == replay.step(slot)
 
 
-def test_every_cipher_exchange_starts_from_equal_endpoint_states(tmp_path, monkeypatch, capsys):
+def test_full_runs_count_what_the_full_protocol_counts(tmp_path, monkeypatch, capsys):
     # over the noisy AN views of override set (a) and golden set (h), where
     # exchanges are rejected and sessions resync, are compromised and restart,
-    # and over smoke, whose AN view is exact, so its windows never diverge
+    # and over smoke, whose AN view is exact, so no exchange is rejected
     from test_golden import OVERRIDE_SETS, _noisy_view_scenario
 
-    exchange, fingerprint = cipher.exchange, cipher.Fingerprint
-    calls, fingerprints = [], []
+    phase, replays = Simulation._phase_cipher, {}
 
-    def spy(vehicle, vehicle_fp, an, an_fp, message, n_bits):
-        calls.append((vehicle == an, an_fp is vehicle_fp))
-        return exchange(vehicle, vehicle_fp, an, an_fp, message, n_bits)
+    def replayed(sim, slot):
+        if sim not in replays:
+            replays[sim] = _CipherReplay(sim)
+        before = dict(sim.report.cipher)
+        phase(sim, slot)
+        assert _cipher_deltas(before, sim.report.cipher) == replays[sim].step(slot)
 
-    def counted(*args, **kwargs):
-        fingerprints.append(args)
-        return fingerprint(*args, **kwargs)
-
-    monkeypatch.setattr(cipher, "exchange", spy)
-    monkeypatch.setattr(cipher, "Fingerprint", counted)
+    monkeypatch.setattr(Simulation, "_phase_cipher", replayed)
     runs = {
         "a": [str(scenario_path("smoke")), *(a for o in OVERRIDE_SETS["a"] for a in ("--override", o))],
         "h": [str(_noisy_view_scenario(tmp_path))],
         "smoke": [str(scenario_path("smoke"))],
     }
     for name, run in runs.items():
-        calls.clear()
-        fingerprints.clear()
+        replays.clear()
         assert main(["run", *run, "--out", str(tmp_path / name)]) == 0
+        (replay,) = replays.values()
+        summary = json.loads((tmp_path / name / "summary.json").read_text())["cipher"]
+        assert {count: summary[count] for count in _CIPHER_COUNTS} == replay.totals
         if name == "smoke":
-            # every window in sync: no slot builds a fingerprint or calls exchange
-            assert calls == [] and fingerprints == []
+            assert replay.totals["resyncs"] == 0
         else:
-            assert calls and all(equal for equal, _ in calls)
-            # only diverged windows reach exchange, each with its own two fingerprints
-            assert not any(shared for _, shared in calls)
+            assert replay.totals["resyncs"] > 0 and replay.totals["compromised"] > 0
     capsys.readouterr()
 
 
@@ -436,13 +482,14 @@ def test_a_run_with_forced_placements_never_imports_networkx(tmp_path):
 
 
 def test_a_run_loads_neither_hashlib_nor_openssl(tmp_path):
-    # SHA-256 and HMAC come from the interpreter's own hash module
+    # SHA-256 and HMAC come from the interpreter's own hash module, and a run
+    # counts the cipher protocol's outcomes without importing the protocol
     code = (
         "import json, os, sys\n"
         "from vecsim import cli\n"
         f"assert cli.main(['run', {str(scenario_path('smoke'))!r}, '--out', {str(tmp_path)!r}]) == 0\n"
         "maps = open('/proc/self/maps').read() if os.path.exists('/proc/self/maps') else None\n"
-        "print(json.dumps([sorted({'hashlib', 'hmac', '_hashlib'} & set(sys.modules)),"
+        "print(json.dumps([sorted({'hashlib', 'hmac', '_hashlib', 'vecsim.cipher'} & set(sys.modules)),"
         " None if maps is None else 'libcrypto' in maps]))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}

@@ -2,17 +2,18 @@
 
 Three coupled pieces: minimum-count controller placement with vehicle domain
 assignment, control-traffic path balancing under a convex congestion latency,
-and versioned-view flooding between controllers. Exact placement tries
-controller subsets in minimum-cardinality order and decides each with one
-integral max-flow over vehicle classes; topologies beyond `exact_limit` ANs
-get a greedy set-cover. The balancing loop reroutes one vehicle at a time,
-pricing its old and new paths by their marginal cost, until no move lowers
-the total latency. Graphs are plain adjacency dicts searched by one Dijkstra,
-and the flows are one shortest-augmenting-path search in a fixed order.
+and versioned-view sync between controllers by breadth-first search. Exact
+placement tries controller subsets in minimum-cardinality order and decides
+each with one integral max-flow over vehicle classes; beyond `exact_limit` ANs
+a greedy set cover merges ingress classes. The balancing loop reroutes one
+vehicle at a time, pricing its old and new paths by their marginal cost, until
+no move lowers the total latency. Graphs are adjacency dicts searched by one
+Dijkstra; flows are one shortest-augmenting-path search in a fixed order.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import heapq
 import itertools
@@ -312,37 +313,40 @@ def _class_flow(classes, slots) -> Optional[dict[tuple[int, ...], dict[int, int]
 
 
 def _place_greedy(topology, demands, reach, dist, latency_bound) -> Placement:
+    """Chvátal's greedy set cover. Each round opens the closed AN that can host
+    the most vehicles, the lowest id on ties, and fills it nearest vehicle first,
+    ties by id: a merge of the ingress classes it reaches. With one rate, its room
+    is the most m vehicles whose left-to-right sum weights[m] fits its capacity."""
     unassigned = {d.vehicle_id: d for d in demands}
-    open_controllers: list[int] = []
-    remaining_cap = dict(topology.capacity)
+    classes: dict[int, list[int]] = {src: [] for src in reach}      # ingress AN -> unassigned vehicles, id descending
+    for vid in sorted(unassigned, reverse=True):
+        classes[unassigned[vid].ingress_an].append(vid)
+    weights = list(itertools.accumulate((d.rate for d in unassigned.values()), initial=0.0))
+    closed = sorted(topology.capacity)
+    sources: dict[int, list[int]] = {an: [] for an in closed}       # AN -> classes within the bound
+    for src, ans in reach.items():
+        for an in ans:
+            sources[an].append(src)
+    eligible = {an: sum(len(classes[src]) for src in sources[an]) for an in closed}
+    # lo=1 leaves a capacity below zero room for none
+    room = {an: bisect.bisect_right(weights, topology.capacity[an] + 1e-12, 1) - 1 for an in closed}
     domain: dict[int, int] = {}
     while unassigned:
-        best_an, best_covered, best_weight = None, [], 0.0
-        for an in sorted(topology.capacity):
-            if an in open_controllers:
-                continue
-            eligible = sorted(
-                (d for d in unassigned.values() if an in reach[d.ingress_an]),
-                key=lambda d: (dist[d.ingress_an][an], d.vehicle_id),
-            )
-            covered, weight, cap = [], 0.0, remaining_cap[an]
-            for d in eligible:
-                if weight + d.rate <= cap + 1e-12:
-                    covered.append(d)
-                    weight += d.rate
-            if weight > best_weight:
-                best_an, best_covered, best_weight = an, covered, weight
-        if best_an is None:
+        best = max(closed, key=lambda an: min(eligible[an], room[an]), default=None)
+        n = 0 if best is None else min(eligible[best], room[best])
+        if not n:
             raise InfeasiblePlacement(
-                f"greedy cover stalled with vehicles {sorted(unassigned)} unassigned",
-                binding="capacity",
+                f"greedy cover stalled with vehicles {sorted(unassigned)} unassigned", binding="capacity"
             )
-        open_controllers.append(best_an)
-        for d in best_covered:
-            domain[d.vehicle_id] = best_an
-            remaining_cap[best_an] -= d.rate
-            del unassigned[d.vehicle_id]
-    return Placement(frozenset(open_controllers), domain, latency_bound, exact=False)
+        closed.remove(best)
+        by_distance = (zip(itertools.repeat(dist[src][best]), reversed(classes[src])) for src in sources[best])
+        for _, vid in list(itertools.islice(heapq.merge(*by_distance), n)):
+            domain[vid] = best
+            src = unassigned.pop(vid).ingress_an
+            classes[src].pop()
+            for an in reach[src]:
+                eligible[an] -= 1
+    return Placement(frozenset(domain.values()), domain, latency_bound, exact=False)
 
 
 def _edge_latency(weight: float, cap: float, load: float, kappa: float) -> float:
@@ -471,12 +475,12 @@ def sync_controllers(
     neighbors: dict[int, list[int]],
     views: dict[int, dict[str, int]],
 ) -> tuple[int, dict[str, int]]:
-    """Synchronous flooding of versioned views until all controllers agree.
+    """Rounds of synchronous view merging until all controllers agree, and the element-wise maximum view.
 
-    Each round every controller merges its neighbors' views element-wise,
-    highest version winning. Returns (rounds, converged view); rounds is 0
-    when views already agree. Convergence never needs more rounds than the
-    graph diameter.
+    Each round every controller merges the views on its own list, each key's
+    highest version winning (a missing key is version 0), so the rounds are
+    the most steps along the lists from a key's top-version holders to any
+    controller: one breadth-first search per key. 0 rounds when views agree.
     """
     nodes = sorted(neighbors)
     if set(views) != set(nodes):
@@ -485,28 +489,23 @@ def sync_controllers(
     if len(components) > 1:
         raise DisconnectedControllers(components)
 
-    keys = sorted({k for view in views.values() for k in view})
-    state = {n: {k: views[n].get(k, 0) for k in keys} for n in nodes}
-
-    def all_equal() -> bool:
-        first = state[nodes[0]]
-        return all(state[n] == first for n in nodes[1:])
-
+    merged = {k: max(views[n].get(k, 0) for n in nodes) for k in sorted({k for v in views.values() for k in v})}
+    feeds: dict[int, list[int]] = {n: [] for n in nodes}     # node -> the nodes whose lists name it
+    for n in nodes:
+        for nb in neighbors[n]:
+            feeds[nb].append(n)
     rounds = 0
-    while not all_equal():
-        merged = {}
-        for n in nodes:
-            view = dict(state[n])
-            for nb in neighbors[n]:
-                for k in keys:
-                    if state[nb][k] > view[k]:
-                        view[k] = state[nb][k]
-            merged[n] = view
-        state = merged
-        rounds += 1
-        if rounds > len(nodes):
-            raise AssertionError("flooding exceeded the node-count bound; graph bookkeeping is broken")
-    return rounds, state[nodes[0]]
+    for k, top in merged.items():
+        held = {n for n in nodes if views[n].get(k, 0) == top}
+        frontier, depth = held, 0
+        while len(held) < len(nodes):
+            frontier = {m for n in frontier for m in feeds[n]} - held
+            if not frontier:
+                raise AssertionError(f"one-sided neighbour lists never deliver key {k!r} to every controller")
+            held |= frontier
+            depth += 1
+        rounds = max(rounds, depth)
+    return rounds, merged
 
 
 def relay_free_controller_graph(

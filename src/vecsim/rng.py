@@ -298,12 +298,9 @@ class RngStream:
     def bytes(self, n: int) -> bytes:
         """n random bytes: 32-bit draws packed little-endian, the last one cut short.
 
-        Like numpy, it makes one draw even for n = 0. With no half-word buffered,
-        an even number of draws is whole words, each packed as one 64-bit word.
+        Like numpy, it makes one draw even for n = 0.
         """
         count = max(1, (n + 3) // 4)
-        if self._half is None and count % 2 == 0:
-            return struct.pack(f"<{count // 2}Q", *[self._word() for _ in range(count // 2)])[:n]
         return struct.pack(f"<{count}I", *[self._word32() for _ in range(count)])[:n]
 
     def __repr__(self) -> str:  # pragma: no cover

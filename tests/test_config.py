@@ -289,7 +289,7 @@ def test_overridden_config_revalidates_to_catch_new_problems():
     ({"edge_compute.enabled": False, "edge_compute.tradeoff_v": 0.0}, "edge_compute.tradeoff_v"),
     ({"cipher.enabled": False, "cipher.window": -1}, "cipher.window"),
     # sizes that would be allocated: the free CTU list, the downlink actions,
-    # each slot's cipher message and each vehicle-slot's fingerprint windows
+    # and the cipher library's message and fingerprint window per exchange
     ({"ctu_pool.freq_blocks": 10**9}, "ctu_pool"),
     ({"ctu_pool.sequences": 8193}, "ctu_pool"),
     ({"downlink.ap_ranks": 1025}, "downlink.ap_ranks"),

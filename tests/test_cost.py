@@ -14,6 +14,7 @@ from __future__ import annotations
 import cProfile
 import functools
 import json
+import math
 import pstats
 import random
 
@@ -21,6 +22,7 @@ import pytest
 
 from conftest import scenario_path
 from vecsim.config import scenario_from_dict
+from vecsim.control_plane import ControlTopology, Demand, place_controllers
 from vecsim.simulation import Simulation
 
 N_APS = 16
@@ -115,3 +117,29 @@ def test_smoke_loop_calls_per_vehicle_slot_stay_under_a_ceiling():
     _, loop = _calls(sim.engine.run)
     per_vehicle_slot = loop / (len(sim.vehicles) * data["horizon"])
     assert per_vehicle_slot <= SMOKE_LOOP_CALLS_CEILING, per_vehicle_slot
+
+
+# Greedy placement on a chain of A ANs, 1024 vehicles entering at the even ANs
+# and each AN with room for a fair share of them, so about A/2 controllers open.
+# The all-pairs distances grow faster than the fleet, but a cover that rescans
+# every unassigned vehicle for every closed AN in every round grows faster
+# still: that one made 42.9, 138.0 and 490.3 calls per vehicle at 8, 16 and 32
+# ANs (x3.2, then x3.6).
+PLACEMENT_GROWTH_PER_DOUBLING = 2.5
+
+
+def _placement_calls_per_vehicle(n_ans: int, vehicles: int = 1024) -> float:
+    capacity = float(math.ceil(vehicles / (n_ans // 2)))
+    topo = ControlTopology(
+        capacity=dict.fromkeys(range(n_ans), capacity),
+        edges={(an, an + 1): (0.001, 1e9) for an in range(n_ans - 1)},
+    )
+    demands = [Demand(v, 2 * (v % (n_ans // 2)), 1.0) for v in range(vehicles)]
+    placement, calls = _calls(lambda: place_controllers(topo, demands, 1.0, exact_limit=0))
+    assert len(placement.controllers) == n_ans // 2
+    return calls / vehicles
+
+
+def test_greedy_placement_calls_per_vehicle_at_most_2_5_times_per_doubling_of_ans():
+    costs = [_placement_calls_per_vehicle(n_ans) for n_ans in (8, 16, 32)]
+    assert all(later <= earlier * PLACEMENT_GROWTH_PER_DOUBLING for earlier, later in zip(costs, costs[1:])), costs

@@ -624,28 +624,3 @@ def test_pins_hold_with_numpy_mean_refused(case, tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert code == 0
     assert tuple(hashlib.sha256((out / f).read_bytes()).hexdigest() for f in FILES) == want
-
-
-# Out of sync, the two windows' fingerprints differ, so the integrity tag never
-# verifies and the simulation needs no payload: override set (a) and the noisy
-# views (h), whose full-path exchanges interleave with in-sync ones, keep their
-# pins with cipher.deterministic_message refusing every call.
-@pytest.mark.parametrize("case", ["override a", "noisy view"])
-def test_pins_hold_without_building_a_cipher_payload(case, tmp_path, monkeypatch, capsys):
-    from vecsim import cipher
-
-    def refuse(*args):
-        raise AssertionError("the simulation built a cipher payload")
-
-    monkeypatch.setattr(cipher, "deterministic_message", refuse)
-    out = tmp_path / "out"
-    if case == "override a":
-        argv, want = [str(scenario_path("smoke"))], OVERRIDDEN[("a", 1)]
-        for override in OVERRIDE_SETS["a"]:
-            argv += ["--override", override]
-    else:
-        argv, want = [str(_noisy_view_scenario(tmp_path))], NOISY_VIEW[1]
-    code = main(["run", *argv, "--seed", "1", "--out", str(out)])
-    capsys.readouterr()
-    assert code == 0
-    assert tuple(hashlib.sha256((out / f).read_bytes()).hexdigest() for f in FILES) == want

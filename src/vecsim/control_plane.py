@@ -5,10 +5,12 @@ assignment, control-traffic path balancing under a convex congestion latency,
 and versioned-view sync between controllers by breadth-first search. Exact
 placement tries controller subsets in minimum-cardinality order and decides
 each with one integral max-flow over vehicle classes; beyond `exact_limit` ANs
-a greedy set cover merges ingress classes. The balancing loop reroutes one
-vehicle at a time, pricing its old and new paths by their marginal cost, until
-no move lowers the total latency. Graphs are adjacency dicts searched by one
-Dijkstra; flows are one shortest-augmenting-path search in a fixed order.
+a greedy set cover merges ingress classes; both fill an AN by one rule. The
+balancing loop reroutes one vehicle at a time, pricing its old and new paths
+by their marginal cost, until no move lowers the total latency. Graphs are
+adjacency dicts; a topology is searched by Dijkstra once from each AN, and
+every static latency or shortest-path question reads those searches. Flows
+are one shortest-augmenting-path search in a fixed order.
 """
 
 from __future__ import annotations
@@ -48,13 +50,15 @@ class ControlTopology:
     """AN graph: node controller capacities and weighted, capacitated edges.
 
     Edge keys are normalized (u < v); weights are propagation latency in
-    seconds, capacities in control messages per slot.
+    seconds, capacities in control messages per slot. The adjacency and the
+    searches are cached on first use, so the dicts must not change after.
     """
 
     capacity: dict[int, float]
     edges: dict[tuple[int, int], tuple[float, float]]   # (u, v) -> (weight_s, capacity)
     kappa: float = 1e-4
 
+    @functools.cached_property
     def graph(self) -> dict[int, dict[int, float]]:
         """{an: {neighbour: weight_s}}: ANs ascending, then neighbours in edge order."""
         adj: dict[int, dict[int, float]] = {an: {} for an in sorted(self.capacity)}
@@ -63,9 +67,14 @@ class ControlTopology:
             adj.setdefault(v, {})[u] = w
         return adj
 
+    @functools.cached_property
+    def _searches(self) -> dict[int, tuple[dict[int, float], dict[int, list[int]]]]:
+        """Each AN's shortest distances and predecessors, searched once per topology."""
+        return {src: _dijkstra(self.graph, src) for src in self.graph}
+
     def all_pairs_latency(self) -> dict[int, dict[int, float]]:
-        g = self.graph()
-        return {src: _dijkstra(g, src)[0] for src in g}
+        """{source: {an: latency_s}}; the rows are the cached searches', shared and read-only."""
+        return {src: dist for src, (dist, _) in self._searches.items()}
 
 
 @dataclass
@@ -182,16 +191,11 @@ def _is_tree(graph: dict[int, dict[int, float]]) -> bool:
     return len(graph) > 0 and edges == len(graph) - 1 and len(connected_components(graph)) == 1
 
 
-def _slots(capacity: float, rate: float, most: int) -> int:
-    """Largest n <= most with n * rate <= capacity + 1e-12, in closed form."""
-    q = (capacity + 1e-12) / rate if rate > 0 else math.inf
-    n = most if q >= most else math.floor(q)
-    # the quotient may round across an integer; one step either way corrects it
-    if n < most and (n + 1) * rate <= capacity + 1e-12:
-        n += 1
-    elif n > 0 and n * rate > capacity + 1e-12:
-        n -= 1
-    return n
+def _room(topology: ControlTopology, demands: list[Demand]) -> dict[int, int]:
+    """AN -> the most m vehicles whose left-to-right rate sum fits its capacity
+    within 1e-12; lo=1 leaves a capacity below zero room for none."""
+    weights = list(itertools.accumulate((d.rate for d in demands), initial=0.0))
+    return {an: bisect.bisect_right(weights, cap + 1e-12, 1) - 1 for an, cap in topology.capacity.items()}
 
 
 def place_controllers(
@@ -238,15 +242,14 @@ def place_controllers(
 def _place_exact(topology, demands, reach, latency_bound) -> Placement:
     """First subset, in minimum-cardinality order, that hosts every vehicle.
 
-    With one rate a controller hosts at most `_slots` vehicles, so a subset is
+    With one rate a controller hosts at most its `_room`, so a subset is
     feasible iff an integral flow class -> controller carries every vehicle;
     `_class_flow` decides that. A class is the vehicles that reach the same
     controllers of the subset; it hands its vehicles out in ascending id to
     its controllers in ascending id, as many to each as the flow sends.
     """
     ans = sorted(topology.capacity)
-    rate = demands[0].rate if demands else 0.0
-    slots = {an: _slots(topology.capacity[an], rate, len(demands)) for an in ans}
+    slots = _room(topology, demands)
     by_ingress: dict[int, list[int]] = {src: [] for src in reach}
     for d in demands:
         by_ingress[d.ingress_an].append(d.vehicle_id)
@@ -315,21 +318,18 @@ def _class_flow(classes, slots) -> Optional[dict[tuple[int, ...], dict[int, int]
 def _place_greedy(topology, demands, reach, dist, latency_bound) -> Placement:
     """Chvátal's greedy set cover. Each round opens the closed AN that can host
     the most vehicles, the lowest id on ties, and fills it nearest vehicle first,
-    ties by id: a merge of the ingress classes it reaches. With one rate, its room
-    is the most m vehicles whose left-to-right sum weights[m] fits its capacity."""
+    ties by id: a merge of the ingress classes it reaches, up to its `_room`."""
     unassigned = {d.vehicle_id: d for d in demands}
     classes: dict[int, list[int]] = {src: [] for src in reach}      # ingress AN -> unassigned vehicles, id descending
     for vid in sorted(unassigned, reverse=True):
         classes[unassigned[vid].ingress_an].append(vid)
-    weights = list(itertools.accumulate((d.rate for d in unassigned.values()), initial=0.0))
     closed = sorted(topology.capacity)
     sources: dict[int, list[int]] = {an: [] for an in closed}       # AN -> classes within the bound
     for src, ans in reach.items():
         for an in ans:
             sources[an].append(src)
     eligible = {an: sum(len(classes[src]) for src in sources[an]) for an in closed}
-    # lo=1 leaves a capacity below zero room for none
-    room = {an: bisect.bisect_right(weights, topology.capacity[an] + 1e-12, 1) - 1 for an in closed}
+    room = _room(topology, demands)
     domain: dict[int, int] = {}
     while unassigned:
         best = max(closed, key=lambda an: min(eligible[an], room[an]), default=None)
@@ -370,7 +370,7 @@ def balance_control_traffic(
     when a full pass moves no vehicle, after at most MAX_BALANCE_PASSES. On
     a tree every vehicle's path is its only one, so the pass searches nothing.
     """
-    g = topology.graph()
+    g = topology.graph
     tree = _is_tree(g)
     by_vehicle = {d.vehicle_id: d for d in demands}
     load: dict[tuple[int, int], float] = {e: 0.0 for e in topology.edges}
@@ -513,11 +513,10 @@ def relay_free_controller_graph(
 ) -> dict[int, list[int]]:
     """Sync graph over controllers: edge iff some shortest path between the two
     passes through no other controller. Connected whenever the AN graph is."""
-    g = topology.graph()
     ctrls = sorted(controllers)
     neighbors: dict[int, list[int]] = {c: [] for c in ctrls}
     for i, a in enumerate(ctrls):
-        _, pred = _dijkstra(g, a)
+        pred = topology._searches[a][1]
         for b in ctrls[i + 1 :]:
             # walk the shortest-path predecessors back from b, never through another controller
             stack, seen = [b], {b}

@@ -458,7 +458,7 @@ def test_relay_free_graph_skips_pairs_bridged_by_another_controller():
 # networkx is the reference for every graph question the control plane answers
 
 def _nx_graph(topo):
-    """The networkx graph `ControlTopology.graph()` stands for, built in the same order."""
+    """The networkx graph `ControlTopology.graph` stands for, built in the same order."""
     g = nx.Graph()
     g.add_nodes_from(sorted(topo.capacity))
     for (u, v), (w, cap) in topo.edges.items():
@@ -482,7 +482,7 @@ def weighted_graphs(draw, connected=True):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(weighted_graphs(connected=False), st.data())
 def test_shortest_path_is_networkx_dijkstra_path_with_ties_and_hidden_edges(topo, data):
-    g, ref = topo.graph(), _nx_graph(topo)
+    g, ref = topo.graph, _nx_graph(topo)
     assert {u: list(nbs.items()) for u, nbs in g.items()} == {
         u: [(v, attrs["weight"]) for v, attrs in ref.adj[u].items()] for u in ref
     }
@@ -530,8 +530,8 @@ def test_relay_free_graph_equals_an_all_shortest_paths_scan(topo, data):
 @given(weighted_graphs(connected=False), st.data())
 def test_tree_test_and_components_equal_networkx(topo, data):
     ref = _nx_graph(topo)
-    assert control_plane._is_tree(topo.graph()) == nx.is_tree(ref)
-    assert connected_components(topo.graph()) == sorted(sorted(c) for c in nx.connected_components(ref))
+    assert control_plane._is_tree(topo.graph) == nx.is_tree(ref)
+    assert connected_components(topo.graph) == sorted(sorted(c) for c in nx.connected_components(ref))
     # one-sided neighbour lists, as sync_controllers may be handed
     n = len(topo.capacity)
     one_sided = {u: data.draw(st.lists(st.integers(0, n - 1), max_size=3)) for u in range(n)}
@@ -622,7 +622,7 @@ def test_class_flow_decides_contested_subsets_as_a_max_flow_does(instance):
     dist = topo.all_pairs_latency()
     ans = sorted(topo.capacity)
     reach = {d.vehicle_id: [an for an in ans if dist[d.ingress_an].get(an, math.inf) <= bound] for d in demands}
-    slots = {an: control_plane._slots(topo.capacity[an], 1.0, len(demands)) for an in ans}
+    slots = control_plane._room(topo, demands)
     chosen, contested = None, False
     for subset in (s for k in range(1, len(ans) + 1) for s in itertools.combinations(ans, k)):
         classes = {}

@@ -155,7 +155,7 @@ def test_greedy_placement_equals_the_rescanning_cover(instance):
 
 
 @pytest.mark.parametrize("capacity, vehicles, hosted", [
-    # six 0.1s sum to 0.6000000000000001, within 1e-12 of 0.599999999999, where _slots finds 5
+    # six 0.1s sum left to right to 0.6 = 0.599999999999 + 1e-12, where 6 * 0.1 = 0.6000000000000001
     ((0.599999999999, 0.1), 7, [6, 1]),
     ((0.3, 0.1), 4, [3, 1]),
     # the demand fits the total capacity, but no third whole vehicle fits
@@ -168,8 +168,13 @@ def test_greedy_placement_fills_by_the_running_sum(capacity, vehicles, hosted):
     assert got == _placement(topo, demands, 1.0, greedy=_place_greedy)
     if hosted == "stalled":
         assert got == ("greedy cover stalled with vehicles [2] unassigned", "capacity")
+        with pytest.raises(InfeasiblePlacement, match="no controller subset"):
+            place_controllers(topo, demands, 1.0, exact_limit=12)
     else:
         assert [list(dict(got[1]).values()).count(c) for c in got[0]] == hosted
+        # the exact search fills by the same running sum
+        exact = place_controllers(topo, demands, 1.0, exact_limit=12)
+        assert exact.exact and [list(exact.domain.values()).count(c) for c in sorted(exact.controllers)] == hosted
 
 
 @st.composite

@@ -565,6 +565,30 @@ def test_greedy_replacement_outputs_match_their_pinned_digests(seed, tmp_path, m
     assert digests == GREEDY_REPLACEMENT[seed]
 
 
+@pytest.mark.parametrize("target_mean_latency_s", [None, 0.001])
+def test_greedy_control_runs_search_the_static_topology_once_per_an(
+    target_mean_latency_s, tmp_path, monkeypatch, capsys
+):
+    # every checkpoint, and every re-placement under a target, reads one set of searches
+    from vecsim import control_plane
+
+    unweighted, search = [], control_plane._dijkstra
+
+    def counted(graph, source, weight=None, target=None):
+        if weight is None:
+            unweighted.append(source)
+        return search(graph, source, weight, target)
+
+    monkeypatch.setattr(control_plane, "_dijkstra", counted)
+    out = tmp_path / "out"
+    scenario = _greedy_control_scenario(tmp_path, target_mean_latency_s)
+    code = main(["run", str(scenario), "--seed", "0", "--out", str(out)])
+    capsys.readouterr()
+    assert code == 0
+    _greedy_checkpoints(out)
+    assert sorted(unweighted) == list(range(16))
+
+
 def _compensated_sum(iterable, /, start=0, _int_sum=builtins.sum):
     """sum() as Python 3.12 and later compute it: exact for ints (and bools),
     Neumaier-compensated for floats, which moves the last bits of a float

@@ -30,13 +30,13 @@ EXIT_RUNTIME = 3
 Seeds = Annotated[list[Annotated[int, Range(ge=0)]], Range(ge=1, items=True)]
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class SweepAxis:
     name: str
     values: Annotated[list[object], Range(ge=1, items=True)]
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class SweepSpec:
     scenario: str
     seeds: Seeds
@@ -44,7 +44,7 @@ class SweepSpec:
     overrides: dict[str, object] = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class RunRequest:
     """One side of a compare: a scenario file, its seeds and its overrides."""
 

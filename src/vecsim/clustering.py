@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class SliceAssignment:
     """Per-vehicle downlink CTU runs and power budgets.
 

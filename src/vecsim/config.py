@@ -54,7 +54,7 @@ Id = Annotated[int, Range()]     # validate_scenario checks that each id is uniq
 Probability = Annotated[float, Range(ge=0, le=1)]
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class VehicleSpec:
     vehicle_id: Id
     cell: Id
@@ -69,7 +69,7 @@ class VelocityChange(NamedTuple):
     velocity_class: str
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class ApSpec:
     ap_id: Id
     x: Annotated[float, Range()]
@@ -78,7 +78,7 @@ class ApSpec:
     fronthaul_snr_db: Annotated[float, Range(le=MAX_SNR_DB)] = 30.0
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class AnSpec:
     an_id: Id
     power_budget_w: Annotated[float, Range(ge=0)] = 2.0     # a negative budget books negative energy
@@ -86,7 +86,7 @@ class AnSpec:
     storage_capacity: Annotated[float, Range(ge=0)] = 10.0
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class MacConfig:
     payload_bits: Annotated[int, Range(ge=1, le=MAX_PAYLOAD_BITS)] = 128
     bler_alpha: Annotated[float, Range(gt=0)] = 1.0         # the BLER must fall as SNR rises
@@ -99,7 +99,7 @@ class MacConfig:
     preconfigured: dict[int, list[tuple[Id, Id]]] = field(default_factory=dict)     # vehicle -> (CTU, AP) pairs
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class BanditConfig:
     enabled: bool = False
     epsilon: Probability = 0.1
@@ -107,13 +107,13 @@ class BanditConfig:
     r_max: Annotated[int, Range(ge=1)] = 4
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class ClusterConfig:
     k_cluster: Annotated[int, Range(ge=1)] = 2
     downlink_ctu_demand: Annotated[int, Range(ge=0)] = 1
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class DownlinkConfig:
     policy: Annotated[str, Range(among=("eco", "random"))] = "eco"
     power_levels_w: Annotated[tuple[Annotated[float, Range(gt=0, le=MAX_POWER_W)], ...], Range(ge=1, items=True)] = (0.1, 1.0)
@@ -129,7 +129,7 @@ class DownlinkConfig:
     snr_bucket_db: Annotated[float, Range(ge=1e-300)] = 10.0
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class PredictorConfig:
     policy: Annotated[str, Range(among=("bayes", "persistence"))] = "bayes"
     threshold: Annotated[float, Range(gt=0, lt=1)] = 0.5
@@ -137,7 +137,7 @@ class PredictorConfig:
     obs_ceiling: Probability = 0.99
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class ControlConfig:
     enabled: bool = True
     latency_bound_s: Annotated[float, Range(gt=0)] = 0.01
@@ -153,7 +153,7 @@ class ControlConfig:
     )
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class EdgeComputeConfig(ComputeParams):
     enabled: bool = True
     services: list[Service] = field(default_factory=lambda: [
@@ -168,7 +168,7 @@ class EdgeComputeConfig(ComputeParams):
     offload_policy: Annotated[str, Range(among=("drift", "greedy_local", "always_cloud"))] = "drift"
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class CipherConfig:
     enabled: bool = True
     # slots in every vehicle's fingerprint window
@@ -177,7 +177,7 @@ class CipherConfig:
     an_view_flip_prob: Probability = 0.0                    # chance an association bit is mis-recorded AN-side
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class ScenarioConfig:
     name: str = "scenario"
     seed: Annotated[int, Range(ge=0)] = 0
@@ -368,7 +368,7 @@ def _declares(hint) -> bool:
 # JSON tree -> ScenarioConfig
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class _LineRoad:
     """The {"builder": "line"} road shorthand; it also brings its mobility model."""
 
@@ -378,14 +378,14 @@ class _LineRoad:
     forward_prob: Probability = 0.8
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class _RoadCell:
     cell_id: Id
     x: Annotated[float, Range()]
     y: Annotated[float, Range()]
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class _RoadCells:
     """A road given as cells and directed [src, dst] edges."""
 

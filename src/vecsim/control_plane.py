@@ -8,9 +8,10 @@ each with one integral max-flow over vehicle classes; beyond `exact_limit` ANs
 a greedy set cover merges ingress classes; both fill an AN by one rule. The
 balancing loop reroutes one vehicle at a time, pricing its old and new paths
 by their marginal cost, until no move lowers the total latency. Graphs are
-adjacency dicts; a topology is searched by Dijkstra once from each AN, and
-every static latency or shortest-path question reads those searches. Flows
-are one shortest-augmenting-path search in a fixed order.
+adjacency dicts; a topology is searched by Dijkstra once from each AN that a
+static latency or shortest-path question asks about, and every such question
+reads those searches. Flows are one shortest-augmenting-path search in a
+fixed order.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ class DisconnectedControllers(Exception):
         self.components = components
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class ControlTopology:
     """AN graph: node controller capacities and weighted, capacitated edges.
 
@@ -69,22 +70,27 @@ class ControlTopology:
 
     @functools.cached_property
     def _searches(self) -> dict[int, tuple[dict[int, float], dict[int, list[int]]]]:
-        """Each AN's shortest distances and predecessors, searched once per topology."""
-        return {src: _dijkstra(self.graph, src) for src in self.graph}
+        return {}       # filled by `search`
+
+    def search(self, src: int) -> tuple[dict[int, float], dict[int, list[int]]]:
+        """`src`'s shortest distances and predecessors, searched once per topology, on first request."""
+        if src not in self._searches:
+            self._searches[src] = _dijkstra(self.graph, src)
+        return self._searches[src]
 
     def all_pairs_latency(self) -> dict[int, dict[int, float]]:
         """{source: {an: latency_s}}; the rows are the cached searches', shared and read-only."""
-        return {src: dist for src, (dist, _) in self._searches.items()}
+        return {src: self.search(src)[0] for src in self.graph}
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class Demand:
     vehicle_id: int
     ingress_an: int
     rate: float        # control messages per slot
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Placement:
     controllers: frozenset[int]
     domain: dict[int, int]          # vehicle -> controller
@@ -222,10 +228,10 @@ def place_controllers(
             f"total demand {total_demand} exceeds total controller capacity {total_capacity}",
             binding="capacity",
         )
-    dist = topology.all_pairs_latency()
+    dist = {src: topology.search(src)[0] for src in sorted({d.ingress_an for d in demands})}
     reach = {     # ingress AN -> controllers within the bound, ascending
-        src: [an for an in sorted(topology.capacity) if dist[src].get(an, math.inf) <= latency_bound]
-        for src in sorted({d.ingress_an for d in demands})
+        src: [an for an in sorted(topology.capacity) if row.get(an, math.inf) <= latency_bound]
+        for src, row in dist.items()
     }
     orphans = sorted(d.vehicle_id for d in demands if not reach[d.ingress_an])
     if orphans:
@@ -516,7 +522,7 @@ def relay_free_controller_graph(
     ctrls = sorted(controllers)
     neighbors: dict[int, list[int]] = {c: [] for c in ctrls}
     for i, a in enumerate(ctrls):
-        pred = topology._searches[a][1]
+        pred = topology.search(a)[1]
         for b in ctrls[i + 1 :]:
             # walk the shortest-path predecessors back from b, never through another controller
             stack, seen = [b], {b}

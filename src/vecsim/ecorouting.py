@@ -15,7 +15,7 @@ Action = tuple[int, int]   # (ap_rank, power_index)
 State = tuple[int, ...]
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class QLearner:
     """Tabular Q with epsilon-greedy action selection.
 

@@ -25,14 +25,14 @@ class Service:
     popularity: Annotated[float, Range(ge=0)] = 1.0
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class CacheState:
     an_id: int
     capacity: float
     cached: set[int] = field(default_factory=set)
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class Task:
     service_id: int
     vehicle_id: int
@@ -40,7 +40,7 @@ class Task:
     arrival_slot: int
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class EnergyLedger:
     """Virtual deficit queue enforcing the long-term energy budget."""
 
@@ -56,7 +56,7 @@ class EnergyLedger:
             raise ValueError("deficit queue cannot start negative")
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class ComputeParams:
     # a task's latency divides its cycles and bits by these rates: at least one per second keeps it finite
     cpu_rate: Annotated[float, Range(ge=1)] = 5e9           # cycles/second at the AN
@@ -68,7 +68,7 @@ class ComputeParams:
     joules_per_bit: Annotated[float, Range(ge=0, le=1)] = 1e-8
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class OffloadDecision:
     where: str                       # "local" or "cloud"
     latency_s: float

@@ -19,7 +19,7 @@ from vecsim.ranges import Range
 from vecsim.rng import RngStream
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class CtuPool:
     """The contention grid. A CTU id is a flat index into the grid."""
 
@@ -32,7 +32,7 @@ class CtuPool:
         return self.slots_per_frame * self.freq_blocks * self.sequences
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class CtuSelection:
     vehicle_id: int
     ctus: tuple[int, ...]              # distinct CTU ids
@@ -45,21 +45,21 @@ class CtuSelection:
             raise ValueError("target AP list must parallel the CTU list")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class UplinkPacket:
     vehicle_id: int
     emit_slot: int
     payload_bits: int = 128
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class DecodeOutcome:
     path_success: tuple[bool, ...]
     combined: bool
     resolved_by_mud: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class BlerCurve:
     """Logistic block-error curve, the stand-in for a short-packet FEC.
 
@@ -180,7 +180,7 @@ def combine(path_success: list[bool], resolved_by_mud: bool = False) -> DecodeOu
     return DecodeOutcome(path_success=flags, combined=any(flags), resolved_by_mud=resolved_by_mud)
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class BanditState:
     """Epsilon-greedy bandit over replica counts 1..r_max.
 

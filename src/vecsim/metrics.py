@@ -74,7 +74,7 @@ class _AnEnergy:
         return functools.reduce(operator.add, self.block, self.total), pairwise
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class MetricsReport:
     """Everything a run measured: summary counters plus two row sinks.
 

@@ -23,7 +23,7 @@ ROW_SUM_TOL = 1e-12
 DrawRow = tuple[list[int], list[float]]     # sorted targets and their cumulative probabilities
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class RoadGraph:
     """Road cells with center coordinates (meters) and directed adjacency."""
 
@@ -37,9 +37,11 @@ class RoadGraph:
         for cell, neighbors in self.adjacency.items():
             if cell not in self.centers:
                 out.append(f"adjacency[{cell}]: unknown cell {cell}")
-            if len(neighbors) == 0:
+            if not neighbors:
                 out.append(f"adjacency[{cell}]: no outgoing edge (self-loop required at minimum)")
-            out += [f"adjacency[{cell}]: edge to unknown cell {nb}" for nb in neighbors if nb not in self.centers]
+            for nb in neighbors:
+                if nb not in self.centers:
+                    out.append(f"adjacency[{cell}]: edge to unknown cell {nb}")
         out += [f"adjacency[{cell}]: missing" for cell in self.centers if cell not in self.adjacency]
         return out
 
@@ -48,7 +50,7 @@ class RoadGraph:
         return sorted(self.centers)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class MarkovJumpModel:
     """Per-(velocity class, cell) transition rows over adjacent cells.
 
@@ -65,20 +67,20 @@ class MarkovJumpModel:
         out = []
         for vclass, per_cell in self.rows.items():
             for cell in graph.cells:
-                path = f"rows[{vclass}][{cell}]"
                 if cell not in per_cell:
-                    out.append(f"{path}: no transition row")
+                    out.append(f"rows[{vclass}][{cell}]: no transition row")
                     continue
                 row = per_cell[cell]
-                total = sum(row.values())
+                # floats add left to right here: Python 3.12's sum() compensates and moves bits
+                total = functools.reduce(operator.add, row.values(), 0)
                 if not abs(total - 1.0) <= ROW_SUM_TOL:     # NaN too
-                    out.append(f"{path}: row sums to {total!r}, expected 1")
+                    out.append(f"rows[{vclass}][{cell}]: row sums to {total!r}, expected 1")
                 allowed = graph.adjacency[cell]
                 for target, p in row.items():
                     if p < 0:
-                        out.append(f"{path}: negative probability for target {target}")
+                        out.append(f"rows[{vclass}][{cell}]: negative probability for target {target}")
                     elif p > 0 and target not in allowed:
-                        out.append(f"{path}: positive mass on non-adjacent cell {target}")
+                        out.append(f"rows[{vclass}][{cell}]: positive mass on non-adjacent cell {target}")
         return out
 
     def transition_matrix(self, vclass: str, cells: list[int]) -> tuple[list[DrawRow], SparseTransition]:
@@ -88,7 +90,8 @@ class MarkovJumpModel:
         (b @ op)[j] = sum_i b[i] * P(cells[j] | cells[i]); see SparseTransition.
         """
         index = {c: i for i, c in enumerate(cells)}
-        incoming: list[list[tuple[int, float]]] = [[] for _ in cells]
+        fill = [0] * len(cells)     # edges into each target so far
+        edges = []                  # (k, target, source, probability): the k-th edge into the target
         draws = []
         for i, cell in enumerate(cells):
             row = self.rows[vclass][cell]
@@ -101,12 +104,15 @@ class MarkovJumpModel:
                 total += p / norm
                 cum.append(total)
                 if p:
-                    incoming[index[target]].append((i, p))
+                    j = index[target]
+                    edges.append((fill[j], j, i, p))
+                    fill[j] += 1
             cum[-1] = 1.0
             draws.append((targets, cum))
-        depth = max(map(len, incoming))
-        src, w = np.array([edges + [(0, 0.0)] * (depth - len(edges)) for edges in incoming]).T
-        return draws, SparseTransition(np.ascontiguousarray(src, dtype=np.intp), np.ascontiguousarray(w))
+        ks, js, sources, probs = zip(*edges)
+        src, w = np.zeros((max(fill), len(cells)), dtype=np.intp), np.zeros((max(fill), len(cells)))
+        src[ks, js], w[ks, js] = sources, probs
+        return draws, SparseTransition(src, w)
 
 
 class SparseTransition:

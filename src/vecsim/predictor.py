@@ -49,7 +49,7 @@ class AssociationVector:
             raise ValueError("association bits must be 0/1")
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class PosteriorBelief:
     vehicle_id: int
     probs: np.ndarray           # over road cells, ascending cell order
@@ -104,7 +104,7 @@ class FleetBelief:
         return self._prior
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class ObservationModel:
     """P(AP bit = 1 | cell) per (cell, AP); conditionally independent bits."""
 

@@ -4,8 +4,10 @@ One Simulation owns all mutable state (vehicle positions, beliefs, caches,
 cipher session counts, learners) and registers one handler per phase on the
 slot engine. Everything iterates in sorted entity order, and every random draw
 comes from an entity-scoped stream, so a fixed seed fixes the whole trace.
-The cipher phase counts the outcomes `vecsim.cipher`'s exchanges are fixed
-to, without running them (see `_phase_cipher`).
+Set-up walks each road cell once over its row of `channel.snr_table`. The
+cipher phase counts the outcomes `vecsim.cipher`'s exchanges are fixed to,
+without running them (see `_phase_cipher`). Only the slot loop builds the
+runtime records, so they are plain slotted classes.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -27,40 +28,48 @@ from vecsim.metrics import MetricsReport
 from vecsim.rng import RngStream
 
 
-@dataclass
 class VehicleRuntime:
     """Per-vehicle mutable state across slots."""
 
-    cell: int
-    velocity_class: str
-    bandit: Optional[mac.BanditState] = None
-    last_decoded: Optional[bool] = None       # whether the last packet sent decoded
-    last_replicas: Optional[int] = None
-    selection: Optional[mac.CtuSelection] = None
-    assoc_true: Optional[tuple[int, ...]] = None        # this slot's association bits, by AP column
-    assoc_an: Optional[tuple[int, ...]] = None          # and as the AN records them
-    last_assoc_an: Optional[tuple[int, ...]] = None     # the AN's record of the previous slot
-    predicted: Optional[tuple[int, ...]] = None         # association bits predicted for this slot
-    predicted_next: Optional[tuple[int, ...]] = None    # and for the next one
-    # trailing slots whose two association views agree: the vehicle's
-    # fingerprint window equals the AN's exactly when this covers the window
-    agreed_slots: int = 0
-    session_an_id: Optional[int] = None
-    session_resyncs: int = 0
-    session_compromised: bool = False
+    __slots__ = (
+        "cell", "velocity_class", "bandit", "last_decoded", "last_replicas", "selection", "assoc_true", "assoc_an",
+        "last_assoc_an", "predicted", "predicted_next", "agreed_slots", "session_an_id", "session_resyncs",
+        "session_compromised",
+    )
+
+    def __init__(self, cell: int, velocity_class: str):
+        self.cell = cell
+        self.velocity_class = velocity_class
+        self.bandit: Optional[mac.BanditState] = None
+        self.last_decoded: Optional[bool] = None        # whether the last packet sent decoded
+        self.last_replicas: Optional[int] = None
+        self.selection: Optional[mac.CtuSelection] = None
+        self.assoc_true: Optional[tuple[int, ...]] = None       # this slot's association bits, by AP column
+        self.assoc_an: Optional[tuple[int, ...]] = None         # and as the AN records them
+        self.last_assoc_an: Optional[tuple[int, ...]] = None    # the AN's record of the previous slot
+        self.predicted: Optional[tuple[int, ...]] = None        # association bits predicted for this slot
+        self.predicted_next: Optional[tuple[int, ...]] = None   # and for the next one
+        # trailing slots whose two association views agree: the vehicle's
+        # fingerprint window equals the AN's exactly when this covers the window
+        self.agreed_slots = 0
+        self.session_an_id: Optional[int] = None
+        self.session_resyncs = 0
+        self.session_compromised = False
 
 
-@dataclass
 class AnRuntime:
     """Per-access-network mutable state."""
 
-    cache: edge.CacheState
-    ledger: edge.EnergyLedger
-    queued_cycles: float = 0.0
-    learner: Optional[ecorouting.QLearner] = None
-    pending: Optional[tuple] = None
-    request_counts: dict[int, int] = field(default_factory=dict)
-    slot_energy: float = 0.0
+    __slots__ = ("cache", "ledger", "queued_cycles", "learner", "pending", "request_counts", "slot_energy")
+
+    def __init__(self, cache: edge.CacheState, ledger: edge.EnergyLedger):
+        self.cache = cache
+        self.ledger = ledger
+        self.queued_cycles = 0.0
+        self.learner: Optional[ecorouting.QLearner] = None
+        self.pending: Optional[tuple] = None
+        self.request_counts: dict[int, int] = {}
+        self.slot_energy = 0.0
 
 
 class Simulation:
@@ -83,47 +92,47 @@ class Simulation:
         self.n_aps = len(self.ap_ids)
         self.fronthaul = {a.ap_id: a.fronthaul_snr_db for a in cfg.aps}
 
-        # Static geometry: cells and APs never move, so the SNRs, each cell's
-        # cluster members (its vehicles' uplink targets) and each cell's AN
-        # are tables from one ranking per cell. A cell's AN owns the ranking's
-        # head, with no threshold: coverage gates the radio (uplink, downlink),
-        # not which AN hosts a vehicle's control flow, tasks and cipher session.
-        positions = cfg.ap_positions()
         self.cells = list(cfg.road.cells)
-        self.cell_snr: dict[int, dict[int, float]] = {}
-        self.cell_members: dict[int, tuple[int, ...]] = {}
-        self.cell_an: dict[int, int] = {}
-        for cell in self.cells:
-            center = cfg.road.centers[cell]
-            row = {ap: channel.snr_db(center, xy, cfg.channel) for ap, xy in positions.items()}
-            self.cell_snr[cell] = row
-            self.cell_members[cell], head = clustering.rank_cell(row, cfg.snr_threshold_db, cfg.cluster.k_cluster)
-            self.cell_an[cell] = self.ap_owner[head]
-
-        self.pool = cfg.ctu_pool
-        self.curve = mac.BlerCurve(cfg.mac.bler_alpha, dict(cfg.mac.bler_beta))
-
         self.rows: dict[tuple[str, int], mobility.DrawRow] = {}
         self.transitions: dict[str, mobility.SparseTransition] = {}
         for vclass in sorted(cfg.mobility.rows):
             draws, self.transitions[vclass] = cfg.mobility.transition_matrix(vclass, self.cells)
             self.rows.update(((vclass, cell), draw) for cell, draw in zip(self.cells, draws))
-        # P(path fails) per (cell, AP), for every AP a selection can aim at from
-        # the cell: its cluster members and the (known) preconfigured APs
+
+        # Static geometry: cells and APs never move, so each cell is walked once
+        # over its {AP: SNR} row of one SNR table. The walk ranks the cell: its
+        # cluster members (its vehicles' uplink targets) and its AN, which owns
+        # the ranking's head, with no threshold: coverage gates the radio
+        # (uplink, downlink), not which AN hosts a vehicle's control flow, tasks
+        # and cipher session. It then fills P(path fails) for every AP a
+        # selection can aim at from the cell, its members and the (known)
+        # preconfigured APs, and P(AP hears vehicle | cell): in the cell's
+        # cluster and the one-replica path decodes, by likelihood column (AP
+        # ids ascending).
+        self.pool = cfg.ctu_pool
+        self.curve = mac.BlerCurve(cfg.mac.bler_alpha, dict(cfg.mac.bler_beta))
         preset = {ap for pairs in cfg.mac.preconfigured.values() for _, ap in pairs} & set(self.ap_col)
-        self.path_failure = {
-            (cell, ap): mac.path_failure_prob(
-                self.cell_snr[cell][ap], cfg.mac.relay_mode, self.fronthaul[ap], self.curve, cfg.mac.payload_bits
-            )
-            for cell in self.cells
-            for ap in {*self.cell_members[cell], *preset}
-        }
-        # P(AP hears vehicle | cell): in the cell's cluster and the one-replica
-        # path decodes. AP ids map to likelihood columns in ascending order.
-        heard_prob = {
-            cell: {self.ap_col[ap]: 1.0 - self.path_failure[(cell, ap)] for ap in aps}
-            for cell, aps in self.cell_members.items()
-        }
+        centers = [cfg.road.centers[c] for c in self.cells]
+        self.cell_snr: dict[int, dict[int, float]] = dict(
+            zip(self.cells, channel.snr_table(centers, cfg.ap_positions(), cfg.channel))
+        )
+        self.cell_members: dict[int, tuple[int, ...]] = {}
+        self.cell_an: dict[int, int] = {}
+        self.path_failure: dict[tuple[int, int], float] = {}
+        heard_prob: dict[int, dict[int, float]] = {}
+        threshold, k, relay_mode, payload_bits = (
+            cfg.snr_threshold_db, cfg.cluster.k_cluster, cfg.mac.relay_mode, cfg.mac.payload_bits
+        )
+        for cell, row in self.cell_snr.items():
+            members, head = clustering.rank_cell(row, threshold, k)
+            self.cell_members[cell] = members
+            self.cell_an[cell] = self.ap_owner[head]
+            heard = heard_prob[cell] = {}
+            for ap in {*members, *preset}:
+                p_fail = mac.path_failure_prob(row[ap], relay_mode, self.fronthaul[ap], self.curve, payload_bits)
+                self.path_failure[(cell, ap)] = p_fail
+                if ap in members:
+                    heard[self.ap_col[ap]] = 1.0 - p_fail
         self.obs_model = predictor.derive_observation_model(
             self.cells, heard_prob, self.n_aps, cfg.predictor.obs_floor, cfg.predictor.obs_ceiling
         )

@@ -32,9 +32,10 @@ SPACING_M = 100.0
 SLACK = 1.05
 
 
-def _shape(vehicles: int, cells: int, horizon: int, period: int) -> dict:
+def _shape(vehicles: int, cells: int, horizon: int, period: int, ans: int = N_ANS, hosted: int = 0) -> dict:
     """Smoke's subsystems on a line road of `cells`, with `vehicles` at seeded
-    start cells and 16 APs spread evenly along it, 4 per AN."""
+    start cells and 16 APs spread evenly along it, owned in equal runs by
+    `ans` ANs on a chain, each with room for `hosted` vehicles (0: all)."""
     data = json.loads(scenario_path("smoke").read_text(encoding="utf-8"))
     rng = random.Random(1)
     length = cells * SPACING_M
@@ -44,19 +45,20 @@ def _shape(vehicles: int, cells: int, horizon: int, period: int) -> dict:
         road={"builder": "line", "cells": cells, "spacing_m": SPACING_M, "forward_prob": 0.8},
         vehicles=[{"vehicle_id": v, "cell": rng.randrange(cells)} for v in range(vehicles)],
         aps=[
-            {"ap_id": ap, "x": (ap + 0.5) * length / N_APS, "y": 10.0, "an_id": ap * N_ANS // N_APS,
+            {"ap_id": ap, "x": (ap + 0.5) * length / N_APS, "y": 10.0, "an_id": ap * ans // N_APS,
              "fronthaul_snr_db": 30.0}
             for ap in range(N_APS)
         ],
-        # any one AN can host every control flow, so every checkpoint is feasible
+        # by default any one AN can host every control flow, so every checkpoint is feasible
         ans=[
-            {"an_id": an, "power_budget_w": 2.0, "controller_capacity": vehicles * rate, "storage_capacity": 10.0}
-            for an in range(N_ANS)
+            {"an_id": an, "power_budget_w": 2.0, "controller_capacity": (hosted or vehicles) * rate,
+             "storage_capacity": 10.0}
+            for an in range(ans)
         ],
         ctu_pool={"slots_per_frame": 1, "freq_blocks": 64, "sequences": 4},
     )
     data["control"]["period_slots"] = period
-    data["control"]["edges"] = [[an, an + 1, 0.001, 4.0 * vehicles * rate] for an in range(N_ANS - 1)]
+    data["control"]["edges"] = [[an, an + 1, 0.001, 4.0 * vehicles * rate] for an in range(ans - 1)]
     return data
 
 
@@ -69,9 +71,10 @@ def _calls(fn):
 
 
 @functools.cache
-def _cost(vehicles: int, cells: int, horizon: int, period: int) -> tuple[float, float]:
-    """(loop calls per vehicle-slot, set-up calls per cell)."""
-    cfg = scenario_from_dict(_shape(vehicles, cells, horizon, period))
+def _cost(*shape) -> tuple[float, float]:
+    """(loop calls per vehicle-slot, set-up calls per cell) of `_shape(*shape)`."""
+    vehicles, cells, horizon = shape[:3]
+    cfg = scenario_from_dict(_shape(*shape))
     sim, setup = _calls(lambda: Simulation(cfg))
     _, loop = _calls(sim.engine.run)
     return loop / (vehicles * horizon), setup / cells
@@ -98,6 +101,33 @@ def test_loop_calls_per_vehicle_slot_do_not_rise(shapes, what):
 def test_setup_calls_per_cell_do_not_rise_with_cells():
     costs = [_cost(*shape)[1] for shape in ROADS]
     assert _never_rises(costs), f"set-up calls per cell rise with cells: {costs}"
+
+
+# Set-up calls per cell at the largest road shape: the count this ceiling was
+# set at (57.7, on Python 3.11, where the SNR table is one pass with the
+# channel constants read once, each cell is ranked and filled in one walk and
+# only failing rows format a path), plus 5%. A set-up that calls snr_db per
+# (cell, AP) pair made 93.7.
+SETUP_CALLS_PER_CELL_CEILING = 60.6
+
+
+def test_setup_calls_per_cell_stay_under_a_ceiling():
+    per_cell = _cost(*ROADS[-1])[1]
+    assert per_cell <= SETUP_CALLS_PER_CELL_CEILING, per_cell
+
+
+# Loop calls per vehicle-slot as the ANs grow with the 16 APs held fixed, so at
+# most 16 ANs are ingress, and each AN has room for an eighth of the fleet. A
+# run that searched the topology from every AN made 80.2, 92.0 and 176.2 at 16,
+# 64 and 256 ANs (x1.15, then x1.92); searching only the ANs asked about made
+# 80.2, 89.6 and 119.4 (x1.12, then x1.33).
+ANS = [(200, 40, 20, 10, ans, 25) for ans in (16, 64, 256)]
+ANS_GROWTH_PER_QUADRUPLING = 1.5
+
+
+def test_loop_calls_per_vehicle_slot_grow_at_most_1_5_times_per_quadrupling_of_ans():
+    costs = [_cost(*shape)[0] for shape in ANS]
+    assert all(later <= earlier * ANS_GROWTH_PER_QUADRUPLING for earlier, later in zip(costs, costs[1:])), costs
 
 
 # Loop calls per vehicle-slot of the bundled smoke scenario at 2000 slots,

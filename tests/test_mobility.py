@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -88,6 +90,19 @@ def test_model_rejects_bad_rows_with_cell_and_class_named():
 
     not_a_number = MarkovJumpModel(rows={"default": {0: {0: float("nan")}, 1: {1: 1.0}}})
     assert not_a_number.problems(graph) == ["rows[default][0]: row sums to nan, expected 1"]
+
+
+def test_a_row_total_is_its_left_to_right_sum():
+    # Python 3.12's sum() compensates: it totals this row to fsum's 0.6, and
+    # a row near the tolerance could pass one way and fail the other
+    graph = RoadGraph(
+        centers={0: (0.0, 0.0), 1: (1.0, 0.0), 2: (2.0, 0.0)},
+        adjacency={0: (0, 1, 2), 1: (1,), 2: (2,)},
+    )
+    row = {0: 0.1, 1: 0.2, 2: 0.3}
+    assert (0.1 + 0.2) + 0.3 != math.fsum(row.values())
+    model = MarkovJumpModel(rows={"default": {0: row, 1: {1: 1.0}, 2: {2: 1.0}}})
+    assert model.problems(graph) == ["rows[default][0]: row sums to 0.6000000000000001, expected 1"]
 
 
 def test_transition_matrix_matches_rows():

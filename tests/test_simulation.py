@@ -176,10 +176,14 @@ _AP_SPOT = st.tuples(st.integers(0, 16).map(lambda i: 25.0 * i), st.sampled_from
     k=st.integers(1, 6),
     floor=st.floats(0.0, 0.3),
     ceiling=st.floats(0.7, 1.0),
+    preset=st.lists(st.integers(0, 7), max_size=3, unique=True),
 )
-def test_cell_members_and_likelihoods_match_a_brute_force_top_k(spots, listing, threshold, k, floor, ceiling):
+def test_cell_members_likelihoods_and_path_failures_match_a_brute_force_top_k(
+    spots, listing, threshold, k, floor, ceiling, preset
+):
     # AP ids are multiples of 3, listed in a shuffled order, so an AP id never
-    # doubles as its likelihood column and the input order never ranks APs
+    # doubles as its likelihood column and the input order never ranks APs;
+    # the preconfigured APs may lie outside a cell's cluster
     ids = [3 * i for i in range(len(spots))]
     listing.shuffle(ids)
     cfg = load_bundled("smoke")
@@ -187,23 +191,25 @@ def test_cell_members_and_likelihoods_match_a_brute_force_top_k(spots, listing, 
     cfg.snr_threshold_db = threshold
     cfg.cluster.k_cluster = k
     cfg.predictor.obs_floor, cfg.predictor.obs_ceiling = floor, ceiling
+    cfg.mac.preconfigured = {0: [(ctu, ids[pick % len(ids)]) for ctu, pick in enumerate(preset)]}
     sim = Simulation(cfg)
     column = {ap: i for i, ap in enumerate(sorted(ids))}
     lk = sim.obs_model.likelihood
     assert lk.shape == (len(cfg.road.cells), len(ids))
+    aimed_pairs = 0
     for i, cell in enumerate(sorted(cfg.road.cells)):
         snr = {a.ap_id: snr_db(cfg.road.centers[cell], (a.x, a.y), cfg.channel) for a in cfg.aps}
         ranked = sorted(snr, key=lambda ap: (-snr[ap], ap))
         members = tuple(ap for ap in ranked if snr[ap] >= threshold)[:k]
         assert sim.cell_members[cell] == members
+        aimed = {*members, *(ids[pick % len(ids)] for pick in preset)}
+        aimed_pairs += len(aimed)
         for ap in ids:
-            want = floor
-            if ap in members:
-                p_fail = mac.path_failure_prob(
-                    snr[ap], cfg.mac.relay_mode, 30.0, sim.curve, cfg.mac.payload_bits
-                )
-                want = min(max(1.0 - p_fail, floor), ceiling)
+            p_fail = mac.path_failure_prob(snr[ap], cfg.mac.relay_mode, 30.0, sim.curve, cfg.mac.payload_bits)
+            want = min(max(1.0 - p_fail, floor), ceiling) if ap in members else floor
             assert lk[i, column[ap]] == want
+            assert sim.path_failure.get((cell, ap)) == (p_fail if ap in aimed else None)
+    assert len(sim.path_failure) == aimed_pairs
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

@@ -54,25 +54,16 @@ class RunRequest:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    handlers = {"run": _cmd_run, "validate": _cmd_validate, "sweep": _cmd_sweep, "compare": _cmd_compare}
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "validate":
-            return _cmd_validate(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "compare":
-            return _cmd_compare(args)
-        parser.error(f"unknown command {args.command!r}")
+        return handlers[args.command](args)     # argparse admits only these four commands
     except ConfigError as exc:
         _emit_error(EXIT_CONFIG, exc.errors)
         return EXIT_CONFIG
     except Exception as exc:   # anything past validation is a runtime failure
         _emit_error(EXIT_RUNTIME, [f"{type(exc).__name__}: {exc}"])
         return EXIT_RUNTIME
-    return EXIT_OK
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -46,7 +46,6 @@ class DisconnectedControllers(Exception):
         self.components = components
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class ControlTopology:
     """AN graph: node controller capacities and weighted, capacitated edges.
 
@@ -55,9 +54,16 @@ class ControlTopology:
     searches are cached on first use, so the dicts must not change after.
     """
 
-    capacity: dict[int, float]
-    edges: dict[tuple[int, int], tuple[float, float]]   # (u, v) -> (weight_s, capacity)
-    kappa: float = 1e-4
+    def __init__(
+        self,
+        capacity: dict[int, float],
+        edges: dict[tuple[int, int], tuple[float, float]],     # (u, v) -> (weight_s, capacity)
+        kappa: float = 1e-4,
+    ):
+        self.capacity = capacity
+        self.edges = edges
+        self.kappa = kappa
+        self._searches: dict[int, tuple[dict[int, float], dict[int, list[int]]]] = {}     # filled by `search`
 
     @functools.cached_property
     def graph(self) -> dict[int, dict[int, float]]:
@@ -67,10 +73,6 @@ class ControlTopology:
             adj.setdefault(u, {})[v] = w
             adj.setdefault(v, {})[u] = w
         return adj
-
-    @functools.cached_property
-    def _searches(self) -> dict[int, tuple[dict[int, float], dict[int, list[int]]]]:
-        return {}       # filled by `search`
 
     def search(self, src: int) -> tuple[dict[int, float], dict[int, list[int]]]:
         """`src`'s shortest distances and predecessors, searched once per topology, on first request."""

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -104,25 +104,19 @@ class FleetBelief:
         return self._prior
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class ObservationModel:
     """P(AP bit = 1 | cell) per (cell, AP); conditionally independent bits."""
 
-    likelihood: np.ndarray      # shape (n_cells, n_aps), entries in [0, 1]
-    # per AP, contiguous over cells: P(bit = 1 | cell) and P(bit = 0 | cell)
-    _hit: np.ndarray = field(init=False, compare=False, repr=False)
-    _miss: np.ndarray = field(init=False, compare=False, repr=False)
-    _memo: dict = field(init=False, compare=False, repr=False)     # bits -> obs_likelihood
-    _edges: dict = field(init=False, compare=False, repr=False)    # the last threshold -> its edges
-
-    def __post_init__(self):
-        lk = self.likelihood
-        if lk.ndim != 2 or not ((lk >= 0) & (lk <= 1)).all():     # NaN too: marginal_error_bound needs [0, 1]
+    def __init__(self, likelihood: np.ndarray):
+        # NaN fails too: marginal_error_bound needs entries in [0, 1]
+        if likelihood.ndim != 2 or not ((likelihood >= 0) & (likelihood <= 1)).all():
             raise ValueError("likelihood must be a (cells x aps) matrix with entries in [0, 1]")
-        object.__setattr__(self, "_hit", np.ascontiguousarray(lk.T))
-        object.__setattr__(self, "_miss", 1.0 - self._hit)
-        object.__setattr__(self, "_memo", {})
-        object.__setattr__(self, "_edges", {})
+        self.likelihood = likelihood        # shape (n_cells, n_aps), entries in [0, 1]
+        # per AP, contiguous over cells: P(bit = 1 | cell) and P(bit = 0 | cell)
+        self._hit = np.ascontiguousarray(likelihood.T)
+        self._miss = 1.0 - self._hit
+        self._memo: dict = {}       # bits -> obs_likelihood
+        self._edges: dict = {}      # the last threshold -> its edges
 
     def obs_likelihood(self, bits: tuple[int, ...]) -> np.ndarray:
         """Per-cell likelihood of one association vector, read-only, and kept until the memo fills."""

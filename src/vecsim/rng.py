@@ -214,11 +214,7 @@ class RngStream:
         over 32-bit draws when rng fits in 32 bits, else over 64-bit words."""
         if rng == 0:
             return 0
-        if rng == _MASK32:
-            return self._word32()
-        if rng == _MASK64:
-            return self._word()
-        draw, bits, mask = (self._word32, 32, _MASK32) if rng < _MASK32 else (self._word, 64, _MASK64)
+        draw, bits, mask = (self._word32, 32, _MASK32) if rng <= _MASK32 else (self._word, 64, _MASK64)
         excl = rng + 1
         m = draw() * excl
         if m & mask < excl:

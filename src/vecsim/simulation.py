@@ -80,8 +80,7 @@ class Simulation:
         self.cfg = cfg
         self.root = RngStream(cfg.seed, "root")
         self.engine = SlotEngine(cfg.horizon)
-        self._streams: dict[str, RngStream] = {}
-        self._families: dict[str, dict[int, RngStream]] = {}
+        self._families: dict[str, dict[int | str, RngStream]] = {}
 
         self.ap_ids = sorted(a.ap_id for a in cfg.aps)
         self.an_ids = sorted(a.an_id for a in cfg.ans)
@@ -235,14 +234,7 @@ class Simulation:
         e.register(Phase.EDGE_COMPUTE, self._phase_edge)
         e.register(Phase.CIPHER, self._phase_cipher)
 
-    def stream(self, label: str) -> RngStream:
-        """One cached generator per purpose; adding entities or toggling one
-        subsystem never shifts another subsystem's draws."""
-        if label not in self._streams:
-            self._streams[label] = self.root.substream(label)
-        return self._streams[label]
-
-    def _family(self, name: str, owners) -> dict[int, RngStream]:
+    def _family(self, name: str, owners) -> dict[int | str, RngStream]:
         """Each owner's `name/<id>` stream, keyed in `owners` order; the whole
         family is seeded in one batch when a phase first needs it."""
         streams = self._families.get(name)
@@ -447,10 +439,7 @@ class Simulation:
             sync_graph = control_plane.relay_free_controller_graph(
                 self.topology, placement.controllers
             )
-            views = {
-                c: {f"view_{c}": 1, **{f"view_{o}": 0 for o in placement.controllers if o != c}}
-                for c in placement.controllers
-            }
+            views = {c: {f"view_{c}": 1} for c in placement.controllers}
             rounds, _ = control_plane.sync_controllers(sync_graph, views)
             entry["sync_rounds"] = rounds
             for c in sorted(placement.controllers):
@@ -475,7 +464,7 @@ class Simulation:
                     )
                     ar.cache.cached = edge.decide_cache(self.catalog, pop, ar.cache.capacity)
                     ar.request_counts = {}
-            rng = self.stream("edge/tasks")
+            rng = self._family("edge", ["tasks"])["tasks"]
             for vid, vr in self.vehicles.items():
                 if rng.random() >= ec.task_arrival_prob:
                     continue

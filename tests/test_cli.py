@@ -337,6 +337,63 @@ def test_a_bad_control_topology_exits_two_naming_its_path(override, path, tmp_pa
     assert any(e.startswith(f"{path}:") for e in json.loads(stdout)["errors"])
 
 
+@pytest.mark.parametrize(("overrides", "message"), [
+    pytest.param(
+        ['vehicles=[{"vehicle_id": 0, "cell": 0, "velocity_class": "fast"}, {"vehicle_id": 1, "cell": 2}]'],
+        "vehicles[0].velocity_class: unknown class 'fast'", id="vehicle-class",
+    ),
+    pytest.param(
+        ['velocity_schedule=[{"slot": 3, "vehicle_id": 0, "velocity_class": "fast"}]'],
+        "velocity_schedule[0]: unknown class 'fast'", id="scheduled-class",
+    ),
+    pytest.param(
+        ['mac.ctu_policy="preconfigured"', 'mac.preconfigured={"0": [[0, 0]], "1": [[1, 9]]}'],
+        "mac.preconfigured[1][0]: unknown AP 9", id="preconfigured-ap",
+    ),
+    pytest.param(
+        ["bandit.enabled=true", "bandit.r_max=100000"],
+        "bandit.r_max: 100000 exceeds ctu_pool size 16", id="bandit-r-max",
+    ),
+    pytest.param(
+        ["control.edges=[]"], "control.edges: required when more than one AN exists", id="control-edges",
+    ),
+    pytest.param(
+        ["edge_compute.services=[]"], "edge_compute.services: at least one service required when enabled",
+        id="no-services",
+    ),
+])
+def test_a_cross_field_problem_exits_two_with_its_message(overrides, message, tmp_path, capsys):
+    flags = [arg for override in overrides for arg in ("--override", override)]
+    code, stdout = _run(capsys, "run", str(scenario_path("smoke")), "--out", str(tmp_path), *flags)
+    assert code == 2
+    assert json.loads(stdout)["errors"] == [message]
+    assert not any(tmp_path.iterdir())
+
+
+def test_a_congested_checkpoint_is_recorded_and_opens_no_controller(tmp_path, capsys):
+    # 0.5 messages per slot over the only AN link cannot carry one vehicle's 1.0
+    code, _ = _run(
+        capsys, "run", str(scenario_path("smoke")), "--out", str(tmp_path),
+        "--override", "horizon=60", "--override", "control.edges=[[0,1,0.001,0.5]]",
+    )
+    assert code == 0
+    first, second = json.loads((tmp_path / "summary.json").read_text())["control"]["checkpoints"]
+    assert first == {"infeasible": "congestion", "slot": 0}
+    assert second["slot"] == 50 and second["controllers"] == [0]
+    with (tmp_path / "decisions.csv").open(newline="") as fh:
+        opened = [(r["slot"], r["an_id"]) for r in csv.DictReader(fh) if r["kind"] == "controller"]
+    assert opened == [("50", "0")]
+
+
+def test_run_without_out_writes_into_vecsim_out(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("VECSIM_OUT", str(tmp_path / "env"))
+    code, _ = _run(capsys, "run", str(scenario_path("smoke")), "--override", "horizon=5")
+    assert code == 0
+    assert sorted(p.name for p in (tmp_path / "env").iterdir()) == ["decisions.csv", "packets.csv", "summary.json"]
+    assert not (tmp_path / "out").exists()
+
+
 def _smoke_aps_with(**changes) -> str:
     aps = json.loads(scenario_path("smoke").read_text())["aps"]
     aps[1].update(changes)

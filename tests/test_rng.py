@@ -133,9 +133,11 @@ def _draw_both(stream: RngStream, gen: np.random.Generator, op: tuple):
     return stream.bytes(*args), gen.bytes(*args)
 
 
-# spans high - low: 1 draws nothing, 2 and 2**32 are Lemire's range 1 and the
-# plain 32-bit draw of range 2**32 - 1, above 2**32 the draw takes 64-bit words
-_SPANS = st.sampled_from([1, 2, 3, 7, 1000, 2**31 + 1, 2**32 - 1, 2**32, 2**32 + 1, 2**40, 2**63])
+# spans high - low: 1 draws nothing, 2 is Lemire's range 1, above 2**32 the
+# draw takes 64-bit words; 2**32 and 2**64 are the full 32- and 64-bit draws,
+# and 2**64 is drawn as integers(-2**63, 2**63), since numpy's int64 bounds
+# have no one-argument form for it
+_SPANS = st.sampled_from([1, 2, 3, 7, 1000, 2**31 + 1, 2**32 - 1, 2**32, 2**32 + 1, 2**40, 2**63, 2**64])
 
 
 @st.composite
@@ -145,7 +147,7 @@ def _ops(draw):
         return ("random",)
     if kind == "integers":
         span = draw(_SPANS)
-        if draw(st.booleans()):
+        if span <= 2**63 and draw(st.booleans()):
             return ("integers", span)
         low = draw(st.integers(-(2**63), 2**63 - span))
         return ("integers", low, low + span)
